@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import sys
 from itertools import permutations, product
 from pathlib import Path
@@ -146,7 +147,7 @@ _SWEEP_COLUMNS = [
 def _finite(name, value) -> float:
     try:
         v = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(v):
         raise ValueError(f"{name} must be finite, got {v!r}")
@@ -194,7 +195,9 @@ def _check(kind, name, value):
     if kind == "float":
         return _finite(name, value)
     if kind in ("pos_int", "nonneg_int"):
-        if isinstance(value, bool) or int(value) != value:
+        integral = isinstance(value, numbers.Integral) or (
+            isinstance(value, float) and value.is_integer())
+        if isinstance(value, bool) or not integral:
             raise ValueError(f"{name} must be an integer, got {value!r}")
         v = int(value)
         low = 1 if kind == "pos_int" else 0

@@ -1,10 +1,12 @@
 """Diffuse-interface relaxation and sharp grid energies on the unit torus.
 
 A Field holds the two minority-species densities; relax runs a semi-implicit
-spectral L2 gradient flow of the ternary functional (gradient + double-well
-+ nonlocal Green coupling) with per-species mean projection.  SharpConfig
-holds thresholded indicator sets, whose rescaled energy combines a
-Cauchy-Crofton grid perimeter with the periodic Green interaction, and
+Fourier-spectral L2 gradient flow of the ternary functional (gradient +
+double-well + nonlocal Green coupling) with per-species mean projection.
+The Green force stays in Fourier space and the gradient and Green energies
+are Parseval sums, so only the well term is evaluated in real space.
+SharpConfig holds thresholded indicator sets, whose rescaled energy combines
+a Cauchy-Crofton grid perimeter with the periodic Green interaction, and
 extract_components turns them into partition-module configurations.
 """
 
@@ -17,7 +19,6 @@ from scipy import ndimage
 
 from triblock.geometry import GammaMatrix, solve_geometry
 from triblock.partition import Configuration, cluster_from_masses
-from triblock.torus_green import periodic_poisson_solve
 
 GUARD_BAND = (-0.1, 1.1)
 
@@ -197,13 +198,31 @@ def scaled_gamma(gamma: GammaMatrix, eta: float,
                        gamma.g12 * factor)
 
 
-def _gradient_sq_mean(u: np.ndarray) -> float:
-    """mean |grad u|^2 by spectral differentiation."""
-    n = u.shape[0]
-    k = 2.0 * math.pi * np.fft.fftfreq(n, d=1.0 / n)
-    uhat = np.fft.fft2(u)
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
-    return float(np.sum(k2 * np.abs(uhat) ** 2)) / n ** 4
+def _spectral_grid(n: int):
+    """|k|^2, (-Delta)^-1 (0 at k = 0) and Parseval weights on the rfft2 half-plane.
+
+    The per-column weights turn a half-plane sum of uhat conj(vhat) into the
+    grid mean of u v: column 0 and, for even n, the Nyquist column count once.
+    """
+    freq = np.fft.rfftfreq(n, d=1.0 / n)
+    k2 = (2.0 * math.pi * np.fft.fftfreq(n, d=1.0 / n))[:, None] ** 2 \
+        + (2.0 * math.pi * freq)[None, :] ** 2
+    inv_lap = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0.0)
+    weights = np.where((freq == 0) | (2 * freq == n), 1.0, 2.0) / n ** 4
+    return k2, inv_lap, weights
+
+
+def _spectral_energies(u1hat, u2hat, gamma: GammaMatrix, grid):
+    """Parseval sums: mean |grad u_i|^2 summed over the three species, and
+    sum_ij Gamma_ij <u_i, (-Delta)^-1 u_j>.  Off k = 0, u0hat = -u1hat - u2hat.
+    """
+    k2, inv_lap, weights = grid
+    p11 = u1hat.real ** 2 + u1hat.imag ** 2
+    p22 = u2hat.real ** 2 + u2hat.imag ** 2
+    p12 = u1hat.real * u2hat.real + u1hat.imag * u2hat.imag
+    return (2.0 * float(np.sum(k2 * (p11 + p12 + p22), axis=0) @ weights),
+            float(np.sum(inv_lap * (gamma.g11 * p11 + 2.0 * gamma.g12 * p12
+                                    + gamma.g22 * p22), axis=0) @ weights))
 
 
 def diffuse_energy(f: Field, gamma_scaled: GammaMatrix,
@@ -215,15 +234,11 @@ def diffuse_energy(f: Field, gamma_scaled: GammaMatrix,
     """
     w = _well_printed if printed_well else _well
     u1, u2, eps = f.u1, f.u2, f.epsilon
-    u0 = 1.0 - u1 - u2
-    grad = 0.5 * eps * (_gradient_sq_mean(u0) + _gradient_sq_mean(u1)
-                        + _gradient_sq_mean(u2))
-    well = 0.5 / eps * float(np.mean(w(u0) + w(u1) + w(u2)))
-    phi1 = periodic_poisson_solve(u1)
-    phi2 = periodic_poisson_solve(u2)
-    nonlocal_term = 0.5 * (gamma_scaled.g11 * float(np.mean(phi1 * u1))
-                           + 2.0 * gamma_scaled.g12 * float(np.mean(phi1 * u2))
-                           + gamma_scaled.g22 * float(np.mean(phi2 * u2)))
+    grad, nonlocal_term = _spectral_energies(np.fft.rfft2(u1), np.fft.rfft2(u2),
+                                             gamma_scaled, _spectral_grid(f.N))
+    grad *= 0.5 * eps
+    nonlocal_term *= 0.5
+    well = 0.5 / eps * float(np.mean(w(1.0 - u1 - u2) + w(u1) + w(u2)))
     total = grad + well + nonlocal_term
     if parts:
         return {"total": total, "gradient": grad, "well": well,
@@ -234,33 +249,29 @@ def diffuse_energy(f: Field, gamma_scaled: GammaMatrix,
 def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
           steps: int = 1000, printed_well: bool = False, trace_every: int = 1,
           blow_limit: float = 5.0):
-    """Semi-implicit spectral descent of the diffuse energy.
+    """Semi-implicit Fourier-spectral descent of the diffuse energy.
 
     The coupled Laplacian pair is diagonalized in the sum/difference basis
     (eigenvalues 3 and 1) and treated implicitly together with a linear
     stabilization c_s = 2/epsilon; the well derivative and the nonlocal
-    force are explicit.  Species means are restored exactly each step.
+    force, formed in Fourier space as (Gamma uhat)/|k|^2, are explicit: four
+    rfft2 and two irfft2 per step.  Species means are restored exactly.
     Returns (Field, trace) where trace rows are (step, total, gradient,
     well, nonlocal).  Raises RuntimeError when the field norm blows up.
     """
     N = init.N
     eps = init.epsilon
-    h = 1.0 / N
     if dt is None:
-        dt = eps * h
+        dt = eps * (1.0 / N)
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive, got {dt!r}")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps!r}")
     wp = _well_printed_prime if printed_well else _well_prime
     c_s = 2.0 / eps
-    k = 2.0 * math.pi * np.fft.fftfreq(N, d=h)
-    kr = 2.0 * math.pi * np.fft.rfftfreq(N, d=h)
-    k2 = k[:, None] ** 2 + kr[None, :] ** 2
+    k2, inv_lap, _ = _spectral_grid(N)
     den_s = 1.0 + dt * (3.0 * eps * k2 + c_s)
     den_d = 1.0 + dt * (eps * k2 + c_s)
-    inv_lap = np.zeros_like(k2)
-    inv_lap[k2 > 0.0] = 1.0 / k2[k2 > 0.0]
     u1 = init.u1.copy()
     u2 = init.u2.copy()
     mean1, mean2 = u1.mean(), u2.mean()
@@ -279,20 +290,13 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
     for step in range(1, steps + 1):
         u1hat = np.fft.rfft2(u1)
         u2hat = np.fft.rfft2(u2)
-        phi1hat = u1hat * inv_lap
-        phi2hat = u2hat * inv_lap
-        phi1hat[0, 0] = 0.0
-        phi2hat[0, 0] = 0.0
-        phi1 = np.fft.irfft2(phi1hat, s=(N, N))
-        phi2 = np.fft.irfft2(phi2hat, s=(N, N))
-        u0 = 1.0 - u1 - u2
-        wp0 = wp(u0)
-        f1 = (wp(u1) - wp0) / (2.0 * eps) + g11 * phi1 + g12 * phi2
-        f2 = (wp(u2) - wp0) / (2.0 * eps) + g12 * phi1 + g22 * phi2
-        fs_hat = np.fft.rfft2(f1 + f2)
-        fd_hat = np.fft.rfft2(f1 - f2)
-        s_hat = ((1.0 + dt * c_s) * (u1hat + u2hat) - dt * fs_hat) / den_s
-        d_hat = ((1.0 + dt * c_s) * (u1hat - u2hat) - dt * fd_hat) / den_d
+        wp0 = wp(1.0 - u1 - u2)
+        f1_hat = (np.fft.rfft2(wp(u1) - wp0) / (2.0 * eps)
+                  + (g11 * u1hat + g12 * u2hat) * inv_lap)
+        f2_hat = (np.fft.rfft2(wp(u2) - wp0) / (2.0 * eps)
+                  + (g12 * u1hat + g22 * u2hat) * inv_lap)
+        s_hat = ((1.0 + dt * c_s) * (u1hat + u2hat) - dt * (f1_hat + f2_hat)) / den_s
+        d_hat = ((1.0 + dt * c_s) * (u1hat - u2hat) - dt * (f1_hat - f2_hat)) / den_d
         u1 = np.fft.irfft2(0.5 * (s_hat + d_hat), s=(N, N))
         u2 = np.fft.irfft2(0.5 * (s_hat - d_hat), s=(N, N))
         worst = max(float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
@@ -372,13 +376,9 @@ def sharp_energy(c: SharpConfig, gamma: GammaMatrix) -> float:
     eta = c.eta
     per = (grid_perimeter(c.ind1) + grid_perimeter(c.ind2)
            + grid_perimeter(~(c.ind1 | c.ind2)))
-    v1 = c.ind1.astype(float) / eta ** 2
-    v2 = c.ind2.astype(float) / eta ** 2
-    phi1 = periodic_poisson_solve(v1)
-    phi2 = periodic_poisson_solve(v2)
-    interaction = (gamma.g11 * float(np.mean(phi1 * v1))
-                   + 2.0 * gamma.g12 * float(np.mean(phi1 * v2))
-                   + gamma.g22 * float(np.mean(phi2 * v2)))
+    _, interaction = _spectral_energies(
+        np.fft.rfft2(c.ind1 / eta ** 2), np.fft.rfft2(c.ind2 / eta ** 2),
+        gamma, _spectral_grid(c.N))
     return per / (2.0 * eta) + interaction / (2.0 * abs(math.log(eta)))
 
 
@@ -494,7 +494,12 @@ def write_field_pgm(f: Field, stem: str, metadata: dict | None = None,
 
 
 def read_field_pgm(stem: str) -> Field:
-    """Rebuild a Field from write_field_pgm output (quantized to 16 bits)."""
+    """Rebuild a Field from write_field_pgm output (quantized to 16 bits).
+
+    Raises ValueError unless each PGM is binary (P5) with two positive
+    integer dimensions, a 16-bit maxval (256..65535) and a payload of
+    exactly width * height * 2 bytes.
+    """
     with open(f"{stem}_meta.json") as fh:
         meta = json.load(fh)
     lo, hi = meta.get("value_range", GUARD_BAND)
@@ -504,16 +509,31 @@ def read_field_pgm(stem: str) -> Field:
             line = fh.readline()
         return line
 
+    def positive_ints(fh, count, what, path):
+        fields = header_line(fh).split()
+        if len(fields) != count or not all(f.isdigit() and int(f) > 0
+                                           for f in fields):
+            raise ValueError(f"{path}: {what} must be {count} positive "
+                             f"integer(s), got {b' '.join(fields)!r}")
+        return [int(f) for f in fields]
+
     grids = []
     for name in ("u1", "u2"):
-        with open(f"{stem}_{name}.pgm", "rb") as fh:
+        path = f"{stem}_{name}.pgm"
+        with open(path, "rb") as fh:
             magic = header_line(fh).strip()
             if magic != b"P5":
                 raise ValueError(f"not a binary PGM: {magic!r}")
-            dims = header_line(fh).split()
-            maxval = int(header_line(fh))
-            w, hgt = int(dims[0]), int(dims[1])
-            data = np.frombuffer(fh.read(w * hgt * 2), dtype=">u2")
+            w, hgt = positive_ints(fh, 2, "dimensions", path)
+            (maxval,) = positive_ints(fh, 1, "maxval", path)
+            payload = fh.read()
+        if not 256 <= maxval <= 65535:
+            raise ValueError(f"{path}: maxval must be in 256..65535 for 16-bit "
+                             f"samples, got {maxval}")
+        if len(payload) != w * hgt * 2:
+            raise ValueError(f"{path}: payload is {len(payload)} bytes, expected "
+                             f"{w * hgt * 2} for {w} x {hgt} 16-bit samples")
+        data = np.frombuffer(payload, dtype=">u2")
         grids.append(data.reshape(hgt, w).astype(float) / maxval * (hi - lo) + lo)
     return Field(grids[0], grids[1], float(meta["epsilon"]))
 

@@ -6,9 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triblock import torus_green as TG
-from triblock.cli import ExperimentConfig, main, resolve_parameters
+from triblock.cli import _SCHEMAS, ExperimentConfig, main, resolve_parameters
 from triblock.torus_green import wrap
 
 SYM_PERIMETER = 2.0 * math.sqrt(2.0) * math.sqrt(
@@ -184,6 +185,69 @@ def test_validation_error_is_machine_readable(tmp_path, capsys):
     payload = json.loads(stderr)
     assert payload["error"]["type"] == "ValueError"
     assert "eta" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("text", ['{"n": [1]}', '{"steps": Infinity}',
+                                  '{"seed": {}}', '{"n": null}'])
+def test_wrong_typed_config_value_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    rc, stdout, stderr = run_cli(
+        capsys, "relax", "--config", str(cfg), "--masses", "[[1,0]]",
+        "--centers", "[[0.5,0.5]]", "--out", str(tmp_path / "r"))
+    assert rc == 2
+    assert stdout == ""
+    assert json.loads(stderr)["error"]["type"] == "ValueError"
+
+
+# One valid config per command; the fuzz below replaces one key at a time.
+VALID_CONFIGS = {
+    "bubble": {"m1": 1.0, "m2": 2.0},
+    "partition": {"M1": 1.0, "M2": 1.0},
+    "green": {"x": 0.1, "y": 0.2},
+    "place": {"masses": [[1, 0], [0, 1]]},
+    "relax": {"masses": [[1, 0]], "centers": [[0.5, 0.5]]},
+    "compare": {"masses": [[1, 0]], "centers": [[0.5, 0.5]]},
+    "regime-sweep": {"M1_values": [1.0], "M2_values": [1.0],
+                     "g12_values": [0.0]},
+}
+
+_JSON_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+WRONG_TYPED_JSON = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=8),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.lists(_JSON_ANY, max_size=4),
+    st.dictionaries(st.text(max_size=4), _JSON_ANY, max_size=3))
+
+
+def test_valid_configs_resolve():
+    assert sorted(VALID_CONFIGS) == sorted(_SCHEMAS)
+    for command, params in VALID_CONFIGS.items():
+        resolve_parameters(command, params, {})
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_resolve_parameters_fuzz_wrong_types(data):
+    command = data.draw(st.sampled_from(sorted(_SCHEMAS)), label="command")
+    key = data.draw(st.sampled_from(sorted(_SCHEMAS[command])), label="key")
+    value = data.draw(WRONG_TYPED_JSON, label="value")
+    params = dict(VALID_CONFIGS[command], **{key: value})
+    try:
+        resolve_parameters(command, params, {})
+    except ValueError:
+        pass  # any other exception type fails the test
+
+
+def test_huge_integer_literal_is_a_value_error():
+    with pytest.raises(ValueError):
+        resolve_parameters("bubble", {"m1": 10 ** 400, "m2": 1.0}, {})
 
 
 def test_compare_pipeline_reports_gaps(tmp_path, capsys):

@@ -191,6 +191,76 @@ def test_printed_well_variant():
     assert e != diffuse_energy(f, GammaMatrix(1.0, 1.0, 0.0))
 
 
+def cosine_modes(n, modes):
+    """sum of amp cos(2 pi (a x + b y)) over {(a, b): amp} on the n-grid."""
+    X, Y = torus_grid(n)
+    return sum(amp * np.cos(2.0 * math.pi * (a * X + b * Y))
+               for (a, b), amp in modes.items())
+
+
+def gradient_closed_form(n, modes):
+    """mean |grad u|^2 of cosine_modes(n, modes) for distinct, non-conjugate
+    modes with 0 <= a, b <= n/2: (2 pi)^2 (a^2 + b^2) amp^2 times the grid mean
+    of the squared cosine, which is 1 for self-conjugate modes (a, b in
+    {0, n/2}, sampled as +-1) and 1/2 otherwise."""
+    return sum((2.0 * math.pi) ** 2 * (a * a + b * b) * amp ** 2
+               * (1.0 if (2 * a) % n == 0 and (2 * b) % n == 0 else 0.5)
+               for (a, b), amp in modes.items())
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_gradient_energy_matches_mode_closed_form(n):
+    top = n // 2  # the Nyquist frequency for even n
+    modes1 = {(1, 2): 0.05, (top, 3): 0.03, (0, top): 0.02}
+    modes2 = {(1, 2): 0.04, (5, top): 0.03, (top, top): 0.01}
+    modes0 = {key: modes1.get(key, 0.0) + modes2.get(key, 0.0)
+              for key in {**modes1, **modes2}}
+    eps = 0.05
+    f = Field(0.4 + cosine_modes(n, modes1), 0.3 + cosine_modes(n, modes2), eps)
+    expected = 0.5 * eps * (gradient_closed_form(n, modes0)
+                            + gradient_closed_form(n, modes1)
+                            + gradient_closed_form(n, modes2))
+    parts = diffuse_energy(f, NO_COUPLING, parts=True)
+    assert parts["gradient"] == pytest.approx(expected, rel=1e-12)
+
+
+def real_space_green(u1, u2, g):
+    """sum_ij Gamma_ij mean(psi_i u_j) with psi_i the periodic Poisson solve."""
+    psi1 = TG.periodic_poisson_solve(u1)
+    psi2 = TG.periodic_poisson_solve(u2)
+    return (g.g11 * float(np.mean(psi1 * u1))
+            + 2.0 * g.g12 * float(np.mean(psi1 * u2))
+            + g.g22 * float(np.mean(psi2 * u2)))
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_nonlocal_energy_matches_real_space_poisson(n):
+    f = droplet_field(n, 2.0 / n, 0.1, [(3.0, 2.0), (0.0, 4.0)],
+                      [(0.3, 0.4), (0.75, 0.7)])
+    g = GammaMatrix(2.0, 1.0, 0.7)
+    expected = 0.5 * real_space_green(f.u1, f.u2, g)
+    parts = diffuse_energy(f, g, parts=True)
+    assert parts["nonlocal"] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_sharp_interaction_matches_real_space_poisson(n):
+    eta = 0.1
+    X, _ = torus_grid(n)
+    disk = disk_indicator(n, (0.4, 0.5), 0.15)
+    ind1 = disk & (X < 0.4)
+    ind2 = (disk & ~ind1) | disk_indicator(n, (0.85, 0.1), 0.08)
+    c = SharpConfig(ind1, ind2, eta)
+    g = GammaMatrix(1.0, 2.0, 0.5)
+    per = (grid_perimeter(ind1) + grid_perimeter(ind2)
+           + grid_perimeter(~(ind1 | ind2)))
+    interaction = real_space_green(ind1 / eta ** 2, ind2 / eta ** 2, g) \
+        / (2.0 * abs(math.log(eta)))
+    energy = sharp_energy(c, g)
+    assert abs(energy - (per / (2.0 * eta) + interaction)) \
+        <= 1e-12 * interaction
+
+
 # ---------------------------------------------------------------------------
 # Relaxation.
 
@@ -500,4 +570,20 @@ def test_read_pgm_rejects_wrong_magic(tmp_path):
     (tmp_path / "bad_u1.pgm").write_bytes(b"P2\n2 2\n65535\n" + b"\x00" * 8)
     (tmp_path / "bad_u2.pgm").write_bytes(b"P2\n2 2\n65535\n" + b"\x00" * 8)
     with pytest.raises(ValueError):
+        read_field_pgm(stem)
+
+
+@pytest.mark.parametrize("header, payload, fault", [
+    (b"P5\n2 2\n255\n", b"\x00" * 8, "maxval"),
+    (b"P5\n2 2\n65535\n", b"\x00" * 9, "payload"),
+    (b"P5\n2\n65535\n", b"\x00" * 8, "dimensions"),
+    (b"P5\n2 0\n65535\n", b"", "dimensions"),
+    (b"P5\n2 2\n65535\n", b"\x00" * 6, "payload"),
+], ids=["maxval-8-bit", "trailing-bytes", "missing-dimension",
+        "zero-dimension", "short-payload"])
+def test_read_pgm_rejects_malformed_header(tmp_path, header, payload, fault):
+    stem = str(tmp_path / "bad")
+    write_field_pgm(uniform_field(2, 0.1, (0.2, 0.3)), stem)
+    (tmp_path / "bad_u2.pgm").write_bytes(header + payload)
+    with pytest.raises(ValueError, match=fault):
         read_field_pgm(stem)
