@@ -248,10 +248,14 @@ def _check(kind, name, value):
 
 def _resolve_relax(params: dict) -> dict:
     """Fill the derived defaults and cross-check the relax-style keys."""
+    try:
+        n = float(params["n"])
+    except OverflowError:
+        raise ValueError(f"n is too large, got {params['n']}") from None
     if params["epsilon"] is None:
-        params["epsilon"] = 2.0 / params["n"]
+        params["epsilon"] = 2.0 / n
     if params["dt"] is None:
-        params["dt"] = params["epsilon"] / params["n"]
+        params["dt"] = params["epsilon"] / n
     if params["init"] == "droplets":
         if params["masses"] is None or params["centers"] is None:
             raise ValueError("droplets init needs masses and centers")

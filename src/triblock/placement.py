@@ -1,13 +1,17 @@
 """Droplet placement energies on the unit torus.
 
 A layout is a set of droplet centers with per-cluster mass pairs.  The
-first-level energy couples distinct clusters through the periodic Green
+first-level energy FK couples distinct clusters through the periodic Green
 function; the second level adds each cluster's own log-kernel energy over
 its optimal shape (a double bubble or a disk) and the Green function's
 regular part at zero.  Shape integrals are quasi-Monte Carlo quadratures
 over the circular-arc lobes with a rejection-free strip sampler.
+
+FK, its gradient and the Hessian of the Newton phase in `minimize_FK` come
+from one Ewald call over the K(K-1)/2 pair differences (`_pair_terms`).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +20,7 @@ from scipy.stats import qmc
 
 from triblock.geometry import GammaMatrix, solve_geometry
 from triblock.partition import Configuration, check_necessary_conditions, cluster_from_masses
-from triblock.torus_green import R0, green, green_gradient, wrap
+from triblock.torus_green import R0, _ewald, wrap
 
 _STRIP_NODES = 16385
 
@@ -43,11 +47,10 @@ class Layout:
             if m1 < 0.0 or m2 < 0.0 or m1 + m2 <= 0.0:
                 raise ValueError(f"mass pair must be nonnegative and nontrivial, got {m!r}")
         pts = np.asarray(self.points, dtype=float)
-        for k in range(len(pts)):
-            for ell in range(k + 1, len(pts)):
-                if np.all(wrap(pts[k] - pts[ell]) == 0.0):
-                    raise ValueError(
-                        f"points {k} and {ell} coincide on the torus")
+        same = np.all(wrap(pts[:, None] - pts[None]) == 0.0, axis=-1)
+        k, ell = np.nonzero(np.triu(same, 1))
+        if len(k):
+            raise ValueError(f"points {k[0]} and {ell[0]} coincide on the torus")
 
     @property
     def K(self) -> int:
@@ -76,6 +79,35 @@ def _weight_matrix(M: np.ndarray, gamma: GammaMatrix) -> np.ndarray:
     return M @ G @ M.T
 
 
+@functools.cache
+def _pairs(K: int):
+    """Pairs k < l as triu indices, and their incidence rows (+1 at k, -1 at l)."""
+    iu = np.triu_indices(K, 1)
+    return iu, np.eye(K)[iu[0]] - np.eye(K)[iu[1]]
+
+
+def _pair_terms(P: np.ndarray, W: np.ndarray, order: int = 0):
+    """FK of centers P (K, 2) under weights W, with derivatives.
+
+    One Ewald call over the K(K-1)/2 pair differences y^k - y^l, k < l.
+    Returns the energy, plus the gradient (K, 2) for order >= 1, plus the
+    Hessian (2K, 2K) for order 2, with rows and columns ordered as
+    P.ravel().  Raises ValueError when two centers coincide.
+    """
+    K = len(P)
+    iu, B = _pairs(K)
+    w = W[iu]
+    terms = _ewald(wrap(P[iu[0]] - P[iu[1]]), order)
+    if order == 0:
+        return float(np.sum(w * terms))
+    G, grad, *hess = terms
+    out = (float(np.sum(w * G)), B.T @ (w[:, None] * grad))
+    if order == 1:
+        return out
+    H = np.einsum("pk,pl,p,pab->kalb", B, B, w, hess[0])
+    return out + (H.reshape(2 * K, 2 * K),)
+
+
 def FK(layout: Layout, gamma: GammaMatrix) -> float:
     """Pairwise Green-function interaction energy of the layout.
 
@@ -84,58 +116,31 @@ def FK(layout: Layout, gamma: GammaMatrix) -> float:
     costs zero; coincident points raise through the Green function.
     """
     P, M = _layout_arrays(layout)
-    K = len(P)
-    if K == 1:
-        return 0.0
-    W = _weight_matrix(M, gamma)
-    iu = np.triu_indices(K, 1)
-    diffs = P[iu[0]] - P[iu[1]]
-    return float(np.sum(W[iu] * green(diffs)))
+    return _pair_terms(P, _weight_matrix(M, gamma))
 
 
 def fk_gradient(layout: Layout, gamma: GammaMatrix) -> np.ndarray:
     """Derivative of FK with respect to every center, shape (K, 2)."""
     P, M = _layout_arrays(layout)
-    K = len(P)
-    out = np.zeros((K, 2))
-    if K == 1:
-        return out
-    W = _weight_matrix(M, gamma)
-    for k in range(K):
-        others = np.arange(K) != k
-        grads = green_gradient(P[k] - P[others])
-        out[k] = np.sum(W[k, others][:, None] * grads, axis=0)
-    return out
+    return _pair_terms(P, _weight_matrix(M, gamma), 1)[1]
 
 
-def _free_energy_grad(zfree: np.ndarray, M: np.ndarray, gamma: GammaMatrix):
-    """Energy and flattened gradient over the non-pinned centers."""
-    K = len(M)
-    P = np.vstack([np.zeros(2), zfree.reshape(K - 1, 2)])
-    layout = Layout(tuple(map(tuple, P)), tuple(map(tuple, M)))
-    energy = FK(layout, gamma)
-    grad = fk_gradient(layout, gamma)[1:].ravel()
-    return energy, grad
-
-
-def _free_energy_only(zfree: np.ndarray, M: np.ndarray, gamma: GammaMatrix) -> float:
-    K = len(M)
-    P = np.vstack([np.zeros(2), zfree.reshape(K - 1, 2)])
-    try:
-        layout = Layout(tuple(map(tuple, P)), tuple(map(tuple, M)))
-        return FK(layout, gamma)
-    except ValueError:
-        return math.inf
-
-
-def _descend(z0: np.ndarray, M: np.ndarray, gamma: GammaMatrix,
-             gtol: float, max_rounds: int = 3):
+def _descend(z0: np.ndarray, W: np.ndarray, gtol: float, max_rounds: int = 3):
     """Armijo gradient descent plus Newton polish on the free centers.
 
-    Returns (z, energy, grad_norm); grad_norm may exceed gtol on failure.
+    z holds the flattened centers 1..K-1; center 0 is pinned at the
+    origin.  Returns (z, energy, grad_norm); grad_norm may exceed gtol on
+    failure.
     """
+    def terms(z, order):
+        out = _pair_terms(np.vstack([np.zeros(2), z.reshape(-1, 2)]), W, order)
+        if order == 0:
+            return out
+        energy, grad, *hess = out
+        return (energy, grad[1:].ravel(), *(h[2:, 2:] for h in hess))
+
     z = wrap(z0.reshape(-1, 2)).ravel()
-    energy, grad = _free_energy_grad(z, M, gamma)
+    energy, grad = terms(z, 1)
     gnorm = float(np.linalg.norm(grad))
     step = 1e-2
     for _ in range(max_rounds):
@@ -147,7 +152,10 @@ def _descend(z0: np.ndarray, M: np.ndarray, gamma: GammaMatrix,
             accepted = False
             for _ in range(40):
                 trial = wrap((z - alpha * grad).reshape(-1, 2)).ravel()
-                e_trial = _free_energy_only(trial, M, gamma)
+                try:
+                    e_trial = terms(trial, 0)
+                except ValueError:
+                    e_trial = math.inf
                 if e_trial <= energy - 1e-4 * alpha * gnorm * gnorm:
                     accepted = True
                     break
@@ -155,25 +163,15 @@ def _descend(z0: np.ndarray, M: np.ndarray, gamma: GammaMatrix,
             if not accepted:
                 break
             z = trial
-            energy, grad = _free_energy_grad(z, M, gamma)
+            energy, grad = terms(z, 1)
             gnorm = float(np.linalg.norm(grad))
             step = min(alpha * 1.5, 0.25)
-        # Newton phase: finite-difference Jacobian of the analytic gradient.
+        # Newton phase on the analytic Hessian.
         for _ in range(40):
             if gnorm <= gtol:
                 return z, energy, gnorm
-            n = len(z)
-            J = np.zeros((n, n))
-            h = 1e-7
-            for col in range(n):
-                zp = z.copy()
-                zp[col] += h
-                zm = z.copy()
-                zm[col] -= h
-                J[:, col] = (_free_energy_grad(zp, M, gamma)[1]
-                             - _free_energy_grad(zm, M, gamma)[1]) / (2.0 * h)
             try:
-                delta = np.linalg.solve(J, -grad)
+                delta = np.linalg.solve(terms(z, 2)[2], -grad)
             except np.linalg.LinAlgError:
                 break
             damp = 1.0
@@ -181,7 +179,7 @@ def _descend(z0: np.ndarray, M: np.ndarray, gamma: GammaMatrix,
             for _ in range(12):
                 trial = wrap((z + damp * delta).reshape(-1, 2)).ravel()
                 try:
-                    e_t, g_t = _free_energy_grad(trial, M, gamma)
+                    e_t, g_t = terms(trial, 1)
                 except ValueError:
                     damp *= 0.5
                     continue
@@ -214,6 +212,7 @@ def minimize_FK(masses, gamma: GammaMatrix, restarts: int = 8, seed: int = 0,
         layout = Layout(((0.0, 0.0),), tuple(map(tuple, M)))
         return (layout, {"energy": 0.0, "grad_norm": 0.0,
                          "restarts": []}) if full_output else layout
+    W = _weight_matrix(M, gamma)
     best = None
     rows = []
     for r in range(restarts):
@@ -232,7 +231,7 @@ def minimize_FK(masses, gamma: GammaMatrix, restarts: int = 8, seed: int = 0,
                 if len(bad) == 0:
                     break
                 zfree[bad - 1] = rng.uniform(0.0, 1.0, size=(len(bad), 2))
-        z, energy, gnorm = _descend(zfree.ravel(), M, gamma, gtol)
+        z, energy, gnorm = _descend(zfree.ravel(), W, gtol)
         rows.append({"restart": r, "energy": energy, "grad_norm": gnorm})
         if gnorm <= gtol and (best is None or energy < best[1]):
             best = (z, energy, gnorm)

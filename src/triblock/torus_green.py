@@ -7,7 +7,9 @@ exact evaluations are provided:
   representation G = int_0^inf (Theta(p,t) - 1) dt at t0 = 1/16.  The short
   -time part becomes a fast-decaying lattice sum of exponential integrals
   E1(|p+n|^2/(4 t0)); the long-time part a Gaussian-damped Fourier sum.
-  Truncations (|n|_inf <= 4, |k|_inf <= 6) leave tails below 1e-30.
+  Truncations (|n|_inf <= 4, |k|_inf <= 6) leave tails below 1e-30.  Both
+  wrap the private `_ewald`, which also gives the analytic Hessian that
+  the placement descent uses.
 
 * `green_spectral`: the plain spectral sum sum_{k != 0} e^{2 pi i k.p}
   /(4 pi^2 |k|^2) with the inner index of each column summed in closed form
@@ -60,6 +62,42 @@ def _prepare(p):
     return wrap(arr).reshape(-1, 2), arr.shape, arr.ndim == 1
 
 
+def _ewald(q, order=0, value=True):
+    """Ewald sums at canonical points q of shape (N, 2).
+
+    Returns G, or (G, grad G) for order 1, or (G, grad G, Hessian of G) of
+    shapes (N,), (N, 2), (N, 2, 2) for order 2.  The lattice differences
+    are built once for all orders; value=False skips the E1 sum and puts
+    None in place of G.  Raises ValueError when any point sits on the
+    source lattice.
+    """
+    d = q[:, None, :] + _SHIFTS[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", d, d)
+    if np.any(r2 < _SINGULAR_TOL**2):
+        raise ValueError("the Green function is singular at the source point "
+                         "p = 0 (mod 1)")
+    arg = 2.0 * math.pi * (q @ _K.T)
+    G = None
+    if value:
+        real = np.sum(exp1(r2 / (4.0 * EWALD_T0)), axis=1) / (4.0 * math.pi)
+        G = real + np.cos(arg) @ _RECIP_COEF - EWALD_T0
+    if order == 0:
+        return G
+    e = np.exp(-r2 / (4.0 * EWALD_T0))
+    real = -np.sum(d * (e / r2)[..., None], axis=1) / (2.0 * math.pi)
+    sines = np.sin(arg) * _RECIP_COEF
+    recip = -2.0 * math.pi * (sines @ _K)
+    grad = real + recip
+    if order == 1:
+        return G, grad
+    radial = e * (1.0 / (2.0 * EWALD_T0 * r2) + 2.0 / (r2 * r2))
+    real = -(np.sum(e / r2, axis=1)[:, None, None] * np.eye(2)
+             - np.swapaxes(d, 1, 2) @ (radial[..., None] * d)) / (2.0 * math.pi)
+    recip = -4.0 * math.pi**2 * np.einsum("ik,ka,kb->iab",
+                                          np.cos(arg) * _RECIP_COEF, _K, _K)
+    return G, grad, real + recip
+
+
 def green(p):
     """Torus Green's function at p (single point or (..., 2) array).
 
@@ -67,29 +105,14 @@ def green(p):
     point sits on the source lattice (|p| mod 1 below 1e-12).
     """
     q, shape, scalar = _prepare(p)
-    d = q[:, None, :] + _SHIFTS[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", d, d)
-    if np.any(np.min(r2, axis=1) < _SINGULAR_TOL**2):
-        raise ValueError("green() is singular at the source point p = 0 (mod 1)")
-    real = np.sum(exp1(r2 / (4.0 * EWALD_T0)), axis=1) / (4.0 * math.pi)
-    phase = np.cos(2.0 * math.pi * (q @ _K.T))
-    recip = phase @ _RECIP_COEF
-    out = real + recip - EWALD_T0
+    out = _ewald(q)
     return float(out[0]) if scalar else out.reshape(shape[:-1])
 
 
 def green_gradient(p):
     """Analytic gradient of `green` (same Ewald split, same accuracy)."""
     q, shape, scalar = _prepare(p)
-    d = q[:, None, :] + _SHIFTS[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", d, d)
-    if np.any(np.min(r2, axis=1) < _SINGULAR_TOL**2):
-        raise ValueError("green_gradient() is singular at the source point")
-    real = -np.sum(d * (np.exp(-r2 / (4.0 * EWALD_T0)) / r2)[..., None], axis=1) \
-        / (2.0 * math.pi)
-    sines = np.sin(2.0 * math.pi * (q @ _K.T)) * _RECIP_COEF
-    recip = -2.0 * math.pi * (sines @ _K)
-    out = real + recip
+    out = _ewald(q, 1, value=False)[1]
     return out[0] if scalar else out.reshape(shape)
 
 

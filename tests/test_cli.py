@@ -188,7 +188,9 @@ def test_validation_error_is_machine_readable(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ['{"n": [1]}', '{"steps": Infinity}',
-                                  '{"seed": {}}', '{"n": null}'])
+                                  '{"seed": {}}', '{"n": null}',
+                                  pytest.param('{"n": 1' + "0" * 400 + "}",
+                                               id="n=1e400")])
 def test_wrong_typed_config_value_exits_2(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -219,11 +221,21 @@ _JSON_ANY = st.recursive(
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6)
 
+# Integer literals beyond the float range: valid JSON, but float() of them
+# overflows.
+HUGE_INTS = st.builds(lambda digits, sign: sign * 10 ** digits,
+                      st.integers(309, 500), st.sampled_from([1, -1]))
+
 WRONG_TYPED_JSON = st.one_of(
     st.none(), st.booleans(), st.text(max_size=8),
     st.sampled_from([math.inf, -math.inf, math.nan]),
     st.lists(_JSON_ANY, max_size=4),
-    st.dictionaries(st.text(max_size=4), _JSON_ANY, max_size=3))
+    st.dictionaries(st.text(max_size=4), _JSON_ANY, max_size=3),
+    HUGE_INTS)
+
+INTEGER_KEYS = [(command, key) for command in sorted(_SCHEMAS)
+                for key, spec in sorted(_SCHEMAS[command].items())
+                if spec.kind in ("pos_int", "nonneg_int")]
 
 
 def test_valid_configs_resolve():
@@ -232,7 +244,7 @@ def test_valid_configs_resolve():
         resolve_parameters(command, params, {})
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@settings(max_examples=200)
 @given(data=st.data())
 def test_resolve_parameters_fuzz_wrong_types(data):
     command = data.draw(st.sampled_from(sorted(_SCHEMAS)), label="command")
@@ -248,6 +260,18 @@ def test_resolve_parameters_fuzz_wrong_types(data):
 def test_huge_integer_literal_is_a_value_error():
     with pytest.raises(ValueError):
         resolve_parameters("bubble", {"m1": 10 ** 400, "m2": 1.0}, {})
+    with pytest.raises(ValueError, match="n is too large"):
+        resolve_parameters("relax", dict(VALID_CONFIGS["relax"], n=10 ** 400), {})
+
+
+@pytest.mark.parametrize("command,key", INTEGER_KEYS)
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400], ids=["1e400", "-1e400"])
+def test_huge_integer_literal_for_integer_keys(command, key, value):
+    params = dict(VALID_CONFIGS[command], **{key: value})
+    try:
+        resolve_parameters(command, params, {})
+    except ValueError:
+        pass  # any other exception type fails the test
 
 
 def test_compare_pipeline_reports_gaps(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from triblock.geometry import GammaMatrix
@@ -12,6 +13,8 @@ from triblock.placement import (
     F0,
     FK,
     Layout,
+    _pair_terms,
+    _weight_matrix,
     disk_self_interaction,
     fk_gradient,
     layout_from_dict,
@@ -19,19 +22,26 @@ from triblock.placement import (
     minimize_FK,
     self_interaction,
 )
-from triblock.torus_green import green, wrap
+from triblock.torus_green import green, green_gradient, wrap
 
 GAMMA = GammaMatrix(1.0, 1.0, 0.5)
 
 
-def random_layout(rng, K, masses):
+def random_layout(rng, K, masses, min_sep=1e-3):
     while True:
         pts = rng.uniform(0.0, 1.0, size=(K, 2))
         d = wrap(pts[:, None, :] - pts[None, :, :])
         sep = np.sqrt((d ** 2).sum(-1))
         sep[np.arange(K), np.arange(K)] = 1.0
-        if sep.min() > 1e-3:
+        if sep.min() > min_sep:
             return Layout(tuple(map(tuple, pts)), tuple(masses))
+
+
+_MASS = st.floats(0.1, 2.0)
+# A cluster holds both species, or only the first, or only the second.
+_CLUSTER = st.one_of(st.tuples(_MASS, _MASS),
+                     st.tuples(_MASS, st.just(0.0)),
+                     st.tuples(st.just(0.0), _MASS))
 
 
 class TestLayout:
@@ -49,6 +59,11 @@ class TestLayout:
         # Distinct in the plane but equal on the torus.
         with pytest.raises(ValueError):
             Layout(((0.0, 0.0), (1.0, 1.0)), ((1.0, 0.0), (0.0, 1.0)))
+
+    def test_coincidence_names_first_pair(self):
+        pts = ((0.1, 0.1), (0.5, 0.5), (1.1, -0.9), (0.5, 0.5))
+        with pytest.raises(ValueError, match="points 0 and 2 coincide"):
+            Layout(pts, ((1.0, 0.0),) * 4)
 
     def test_json_round_trip(self):
         lay = Layout(((0.0, 0.0), (0.25, 0.75)), ((1.0, 0.5), (0.0, 2.0)))
@@ -128,6 +143,38 @@ class TestFK:
             gvals = green(pts[iu[0]] - pts[iu[1]])
             bound = float(np.sum(W[iu]) * gvals.min())
             assert FK(lay, GAMMA) >= bound - 1e-12
+
+
+@given(masses=st.lists(_CLUSTER, min_size=2, max_size=6),
+       g=st.tuples(st.floats(0.2, 2.0), st.floats(0.2, 2.0), st.floats(0.0, 2.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pair_terms_match_direct_loops(masses, g, seed):
+    gamma = GammaMatrix(*g)
+    K = len(masses)
+    lay = random_layout(np.random.default_rng(seed), K, masses, min_sep=0.05)
+    P = np.asarray(lay.points)
+    W = _weight_matrix(np.asarray(lay.masses), gamma)
+    energy, grad = 0.0, np.zeros((K, 2))
+    for k in range(K):
+        for ell in range(K):
+            if k != ell:
+                energy += 0.5 * W[k, ell] * green(P[k] - P[ell])
+                grad[k] += W[k, ell] * green_gradient(P[k] - P[ell])
+    assert abs(FK(lay, gamma) - energy) <= 1e-13
+    assert np.abs(fk_gradient(lay, gamma) - grad).max() <= 1e-13
+    # Pinned Hessian (center 0 fixed) against central differences of the
+    # analytic gradient.
+    hess = _pair_terms(P, W, 2)[2][2:, 2:]
+    h = 1e-6
+    fd = np.zeros_like(hess)
+    for col in range(2 * K - 2):
+        step = np.zeros(2 * K)
+        step[2 + col] = h
+        plus = Layout(tuple(map(tuple, (P.ravel() + step).reshape(K, 2))), lay.masses)
+        minus = Layout(tuple(map(tuple, (P.ravel() - step).reshape(K, 2))), lay.masses)
+        fd[:, col] = (fk_gradient(plus, gamma) - fk_gradient(minus, gamma))[1:].ravel() \
+            / (2 * h)
+    assert np.abs(hess - fd).max() <= 1e-6
 
 
 class TestMinimizeFK:

@@ -73,6 +73,39 @@ def test_gradient_matches_fd():
     assert worst < 1e-8
 
 
+def test_hessian_matches_spectral_differences():
+    # Directional second derivatives u^T H u along the axes and both
+    # diagonals determine the symmetric Hessian; the fourth-order central
+    # stencil of the independent spectral route keeps its error near 1e-8.
+    pts = far_points(100, seed=9, min_r=5e-2)
+    _, _, hess = TG._ewald(TG.wrap(pts), 2)
+    h = 2e-4
+    worst = 0.0
+    for u in np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]]):
+        u = u / np.linalg.norm(u)
+        f = {s: TG.green_spectral(pts + s * h * u) for s in (-2, -1, 0, 1, 2)}
+        fd = (-f[2] + 16 * f[1] - 30 * f[0] + 16 * f[-1] - f[-2]) / (12 * h * h)
+        worst = max(worst, np.abs(np.einsum("a,iab,b->i", u, hess, u) - fd).max())
+    assert worst < 1e-6
+
+
+def test_hessian_symmetric_with_unit_trace():
+    # -Delta G = delta_0 - 1, so the Laplacian is 1 away from the source.
+    pts = far_points(1000, seed=13, min_r=5e-2)
+    _, _, hess = TG._ewald(TG.wrap(pts), 2)
+    assert np.abs(hess - np.swapaxes(hess, 1, 2)).max() < 1e-12
+    assert np.abs(np.trace(hess, axis1=1, axis2=2) - 1.0).max() < 1e-12
+
+
+def test_ewald_orders_agree_with_public_routes():
+    pts = far_points(200, seed=21)
+    q = TG.wrap(pts)
+    value, grad, _ = TG._ewald(q, 2)
+    assert np.array_equal(value, TG.green(pts))
+    assert np.array_equal(value, TG._ewald(q, 1)[0])
+    assert np.array_equal(grad, TG.green_gradient(pts))
+
+
 def test_gradient_zero_at_center():
     g = TG.green_gradient((0.5, 0.5))
     assert np.abs(g).max() < 1e-14
