@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 TWO_PI_THIRDS = 2.0 * math.pi / 3.0
 THETA0_MAX = math.pi / 3.0
 
@@ -341,6 +343,157 @@ def perimeter(m) -> float:
     else:
         middle = 2.0 * g.h * g.theta0 / math.sin(g.theta0)
     return 2.0 * (g.theta1 * g.r1 + g.theta2 * g.r2) + middle
+
+
+# ---------------------------------------------------------------------------
+# Array solver: the scalar path above, elementwise in numpy, for batch callers.
+
+def _angle_terms(theta):
+    """(seg, sin, cos) of an angle array, with `_seg`'s two branches."""
+    seg = theta - 0.5 * np.sin(2.0 * theta)
+    small = theta < 0.25
+    if small.any():
+        ts = theta[small]
+        t2 = ts * ts
+        acc = np.zeros_like(ts)
+        for c in reversed(_SEG_COEFFS):
+            acc = acc * t2 + c
+        seg[small] = acc * t2 * ts
+    return seg, np.sin(theta), np.cos(theta)
+
+
+def _brackets_and_slopes(t):
+    """(A, C, A', C') of `_brackets` and `_brackets_prime` on an array."""
+    g, d = [], []
+    for theta in (t, TWO_PI_THIRDS - t, TWO_PI_THIRDS + t):
+        seg, s, c = _angle_terms(theta)
+        zero = theta == 0.0
+        g.append(np.where(zero, 0.0, seg / (s * s)))
+        d.append(np.where(zero, 2.0 / 3.0, 2.0 - 2.0 * seg * c / (s * s * s)))
+    return g[1] + g[0], g[2] - g[0], d[0] - d[1], d[2] - d[0]
+
+
+def _middle_angles(a, b):
+    """`_solve_middle_angle` on arrays a < b: the same guesses and steps.
+
+    Each element keeps its own bisection bracket and leaves the active set
+    once its residual meets `_RESIDUAL_TOL` or its step stalls.  Returns
+    (t, ok); ok is False where the scalar solve would raise.
+    """
+    scale = a + b
+    q = a / b
+    t = np.where(q > 0.7, (1.0 - q) / 3.1008,
+                 THETA0_MAX - 1.3853 * np.sqrt(q))
+    t = np.minimum(np.maximum(t, 1e-18), THETA0_MAX - 1e-12)
+    out = np.zeros_like(t)
+    ok = np.zeros(t.shape, dtype=bool)
+    idx = np.arange(t.size)
+    lo = np.zeros_like(t)
+    hi = np.full_like(t, THETA0_MAX)
+    for _ in range(_MAX_ITER):
+        if not idx.size:
+            break
+        num, den, nump, denp = _brackets_and_slopes(t)
+        gap = a * den - b * num
+        tol = _RESIDUAL_TOL * scale * num
+        conv = np.abs(gap) <= tol
+        up = gap > 0.0
+        hi = np.where(up, t, hi)
+        lo = np.where(up, lo, t)
+        slope = a * denp - b * nump
+        t_next = np.where(slope > 0.0, t - gap / slope, np.nan)
+        inside = (lo < t_next) & (t_next < hi)
+        t_next = np.where(inside, t_next, 0.5 * (lo + hi))
+        stall = ~conv & (t_next == t)
+        conv |= stall & (np.abs(gap) <= 64.0 * _RESIDUAL_TOL * scale * num)
+        out[idx[conv]] = t[conv]
+        ok[idx[conv]] = True
+        keep = ~(conv | stall)
+        idx, a, b, scale = idx[keep], a[keep], b[keep], scale[keep]
+        t, lo, hi = t_next[keep], lo[keep], hi[keep]
+    return out, ok
+
+
+def _worst_residuals(a, b, t, r0, r1, r2, h):
+    """Largest |`geometry_residuals`| per element; t = 0, r0 = inf is flat."""
+    th1 = TWO_PI_THIRDS - t
+    th2 = TWO_PI_THIRDS + t
+    seg0, s0, c0 = _angle_terms(t)
+    seg1, s1, c1 = _angle_terms(th1)
+    seg2, s2, c2 = _angle_terms(th2)
+    flat = np.isinf(r0)
+    seg0 = np.where(flat, 0.0, r0 ** 2 * seg0)
+    h0 = np.where(flat, h, r0 * s0)
+    scale = a + b
+    res = (
+        (r1 ** 2 * seg1 + seg0 - a) / scale,
+        (r2 ** 2 * seg2 - seg0 - b) / scale,
+        (r1 * s1 - h0) / h,
+        (r2 * s2 - h0) / h,
+        (1.0 / r1 - 1.0 / r2 - 1.0 / r0) * h,
+        c1 + c2 + c0,
+    )
+    return np.max(np.abs(res), axis=0)
+
+
+def _perimeters(m1, m2):
+    """`perimeter` on broadcast arrays of nonnegative masses.
+
+    Solves the theta0 equation of `solve_geometry` for all pairs at once:
+    the same initial guesses, Newton steps with a bisection bracket per
+    element, the same `_RESIDUAL_TOL`, the same flat interface inside
+    `SYMMETRY_TOL`, and per element the 1e-12 `geometry_residuals` gate.
+    One mass zero gives the disk value, both zero give 0.  Raises ValueError
+    on negative or nonfinite masses and ConvergenceError naming the first
+    pair (in C order) that fails to converge or fails the gate.
+
+    The fixed numpy overhead makes a size-1 call ~0.7 ms, against ~21 us
+    for the scalar `perimeter` (2-core x86-64 Xeon, numpy 2.4), so scalar
+    callers such as `ebar` keep `perimeter`.  A 64 x 64 table takes ~6 ms,
+    against ~120 ms for 4096 scalar calls.
+    """
+    m1, m2 = np.broadcast_arrays(np.asarray(m1, dtype=float),
+                                 np.asarray(m2, dtype=float))
+    shape = m1.shape
+    m1, m2 = m1.ravel(), m2.ravel()
+    if not (np.isfinite(m1).all() and np.isfinite(m2).all()):
+        raise ValueError("masses must be finite")
+    if (m1 < 0.0).any() or (m2 < 0.0).any():
+        raise ValueError("masses must be nonnegative")
+    a, b = np.minimum(m1, m2), np.maximum(m1, m2)
+    out = np.zeros(a.shape)
+    ok = np.ones(a.shape, dtype=bool)
+    disk = (a == 0.0) & (b > 0.0)
+    out[disk] = 2.0 * np.sqrt(math.pi * b[disk])
+
+    pair = np.flatnonzero(a > 0.0)
+    a, b = a[pair], b[pair]
+    flat = 1.0 - a / b < SYMMETRY_TOL
+    t = np.zeros_like(a)
+    solved = np.ones(a.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t[~flat], solved[~flat] = _middle_angles(a[~flat], b[~flat])
+        # Flat elements: the mean-mass geometry of `solve_geometry`.
+        mbar = 0.5 * (a + b)
+        a = np.where(flat, mbar, a)
+        b = np.where(flat, mbar, b)
+        r_flat = np.sqrt(mbar / _seg(TWO_PI_THIRDS))
+        th1 = TWO_PI_THIRDS - t
+        th2 = TWO_PI_THIRDS + t
+        num, _, _, _ = _brackets_and_slopes(t)
+        h = np.where(flat, r_flat * math.sin(TWO_PI_THIRDS), np.sqrt(a / num))
+        r0 = np.where(flat, np.inf, h / np.sin(t))
+        r1 = np.where(flat, r_flat, h / np.sin(th1))
+        r2 = np.where(flat, r_flat, h / np.sin(th2))
+        middle = np.where(flat, 2.0 * h, 2.0 * h * t / np.sin(t))
+        worst = _worst_residuals(a, b, t, r0, r1, r2, h)
+    out[pair] = 2.0 * (th1 * r1 + th2 * r2) + middle
+    ok[pair] = solved & (worst <= 1e-12)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ConvergenceError(
+            f"array geometry solve failed for masses ({m1[i]:g}, {m2[i]:g})")
+    return out.reshape(shape)
 
 
 def perimeter_gradient(m) -> tuple[float, float]:

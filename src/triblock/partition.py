@@ -5,24 +5,34 @@ clusters: double bubbles holding both species and single disks holding one.
 Each cluster pays its blow-up energy and the best configuration minimizes
 the sum.  The search couples a discrete enumeration of cluster counts with
 a smooth inner optimization of the masses, polished to a balanced
-first-order point.  A quantized dynamic program over a mass grid provides
-an independent oracle, closed-form thresholds bound the structure of
+first-order point.  Closed-form thresholds bound the structure of
 minimizers, and a regime classifier reports which structural guarantees
 apply at given parameters.
+
+The oracle, `ebar_oracle`, is an independent exhaustive route that shares
+no search code: masses on a delta-grid, the energy of every grid cluster
+from one array geometry solve, and the optimum over at most max_parts
+clusters as a min-plus power of that table by repeated squaring.  Each
+min-plus product loops over the rows of one factor in Python and takes the
+minimum over the other axis for all rows at once; the last product is
+evaluated at the answer's entry only.
 """
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import optimize
 from scipy.interpolate import CubicSpline
 
 from triblock.geometry import (
     ConvergenceError,
     GammaMatrix,
+    _perimeters,
     concavity_threshold,
     e0,
     e0_gradient,
@@ -293,8 +303,7 @@ def _perimeter_interp() -> CubicSpline:
     global _perim_spline
     if _perim_spline is None:
         s = np.linspace(0.0, 1.0, _PERIM_NODES)
-        vals = np.array([perimeter((t * t, 1.0)) for t in s])
-        _perim_spline = CubicSpline(s, vals)
+        _perim_spline = CubicSpline(s, _perimeters(s * s, 1.0))
     return _perim_spline
 
 
@@ -656,15 +665,14 @@ def _solve_cell(counts, M, gamma, budget, seed, hint=None):
     hi = np.array([b[1] for b in bounds])
     for z0 in seeds:
         z0 = np.clip(z0, lo, hi)
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "ignore", message="Values in x were outside bounds")
-                res = optimize.minimize(fun, z0, jac=jac, bounds=bounds,
-                                        constraints=cons, method="SLSQP",
-                                        options={"maxiter": 250, "ftol": 1e-12})
-        except Exception:
-            continue
+        # A restart fails through its result (mass sums off, a non-finite
+        # value), never by raising; an exception is a defect and propagates.
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", message="Values in x were outside bounds")
+            res = optimize.minimize(fun, z0, jac=jac, bounds=bounds,
+                                    constraints=cons, method="SLSQP",
+                                    options={"maxiter": 250, "ftol": 1e-12})
         z = np.clip(res.x, lo, hi)
         if abs(c1 @ z - M1) > 1e-7 * max(scale, 1.0):
             continue
@@ -865,24 +873,13 @@ def ebar(M, gamma: GammaMatrix, budget: SearchBudget | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Quantized dynamic-programming oracle.
+# Quantized dynamic-programming oracle: numpy-bound from the table to the
+# answer, with no call into the search above.
 
 def _quantized_energy_table(n1, n2, delta, gamma):
     i = np.arange(n1 + 1, dtype=float) * delta
     j = np.arange(n2 + 1, dtype=float) * delta
-    P = np.zeros((n1 + 1, n2 + 1))
-    P[:, 0] = 2.0 * np.sqrt(math.pi * i)
-    P[0, :] = 2.0 * np.sqrt(math.pi * j)
-    cache = {}
-    for a in range(1, n1 + 1):
-        for b in range(1, n2 + 1):
-            g = math.gcd(a, b)
-            key = (a // g, b // g)
-            p0 = cache.get(key)
-            if p0 is None:
-                p0 = perimeter((key[0] * delta, key[1] * delta))
-                cache[key] = p0
-            P[a, b] = math.sqrt(g) * p0
+    P = _perimeters(i[:, None], j[None, :])
     quad = (gamma.g11 * i[:, None] ** 2 + 2.0 * gamma.g12 * np.outer(i, j)
             + gamma.g22 * j[None, :] ** 2) / (4.0 * math.pi)
     E = P + quad
@@ -890,19 +887,52 @@ def _quantized_energy_table(n1, n2, delta, gamma):
     return E
 
 
+# Size cap of the scratch buffer of _min_plus: larger buffers fall out of
+# cache, and numpy would page-fault a fresh one on every step.
+_MIN_PLUS_BUFFER_BYTES = 1 << 20
+# Column blocks per _min_plus row pass: block [s0, s1) needs only the splits
+# a2 < s1, so 4 blocks form 0.625 of the S2^2 sums of an unblocked pass.
+_MIN_PLUS_BLOCKS = 4
+
+
 def _min_plus(A, B):
-    """(A ⊕ B)[s] = min over splits s = a + b of A[a] + B[b]."""
+    """(A ⊕ B)[s] = min over splits s = a + b of A[a] + B[b], A and B of
+    one shape.
+
+    One pass per row a1 of A: all rows b1 of B at once take
+    min over a2 of A[a1, a2] + B[b1, s2 - a2], read from sliding windows of
+    B padded with S2 - 1 infs on the left.  The sums are stacked along a2
+    in one scratch buffer and reduced elementwise, by column block and by
+    chunk of rows b1.  Every entry is the minimum of the same float sums as
+    an elementwise loop, so the result is exact; inf marks an empty state.
+    """
     S1, S2 = A.shape
     C = np.full(A.shape, np.inf)
+    pad = np.full((S1, 2 * S2 - 1), np.inf)
+    pad[:, S2 - 1:] = B
+    # windows[w, b1, s2] = B[b1, s2 - a2] for the split a2 = S2 - 1 - w
+    windows = sliding_window_view(pad, S2, axis=1).transpose(2, 0, 1)
+    width = -(-S2 // _MIN_PLUS_BLOCKS)
+    rows = max(1, _MIN_PLUS_BUFFER_BYTES // (8 * S2 * width))
+    buf = np.empty(S2 * rows * width)
     for a1 in range(S1):
-        row = A[a1]
-        for a2 in range(S2):
-            v = row[a2]
-            if not np.isfinite(v):
-                continue
-            blk = C[a1:, a2:]
-            np.minimum(blk, B[:S1 - a1, :S2 - a2] + v, out=blk)
+        weights = A[a1, ::-1, None, None]
+        for r0 in range(0, S1 - a1, rows):
+            r1 = min(r0 + rows, S1 - a1)
+            for s0 in range(0, S2, width):
+                s1 = min(s0 + width, S2)
+                w0 = S2 - s1
+                win = windows[w0:, r0:r1, s0:s1]
+                sums = buf[:win.size].reshape(win.shape)
+                np.add(win, weights[w0:], out=sums)
+                blk = C[a1 + r0:a1 + r1, s0:s1]
+                np.minimum(blk, np.minimum.reduce(sums, axis=0), out=blk)
     return C
+
+
+def _corner_min_plus(A, B):
+    """(A ⊕ B) at the last state only: min over a of A[a] + B[-1 - a]."""
+    return float(np.min(A.ravel() + B[::-1, ::-1].ravel()))
 
 
 def ebar_oracle(M, gamma: GammaMatrix, delta: float = 1.0 / 64,
@@ -911,16 +941,27 @@ def ebar_oracle(M, gamma: GammaMatrix, delta: float = 1.0 / 64,
 
     Masses are rounded to multiples of delta and the optimum over all
     configurations of at most max_parts grid clusters is computed by
-    min-plus dynamic programming.  Raises when the state space exceeds
-    max_states.
+    min-plus dynamic programming: the cluster energy table (one array
+    geometry solve for every grid pair) raised to the max_parts-th min-plus
+    power by repeated squaring.  Only the answer's entry of the last
+    product is formed.  Raises ValueError on a max_parts that is not an
+    integer of at least 1, and RuntimeError when the state space exceeds
+    max_states or M/delta is not finite.
     """
     M1, M2 = _check_mass_pair(M)
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ValueError(f"delta must be positive, got {delta!r}")
+    if (isinstance(max_parts, bool)
+            or not isinstance(max_parts, numbers.Integral)):
+        raise ValueError(f"max_parts must be an integer, got {max_parts!r}")
     if max_parts < 1:
         raise ValueError(f"max_parts must be at least 1, got {max_parts!r}")
-    n1 = round(M1 / delta)
-    n2 = round(M2 / delta)
+    q1, q2 = M1 / delta, M2 / delta
+    if not (math.isfinite(q1) and math.isfinite(q2)):
+        raise RuntimeError(
+            f"oracle budget exceeded: M/delta = ({q1}, {q2}) grid steps")
+    n1 = round(q1)
+    n2 = round(q2)
     if n1 == 0 and n2 == 0:
         raise ValueError("both masses round to zero on this grid")
     states = (n1 + 1) * (n2 + 1)
@@ -928,16 +969,18 @@ def ebar_oracle(M, gamma: GammaMatrix, delta: float = 1.0 / 64,
         raise RuntimeError(
             f"oracle budget exceeded: {states} grid states > {max_states}")
     table = _quantized_energy_table(n1, n2, delta, gamma)
-    result = None
-    power = table
-    mp = int(max_parts)
-    while mp:
+    # Repeated squaring; `result` collects the powers of the set bits.
+    result, power, mp = None, table, int(max_parts)
+    while mp > 1:
         if mp & 1:
             result = power if result is None else _min_plus(result, power)
         mp >>= 1
-        if mp:
-            power = _min_plus(power, power)
-    return float(result[n1, n2])
+        if mp == 1 and result is None:  # max_parts is a power of two
+            return _corner_min_plus(power, power)
+        power = _min_plus(power, power)
+    if result is None:
+        return float(power[n1, n2])
+    return _corner_min_plus(result, power)
 
 
 def round_config_to_grid(config: Configuration, delta: float):

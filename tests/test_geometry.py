@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from triblock import geometry as G
@@ -218,3 +219,55 @@ def test_gamma_matrix_validation():
     assert ok.is_positive_definite()
     sw = ok.swapped()
     assert (sw.g11, sw.g22, sw.g12) == (4.0, 1.0, 1.5)
+
+
+# Array solver `_perimeters` against the scalar `perimeter`.  Below a mass
+# ratio of about 2e-7 the scalar solve itself raises ConvergenceError.
+_PAIR = st.tuples(st.floats(math.log10(2e-7), 0.0),  # log10 of the ratio
+                  st.floats(-6.0, 6.0),               # log10 of the scale
+                  st.booleans())                      # small mass first
+
+
+@given(pairs=st.lists(_PAIR, min_size=1, max_size=20))
+def test_array_perimeters_match_scalar(pairs):
+    m1, m2 = [], []
+    for log_ratio, log_scale, small_first in pairs:
+        big = 10.0 ** log_scale
+        small = 10.0 ** log_ratio * big
+        m1.append(small if small_first else big)
+        m2.append(big if small_first else small)
+    got = G._perimeters(m1, m2)
+    want = np.array([G.perimeter(m) for m in zip(m1, m2)])
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+def test_array_perimeters_special_values():
+    assert G._perimeters([], []).shape == (0,)
+    masses = [(0.0, 0.0), (0.0, 3.0), (1.0, 0.0), (2.0, 2.0),
+              (1.0 - 5e-11, 1.0), (1.0 - 1e-9, 1.0), (0.3, 1.7)]
+    got = G._perimeters(*np.array(masses).T)
+    want = [G.perimeter(m) for m in masses]
+    assert np.all(np.abs(got - want) <= 1e-13 * np.array(want))
+    # broadcasting keeps the shape of the table
+    table = G._perimeters(np.arange(3.0)[:, None],
+                          np.arange(1.0, 5.0)[None, :])
+    assert table.shape == (3, 4)
+    assert table[2, 1] == pytest.approx(G.perimeter((2.0, 2.0)), rel=1e-13)
+
+
+def test_array_perimeters_raise_on_unconverged_pair():
+    # A ratio of 1e-10 is far below where the solve meets its residual gate:
+    # the whole call raises, naming that pair, and returns nothing.
+    with pytest.raises(G.ConvergenceError, match=r"\(1e-10, 1\)"):
+        G._perimeters([0.5, 1e-10, 1e-10], [1.0, 1.0, 2.0])
+    # At 3e-8 the Newton residual is met but the geometry residuals are
+    # 1.8e-12: the per-element gate rejects it, as in solve_geometry.
+    with pytest.raises(G.ConvergenceError):
+        G.solve_geometry((3e-8, 1.0))
+    with pytest.raises(G.ConvergenceError, match=r"\(1, 3e-08\)"):
+        G._perimeters([1.0, 1.0], [0.5, 3e-8])
+    with pytest.raises(ValueError):
+        G._perimeters([-1.0], [1.0])
+    with pytest.raises(ValueError):
+        G._perimeters([np.nan], [1.0])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from triblock import partition
 from triblock.geometry import GammaMatrix, e0, single_energy
 from triblock.partition import (
     Cluster,
@@ -193,6 +194,86 @@ def test_oracle_guards():
         ebar_oracle((0.001, 0.001), G_PLAIN, delta=1.0)
     with pytest.raises(ValueError):
         ebar_oracle((0.0, 0.0), G_PLAIN)
+    # M/delta overflows to inf: no grid exists, which is a budget failure.
+    with pytest.raises(RuntimeError, match="budget"):
+        ebar_oracle((1.0, 1.0), G_PLAIN, delta=1e-320)
+    for bad in (2.5, 3.9, True, float("inf"), 12.0, "12"):
+        with pytest.raises(ValueError, match="max_parts"):
+            ebar_oracle((1.0, 1.0), G_PLAIN, max_parts=bad)
+    assert ebar_oracle((0.5, 0.5), G_PLAIN, delta=1.0 / 16,
+                       max_parts=np.int64(3)) == ebar_oracle(
+        (0.5, 0.5), G_PLAIN, delta=1.0 / 16, max_parts=3)
+
+
+def test_oracle_pure_species_values():
+    # One species only: the table is a single row or column (n1 = 0 or
+    # n2 = 0), and the min-plus products work on vectors.  Pinned values.
+    cases = [((1.0, 0.0), G_PLAIN, 3.6244851733569794),
+             ((0.0, 2.0), GammaMatrix(16.0, 16.0, 0.0), 9.63629449309239),
+             ((2.0, 0.0), GammaMatrix(16.0, 1.0, 0.0), 9.63629449309239)]
+    for M, g, want in cases:
+        assert ebar_oracle(M, g, delta=DELTA) == pytest.approx(want, rel=1e-15)
+
+
+def _min_plus_reference(A, B):
+    S1, S2 = A.shape
+    C = np.full(A.shape, np.inf)
+    for s1 in range(S1):
+        for s2 in range(S2):
+            for a1 in range(s1 + 1):
+                for a2 in range(s2 + 1):
+                    C[s1, s2] = min(C[s1, s2], A[a1, a2] + B[s1 - a1, s2 - a2])
+    return C
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 1), (1, 7), (4, 9), (9, 4),
+                                   (6, 6), (3, 40), (40, 3)])
+def test_min_plus_matches_quadruple_loop(shape):
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(3):
+        A = rng.uniform(0.0, 4.0, size=shape)
+        B = rng.uniform(0.0, 4.0, size=shape)
+        A[rng.uniform(size=shape) < 0.2] = np.inf
+        B[rng.uniform(size=shape) < 0.2] = np.inf
+        assert np.array_equal(partition._min_plus(A, B),
+                              _min_plus_reference(A, B))
+
+
+def test_oracle_powers_match_repeated_products():
+    # At most k clusters is the k-th min-plus power of the cluster table
+    # (its [0, 0] entry is 0); repeated squaring, including the answer-only
+    # last product, must agree with k - 1 plain products for every k.
+    # Strong self-interaction: the optimum keeps falling up to 8 clusters.
+    M, g, delta = (2.0, 1.5), GammaMatrix(256.0, 128.0, 4.0), 0.25
+    table = partition._quantized_energy_table(8, 6, delta, g)
+    power = table
+    for k in range(1, 10):
+        if k > 1:
+            power = _min_plus_reference(power, table)
+        assert ebar_oracle(M, g, delta=delta, max_parts=k) == pytest.approx(
+            power[8, 6], rel=1e-13), k
+
+
+def test_min_plus_small_buffer_and_many_blocks(monkeypatch):
+    # Row chunks of one row and blocks of one column reach the same minima.
+    monkeypatch.setattr(partition, "_MIN_PLUS_BUFFER_BYTES", 1)
+    monkeypatch.setattr(partition, "_MIN_PLUS_BLOCKS", 50)
+    rng = np.random.default_rng(7)
+    A = rng.uniform(size=(7, 11))
+    B = rng.uniform(size=(7, 11))
+    A[2, 3] = np.inf
+    assert np.array_equal(partition._min_plus(A, B), _min_plus_reference(A, B))
+
+
+def test_solve_cell_propagates_programming_errors(monkeypatch):
+    # A failed restart is dropped by its result; a TypeError from the
+    # energy is a defect and must reach the caller.
+    def broken(m1, m2, gamma):
+        raise TypeError("broken cell energy")
+
+    monkeypatch.setattr(partition, "_cell_energy", broken)
+    with pytest.raises(TypeError, match="broken cell energy"):
+        ebar((2.0, 0.0), G_PLAIN)
 
 
 def test_round_to_grid_preserves_totals():
