@@ -6,7 +6,15 @@ meeting at two triple junctions at 120-degree angles.  When one mass vanishes
 the droplet is a round disk.  The arc system reduces to a single scalar
 equation for the middle-arc half-angle theta0 in (0, pi/3); once theta0 is
 known every radius follows in closed form, so the solver is a bracketed
-one-dimensional root find plus algebra.
+one-dimensional root find plus algebra, for every positive mass pair.
+
+Small lobes: at mass ratio q, theta2 lies within ~1.385 sqrt(q) of pi, so
+one ulp of theta0 moves sin(theta2) by a relative ulp/sqrt(q).  The junction
+half-height h therefore comes from the larger lobe's area equation, which
+sends that error to the small lobe, whose area residual carries a factor q.
+It still limits the small-lobe slope 1/r1 to a relative error of about
+1e-16/sqrt(q).  Below q ~ 1e-31 the small lobe is finer than the angular
+resolution of theta0: r1 freezes, and the perimeter tends to 2 sqrt(pi b).
 
 Conventions: the canonical geometry orders the lobes so lobe 1 is the smaller
 one (theta1 = 2pi/3 - theta0 <= theta2 = 2pi/3 + theta0, r1 <= r2).  Callers
@@ -24,6 +32,9 @@ import numpy as np
 
 TWO_PI_THIRDS = 2.0 * math.pi / 3.0
 THETA0_MAX = math.pi / 3.0
+# pi/3 - theta0 ~ _SMALL_LOBE * sqrt(q) as the mass ratio q -> 0, where
+# q ~ 2 (seg/sin^2)(pi/3) (pi/3 - theta0)^2 / pi; the next term is O(q^1.5).
+_SMALL_LOBE = math.sqrt(math.pi / (8.0 * math.pi / 9.0 - 2.0 / math.sqrt(3.0)))
 
 # Relative mass gap below which the middle arc is treated as flat.
 SYMMETRY_TOL = 1e-10
@@ -166,81 +177,68 @@ def _seg(theta: float) -> float:
     return acc * t2 * theta
 
 
-def _seg_over_sin2(theta: float) -> float:
-    """seg(theta)/sin^2(theta), the per-radius^2 segment area; 0 at theta=0."""
+def _segment_terms(theta: float) -> tuple[float, float]:
+    """seg(theta)/sin^2(theta), the segment area per h^2 (0 at theta = 0),
+    and its derivative 2 - 2 seg(theta) cos(theta)/sin^3(theta)."""
     if theta == 0.0:
-        return 0.0
+        return 0.0, 2.0 / 3.0
     s = math.sin(theta)
-    return _seg(theta) / (s * s)
+    seg = _seg(theta)
+    return seg / (s * s), 2.0 - 2.0 * seg * math.cos(theta) / (s * s * s)
 
 
-def _brackets(t: float) -> tuple[float, float]:
-    """Mass brackets (A, C) with A/C = m1/m2 at the solved middle angle t.
+def _brackets(t: float) -> tuple[float, float, float, float]:
+    """Mass brackets (A, C) with A/C = m1/m2 at the solved middle angle t,
+    and their derivatives (A'(t), C'(t)).
 
     A collects the small-lobe and middle segment areas per h^2, C the large
     lobe minus the middle segment; both come from eliminating the radii from
     the area equations via r_i sin(theta_i) = h.
     """
-    g0 = _seg_over_sin2(t)
-    a_part = _seg_over_sin2(TWO_PI_THIRDS - t) + g0
-    c_part = _seg_over_sin2(TWO_PI_THIRDS + t) - g0
-    return a_part, c_part
-
-
-def _brackets_prime(t: float) -> tuple[float, float]:
-    """Derivatives (A'(t), C'(t)) of the mass brackets."""
-
-    def d(theta: float) -> float:
-        # d/dtheta [seg/sin^2] = 2 - 2 seg(theta) cos(theta)/sin^3(theta)
-        if theta == 0.0:
-            return 2.0 / 3.0
-        s = math.sin(theta)
-        return 2.0 - 2.0 * _seg(theta) * math.cos(theta) / (s * s * s)
-
-    g0p = d(t)
-    return g0p - d(TWO_PI_THIRDS - t), d(TWO_PI_THIRDS + t) - g0p
+    g0, d0 = _segment_terms(t)
+    g1, d1 = _segment_terms(TWO_PI_THIRDS - t)
+    g2, d2 = _segment_terms(TWO_PI_THIRDS + t)
+    return g1 + g0, g2 - g0, d0 - d1, d2 - d0
 
 
 def _solve_middle_angle(a: float, b: float, residual_tol: float,
                         max_iter: int) -> float:
     """Root of a*C(t) - b*A(t) = 0 on (0, pi/3) for masses a < b.
 
-    Newton iteration with a maintained bisection bracket; stops when the
-    second area equation holds to residual_tol relative to a + b.
+    Newton iteration with a maintained bisection bracket.  Once the second
+    area equation holds to residual_tol relative to a + b, or the Newton
+    step is at most 2 ulps of t, it returns the Newton step; a one-ulp
+    bracket returns t.  These only stop the loop: the `geometry_residuals`
+    gate of `solve_geometry` decides.
     """
     scale = a + b
     q = a / b
 
     # Asymptotic initial guesses: near-symmetric masses give a middle angle
-    # ~ (1 - q)/3.10; a tiny small lobe pushes theta0 toward pi/3 like
-    # pi/3 - theta0 ~ 1.385 sqrt(q).
+    # ~ (1 - q)/3.10; a tiny small lobe pushes theta0 toward pi/3.
     if q > 0.7:
         t = (1.0 - q) / 3.1008
     else:
-        t = THETA0_MAX - 1.3853 * math.sqrt(q)
+        t = THETA0_MAX - _SMALL_LOBE * math.sqrt(q)
     t = min(max(t, 1e-18), THETA0_MAX - 1e-12)
 
     lo, hi = 0.0, THETA0_MAX  # gap(lo) < 0 < gap(hi) by monotonicity
     for _ in range(max_iter):
-        num, den = _brackets(t)
+        num, den, nump, denp = _brackets(t)
         gap = a * den - b * num
-        if abs(gap) <= residual_tol * scale * num:
-            return t
+        slope = a * denp - b * nump
+        t_next = t - gap / slope if slope > 0.0 else math.nan
+        if (abs(gap) <= residual_tol * scale * num
+                or abs(t_next - t) <= 2.0 * math.ulp(t)):
+            return t if math.isnan(t_next) else t_next
         if gap > 0.0:
             hi = t
         else:
             lo = t
-        nump, denp = _brackets_prime(t)
-        slope = a * denp - b * nump
-        t_next = t - gap / slope if slope > 0.0 else math.nan
         if not (lo < t_next < hi):
             t_next = 0.5 * (lo + hi)
-        if t_next == t:
-            # Bracket narrowed to one ulp; accept if the residual is within a
-            # float factor of target, otherwise report failure below.
-            if abs(gap) <= 64.0 * residual_tol * scale * num:
-                return t
-            break
+        if t_next == t:  # the bracket is one ulp wide
+            return t
         t = t_next
     raise ConvergenceError(
         f"middle-angle solve stalled for masses ({a:g}, {b:g}): "
@@ -275,8 +273,8 @@ def solve_geometry(m) -> BubbleGeometry:
         t = _solve_middle_angle(a, b, _RESIDUAL_TOL, _MAX_ITER)
         th1 = TWO_PI_THIRDS - t
         th2 = TWO_PI_THIRDS + t
-        num, _ = _brackets(t)
-        h = math.sqrt(a / num)
+        _, den, _, _ = _brackets(t)
+        h = math.sqrt(b / den)
         geom = BubbleGeometry(
             theta0=t, theta1=th1, theta2=th2,
             r0=h / math.sin(t), r1=h / math.sin(th1), r2=h / math.sin(th2),
@@ -363,7 +361,7 @@ def _angle_terms(theta):
 
 
 def _brackets_and_slopes(t):
-    """(A, C, A', C') of `_brackets` and `_brackets_prime` on an array."""
+    """`_brackets` on an array."""
     g, d = [], []
     for theta in (t, TWO_PI_THIRDS - t, TWO_PI_THIRDS + t):
         seg, s, c = _angle_terms(theta)
@@ -377,13 +375,13 @@ def _middle_angles(a, b):
     """`_solve_middle_angle` on arrays a < b: the same guesses and steps.
 
     Each element keeps its own bisection bracket and leaves the active set
-    once its residual meets `_RESIDUAL_TOL` or its step stalls.  Returns
-    (t, ok); ok is False where the scalar solve would raise.
+    by the stopping rules of `_solve_middle_angle`.  Returns (t, ok); ok is
+    False where the scalar solve would raise.
     """
     scale = a + b
     q = a / b
     t = np.where(q > 0.7, (1.0 - q) / 3.1008,
-                 THETA0_MAX - 1.3853 * np.sqrt(q))
+                 THETA0_MAX - _SMALL_LOBE * np.sqrt(q))
     t = np.minimum(np.maximum(t, 1e-18), THETA0_MAX - 1e-12)
     out = np.zeros_like(t)
     ok = np.zeros(t.shape, dtype=bool)
@@ -395,20 +393,20 @@ def _middle_angles(a, b):
             break
         num, den, nump, denp = _brackets_and_slopes(t)
         gap = a * den - b * num
-        tol = _RESIDUAL_TOL * scale * num
-        conv = np.abs(gap) <= tol
+        conv = np.abs(gap) <= _RESIDUAL_TOL * scale * num
         up = gap > 0.0
         hi = np.where(up, t, hi)
         lo = np.where(up, lo, t)
         slope = a * denp - b * nump
         t_next = np.where(slope > 0.0, t - gap / slope, np.nan)
+        stop = conv | (np.abs(t_next - t) <= 2.0 * np.spacing(t))
+        t_stop = np.where(stop & ~np.isnan(t_next), t_next, t)
         inside = (lo < t_next) & (t_next < hi)
         t_next = np.where(inside, t_next, 0.5 * (lo + hi))
-        stall = ~conv & (t_next == t)
-        conv |= stall & (np.abs(gap) <= 64.0 * _RESIDUAL_TOL * scale * num)
-        out[idx[conv]] = t[conv]
-        ok[idx[conv]] = True
-        keep = ~(conv | stall)
+        done = stop | (t_next == t)
+        out[idx[done]] = t_stop[done]
+        ok[idx[done]] = True
+        keep = ~done
         idx, a, b, scale = idx[keep], a[keep], b[keep], scale[keep]
         t, lo, hi = t_next[keep], lo[keep], hi[keep]
     return out, ok
@@ -441,11 +439,12 @@ def _perimeters(m1, m2):
 
     Solves the theta0 equation of `solve_geometry` for all pairs at once:
     the same initial guesses, Newton steps with a bisection bracket per
-    element, the same `_RESIDUAL_TOL`, the same flat interface inside
-    `SYMMETRY_TOL`, and per element the 1e-12 `geometry_residuals` gate.
-    One mass zero gives the disk value, both zero give 0.  Raises ValueError
-    on negative or nonfinite masses and ConvergenceError naming the first
-    pair (in C order) that fails to converge or fails the gate.
+    element, the same stopping rules, h from the larger lobe, the same flat
+    interface inside `SYMMETRY_TOL`, and per element the 1e-12
+    `geometry_residuals` gate.  One mass zero gives the disk value, both
+    zero give 0.  Raises ValueError on negative or nonfinite masses and
+    ConvergenceError naming the first pair (in C order) that fails to
+    converge or fails the gate.
 
     The fixed numpy overhead makes a size-1 call ~0.7 ms, against ~21 us
     for the scalar `perimeter` (2-core x86-64 Xeon, numpy 2.4), so scalar
@@ -480,8 +479,8 @@ def _perimeters(m1, m2):
         r_flat = np.sqrt(mbar / _seg(TWO_PI_THIRDS))
         th1 = TWO_PI_THIRDS - t
         th2 = TWO_PI_THIRDS + t
-        num, _, _, _ = _brackets_and_slopes(t)
-        h = np.where(flat, r_flat * math.sin(TWO_PI_THIRDS), np.sqrt(a / num))
+        _, den, _, _ = _brackets_and_slopes(t)
+        h = np.where(flat, r_flat * math.sin(TWO_PI_THIRDS), np.sqrt(b / den))
         r0 = np.where(flat, np.inf, h / np.sin(t))
         r1 = np.where(flat, r_flat, h / np.sin(th1))
         r2 = np.where(flat, r_flat, h / np.sin(th2))
@@ -500,7 +499,8 @@ def perimeter_gradient(m) -> tuple[float, float]:
     """(d p/d m1, d p/d m2) at a positive mass pair: the arc curvatures.
 
     The derivative in each mass is the reciprocal of that lobe's radius.
-    Zero masses are rejected (the disk endpoint has infinite slope).
+    Zero masses are rejected (the disk endpoint has infinite slope).  See
+    the module docstring for the accuracy of the small-lobe slope.
     """
     m1, m2 = _check_masses(m, positive=True)
     g = solve_geometry((m1, m2))

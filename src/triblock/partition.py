@@ -27,10 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import optimize
-from scipy.interpolate import CubicSpline
 
 from triblock.geometry import (
-    ConvergenceError,
     GammaMatrix,
     _perimeters,
     concavity_threshold,
@@ -153,29 +151,6 @@ def _swap_configuration(conf: Configuration) -> Configuration:
                                 (conf.total[1], conf.total[0]))
 
 
-# Below this lobe-mass ratio the exact geometry solve is ill conditioned,
-# so the droplet perimeter switches to the cached spline surrogate, which
-# stays smooth down to a vanishing lobe.
-_RATIO_FALLBACK = 1e-6
-
-
-def _surrogate_perimeter(m1: float, m2: float) -> float:
-    a, b = (m1, m2) if m1 <= m2 else (m2, m1)
-    spl = _perimeter_interp()
-    return math.sqrt(b) * float(spl(math.sqrt(a / b)))
-
-
-def _surrogate_perimeter_gradient(m1: float, m2: float) -> tuple:
-    a, b = (m1, m2) if m1 <= m2 else (m2, m1)
-    spl = _perimeter_interp()
-    s = math.sqrt(a / b)
-    gs = float(spl(s))
-    gps = float(spl(s, 1))
-    da = gps / (2.0 * math.sqrt(a))
-    db = (gs - s * gps) / (2.0 * math.sqrt(b))
-    return (da, db) if m1 <= m2 else (db, da)
-
-
 def _cell_energy(m1: float, m2: float, gamma: GammaMatrix) -> float:
     m1 = max(float(m1), 0.0)
     m2 = max(float(m2), 0.0)
@@ -185,27 +160,13 @@ def _cell_energy(m1: float, m2: float, gamma: GammaMatrix) -> float:
         return single_energy(m1, gamma.g11)
     if m1 == 0.0:
         return single_energy(m2, gamma.g22)
-    if min(m1, m2) < _RATIO_FALLBACK * max(m1, m2):
-        return (_surrogate_perimeter(m1, m2)
-                + gamma.quad(m1, m2) / (4.0 * math.pi))
-    try:
-        return e0((m1, m2), gamma)
-    except ConvergenceError:
-        return (_surrogate_perimeter(m1, m2)
-                + gamma.quad(m1, m2) / (4.0 * math.pi))
+    return e0((m1, m2), gamma)
 
 
 def _cell_gradient(m1: float, m2: float, gamma: GammaMatrix) -> tuple:
     """Energy derivative per species; nan marks an empty species slot."""
     if m1 > 0.0 and m2 > 0.0:
-        if min(m1, m2) >= _RATIO_FALLBACK * max(m1, m2):
-            try:
-                return e0_gradient((m1, m2), gamma)
-            except ConvergenceError:
-                pass
-        dp1, dp2 = _surrogate_perimeter_gradient(m1, m2)
-        return (dp1 + gamma.row(1, m1, m2) / (2.0 * math.pi),
-                dp2 + gamma.row(2, m1, m2) / (2.0 * math.pi))
+        return e0_gradient((m1, m2), gamma)
     if m1 > 0.0:
         return (single_energy_gradient(m1, gamma.g11), math.nan)
     if m2 > 0.0:
@@ -293,32 +254,7 @@ def _coexistence_guaranteed(M1, M2, th, k_doubles, k_singles) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Fast surrogate energies for ranking cluster-count cells.
-
-_PERIM_NODES = 801
-_perim_spline = None
-
-
-def _perimeter_interp() -> CubicSpline:
-    global _perim_spline
-    if _perim_spline is None:
-        s = np.linspace(0.0, 1.0, _PERIM_NODES)
-        _perim_spline = CubicSpline(s, _perimeters(s * s, 1.0))
-    return _perim_spline
-
-
-def _fast_pair_perimeter(x, y):
-    """Vectorized double-bubble perimeter via the cached unit-mass spline."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    lo = np.minimum(x, y)
-    hi = np.maximum(x, y)
-    out = np.zeros(np.broadcast(x, y).shape)
-    pos = hi > 0.0
-    spl = _perimeter_interp()
-    out[pos] = np.sqrt(hi[pos]) * spl(np.sqrt(lo[pos] / hi[pos]))
-    return out
-
+# Equal-mass ansatz energies for ranking cluster-count cells.
 
 def _packing_best(mass: float, gamma_ii: float) -> tuple:
     """(value, count): cheapest split of one species into equal disks.
@@ -363,12 +299,14 @@ def _packing_grid(mass, gamma_ii: float):
     return out
 
 
-def _ansatz_for_doubles(kd, M, gamma, th, grid_n):
+def _ansatz_for_doubles(kd, M, gamma, th, grid_n, unit_grids):
     """Best equal-doubles ansatz for a given double count.
 
     All kd doubles share one lobe pair (x, y); whatever mass is left goes
-    into optimally packed equal singles per species.  Returns
-    (value, x, y, ks1, ks2).
+    into optimally packed equal singles per species.  The perimeter is
+    homogeneous of degree 1/2, so its grid is sqrt(y_hi) times a unit grid
+    that depends only on x_hi/y_hi; `unit_grids` keeps those by ratio.
+    Returns (value, x, y, ks1, ks2).
     """
     M1, M2 = M
     x_hi = min(M1 / kd, 1.5 * th.max_mass[0])
@@ -376,11 +314,15 @@ def _ansatz_for_doubles(kd, M, gamma, th, grid_n):
     xs = np.linspace(x_hi / grid_n, x_hi, grid_n)
     ys = np.linspace(y_hi / grid_n, y_hi, grid_n)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
+    ratio = x_hi / y_hi
+    if ratio not in unit_grids:
+        u = np.linspace(1.0 / grid_n, 1.0, grid_n)
+        unit_grids[ratio] = _perimeters(ratio * u[:, None], u[None, :])
     quad = (gamma.g11 * X * X + 2.0 * gamma.g12 * X * Y
             + gamma.g22 * Y * Y) / (4.0 * math.pi)
     r1 = np.maximum(M1 - kd * X, 0.0)
     r2 = np.maximum(M2 - kd * Y, 0.0)
-    val = (kd * (_fast_pair_perimeter(X, Y) + quad)
+    val = (kd * (math.sqrt(y_hi) * unit_grids[ratio] + quad)
            + _packing_grid(r1, gamma.g11) + _packing_grid(r2, gamma.g22))
     i, j = np.unravel_index(np.argmin(val), val.shape)
 
@@ -441,6 +383,7 @@ def _candidate_cells(M, gamma, th, budget):
     """
     M1, M2 = M
     cells = {}
+    unit_grids = {}
 
     def offer(counts, value, hint=None):
         counts = tuple(int(c) for c in counts)
@@ -465,7 +408,8 @@ def _candidate_cells(M, gamma, th, budget):
         kd_cap = max(1, min(kd_cap, budget.max_clusters))
         for kd in range(1, kd_cap + 1):
             val, x, y, s1, s2 = _ansatz_for_doubles(kd, M, gamma, th,
-                                                    budget.ansatz_grid)
+                                                    budget.ansatz_grid,
+                                                    unit_grids)
             for da in (-1, 0, 1):
                 for db in (-1, 0, 1):
                     bump = 1e-9 * (abs(da) + abs(db))
@@ -748,7 +692,7 @@ def _kkt_polish(z, groups, idx, M, gamma, iters=10):
     f = residual(t)
     fnorm = np.linalg.norm(f)
     for _ in range(iters):
-        if fnorm <= 1e-11 * max(1.0, scale):
+        if fnorm <= 1e-13 * max(1.0, scale):
             break
         n_t = len(t)
         J = np.zeros((n_t, n_t))
@@ -811,6 +755,8 @@ def _finalize(raw_clusters, M, gamma):
         if holders:
             target = max(holders, key=lambda m: m[species])
             target[species] += deficit
+            if target[species] <= 0.0:  # the repair would empty a lobe
+                return None
         elif abs(deficit) > 0.0:
             return None
     clusters = [cluster_from_masses(m[0], m[1]) for m in masses]
@@ -837,7 +783,7 @@ def ebar(M, gamma: GammaMatrix, budget: SearchBudget | None = None,
     """Best found splitting of the total masses into droplet clusters.
 
     Returns (value, Configuration).  The search enumerates cluster counts
-    ranked by an equal-mass surrogate, solves each count cell with
+    ranked by an equal-mass ansatz, solves each count cell with
     multi-start constrained minimization, polishes the winner to a balanced
     first-order point, and breaks ties toward fewer clusters and then
     lexicographically larger leading masses.
@@ -944,18 +890,18 @@ def ebar_oracle(M, gamma: GammaMatrix, delta: float = 1.0 / 64,
     min-plus dynamic programming: the cluster energy table (one array
     geometry solve for every grid pair) raised to the max_parts-th min-plus
     power by repeated squaring.  Only the answer's entry of the last
-    product is formed.  Raises ValueError on a max_parts that is not an
-    integer of at least 1, and RuntimeError when the state space exceeds
-    max_states or M/delta is not finite.
+    product is formed.  Raises ValueError on a max_parts or max_states
+    that is not an integer of at least 1, and RuntimeError when the state
+    space exceeds max_states or M/delta is not finite.
     """
     M1, M2 = _check_mass_pair(M)
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ValueError(f"delta must be positive, got {delta!r}")
-    if (isinstance(max_parts, bool)
-            or not isinstance(max_parts, numbers.Integral)):
-        raise ValueError(f"max_parts must be an integer, got {max_parts!r}")
-    if max_parts < 1:
-        raise ValueError(f"max_parts must be at least 1, got {max_parts!r}")
+    for name, v in (("max_parts", max_parts), ("max_states", max_states)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+        if v < 1:
+            raise ValueError(f"{name} must be at least 1, got {v!r}")
     q1, q2 = M1 / delta, M2 / delta
     if not (math.isfinite(q1) and math.isfinite(q2)):
         raise RuntimeError(

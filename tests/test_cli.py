@@ -46,6 +46,15 @@ def test_bubble_prints_perimeter_and_geometry(tmp_path, capsys):
     assert manifest["threads"] == 1
 
 
+def test_bubble_with_a_vanishing_lobe(tmp_path, capsys):
+    rc, stdout, _ = run_cli(capsys, "bubble", "--m1", "1e-12", "--m2", "1",
+                            "--out", str(tmp_path / "b"))
+    assert rc == 0
+    perimeter = json.loads(stdout)["perimeter"]
+    disk = 2.0 * math.sqrt(math.pi)
+    assert math.isfinite(perimeter) and disk < perimeter < disk + 1e-5
+
+
 def test_bubble_with_gamma_adds_droplet_energy(tmp_path, capsys):
     rc, stdout, _ = run_cli(capsys, "bubble", "--m1", "2", "--m2", "3",
                             "--gamma", "1", "1", "0.5",

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -221,21 +222,101 @@ def test_gamma_matrix_validation():
     assert (sw.g11, sw.g22, sw.g12) == (4.0, 1.0, 1.5)
 
 
-# Array solver `_perimeters` against the scalar `perimeter`.  Below a mass
-# ratio of about 2e-7 the scalar solve itself raises ConvergenceError.
-_PAIR = st.tuples(st.floats(math.log10(2e-7), 0.0),  # log10 of the ratio
-                  st.floats(-6.0, 6.0),               # log10 of the scale
-                  st.booleans())                      # small mass first
+def _mass_pair(log_ratio, log_scale, small_first):
+    big = 10.0 ** log_scale
+    small = 10.0 ** log_ratio * big
+    return (small, big) if small_first else (big, small)
+
+
+@given(log_ratio=st.floats(-12.0, 0.0), log_scale=st.floats(-6.0, 6.0),
+       small_first=st.booleans())
+def test_residual_gate_over_ratios_and_scales(log_ratio, log_scale,
+                                              small_first):
+    m = _mass_pair(log_ratio, log_scale, small_first)
+    geom = G.solve_geometry(m)  # raises ConvergenceError past the 1e-12 gate
+    res = G.geometry_residuals(geom, sorted(m))
+    assert max(abs(v) for v in res.values()) <= 1e-12
+
+
+@pytest.mark.parametrize("ratio", [1e-31, 1e-100, 1e-300])
+def test_residual_gate_at_vanishing_lobes(ratio):
+    # The small lobe is finer than the angular resolution of theta0 here:
+    # the gate still holds and the perimeter tends to the big lobe's disk.
+    for big in (1e-6, 1.0, 1e6):
+        geom = G.solve_geometry((ratio * big, big))
+        res = G.geometry_residuals(geom, (ratio * big, big))
+        assert max(abs(v) for v in res.values()) <= 1e-12
+        disk = 2.0 * math.sqrt(math.pi * big)
+        assert G.perimeter((big, ratio * big)) == pytest.approx(disk, rel=1e-14)
+
+
+def _mpmath_perimeter(m1, m2):
+    """Double-bubble perimeter at 60 digits, written from the arc equations
+    alone: a lobe of half-angle theta and junction half-height h has area
+    h^2 (theta - sin cos)/sin^2 and arc length 2 theta h/sin."""
+    with mpmath.workdps(60):
+        a, b = sorted((mpmath.mpf(m1), mpmath.mpf(m2)))
+        third = mpmath.pi / 3
+
+        def area(theta):
+            return ((theta - mpmath.sin(theta) * mpmath.cos(theta))
+                    / mpmath.sin(theta) ** 2)
+
+        def arc(theta, h):
+            return 2 * theta * h / mpmath.sin(theta)
+
+        if a == b:  # flat middle interface of length 2 h
+            h = mpmath.sqrt(a / area(2 * third))
+            return 2 * arc(2 * third, h) + 2 * h
+
+        def excess(phi):  # phi = pi/3 - theta0; zero at the area ratio a/b
+            t = third - phi
+            small = area(third + phi) + area(t)
+            large = area(mpmath.pi - phi) - area(t)
+            return (a * large - b * small) / (a * large + b * small)
+
+        phi = mpmath.findroot(excess, (mpmath.sqrt(a / b) / 100,
+                                       third * (1 - mpmath.mpf(10) ** -40)),
+                              solver="illinois")
+        t = third - phi
+        h = mpmath.sqrt(b / (area(2 * third + t) - area(t)))
+        return arc(2 * third - t, h) + arc(2 * third + t, h) + arc(t, h)
+
+
+def test_perimeter_matches_mpmath_reference():
+    rng = np.random.default_rng(17)
+    ratios = np.concatenate([10.0 ** rng.uniform(-14.0, 0.0, 60),
+                             [1e-14, 1e-9, 1e-6, 0.5, 1.0 - 1e-9, 1.0,
+                              0.8830324462938409]])
+    scales = 10.0 ** rng.uniform(-6.0, 6.0, ratios.size)
+    # Here a t that only meets the gap test, without its Newton step,
+    # gives a perimeter 5e-14 off.
+    scales[-1] = 0.000829059254754306
+    m1, m2 = ratios * scales, scales
+    want = np.array([float(_mpmath_perimeter(a, b)) for a, b in zip(m1, m2)])
+    scalar = np.array([G.perimeter((a, b)) for a, b in zip(m1, m2)])
+    assert np.all(np.abs(scalar - want) <= 1e-14 * want)
+    assert np.all(np.abs(G._perimeters(m2, m1) - want) <= 1e-14 * want)
+
+
+def test_newton_stops_within_six_iterations(monkeypatch):
+    # The 2-ulp step rule ends the loop where the gap test cannot be met.
+    monkeypatch.setattr(G, "_MAX_ITER", 6)
+    ratios = 10.0 ** np.random.default_rng(23).uniform(-16.0, 0.0, 300)
+    for q in ratios:
+        G.solve_geometry((q, 1.0))
+    G._perimeters(ratios, 1.0)
+
+
+# Array solver `_perimeters` against the scalar `perimeter`.
+_PAIR = st.tuples(st.floats(-300.0, 0.0),  # log10 of the ratio
+                  st.floats(-6.0, 6.0),    # log10 of the scale
+                  st.booleans())           # small mass first
 
 
 @given(pairs=st.lists(_PAIR, min_size=1, max_size=20))
 def test_array_perimeters_match_scalar(pairs):
-    m1, m2 = [], []
-    for log_ratio, log_scale, small_first in pairs:
-        big = 10.0 ** log_scale
-        small = 10.0 ** log_ratio * big
-        m1.append(small if small_first else big)
-        m2.append(big if small_first else small)
+    m1, m2 = zip(*(_mass_pair(*p) for p in pairs))
     got = G._perimeters(m1, m2)
     want = np.array([G.perimeter(m) for m in zip(m1, m2)])
     assert got.shape == want.shape
@@ -256,17 +337,23 @@ def test_array_perimeters_special_values():
     assert table[2, 1] == pytest.approx(G.perimeter((2.0, 2.0)), rel=1e-13)
 
 
-def test_array_perimeters_raise_on_unconverged_pair():
-    # A ratio of 1e-10 is far below where the solve meets its residual gate:
-    # the whole call raises, naming that pair, and returns nothing.
+def test_array_perimeters_raise_on_unconverged_pair(monkeypatch):
+    # Every positive pair converges, so starve the Newton loop of
+    # iterations: the whole call raises, naming the first pair that needs
+    # the loop, and returns nothing.  Disk and flat pairs need no loop.
+    monkeypatch.setattr(G, "_MAX_ITER", 1)
     with pytest.raises(G.ConvergenceError, match=r"\(1e-10, 1\)"):
-        G._perimeters([0.5, 1e-10, 1e-10], [1.0, 1.0, 2.0])
-    # At 3e-8 the Newton residual is met but the geometry residuals are
-    # 1.8e-12: the per-element gate rejects it, as in solve_geometry.
-    with pytest.raises(G.ConvergenceError):
-        G.solve_geometry((3e-8, 1.0))
-    with pytest.raises(G.ConvergenceError, match=r"\(1, 3e-08\)"):
-        G._perimeters([1.0, 1.0], [0.5, 3e-8])
+        G._perimeters([1.0, 0.0, 1e-10, 0.5], [1.0, 2.0, 1.0, 1.0])
+    with pytest.raises(G.ConvergenceError, match="after 1 iterations"):
+        G.solve_geometry((1e-10, 1.0))
+    monkeypatch.undo()
+    # A loose gap test stops the loop early; the 1e-12 residual gate then
+    # rejects the geometry, per element as in solve_geometry.
+    monkeypatch.setattr(G, "_RESIDUAL_TOL", 0.05)
+    with pytest.raises(G.ConvergenceError, match="exceed 1e-12"):
+        G.solve_geometry((0.3, 1.0))
+    with pytest.raises(G.ConvergenceError, match=r"\(0.3, 1\)"):
+        G._perimeters([1.0, 1e-10, 0.3], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         G._perimeters([-1.0], [1.0])
     with pytest.raises(ValueError):

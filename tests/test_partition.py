@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from triblock import partition
-from triblock.geometry import GammaMatrix, e0, single_energy
+from triblock.geometry import (GammaMatrix, e0, e0_gradient, perimeter,
+                               single_energy)
 from triblock.partition import (
     Cluster,
     Configuration,
@@ -115,6 +116,45 @@ def test_ebar_small_masses_prefer_one_double():
     assert conf.clusters[0].m2 == pytest.approx(1.0, abs=1e-12)
 
 
+def test_cell_energy_is_e0_at_a_vanishing_lobe():
+    # Cells take the exact droplet energy at every lobe ratio.
+    g = GammaMatrix(2.0, 0.5, 0.3)
+    for m in ((1e-12, 1.0), (3.0, 3e-12)):
+        assert partition._cell_energy(*m, g) == e0(m, g)
+        assert partition._cell_gradient(*m, g) == e0_gradient(m, g)
+
+
+def test_ansatz_grids_share_one_perimeter_solve_per_ratio():
+    # p is homogeneous of degree 1/2: when no mass cap binds, every double
+    # count kd has x_hi/y_hi = M1/M2, and sqrt(y_hi) times the one unit grid
+    # is the perimeter on that count's grid.
+    M, grids = (1.0, 0.75), {}
+    for kd in (1, 2, 4):
+        partition._ansatz_for_doubles(kd, M, G_PLAIN, thresholds(G_PLAIN), 6,
+                                      grids)
+    assert len(grids) == 1
+    (unit,) = grids.values()
+    u = np.linspace(1.0 / 6, 1.0, 6)
+    for kd in (1, 2, 4):
+        x_hi, y_hi = M[0] / kd, M[1] / kd
+        want = [[perimeter((x, y)) for y in y_hi * u] for x in x_hi * u]
+        assert np.allclose(math.sqrt(y_hi) * unit, want, rtol=1e-13, atol=0.0)
+
+
+def test_finalize_rejects_a_repair_that_empties_a_lobe():
+    # The species-1 excess of 1e-8 is within the repair tolerance, but taking
+    # it off the largest holder would leave that lobe empty.
+    raw = [[0.0, 1.0], [1e-8, 0.0], [1e-8, 0.0]]
+    assert partition._finalize(raw, (1e-8, 1.0), G_PLAIN) is None
+
+
+def test_ebar_tiny_species_one_total_is_one_double():
+    value, conf = ebar((1e-8, 1.0), G_PLAIN)
+    assert conf.counts() == {KIND_DOUBLE: 1, KIND_SINGLE_1: 0, KIND_SINGLE_2: 0}
+    assert value == pytest.approx(3.624706845901019, rel=1e-12)
+    assert check_necessary_conditions(conf, G_PLAIN)["all_pass"]
+
+
 def test_ebar_strong_cross_splits_to_singles():
     g = GammaMatrix(4.0, 4.0, 6.0)
     value, conf = ebar((1.0, 1.0), g)
@@ -200,9 +240,16 @@ def test_oracle_guards():
     for bad in (2.5, 3.9, True, float("inf"), 12.0, "12"):
         with pytest.raises(ValueError, match="max_parts"):
             ebar_oracle((1.0, 1.0), G_PLAIN, max_parts=bad)
+    # states > nan is False, so a NaN budget would disable the state check.
+    for bad in (float("nan"), float("inf"), 2.5, True, "12", 0):
+        with pytest.raises(ValueError, match="max_states"):
+            ebar_oracle((1.0, 1.0), G_PLAIN, max_states=bad)
     assert ebar_oracle((0.5, 0.5), G_PLAIN, delta=1.0 / 16,
                        max_parts=np.int64(3)) == ebar_oracle(
         (0.5, 0.5), G_PLAIN, delta=1.0 / 16, max_parts=3)
+    assert ebar_oracle((0.5, 0.5), G_PLAIN, delta=1.0 / 16,
+                       max_states=np.int64(289)) == ebar_oracle(
+        (0.5, 0.5), G_PLAIN, delta=1.0 / 16)
 
 
 def test_oracle_pure_species_values():
