@@ -406,7 +406,7 @@ def _run_place(params, out, cfg_hash):
               "fk": info["energy"],
               "grad_norm": info["grad_norm"]}
     if params["with_f0"]:
-        result["f0"] = F0(layout, gamma, seed=params["seed"])
+        result["f0"] = F0(layout, gamma)
     return result, []
 
 

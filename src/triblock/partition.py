@@ -642,13 +642,16 @@ def _kkt_polish(z, groups, idx, M, gamma, iters=10):
     within each species across interior slots, mass sums exact."""
     z = np.array(z, dtype=float)
     scale = max(M[0] + M[1], 1e-300)
-    active = z > 4.0 * _FLOOR_FRAC * scale
-    z[~active] = 0.0
     slots = []
     for (n, kind), (ix, iy) in zip(groups, idx):
         for iv, species in ((ix, 0), (iy, 1)):
-            if iv is not None and active[iv]:
+            if iv is None:
+                continue
+            # the floor is relative to the slot's own species total
+            if z[iv] > 4.0 * _FLOOR_FRAC * M[species]:
                 slots.append((iv, species, n))
+            else:
+                z[iv] = 0.0
     species_present = sorted({s for _, s, _ in slots})
     if not slots:
         return z
@@ -1108,25 +1111,6 @@ def classify_regime(M, gamma: GammaMatrix, run_search: bool = True,
                             "configuration": conf,
                             "consistent": consistent}
     return report
-
-
-def E0(measure, gamma: GammaMatrix, budget: SearchBudget | None = None,
-       seed: int = 0) -> float:
-    """Total energy of a list of mass atoms: the sum of per-atom optima.
-
-    Empty or invalid input yields +inf rather than raising, so the value
-    can be used directly as an objective."""
-    atoms = list(measure)
-    if not atoms:
-        return math.inf
-    total = 0.0
-    for atom in atoms:
-        try:
-            pair = _check_mass_pair(atom)
-        except ValueError:
-            return math.inf
-        total += ebar(pair, gamma, budget=budget, seed=seed)[0]
-    return total
 
 
 def write_sweep_csv(path, rows, columns=None) -> None:

@@ -4,8 +4,8 @@ A layout is a set of droplet centers with per-cluster mass pairs.  The
 first-level energy FK couples distinct clusters through the periodic Green
 function; the second level adds each cluster's own log-kernel energy over
 its optimal shape (a double bubble or a disk) and the Green function's
-regular part at zero.  Shape integrals are quasi-Monte Carlo quadratures
-over the circular-arc lobes with a rejection-free strip sampler.
+regular part at zero.  The shape integrals are deterministic Gauss-Legendre
+quadratures over the circular arcs that bound each lobe.
 
 FK, its gradient and the Hessian of the Newton phase in `minimize_FK` come
 from one Ewald call over the K(K-1)/2 pair differences (`_pair_terms`).
@@ -16,13 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from triblock.geometry import GammaMatrix, solve_geometry
-from triblock.partition import Configuration, check_necessary_conditions, cluster_from_masses
 from triblock.torus_green import R0, _ewald, wrap
-
-_STRIP_NODES = 16385
 
 
 @dataclass(frozen=True)
@@ -59,13 +55,6 @@ class Layout:
     def as_dict(self) -> dict:
         return {"points": [list(map(float, p)) for p in self.points],
                 "masses": [list(map(float, m)) for m in self.masses]}
-
-
-def layout_from_dict(data: dict) -> Layout:
-    """Inverse of Layout.as_dict."""
-    points = tuple((float(p[0]), float(p[1])) for p in data["points"])
-    masses = tuple((float(m[0]), float(m[1])) for m in data["masses"])
-    return Layout(points, masses)
 
 
 def _layout_arrays(layout: Layout):
@@ -249,194 +238,115 @@ def minimize_FK(masses, gamma: GammaMatrix, restarts: int = 8, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# Cluster self-interaction integrals.
-
-class _StripRegion:
-    """Sampler for a region symmetric about y = 0, described by vertical
-    strips [wlo(x), whi(x)] in |y|.
-
-    Draws are exactly uniform on the region whose boundaries interpolate
-    the node widths linearly: the x marginal inverts each cell's trapezoid
-    in closed form and y uses the same linear widths, so the only error
-    against the true arcs is the O(h^{3/2}) sliver at the strip ends.
-    """
-
-    def __init__(self, xs: np.ndarray, whi: np.ndarray, wlo: np.ndarray):
-        width = whi - wlo
-        if np.any(width < -1e-12):
-            raise ValueError("strip widths must be nonnegative")
-        width = np.maximum(width, 0.0)
-        cells = 0.5 * (width[1:] + width[:-1]) * np.diff(xs)
-        cdf = np.concatenate([[0.0], np.cumsum(cells)])
-        self.area = 2.0 * float(cdf[-1])
-        self.xs = xs
-        self.whi = whi
-        self.wlo = wlo
-        self.width = width
-        self.cdf = cdf / cdf[-1]
-
-    def sample(self, u: np.ndarray) -> np.ndarray:
-        k = np.searchsorted(self.cdf, u[:, 0], side="right") - 1
-        np.clip(k, 0, len(self.xs) - 2, out=k)
-        span = self.cdf[k + 1] - self.cdf[k]
-        tau = (u[:, 0] - self.cdf[k]) / np.where(span > 0.0, span, 1.0)
-        w0 = self.width[k]
-        dw = self.width[k + 1] - w0
-        # Invert the in-cell trapezoid CDF: w0 s + dw s^2 / 2 = tau (w0 + dw/2).
-        disc = np.sqrt(np.maximum(w0 * w0 + dw * (2.0 * w0 + dw) * tau, 0.0))
-        small = np.abs(dw) < 1e-14 * (np.abs(w0) + 1.0)
-        s = np.where(small, tau, (disc - w0) / np.where(small, 1.0, dw))
-        np.clip(s, 0.0, 1.0, out=s)
-        x = self.xs[k] + s * (self.xs[k + 1] - self.xs[k])
-        hi = self.whi[k] + s * (self.whi[k + 1] - self.whi[k])
-        lo = self.wlo[k] + s * (self.wlo[k + 1] - self.wlo[k])
-        v = 2.0 * u[:, 1] - 1.0
-        sign = np.where(v >= 0.0, 1.0, -1.0)
-        y = sign * (lo + np.abs(v) * (hi - lo))
-        return np.column_stack([x, y])
+# Cluster self-interaction integrals.  With Phi(r) = r^2 (log r - 1)/4, so
+# that Laplace Phi = log r, two uses of the divergence theorem give
+#     int_A int_B log|x-y| = -oint_dA oint_dB (n_x . n_y) Phi(|x-y|) ds ds.
+# A lobe is bounded by its outer arc and the middle arc (a segment when
+# r0 = inf), which the two lobes share with opposite normals.  Every arc gets
+# _PANEL_NODES Gauss-Legendre nodes per panel on panels that halve toward its
+# ends, _GRADING_LEVELS times.  Terms hold to ~1e-13 m_i m_j at mass ratios
+# q >= 1e-8; below that, f_12 carries a rounding error of ~1e-16/sqrt(q)
+# relative, as the small lobe's arc integrals against the large one cancel.
+_PANEL_NODES = 12
+_GRADING_LEVELS = 10
 
 
-def _disk_region(mass: float) -> _StripRegion:
-    a = math.sqrt(mass / math.pi)
-    xs = np.linspace(-a, a, _STRIP_NODES)
-    whi = np.sqrt(np.maximum(a * a - xs * xs, 0.0))
-    return _StripRegion(xs, whi, np.zeros_like(xs))
+@functools.cache
+def _graded_rule(nodes: int, levels: int):
+    """Gauss-Legendre rule on [0, 1], its panels halving toward both ends."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = np.concatenate([[0.0], 0.5 * 2.0 ** -np.arange(levels, -1.0, -1.0)])
+    edges = np.concatenate([half, 1.0 - half[-2::-1]])
+    lo, hi = edges[:-1, None], edges[1:, None]
+    return ((lo + hi + (hi - lo) * x) / 2).ravel(), ((hi - lo) * w / 2).ravel()
 
 
-def _double_regions(m1: float, m2: float) -> tuple:
-    """Strip samplers for the two lobes of the optimal double bubble, in
-    caller order.  The smaller lobe sits left of the junction chord x = 0
-    plus the middle-arc bulge; the larger lobe is the right outer segment
-    minus that bulge."""
-    geom = solve_geometry((m1, m2))
-    r0, r1, r2 = geom.r0, geom.r1, geom.r2
-    th0, th1, th2 = geom.theta0, geom.theta1, geom.theta2
-    x1c = r1 * math.cos(th1)
-    x2c = -r2 * math.cos(th2)
-    half = (_STRIP_NODES - 1) // 2
+def _self_pair(length: float, theta: float) -> float:
+    """(1/2pi) times the boundary integral of an arc of half-angle theta
+    against itself.  The integrand depends on the arc-length difference u
+    alone, so it is 2 int_0^L (L - u) f(u) du, with chord 2r sin(u/2r) and
+    n.n = cos(u/r)."""
+    t, w = _graded_rule(_PANEL_NODES, _GRADING_LEVELS)
+    c2 = (length * (np.sin(theta * t) / theta if theta else t)) ** 2
+    f = np.cos(2.0 * theta * t) * c2 * (np.log(c2) - 2.0)
+    return length ** 2 / (8.0 * math.pi) * float(np.sum(w * (1.0 - t) * f))
 
-    xs_a = np.linspace(r1 * (math.cos(th1) - 1.0), 0.0, _STRIP_NODES)
-    whi_a = np.sqrt(np.maximum(r1 * r1 - (xs_a - x1c) ** 2, 0.0))
-    if math.isinf(r0):
-        small = _StripRegion(xs_a, whi_a, np.zeros_like(xs_a))
-        bulge_end = 0.0
+
+def _arc(h: float, theta: float, r: float, side: float):
+    """Nodes, radial unit normals and weights of the arc through the
+    junctions (0, +-h) with half-angle theta and radius r (a segment when
+    r = inf), bulging toward side * x > 0; plus its `_self_pair`."""
+    t, w = _graded_rule(_PANEL_NODES, _GRADING_LEVELS)
+    p = theta * (2.0 * t - 1.0)
+    if math.isinf(r):
+        length = 2.0 * h
+        X = np.column_stack([np.zeros_like(t), h * (2.0 * t - 1.0)])
     else:
-        x0c = -r0 * math.cos(th0)
-        bulge_end = r0 * (1.0 - math.cos(th0))
-        xs_b = np.linspace(0.0, bulge_end, half + 1)
-        whi_b = np.sqrt(np.maximum(r0 * r0 - (xs_b - x0c) ** 2, 0.0))
-        xs = np.concatenate([xs_a, xs_b[1:]])
-        whi = np.concatenate([whi_a, whi_b[1:]])
-        small = _StripRegion(xs, whi, np.zeros_like(xs))
-
-    xs2 = np.linspace(0.0, x2c + r2, 2 * _STRIP_NODES - 1)
-    whi2 = np.sqrt(np.maximum(r2 * r2 - (xs2 - x2c) ** 2, 0.0))
-    if math.isinf(r0):
-        wlo2 = np.zeros_like(xs2)
-    else:
-        x0c = -r0 * math.cos(th0)
-        wlo2 = np.where(
-            xs2 <= bulge_end,
-            np.sqrt(np.maximum(r0 * r0 - (xs2 - x0c) ** 2, 0.0)), 0.0)
-        wlo2 = np.minimum(wlo2, whi2)
-    big = _StripRegion(xs2, whi2, wlo2)
-
-    return (big, small) if geom.swapped else (small, big)
+        length = 2.0 * theta * r
+        # x = side * r (cos p - cos theta), written without cancellation
+        X = np.column_stack([side * 2.0 * r * np.sin((theta + p) / 2)
+                             * np.sin((theta - p) / 2), r * np.sin(p)])
+    N = np.column_stack([side * np.cos(p), np.sin(p)])
+    return X, N, length * w, _self_pair(length, theta)
 
 
-def _cluster_regions(m1: float, m2: float) -> tuple:
-    """Per-species samplers for the optimal cluster shape (None if the
-    species is absent)."""
-    if m1 > 0.0 and m2 > 0.0:
-        return _double_regions(m1, m2)
-    if m1 > 0.0:
-        return (_disk_region(m1), None)
-    if m2 > 0.0:
-        return (None, _disk_region(m2))
-    raise ValueError("cluster needs positive mass")
+def _cross_pair(a, b) -> float:
+    """(1/2pi) times the boundary integral of two arcs meeting at their ends."""
+    (Xa, Na, Wa, _), (Xb, Nb, Wb, _) = a, b
+    d2 = sum(np.subtract.outer(Xa[:, k], Xb[:, k]) ** 2 for k in (0, 1))
+    return float(Wa @ ((Na @ Nb.T) * d2 * (np.log(d2) - 2.0)) @ Wb) / (16.0 * math.pi)
 
 
-_SELF_CACHE: dict = {}
+def _self_terms(m1: float, m2: float) -> tuple:
+    """(f_11, f_22, f_12) in caller order; an absent species gives 0."""
+    if m1 == 0.0 or m2 == 0.0:
+        disk = _self_pair(2.0 * math.sqrt(math.pi * (m1 + m2)), math.pi)
+        return (disk, 0.0, 0.0) if m2 == 0.0 else (0.0, disk, 0.0)
+    g = solve_geometry((m1, m2))
+    small = _arc(g.h, g.theta1, g.r1, -1.0)
+    big = _arc(g.h, g.theta2, g.r2, 1.0)
+    mid = _arc(g.h, g.theta0, g.r0, 1.0)  # normals out of the small lobe
+    sm, bm = _cross_pair(small, mid), _cross_pair(big, mid)
+    f_small = small[3] + 2.0 * sm + mid[3]
+    f_big = big[3] - 2.0 * bm + mid[3]
+    f_mixed = _cross_pair(small, big) - sm + bm - mid[3]
+    return (f_big, f_small, f_mixed) if g.swapped else (f_small, f_big, f_mixed)
 
 
-def self_interaction(m, i: int, j: int, n_points: int = 2 ** 18,
-                     replicates: int = 8, seed: int = 0,
-                     with_error: bool = False,
-                     max_rel_error: float | None = None):
+def self_interaction(m, i: int, j: int, *, n_points=None, replicates=None,
+                     seed=None) -> float:
     """Log-kernel energy (1/2pi) int_{lobe_i x lobe_j} log 1/|x-y|.
 
     The lobes are the optimal shape for the mass pair: a double bubble when
     both species are present, a disk otherwise; an absent species
-    contributes zero.  Scrambled-Sobol replicates give the estimate and its
-    standard error; with_error returns (value, stderr), and max_rel_error
-    (if set) raises once the standard error exceeds that fraction of the
-    value.
+    contributes zero.  The value comes from a deterministic boundary
+    quadrature.  `n_points`, `replicates` and `seed` are accepted for
+    callers of the former sampled estimate and have no effect.
     """
     m1, m2 = (float(m[0]), float(m[1]))
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError(f"species indices must be 1 or 2, got {(i, j)!r}")
     if min(m1, m2) < 0.0 or m1 + m2 <= 0.0:
         raise ValueError(f"bad mass pair {m!r}")
-    i, j = (i, j) if i <= j else (j, i)
-    key = (m1, m2, i, j, n_points, replicates, seed)
-    if key not in _SELF_CACHE:
-        _SELF_CACHE[key] = _self_interaction_qmc(
-            m1, m2, i, j, n_points, replicates, seed)
-    value, stderr = _SELF_CACHE[key]
-    if max_rel_error is not None and stderr > max_rel_error * abs(value):
-        raise RuntimeError(
-            f"quadrature budget exceeded: stderr {stderr:.3e} above "
-            f"{max_rel_error:g} of value {value:.6e}")
-    return (value, stderr) if with_error else value
+    return _self_terms(m1, m2)[2 if i != j else i - 1]
 
 
-def _self_interaction_qmc(m1, m2, i, j, n_points, replicates, seed):
-    regions = _cluster_regions(m1, m2)
-    ri = regions[i - 1]
-    rj = regions[j - 1]
-    if ri is None or rj is None:
-        return (0.0, 0.0)
-    mass_i = m1 if i == 1 else m2
-    mass_j = m1 if j == 1 else m2
-    exponent = max(1, math.ceil(math.log2(n_points)))
-    vals = np.zeros(replicates)
-    for r in range(replicates):
-        sob = qmc.Sobol(d=4, scramble=True, seed=seed + 13 * r)
-        u = sob.random_base2(exponent)
-        X = ri.sample(u[:, 0:2])
-        Y = rj.sample(u[:, 2:4])
-        d = np.hypot(X[:, 0] - Y[:, 0], X[:, 1] - Y[:, 1])
-        np.maximum(d, 1e-300, out=d)
-        vals[r] = -float(np.mean(np.log(d)))
-    factor = mass_i * mass_j / (2.0 * math.pi)
-    value = factor * float(np.mean(vals))
-    if replicates > 1:
-        stderr = abs(factor) * float(np.std(vals, ddof=1)) / math.sqrt(replicates)
-    else:
-        stderr = math.inf
-    return (value, stderr)
-
-
-def F0(layout: Layout, gamma: GammaMatrix, n_points: int = 2 ** 18,
-       replicates: int = 8, seed: int = 0) -> float:
+def F0(layout: Layout, gamma: GammaMatrix, *, n_points=None, replicates=None,
+       seed=None) -> float:
     """Second-level energy: FK plus every cluster's self terms.
 
     Adds sum_ij (gamma_ij/2)(f_k(i,j) + m_i^k m_j^k R0) over clusters k;
     the self terms do not depend on the centers, so F0 - FK is constant in
-    the points for fixed masses.
+    the points for fixed masses.  `n_points`, `replicates` and `seed` are
+    accepted for callers of the former sampled estimate and have no effect.
     """
     total = FK(layout, gamma)
     for m in layout.masses:
         m1, m2 = (float(m[0]), float(m[1]))
-        for i, jj, coef in ((1, 1, 0.5 * gamma.g11), (2, 2, 0.5 * gamma.g22),
-                            (1, 2, gamma.g12)):
-            mi = m1 if i == 1 else m2
-            mj = m1 if jj == 1 else m2
-            if mi == 0.0 or mj == 0.0:
-                continue
-            f = self_interaction((m1, m2), i, jj, n_points=n_points,
-                                 replicates=replicates, seed=seed)
-            total += coef * (f + mi * mj * R0)
+        f11, f22, f12 = _self_terms(m1, m2)
+        total += (0.5 * gamma.g11 * (f11 + m1 * m1 * R0)
+                  + 0.5 * gamma.g22 * (f22 + m2 * m2 * R0)
+                  + gamma.g12 * (f12 + m1 * m2 * R0))
     return total
 
 
@@ -444,13 +354,3 @@ def disk_self_interaction(mass: float) -> float:
     """Closed-form log-kernel energy of a disk of the given area."""
     a = math.sqrt(mass / math.pi)
     return 0.5 * math.pi * a ** 4 * (0.25 - math.log(a))
-
-
-def layout_masses_report(layout: Layout, gamma: GammaMatrix) -> dict:
-    """Run the partition module's necessary-condition checks on the
-    layout's cluster masses (the placement energies accept any masses;
-    this flags whether they could come from an optimal splitting)."""
-    clusters = tuple(cluster_from_masses(float(m[0]), float(m[1]))
-                     for m in layout.masses)
-    total = (sum(c.m1 for c in clusters), sum(c.m2 for c in clusters))
-    return check_necessary_conditions(Configuration(clusters, total), gamma)

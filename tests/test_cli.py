@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from triblock import torus_green as TG
 from triblock.cli import _SCHEMAS, ExperimentConfig, main, resolve_parameters
+from triblock.placement import disk_self_interaction
 from triblock.torus_green import wrap
 
 SYM_PERIMETER = 2.0 * math.sqrt(2.0) * math.sqrt(
@@ -108,6 +109,17 @@ def test_place_two_equal_masses_diagonal(tmp_path, capsys):
     pts = result["layout"]["points"]
     diff = wrap(np.array(pts[1]) - np.array(pts[0]))
     assert np.abs(diff) == pytest.approx([0.5, 0.5], abs=1e-8)
+
+
+def test_place_with_f0_adds_closed_form_disk_terms(tmp_path, capsys):
+    rc, stdout, _ = run_cli(capsys, "place", "--masses", "[[1,0],[0,1]]",
+                            "--with-f0", "--out", str(tmp_path / "pl"))
+    assert rc == 0
+    result = json.loads(stdout)
+    # default gamma (1, 1, 0): two unit disks, each adding the closed form
+    # (1/2) gamma_ii (disk_self_interaction(1) + 1^2 R0)
+    disk = 0.5 * (disk_self_interaction(1.0) + TG.R0)
+    assert result["f0"] == pytest.approx(result["fk"] + 2.0 * disk, abs=1e-12)
 
 
 def test_relax_artifacts_and_snapshot_metadata(tmp_path, capsys):

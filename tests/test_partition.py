@@ -12,7 +12,6 @@ from triblock.geometry import (GammaMatrix, e0, e0_gradient, perimeter,
 from triblock.partition import (
     Cluster,
     Configuration,
-    E0,
     KIND_DOUBLE,
     KIND_SINGLE_1,
     KIND_SINGLE_2,
@@ -153,6 +152,18 @@ def test_ebar_tiny_species_one_total_is_one_double():
     assert conf.counts() == {KIND_DOUBLE: 1, KIND_SINGLE_1: 0, KIND_SINGLE_2: 0}
     assert value == pytest.approx(3.624706845901019, rel=1e-12)
     assert check_necessary_conditions(conf, G_PLAIN)["all_pass"]
+
+
+@pytest.mark.parametrize("M, g", [((1e-9, 1.0), GammaMatrix(1.0, 1.0, 0.5)),
+                                  ((1e-10, 1.0), G_PLAIN),
+                                  ((1.0, 1e-10), G_PLAIN)])
+def test_ebar_tiny_species_total_survives_the_polish(M, g):
+    # The polish floor is relative to each species' own total; a floor on
+    # M1 + M2 zeroed the tiny species and left no feasible configuration.
+    value, conf = ebar(M, g)
+    assert math.isfinite(value)
+    assert conf.counts() == {KIND_DOUBLE: 1, KIND_SINGLE_1: 0, KIND_SINGLE_2: 0}
+    assert check_necessary_conditions(conf, g)["all_pass"]
 
 
 def test_ebar_strong_cross_splits_to_singles():
@@ -401,15 +412,6 @@ def test_classify_regime_coexistence():
     assert counts[KIND_DOUBLE] >= 1
     assert counts[KIND_SINGLE_2] >= 1
     assert report["search"]["consistent"]
-
-
-def test_E0_sentinels_and_sum():
-    assert E0([], G_PLAIN) == math.inf
-    assert E0([(0.0, 0.0)], G_PLAIN) == math.inf
-    assert E0([(1.0, -2.0)], G_PLAIN) == math.inf
-    assert E0([(1.0, float("nan"))], G_PLAIN) == math.inf
-    total = E0([(1.0, 0.0), (1.0, 0.0)], G_PLAIN)
-    assert total == pytest.approx(2.0 * single_energy(1.0, 1.0), rel=1e-12)
 
 
 def test_write_sweep_csv_deterministic(tmp_path):
