@@ -36,7 +36,6 @@ from triblock.geometry import (
     solve_geometry,
 )
 from triblock.partition import (
-    SearchBudget,
     classify_regime,
     ebar,
     write_sweep_csv,
@@ -69,6 +68,8 @@ class _Param:
 
 
 _GAMMA_HELP = "interaction coefficients G11 G22 G12"
+# Partition-search keys that existing configs still pass
+_NO_EFFECT = "accepted; no effect on the search"
 
 _RELAX_SCHEMA = {
     "n": _Param("pos_int", 256, "grid points per side"),
@@ -100,8 +101,8 @@ _SCHEMAS = {
         "M1": _Param("pos", help="total mass of species 1"),
         "M2": _Param("pos", help="total mass of species 2"),
         "gamma": _Param("gamma", (1.0, 1.0, 0.0), _GAMMA_HELP),
-        "restarts": _Param("pos_int", 16, "search restarts per cell"),
-        "seed": _Param("nonneg_int", 0, "search seed"),
+        "restarts": _Param("pos_int", 16, _NO_EFFECT),
+        "seed": _Param("nonneg_int", 0, _NO_EFFECT),
     },
     "green": {
         "x": _Param("float", help="first coordinate"),
@@ -119,7 +120,7 @@ _SCHEMAS = {
     "compare": dict(
         _RELAX_SCHEMA,
         level=_Param("unit", 0.5, "threshold level"),
-        search_restarts=_Param("pos_int", 16, "partition search restarts"),
+        search_restarts=_Param("pos_int", 16, _NO_EFFECT),
         place_restarts=_Param("pos_int", 8, "placement descent restarts"),
     ),
     "regime-sweep": {
@@ -128,8 +129,8 @@ _SCHEMAS = {
         "g12_values": _Param("nonneg_list", help="cross-interaction values"),
         "g11": _Param("pos", 1.0, "self-interaction of species 1"),
         "g22": _Param("pos", 1.0, "self-interaction of species 2"),
-        "restarts": _Param("pos_int", 8, "search restarts per cell"),
-        "seed": _Param("nonneg_int", 0, "search seed"),
+        "restarts": _Param("pos_int", 8, _NO_EFFECT),
+        "seed": _Param("nonneg_int", 0, _NO_EFFECT),
         "run_search": _Param("bool", True, "solve each cell, not just bounds"),
     },
 }
@@ -367,10 +368,8 @@ def _run_bubble(params, out, cfg_hash):
 
 def _run_partition(params, out, cfg_hash):
     gamma = GammaMatrix(*params["gamma"])
-    budget = SearchBudget(restarts=params["restarts"])
     report = classify_regime((params["M1"], params["M2"]), gamma,
-                             run_search=True, budget=budget,
-                             seed=params["seed"])
+                             run_search=True)
     search = report.pop("search")
     result = {
         "M": [params["M1"], params["M2"]],
@@ -486,8 +485,7 @@ def _run_compare(params, out, cfg_hash):
              sum(m[1] for m in params["masses"]))
     else:
         M = (params["means"][0] / eta ** 2, params["means"][1] / eta ** 2)
-    budget = SearchBudget(restarts=params["search_restarts"])
-    value, best = ebar(M, gamma, budget=budget, seed=params["seed"])
+    value, best = ebar(M, gamma)
 
     structure = {"extracted_counts": conf.counts(),
                  "optimal_counts": best.counts(),
@@ -522,7 +520,6 @@ def _run_compare(params, out, cfg_hash):
 
 
 def _run_regime_sweep(params, out, cfg_hash):
-    budget = SearchBudget(restarts=params["restarts"])
     rows = []
     failures = 0
     for m1, m2, g12 in product(params["M1_values"], params["M2_values"],
@@ -541,17 +538,7 @@ def _run_regime_sweep(params, out, cfg_hash):
                        coexistence=rep["coexistence"]["holds"],
                        guarantee=rep["guarantee"])
             if params["run_search"]:
-                # every droplet respects the mass caps, so totals far above
-                # them cannot fit in the search's cluster budget; fail the
-                # cell fast instead of grinding
-                needed = (math.ceil(m1 / th.max_mass[0] - 1e-9)
-                          + math.ceil(m2 / th.max_mass[1] - 1e-9))
-                if needed > budget.max_clusters:
-                    raise ValueError(
-                        f"needs at least {needed} clusters, over the "
-                        f"search cap {budget.max_clusters}")
-                value, conf = ebar((m1, m2), gamma, budget=budget,
-                                   seed=params["seed"])
+                value, conf = ebar((m1, m2), gamma)
                 counts = conf.counts()
                 row.update(ebar=value,
                            n_double=counts["double"],

@@ -3,11 +3,14 @@
 A total mass pair M = (M1, M2) is distributed over a finite list of
 clusters: double bubbles holding both species and single disks holding one.
 Each cluster pays its blow-up energy and the best configuration minimizes
-the sum.  The search couples a discrete enumeration of cluster counts with
-a smooth inner optimization of the masses, polished to a balanced
-first-order point.  Closed-form thresholds bound the structure of
-minimizers, and a regime classifier reports which structural guarantees
-apply at given parameters.
+the sum.  The search, `ebar`, is deterministic: it ranks cluster-count
+cells by the grid minimum of an equal-mass ansatz, and solves the best
+cells for their masses with constrained minimization from fixed structured
+starts, polished to a balanced first-order point.  Closed-form thresholds
+bound the structure of minimizers: their mass caps give the least cluster
+count a search must reach, and `ebar` refuses totals whose count exceeds a
+fixed bound.  A regime classifier reports which structural guarantees apply
+at given parameters.
 
 The oracle, `ebar_oracle`, is an independent exhaustive route that shares
 no search code: masses on a delta-grid, the energy of every grid cluster
@@ -122,14 +125,6 @@ class Configuration:
                 "total": list(self.total)}
 
 
-def configuration_from_dict(data: dict) -> Configuration:
-    """Inverse of Configuration.as_dict."""
-    clusters = [Cluster(d["kind"], float(d["m1"]), float(d["m2"]))
-                for d in data["clusters"]]
-    total = tuple(float(t) for t in data["total"])
-    return _build_configuration(clusters, total)
-
-
 def _sorted_clusters(clusters):
     rank = {KIND_DOUBLE: 0, KIND_SINGLE_1: 1, KIND_SINGLE_2: 2}
     return tuple(sorted(clusters,
@@ -172,13 +167,6 @@ def _cell_gradient(m1: float, m2: float, gamma: GammaMatrix) -> tuple:
     if m2 > 0.0:
         return (math.nan, single_energy_gradient(m2, gamma.g22))
     return (math.nan, math.nan)
-
-
-def config_energy(clusters, gamma: GammaMatrix) -> float:
-    """Total energy of a Configuration or any iterable of clusters."""
-    if isinstance(clusters, Configuration):
-        return clusters.energy(gamma)
-    return sum(c.energy(gamma) for c in clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +244,17 @@ def _coexistence_guaranteed(M1, M2, th, k_doubles, k_singles) -> bool:
 # ---------------------------------------------------------------------------
 # Equal-mass ansatz energies for ranking cluster-count cells.
 
+# Cells that ebar solves exactly, best-ranked first.
+_TOP_CELLS = 24
+# Points per axis of the ansatz grid of double lobe pairs.
+_ANSATZ_GRID = 48
+# Cells with more clusters than this solve one shared group per kind plus
+# one free cluster of each kind.
+_FULL_DIM_LIMIT = 14
+# ebar refuses totals whose mass caps force more clusters than this.
+_MAX_CLUSTERS = 64
+
+
 def _packing_best(mass: float, gamma_ii: float) -> tuple:
     """(value, count): cheapest split of one species into equal disks.
 
@@ -299,24 +298,26 @@ def _packing_grid(mass, gamma_ii: float):
     return out
 
 
-def _ansatz_for_doubles(kd, M, gamma, th, grid_n, unit_grids):
+def _ansatz_for_doubles(kd, M, gamma, th, unit_grids):
     """Best equal-doubles ansatz for a given double count.
 
     All kd doubles share one lobe pair (x, y); whatever mass is left goes
-    into optimally packed equal singles per species.  The perimeter is
-    homogeneous of degree 1/2, so its grid is sqrt(y_hi) times a unit grid
-    that depends only on x_hi/y_hi; `unit_grids` keeps those by ratio.
-    Returns (value, x, y, ks1, ks2).
+    into optimally packed equal singles per species.  The minimum over an
+    _ANSATZ_GRID x _ANSATZ_GRID grid of (x, y) ranks the cell and seeds its
+    exact solve.  The perimeter is homogeneous of degree 1/2, so its grid is
+    sqrt(y_hi) times a unit grid that depends only on x_hi/y_hi;
+    `unit_grids` keeps those by ratio.  Returns (value, x, y, ks1, ks2).
     """
     M1, M2 = M
+    n = _ANSATZ_GRID
     x_hi = min(M1 / kd, 1.5 * th.max_mass[0])
     y_hi = min(M2 / kd, 1.5 * th.max_mass[1])
-    xs = np.linspace(x_hi / grid_n, x_hi, grid_n)
-    ys = np.linspace(y_hi / grid_n, y_hi, grid_n)
+    xs = np.linspace(x_hi / n, x_hi, n)
+    ys = np.linspace(y_hi / n, y_hi, n)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     ratio = x_hi / y_hi
     if ratio not in unit_grids:
-        u = np.linspace(1.0 / grid_n, 1.0, grid_n)
+        u = np.linspace(1.0 / n, 1.0, n)
         unit_grids[ratio] = _perimeters(ratio * u[:, None], u[None, :])
     quad = (gamma.g11 * X * X + 2.0 * gamma.g12 * X * Y
             + gamma.g22 * Y * Y) / (4.0 * math.pi)
@@ -325,39 +326,12 @@ def _ansatz_for_doubles(kd, M, gamma, th, grid_n, unit_grids):
     val = (kd * (math.sqrt(y_hi) * unit_grids[ratio] + quad)
            + _packing_grid(r1, gamma.g11) + _packing_grid(r2, gamma.g22))
     i, j = np.unravel_index(np.argmin(val), val.shape)
-
-    def exact(z):
-        x = min(max(z[0], 1e-12 * x_hi), x_hi)
-        y = min(max(z[1], 1e-12 * y_hi), y_hi)
-        rest1 = max(M1 - kd * x, 0.0)
-        rest2 = max(M2 - kd * y, 0.0)
-        return (kd * _cell_energy(x, y, gamma)
-                + _packing_best(rest1, gamma.g11)[0]
-                + _packing_best(rest2, gamma.g22)[0])
-
-    res = optimize.minimize(exact, [xs[i], ys[j]], method="Nelder-Mead",
-                            options={"maxiter": 200, "xatol": 1e-10,
-                                     "fatol": 1e-12})
-    x = min(max(res.x[0], 1e-12 * x_hi), x_hi)
-    y = min(max(res.x[1], 1e-12 * y_hi), y_hi)
+    x, y = float(xs[i]), float(ys[j])
     rest1 = max(M1 - kd * x, 0.0)
     rest2 = max(M2 - kd * y, 0.0)
-    cut1 = 1e-9 * max(M1, 1e-300)
-    cut2 = 1e-9 * max(M2, 1e-300)
-    ks1 = _packing_best(rest1, gamma.g11)[1] if rest1 > cut1 else 0
-    ks2 = _packing_best(rest2, gamma.g22)[1] if rest2 > cut2 else 0
-    return (float(res.fun), x, y, ks1, ks2)
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Knobs bounding the work ebar spends on one instance."""
-
-    restarts: int = 16
-    top_cells: int = 24
-    max_clusters: int = 64
-    ansatz_grid: int = 48
-    full_dim_limit: int = 14
+    ks1 = _packing_best(rest1, gamma.g11)[1] if rest1 > 1e-9 * M1 else 0
+    ks2 = _packing_best(rest2, gamma.g22)[1] if rest2 > 1e-9 * M2 else 0
+    return (float(val[i, j]), x, y, ks1, ks2)
 
 
 def _cell_feasible(counts, M) -> bool:
@@ -375,8 +349,8 @@ def _cell_feasible(counts, M) -> bool:
     return True
 
 
-def _candidate_cells(M, gamma, th, budget):
-    """Rank cluster-count cells by the equal-mass ansatz.
+def _candidate_cells(M, gamma, th):
+    """The _TOP_CELLS cluster-count cells of lowest equal-mass ansatz value.
 
     Returns a list of (counts, hint) where hint is the ansatz lobe pair for
     seeding the exact solve, or None.
@@ -388,8 +362,6 @@ def _candidate_cells(M, gamma, th, budget):
     def offer(counts, value, hint=None):
         counts = tuple(int(c) for c in counts)
         if not _cell_feasible(counts, M):
-            return
-        if sum(counts) > budget.max_clusters:
             return
         old = cells.get(counts)
         if old is None or value < old[0]:
@@ -405,10 +377,8 @@ def _candidate_cells(M, gamma, th, budget):
 
     if M1 > 0.0 and M2 > 0.0:
         kd_cap = 2 + int(min(M1 / th.concavity[0], M2 / th.concavity[1])) + 1
-        kd_cap = max(1, min(kd_cap, budget.max_clusters))
         for kd in range(1, kd_cap + 1):
             val, x, y, s1, s2 = _ansatz_for_doubles(kd, M, gamma, th,
-                                                    budget.ansatz_grid,
                                                     unit_grids)
             for da in (-1, 0, 1):
                 for db in (-1, 0, 1):
@@ -416,26 +386,19 @@ def _candidate_cells(M, gamma, th, budget):
                     offer((kd, s1 + da, s2 + db), val + bump, (x, y))
 
     ranked = sorted(cells.items(), key=lambda kv: (kv[1][0], kv[0]))
-    chosen = [(counts, hint) for counts, (_, hint) in ranked[:budget.top_cells]]
-    seen = {c for c, _ in chosen}
-    for counts in ((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1), (0, 1, 1),
-                   (2, 0, 0)):
-        if counts not in seen and _cell_feasible(counts, M):
-            chosen.append((counts, None))
-            seen.add(counts)
-    return chosen
+    return [(counts, hint) for counts, (_, hint) in ranked[:_TOP_CELLS]]
 
 
 # ---------------------------------------------------------------------------
 # Exact inner solve for one cluster-count cell.
 
-def _groups_for_counts(counts, full_dim_limit):
+def _groups_for_counts(counts):
     """Cluster groups (count, kind).  Small cells give every cluster its own
     group; large cells use one shared group plus one free cluster per kind,
     matching the structure results that allow at most one exceptional
     cluster of each sort."""
     kd, ks1, ks2 = counts
-    if kd + ks1 + ks2 <= full_dim_limit:
+    if kd + ks1 + ks2 <= _FULL_DIM_LIMIT:
         return ([(1, KIND_DOUBLE)] * kd + [(1, KIND_SINGLE_1)] * ks1
                 + [(1, KIND_SINGLE_2)] * ks2)
     groups = []
@@ -473,8 +436,10 @@ def _group_masses(z, groups, idx):
     return out
 
 
-def _cell_seeds(groups, idx, nvar, M, gamma, hint, seed, counts, restarts):
-    """Feasible-ish starting vectors: structured seeds plus random splits."""
+def _cell_seeds(groups, idx, nvar, M, hint):
+    """Starting vectors: equal splits within each kind, the doubles taking
+    half, 95% or 5% of each species (all of it when there are no singles),
+    plus the ansatz lobe pair for every double when a hint is given."""
     M1, M2 = M
     mult1 = sum(n for (n, kind), (ix, _) in zip(groups, idx) if ix is not None)
     mult2 = sum(n for (n, kind), (_, iy) in zip(groups, idx) if iy is not None)
@@ -536,31 +501,14 @@ def _cell_seeds(groups, idx, nvar, M, gamma, hint, seed, counts, restarts):
                     z[iy] = rest2 / s_mult2
             seeds.append(z)
 
-    kd, ks1, ks2 = counts
-    cell_seed = seed + 1009 * kd + 101 * ks1 + 11 * ks2
-    n_random = max(restarts - len(seeds), 2)
-    for r in range(n_random):
-        rng = np.random.default_rng(cell_seed + 13 * r)
-        z = np.zeros(nvar)
-        for species, total in ((1, M1), (2, M2)):
-            holders = [(n, ix if species == 1 else iy)
-                       for (n, kind), (ix, iy) in zip(groups, idx)
-                       if (ix if species == 1 else iy) is not None]
-            if not holders:
-                continue
-            w = rng.gamma(1.0, size=len(holders)) + 1e-12
-            denom = sum(n * wi for (n, _), wi in zip(holders, w))
-            for (n, iv), wi in zip(holders, w):
-                z[iv] = total * wi / denom
-        seeds.append(z)
     return seeds
 
 
-def _solve_cell(counts, M, gamma, budget, seed, hint=None):
+def _solve_cell(counts, M, gamma, hint=None):
     """Best masses for fixed cluster counts.  Returns (value, clusters) or
-    None when the cell is infeasible or every restart failed."""
+    None when the cell is infeasible or every start failed."""
     M1, M2 = M
-    groups = _groups_for_counts(counts, budget.full_dim_limit)
+    groups = _groups_for_counts(counts)
     if not groups:
         return None
     idx, nvar = _group_var_indices(groups)
@@ -603,13 +551,12 @@ def _solve_cell(counts, M, gamma, budget, seed, hint=None):
 
     scale = M1 + M2
     best = None
-    seeds = _cell_seeds(groups, idx, nvar, M, gamma, hint, seed, counts,
-                        budget.restarts)
+    seeds = _cell_seeds(groups, idx, nvar, M, hint)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     for z0 in seeds:
         z0 = np.clip(z0, lo, hi)
-        # A restart fails through its result (mass sums off, a non-finite
+        # A start fails through its result (mass sums off, a non-finite
         # value), never by raising; an exception is a defect and propagates.
         with warnings.catch_warnings():
             warnings.filterwarnings(
@@ -781,25 +728,35 @@ def _check_mass_pair(M):
     return (m1, m2)
 
 
-def ebar(M, gamma: GammaMatrix, budget: SearchBudget | None = None,
-         seed: int = 0):
+def ebar(M, gamma: GammaMatrix):
     """Best found splitting of the total masses into droplet clusters.
 
-    Returns (value, Configuration).  The search enumerates cluster counts
-    ranked by an equal-mass ansatz, solves each count cell with
-    multi-start constrained minimization, polishes the winner to a balanced
+    Returns (value, Configuration).  The search is deterministic: it ranks
+    cluster-count cells by the grid minimum of an equal-mass ansatz, solves
+    the best-ranked cells with constrained minimization from fixed
+    structured starts, polishes each cell's best point to a balanced
     first-order point, and breaks ties toward fewer clusters and then
     lexicographically larger leading masses.
+
+    No droplet or lobe of a minimizer is heavier than the mass cap of its
+    species (`thresholds`), so species i needs at least ceil(M_i / cap_i)
+    clusters.  Raises ValueError when that lower bound exceeds 64 clusters,
+    and RuntimeError if no cell yields a feasible configuration.
     """
     M1, M2 = _check_mass_pair(M)
-    b = budget if budget is not None else SearchBudget()
     if (M2, gamma.g22) < (M1, gamma.g11):
-        v, conf = ebar((M2, M1), gamma.swapped(), budget=b, seed=seed)
+        v, conf = ebar((M2, M1), gamma.swapped())
         return v, _swap_configuration(conf)
     th = thresholds(gamma)
+    needed = (math.ceil(M1 / th.max_mass[0] - 1e-9)
+              + math.ceil(M2 / th.max_mass[1] - 1e-9))
+    if needed > _MAX_CLUSTERS:
+        raise ValueError(
+            f"the mass caps need at least {needed} clusters, over the "
+            f"search bound of {_MAX_CLUSTERS}")
     results = []
-    for counts, hint in _candidate_cells((M1, M2), gamma, th, b):
-        out = _solve_cell(counts, (M1, M2), gamma, b, seed, hint)
+    for counts, hint in _candidate_cells((M1, M2), gamma, th):
+        out = _solve_cell(counts, (M1, M2), gamma, hint)
         if out is None:
             continue
         fin = _finalize(out[1], (M1, M2), gamma)
@@ -973,7 +930,7 @@ def quantization_bound(config: Configuration, gamma: GammaMatrix,
     to the delta grid: the exact increase of the mass-preserving rounding,
     plus a small evaluation pad."""
     rounded = round_config_to_grid(config, delta)
-    e_round = config_energy(rounded, gamma)
+    e_round = sum(c.energy(gamma) for c in rounded)
     e_cfg = config.energy(gamma)
     return max(e_round - e_cfg, 0.0) + 1e-10 * max(1.0, abs(e_cfg))
 
@@ -1030,13 +987,15 @@ def check_necessary_conditions(config: Configuration, gamma: GammaMatrix,
     return report
 
 
-def classify_regime(M, gamma: GammaMatrix, run_search: bool = True,
-                    budget: SearchBudget | None = None, seed: int = 0) -> dict:
+def classify_regime(M, gamma: GammaMatrix, run_search: bool = True) -> dict:
     """Evaluate which structural guarantees hold at these parameters.
 
     Reports the thresholds, the hypothesis status of each guarantee (one
     double bubble; no doubles with equal singles; coexistence counts at
-    zero cross-interaction), and optionally the structure the search finds.
+    zero cross-interaction), and, with run_search, the structure `ebar`
+    finds and whether it is consistent with the guarantee.  With
+    run_search, raises what `ebar` raises, such as its ValueError for
+    totals past the cluster bound.
     """
     M1, M2 = _check_mass_pair(M)
     th = thresholds(gamma)
@@ -1089,7 +1048,7 @@ def classify_regime(M, gamma: GammaMatrix, run_search: bool = True,
         report["guarantee"] = "none"
 
     if run_search:
-        value, conf = ebar((M1, M2), gamma, budget=budget, seed=seed)
+        value, conf = ebar((M1, M2), gamma)
         counts = conf.counts()
         consistent = None
         if report["guarantee"] == "one_double":

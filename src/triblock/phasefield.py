@@ -172,15 +172,6 @@ def droplet_field(N: int, epsilon: float, eta: float, masses, centers) -> Field:
     return Field(u1, u2, epsilon)
 
 
-def field_from_sharp(c: "SharpConfig", epsilon: float) -> Field:
-    """Field with the indicator supports as unit plateaus.
-
-    The first descent steps of relax smooth the jump into a tanh profile of
-    width epsilon, so this imports a thresholded snapshot as an initializer.
-    """
-    return Field(c.ind1.astype(float), c.ind2.astype(float), epsilon)
-
-
 def scaled_gamma(gamma: GammaMatrix, eta: float,
                  match_sharp: bool = True) -> GammaMatrix:
     """Interaction matrix for the diffuse flow at droplet scale eta.

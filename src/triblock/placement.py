@@ -298,7 +298,24 @@ def _cross_pair(a, b) -> float:
 
 
 def _self_terms(m1: float, m2: float) -> tuple:
-    """(f_11, f_22, f_12) in caller order; an absent species gives 0."""
+    """(f_11, f_22, f_12) in caller order; an absent species gives 0.
+
+    The quadrature runs at unit total mass: scaling the masses by s scales
+    lengths by sqrt(s), so f_ij(s u) = s^2 (f_ij(u) - log(s) u_i u_j / 4pi).
+    Raises ValueError when a term is not finite (totals past about 1e154).
+    """
+    s = m1 + m2
+    u = (m1 / s, m2 / s)
+    shift = math.log(s) / (4.0 * math.pi)
+    terms = tuple(s * s * (f - shift * (u[i] * u[j])) for f, (i, j) in
+                  zip(_unit_self_terms(*u), ((0, 0), (1, 1), (0, 1))))
+    if not all(math.isfinite(f) for f in terms):
+        raise ValueError(f"self-interaction of masses {(m1, m2)!r} is not finite")
+    return terms
+
+
+def _unit_self_terms(m1: float, m2: float) -> tuple:
+    """`_self_terms` by direct quadrature at the given masses."""
     if m1 == 0.0 or m2 == 0.0:
         disk = _self_pair(2.0 * math.sqrt(math.pi * (m1 + m2)), math.pi)
         return (disk, 0.0, 0.0) if m2 == 0.0 else (0.0, disk, 0.0)
@@ -321,7 +338,9 @@ def self_interaction(m, i: int, j: int, *, n_points=None, replicates=None,
     both species are present, a disk otherwise; an absent species
     contributes zero.  The value comes from a deterministic boundary
     quadrature.  `n_points`, `replicates` and `seed` are accepted for
-    callers of the former sampled estimate and have no effect.
+    callers of the former sampled estimate and have no effect.  Raises
+    ValueError for bad indices or masses, and when the term is not finite
+    (totals past about 1e154).
     """
     m1, m2 = (float(m[0]), float(m[1]))
     if i not in (1, 2) or j not in (1, 2):
@@ -339,15 +358,18 @@ def F0(layout: Layout, gamma: GammaMatrix, *, n_points=None, replicates=None,
     the self terms do not depend on the centers, so F0 - FK is constant in
     the points for fixed masses.  `n_points`, `replicates` and `seed` are
     accepted for callers of the former sampled estimate and have no effect.
+    Raises ValueError when a cluster's self terms are not finite (totals
+    past about 1e154).
     """
-    total = FK(layout, gamma)
+    # Self terms first: they raise past the overflow, where FK only warns.
+    total = 0.0
     for m in layout.masses:
         m1, m2 = (float(m[0]), float(m[1]))
         f11, f22, f12 = _self_terms(m1, m2)
         total += (0.5 * gamma.g11 * (f11 + m1 * m1 * R0)
                   + 0.5 * gamma.g22 * (f22 + m2 * m2 * R0)
                   + gamma.g12 * (f12 + m1 * m2 * R0))
-    return total
+    return FK(layout, gamma) + total
 
 
 def disk_self_interaction(mass: float) -> float:

@@ -77,6 +77,19 @@ def test_partition_small_masses_weak_coupling_one_double(tmp_path, capsys):
     assert result["consistent"] is True
 
 
+def test_partition_search_keys_have_no_effect(tmp_path, capsys):
+    # restarts and seed are still accepted, but the search is deterministic
+    outs = []
+    for extra in ((), ("--restarts", "1", "--seed", "9")):
+        rc, stdout, _ = run_cli(capsys, "partition", "--M1", "1.3", "--M2",
+                                "0.9", "--gamma", "1", "1", "0.1", *extra,
+                                "--out", str(tmp_path / f"p{len(outs)}"))
+        assert rc == 0
+        outs.append(json.loads(stdout))
+    assert outs[0]["ebar"] == outs[1]["ebar"]
+    assert outs[0]["configuration"] == outs[1]["configuration"]
+
+
 def test_green_point_values(tmp_path, capsys):
     rc, stdout, _ = run_cli(capsys, "green", "--x", "0.3", "--y", "0.1",
                             "--out", str(tmp_path / "g"))
@@ -353,6 +366,7 @@ def test_regime_sweep_records_cell_failure_and_continues(tmp_path, capsys):
     assert result["rows"] == 2 and result["failures"] == 1
     lines = (out / "sweep.csv").read_text().splitlines()
     assert "ValueError" in lines[2] and "ValueError" not in lines[1]
+    assert "search bound of 64" in lines[2]
     assert lines[1].split(",")[5] != ""  # the good cell still has its energy
 
 

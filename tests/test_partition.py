@@ -1,10 +1,10 @@
 """Tests for the cluster-splitting search and its quantized oracle."""
 
-import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from triblock import partition
 from triblock.geometry import (GammaMatrix, e0, e0_gradient, perimeter,
@@ -15,13 +15,10 @@ from triblock.partition import (
     KIND_DOUBLE,
     KIND_SINGLE_1,
     KIND_SINGLE_2,
-    SearchBudget,
     check_necessary_conditions,
     classify_regime,
     cluster_from_masses,
     coexistence_bounds,
-    config_energy,
-    configuration_from_dict,
     ebar,
     ebar_oracle,
     quantization_bound,
@@ -86,12 +83,6 @@ def test_configuration_sum_validation():
         Configuration((cluster_from_masses(1.0, 0.5),), (1.0, 0.6))
 
 
-def test_configuration_json_round_trip():
-    _, conf = ebar((1.0, 1.0), G_WEAK_CROSS)
-    data = json.loads(json.dumps(conf.as_dict(), sort_keys=True))
-    assert configuration_from_dict(data) == conf
-
-
 def test_ebar_single_species_small_mass():
     value, conf = ebar((2.0, 0.0), G_PLAIN)
     assert value == pytest.approx(single_energy(2.0, 1.0), rel=1e-12)
@@ -126,18 +117,37 @@ def test_cell_energy_is_e0_at_a_vanishing_lobe():
 def test_ansatz_grids_share_one_perimeter_solve_per_ratio():
     # p is homogeneous of degree 1/2: when no mass cap binds, every double
     # count kd has x_hi/y_hi = M1/M2, and sqrt(y_hi) times the one unit grid
-    # is the perimeter on that count's grid.
-    M, grids = (1.0, 0.75), {}
-    for kd in (1, 2, 4):
-        partition._ansatz_for_doubles(kd, M, G_PLAIN, thresholds(G_PLAIN), 6,
-                                      grids)
+    # is the perimeter on that count's grid.  The ansatz value is the grid
+    # minimum: kd doubles at the hint plus the best equal-disk packing of
+    # what is left, and no grid point is lower.
+    M, grids, n = (1.0, 0.75), {}, partition._ANSATZ_GRID
+    g = GammaMatrix(2.0, 1.0, 0.3)
+    th = thresholds(g)
+    found = [partition._ansatz_for_doubles(kd, M, g, th, grids)
+             for kd in (1, 2, 4)]
     assert len(grids) == 1
     (unit,) = grids.values()
-    u = np.linspace(1.0 / 6, 1.0, 6)
-    for kd in (1, 2, 4):
+    u = np.linspace(1.0 / n, 1.0, n)
+    for kd, (value, x, y, ks1, ks2) in zip((1, 2, 4), found):
         x_hi, y_hi = M[0] / kd, M[1] / kd
         want = [[perimeter((x, y)) for y in y_hi * u] for x in x_hi * u]
         assert np.allclose(math.sqrt(y_hi) * unit, want, rtol=1e-13, atol=0.0)
+        assert x in x_hi * u and y in y_hi * u
+
+        def packing(rest, gii):
+            return best_equal_split(rest, gii) if rest > 0.0 else 0.0
+
+        def ansatz(a, b):
+            return (kd * e0((a, b), g) + packing(M[0] - kd * a, g.g11)
+                    + packing(M[1] - kd * b, g.g22))
+
+        assert value == pytest.approx(ansatz(x, y), rel=1e-12)
+        assert value <= min(ansatz(a, b) for a in x_hi * u[::5]
+                            for b in y_hi * u[::5]) * (1.0 + 1e-12)
+        for rest, gii, ks in ((M[0] - kd * x, g.g11, ks1),
+                              (M[1] - kd * y, g.g22, ks2)):
+            assert ks * single_energy(rest / max(ks, 1), gii) == pytest.approx(
+                packing(rest, gii), rel=1e-12, abs=1e-12)
 
 
 def test_finalize_rejects_a_repair_that_empties_a_lobe():
@@ -187,8 +197,8 @@ def test_ebar_swap_invariance_exact():
 
 
 def test_ebar_deterministic_repeat():
-    out1 = ebar((1.3, 0.9), G_WEAK_CROSS, seed=5)
-    out2 = ebar((1.3, 0.9), G_WEAK_CROSS, seed=5)
+    out1 = ebar((1.3, 0.9), G_WEAK_CROSS)
+    out2 = ebar((1.3, 0.9), G_WEAK_CROSS)
     assert out1[0] == out2[0]
     assert out1[1] == out2[1]
 
@@ -201,7 +211,7 @@ def test_ebar_subadditive_under_random_splits():
         w1 = rng.dirichlet(np.ones(parts)) * 1.3
         w2 = rng.dirichlet(np.ones(parts)) * 0.9
         clusters = [cluster_from_masses(a, b) for a, b in zip(w1, w2)]
-        split_energy = config_energy(clusters, G_WEAK_CROSS)
+        split_energy = sum(c.energy(G_WEAK_CROSS) for c in clusters)
         assert value <= split_energy + 1e-12 * max(1.0, split_energy)
 
 
@@ -366,6 +376,38 @@ def test_necessary_conditions_pass_on_search_output():
         assert report["all_pass"], report
 
 
+_LOG_TOTAL = st.floats(-10.0, math.log10(600.0))
+_LOG_SHARE = st.floats(-6.0, math.log10(0.5))
+_DIAGONAL = st.floats(0.5, 20.0)
+
+
+@settings(max_examples=60)
+@given(log_total=_LOG_TOTAL, log_share=_LOG_SHARE, swap=st.booleans(),
+       g11=_DIAGONAL, g22=_DIAGONAL, g12=st.floats(0.0, 20.0))
+@example(log_total=math.log10(600.0), log_share=math.log10(0.5), swap=False,
+         g11=1.0, g22=1.0, g12=2.0)  # (300, 300): 76 singles
+@example(log_total=math.log10(610.0), log_share=math.log10(10.0 / 610.0),
+         swap=True, g11=1.0, g22=1.0, g12=2.0)  # (600, 10): 77 singles
+def test_ebar_meets_necessary_conditions_or_refuses(log_total, log_share,
+                                                     swap, g11, g22, g12):
+    # The smaller species holds a share of 1e-6..1/2 of the total, in
+    # either order.  No cluster of a minimizer outweighs its species' mass
+    # cap, so ebar refuses totals whose caps force more than 64 clusters.
+    total, share = 10.0 ** log_total, 10.0 ** log_share
+    M = (total * share, total * (1.0 - share))
+    M = M[::-1] if swap else M
+    g = GammaMatrix(g11, g22, g12)
+    cap = thresholds(g).max_mass
+    needed = sum(math.ceil(m / c - 1e-9) for m, c in zip(M, cap))
+    if needed > 64:
+        with pytest.raises(ValueError, match="search bound of 64"):
+            ebar(M, g)
+        return
+    _, conf = ebar(M, g)
+    report = check_necessary_conditions(conf, g)
+    assert report["all_pass"], (M, g, report)
+
+
 def test_necessary_conditions_flag_violations():
     # One oversized single trips the mass cap.
     big = Configuration((cluster_from_masses(30.0, 0.0),), (30.0, 0.0))
@@ -429,10 +471,3 @@ def test_write_sweep_csv_deterministic(tmp_path):
     empty = tmp_path / "empty.csv"
     write_sweep_csv(empty, [], columns=["m1", "m2", "energy"])
     assert empty.read_text() == "m1,m2,energy\n"
-
-
-def test_search_budget_restart_knob():
-    lean = SearchBudget(restarts=4, top_cells=8)
-    value, conf = ebar((1.0, 1.0), G_WEAK_CROSS, budget=lean)
-    assert value == pytest.approx(e0((1.0, 1.0), G_WEAK_CROSS), rel=1e-12)
-    assert conf.counts()[KIND_DOUBLE] == 1

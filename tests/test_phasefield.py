@@ -17,7 +17,6 @@ from triblock.phasefield import (
     diffuse_energy,
     droplet_field,
     extract_components,
-    field_from_sharp,
     grid_perimeter,
     noisy_uniform_field,
     read_field_pgm,
@@ -467,23 +466,6 @@ def test_threshold_idempotent_on_indicators():
     c = threshold(f, 0.5, eta=0.1)
     assert np.array_equal(c.ind1, ind1)
     assert np.array_equal(c.ind2, ind2)
-
-
-def test_field_from_sharp_round_trip():
-    n, eps = 64, 2.0 / 64
-    ind1 = disk_indicator(n, (0.3, 0.3), 0.15)
-    ind2 = disk_indicator(n, (0.7, 0.7), 0.15)
-    c = SharpConfig(ind1, ind2, 0.1)
-    f = field_from_sharp(c, eps)
-    assert np.array_equal(f.u1, ind1.astype(float))
-    assert f.epsilon == eps
-
-    # a short descent smooths the jump but keeps the support in place
-    relaxed, _ = relax(f, NO_COUPLING, dt=eps / n, steps=30)
-    assert np.mean(relaxed.u1) == pytest.approx(np.mean(ind1), abs=1e-12)
-    back = threshold(relaxed, 0.5, eta=0.1)
-    moved = np.sum(back.ind1 != ind1) + np.sum(back.ind2 != ind2)
-    assert moved <= 0.05 * (np.sum(ind1) + np.sum(ind2))
 
 
 def test_threshold_overlap_goes_to_larger_value():

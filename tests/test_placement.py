@@ -350,6 +350,24 @@ class TestSelfInteraction:
         assert self_interaction((1.0, 0.0), 2, 2) == 0.0
         assert self_interaction((0.0, 1.5), 1, 1) == 0.0
 
+    def test_huge_masses_scale_or_raise(self):
+        # 1e150 squared is still finite: the terms follow the scaling
+        # relation from unit masses, and a disk matches the closed form.
+        s = 1e150
+        for i, j in _TERMS:
+            pred = s * s * (self_interaction((1.0, 1.0), i, j)
+                            - math.log(s) / (4.0 * math.pi))
+            assert self_interaction((s, s), i, j) == pytest.approx(pred, rel=1e-13)
+        assert self_interaction((3.0 * s, 0.0), 1, 1) == pytest.approx(
+            disk_self_interaction(3.0 * s), rel=1e-13)
+        # 1e200 squared overflows: a typed error, not nan
+        huge = (1e200, 1e200)
+        for i, j in _TERMS:
+            with pytest.raises(ValueError, match="not finite"):
+                self_interaction(huge, i, j)
+        with pytest.raises(ValueError, match="not finite"):
+            F0(Layout(((0.0, 0.0),), (huge,)), GAMMA)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             self_interaction((1.0, 1.0), 0, 1)
