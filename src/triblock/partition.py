@@ -38,8 +38,10 @@ from triblock.geometry import (
     e0,
     e0_gradient,
     perimeter,
+    perimeter_hessian,
     single_energy,
     single_energy_gradient,
+    single_energy_hessian,
 )
 
 KIND_SINGLE_1 = "single_type1"
@@ -192,21 +194,19 @@ class Thresholds:
     gamma12_split: float
 
 
-def thresholds(gamma: GammaMatrix, probe: float | None = None) -> Thresholds:
+def thresholds(gamma: GammaMatrix) -> Thresholds:
     """Compute the structure thresholds for an interaction matrix.
 
-    probe sets the partner mass at which the concavity thresholds are
-    located; None uses the heaviest partner a minimizer can hold (the
-    other species' mass cap), which makes the thresholds valid uniformly.
+    The concavity thresholds are located against the heaviest partner a
+    minimizer can hold (the other species' mass cap), which makes them
+    valid uniformly; `concavity_threshold` gives them at any other partner.
     """
     cap1 = 8.0 * math.pi / gamma.g11 ** (2.0 / 3.0)
     cap2 = 8.0 * math.pi / gamma.g22 ** (2.0 / 3.0)
     floor1 = 4.0 * math.pi ** 3 / (gamma.g11 * cap1) ** 2
     floor2 = 4.0 * math.pi ** 3 / (gamma.g22 * cap2) ** 2
-    m1s = concavity_threshold(gamma.g11, 1,
-                              probe_other_mass=cap2 if probe is None else probe)
-    m2s = concavity_threshold(gamma.g22, 2,
-                              probe_other_mass=cap1 if probe is None else probe)
+    m1s = concavity_threshold(gamma.g11, 1, probe_other_mass=cap2)
+    m2s = concavity_threshold(gamma.g22, 2, probe_other_mass=cap1)
     split = (4.0 * math.pi * math.sqrt(math.pi)
              * (math.sqrt(cap1) + math.sqrt(cap2)) / (m1s * m2s))
     return Thresholds((cap1, cap2), (floor1, floor2), (m1s, m2s), split)
@@ -584,89 +584,90 @@ def _solve_cell(counts, M, gamma, hint=None):
     return (fun(z), clusters)
 
 
-def _kkt_polish(z, groups, idx, M, gamma, iters=10):
+# Newton iterations of `_kkt_polish`.
+_POLISH_ITERS = 10
+
+
+def _kkt_polish(z, groups, idx, M, gamma):
     """Newton-polish the first-order system: species derivatives equal
-    within each species across interior slots, mass sums exact."""
+    within each species across interior slots, mass sums exact.
+
+    The unknowns are the interior slot masses and one multiplier per
+    species.  The Jacobian is exact: each group puts its cluster's energy
+    Hessian on its own slots (`perimeter_hessian` plus Gamma/(2 pi) for a
+    double, `single_energy_hessian` for a single), with -1 in the
+    multiplier columns and the group sizes in the mass rows.
+    """
     z = np.array(z, dtype=float)
     scale = max(M[0] + M[1], 1e-300)
-    slots = []
-    for (n, kind), (ix, iy) in zip(groups, idx):
-        for iv, species in ((ix, 0), (iy, 1)):
-            if iv is None:
-                continue
+    slots = []  # (variable index, species, group size)
+    cells = []  # per group with interior slots: {species: position in slots}
+    for (n, kind), pair in zip(groups, idx):
+        cell = {}
+        for species, iv in enumerate(pair):
             # the floor is relative to the slot's own species total
-            if z[iv] > 4.0 * _FLOOR_FRAC * M[species]:
+            if iv is not None and z[iv] > 4.0 * _FLOOR_FRAC * M[species]:
+                cell[species] = len(slots)
                 slots.append((iv, species, n))
-            else:
+            elif iv is not None:
                 z[iv] = 0.0
-    species_present = sorted({s for _, s, _ in slots})
+        if cell:
+            cells.append(cell)
     if not slots:
         return z
-    lam_index = {s: len(slots) + k for k, s in enumerate(species_present)}
+    ns = len(slots)
+    present = sorted({s for _, s, _ in slots})
+    base = np.zeros((ns + len(present),) * 2)  # multiplier columns, mass rows
+    for k, (_, s, n) in enumerate(slots):
+        lam = ns + present.index(s)
+        base[k, lam], base[lam, k] = -1.0, n
+    gamma_block = np.array([[gamma.g11, gamma.g12],
+                            [gamma.g12, gamma.g22]]) / (2.0 * math.pi)
 
-    def grad_vec(zz):
-        g = np.full(len(zz), math.nan)
-        for (n, kind), (ix, iy) in zip(groups, idx):
-            gx, gy = _cell_gradient(zz[ix] if ix is not None else 0.0,
-                                    zz[iy] if iy is not None else 0.0, gamma)
-            if ix is not None:
-                g[ix] = gx
-            if iy is not None:
-                g[iy] = gy
-        return g
+    def masses(t, cell):
+        return [t[cell[s]] if s in cell else 0.0 for s in (0, 1)]
 
     def residual(t):
-        zz = z.copy()
-        for k, (iv, _, _) in enumerate(slots):
-            zz[iv] = t[k]
-        g = grad_vec(zz)
-        out = np.zeros(len(slots) + len(species_present))
-        for k, (iv, s, _) in enumerate(slots):
-            out[k] = g[iv] - t[lam_index[s]]
-        for s in species_present:
-            acc = 0.0
-            for k, (iv, sp, n) in enumerate(slots):
-                if sp == s:
-                    acc += n * t[k]
-            out[lam_index[s]] = acc - M[s]
+        out = base @ t
+        out[ns:] -= [M[s] for s in present]
+        for cell in cells:
+            g = _cell_gradient(*masses(t, cell), gamma)
+            for s, k in cell.items():
+                out[k] += g[s]
         return out
 
-    g0 = grad_vec(z)
-    t = np.zeros(len(slots) + len(species_present))
-    for k, (iv, _, _) in enumerate(slots):
-        t[k] = z[iv]
-    for s in species_present:
-        vals = [g0[iv] for iv, sp, _ in slots if sp == s]
-        t[lam_index[s]] = float(np.mean(vals))
+    def jacobian(t):
+        J = base.copy()
+        for cell in cells:
+            m = masses(t, cell)
+            if len(cell) == 2:
+                ks = [cell[0], cell[1]]
+                J[np.ix_(ks, ks)] = perimeter_hessian(m) + gamma_block
+            else:
+                (s, k), = cell.items()
+                J[k, k] = single_energy_hessian(m[s], gamma.diag(s + 1))
+        return J
+
+    t = np.zeros(len(base))
+    t[:ns] = [z[iv] for iv, _, _ in slots]
+    g0 = residual(t)
+    for j, s in enumerate(present):
+        t[ns + j] = np.mean([g0[k] for k, sl in enumerate(slots) if sl[1] == s])
 
     f = residual(t)
     fnorm = np.linalg.norm(f)
-    for _ in range(iters):
+    for _ in range(_POLISH_ITERS):
         if fnorm <= 1e-13 * max(1.0, scale):
             break
-        n_t = len(t)
-        J = np.zeros((n_t, n_t))
-        for k in range(len(slots)):
-            h = max(1e-7 * abs(t[k]), 1e-12)
-            tp = t.copy()
-            tp[k] += h
-            tm = t.copy()
-            tm[k] = max(tm[k] - h, 1e-300)
-            J[:, k] = (residual(tp) - residual(tm)) / (tp[k] - tm[k])
-        for s in species_present:
-            col = lam_index[s]
-            for k, (iv, sp, _) in enumerate(slots):
-                if sp == s:
-                    J[k, col] = -1.0
         try:
-            step = np.linalg.solve(J, -f)
+            step = np.linalg.solve(jacobian(t), -f)
         except np.linalg.LinAlgError:
             break
         damp = 1.0
         improved = False
         for _ in range(6):
             tn = t + damp * step
-            if np.any(tn[:len(slots)] <= 0.0):
+            if np.any(tn[:ns] <= 0.0):
                 damp *= 0.5
                 continue
             fn = residual(tn)
@@ -735,8 +736,9 @@ def ebar(M, gamma: GammaMatrix):
     cluster-count cells by the grid minimum of an equal-mass ansatz, solves
     the best-ranked cells with constrained minimization from fixed
     structured starts, polishes each cell's best point to a balanced
-    first-order point, and breaks ties toward fewer clusters and then
-    lexicographically larger leading masses.
+    first-order point.  Among values within 1e-10 relative of the best it
+    takes the smallest derivative spread of `check_necessary_conditions`,
+    then fewer clusters, then lexicographically larger leading masses.
 
     No droplet or lobe of a minimizer is heavier than the mass cap of its
     species (`thresholds`), so species i needs at least ceil(M_i / cap_i)
@@ -771,8 +773,9 @@ def ebar(M, gamma: GammaMatrix):
 
     def tie_key(vc):
         conf = vc[1]
+        spread = max(check_necessary_conditions(conf, gamma, th)["balance_spread"])
         masses = tuple((c.kind, -c.mass, -c.m1) for c in conf.clusters)
-        return (len(conf.clusters), masses)
+        return (spread, len(conf.clusters), masses)
 
     best = min(near, key=tie_key)
     return best

@@ -64,8 +64,15 @@ def _layout_arrays(layout: Layout):
 
 
 def _weight_matrix(M: np.ndarray, gamma: GammaMatrix) -> np.ndarray:
+    """Pair weights M Gamma M^T.  Raises ValueError when an entry is not
+    finite (masses past about 1e154)."""
     G = np.array([[gamma.g11, gamma.g12], [gamma.g12, gamma.g22]])
-    return M @ G @ M.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = M @ G @ M.T
+    if not np.isfinite(W).all():
+        raise ValueError("cluster weights m_k Gamma m_l are not finite; "
+                         "masses too large")
+    return W
 
 
 @functools.cache
@@ -103,13 +110,15 @@ def FK(layout: Layout, gamma: GammaMatrix) -> float:
     Sums (gamma_ij/2) m_i^k m_j^l G(y^k - y^l) over ordered pairs of
     distinct clusters and species.  A single cluster has no pairs and
     costs zero; coincident points raise through the Green function.
+    Raises ValueError when the weights overflow (masses past about 1e154).
     """
     P, M = _layout_arrays(layout)
     return _pair_terms(P, _weight_matrix(M, gamma))
 
 
 def fk_gradient(layout: Layout, gamma: GammaMatrix) -> np.ndarray:
-    """Derivative of FK with respect to every center, shape (K, 2)."""
+    """Derivative of FK with respect to every center, shape (K, 2).
+    Raises ValueError where `FK` does."""
     P, M = _layout_arrays(layout)
     return _pair_terms(P, _weight_matrix(M, gamma), 1)[1]
 
@@ -191,7 +200,8 @@ def minimize_FK(masses, gamma: GammaMatrix, restarts: int = 8, seed: int = 0,
 
     Pinning the first point at the origin removes the two flat translation
     directions, so convergence is judged on the remaining gradient alone.
-    Raises RuntimeError with diagnostics when no restart reaches gtol.
+    Raises RuntimeError with diagnostics when no restart reaches gtol,
+    and ValueError when the weights overflow (masses past about 1e154).
     """
     M = np.asarray([(float(m[0]), float(m[1])) for m in masses], dtype=float)
     K = len(M)
@@ -361,7 +371,6 @@ def F0(layout: Layout, gamma: GammaMatrix, *, n_points=None, replicates=None,
     Raises ValueError when a cluster's self terms are not finite (totals
     past about 1e154).
     """
-    # Self terms first: they raise past the overflow, where FK only warns.
     total = 0.0
     for m in layout.masses:
         m1, m2 = (float(m[0]), float(m[1]))

@@ -198,7 +198,7 @@ def test_concavity_threshold_scaling():
     # m*(Gamma/lam^3, lam^2 probe) = lam^2 m*(Gamma, probe).
     base = G.concavity_threshold(1.0, 1, 1.0)
     scaled = G.concavity_threshold(1.0 / 8.0, 1, 4.0)
-    assert scaled == pytest.approx(4.0 * base, rel=1e-6)
+    assert scaled == pytest.approx(4.0 * base, rel=1e-12)
 
 
 def test_single_energy_helpers():
@@ -358,3 +358,50 @@ def test_array_perimeters_raise_on_unconverged_pair(monkeypatch):
         G._perimeters([-1.0], [1.0])
     with pytest.raises(ValueError):
         G._perimeters([np.nan], [1.0])
+
+
+def _mpmath_hessian(m1, m2):
+    """Hessian of `_mpmath_perimeter` by 60-digit central second differences
+    with relative steps 1e-12 (truncation ~1e-24)."""
+    with mpmath.workdps(60):
+        a, b = mpmath.mpf(m1), mpmath.mpf(m2)
+        da, db = a * mpmath.mpf(10) ** -12, b * mpmath.mpf(10) ** -12
+        p = _mpmath_perimeter
+        p0 = p(a, b)
+        h11 = (p(a + da, b) - 2 * p0 + p(a - da, b)) / da ** 2
+        h22 = (p(a, b + db) - 2 * p0 + p(a, b - db)) / db ** 2
+        h12 = (p(a + da, b + db) - p(a + da, b - db) - p(a - da, b + db)
+               + p(a - da, b - db)) / (4 * da * db)
+        return np.array([[h11, h12], [h12, h22]], dtype=float)
+
+
+def test_perimeter_hessian_matches_mpmath_reference():
+    # Three ratios per decade over 1e-8..1, the flat branch and its edges,
+    # at random scales and in both mass orders.  The relative error of each
+    # entry follows the small-lobe slope, about 1e-15/sqrt(q) at worst.
+    rng = np.random.default_rng(29)
+    ratios = np.concatenate([10.0 ** (np.repeat(np.arange(-8.0, 0.0), 3)
+                                      + rng.uniform(0.0, 1.0, 24)),
+                             [1e-8, 1.0 - 1e-9, 1.0, 1.0 + 1e-9]])
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, ratios.size)
+    for q, b in zip(ratios, scales):
+        a = q * b
+        want = _mpmath_hessian(a, b)
+        tol = 3e-15 / math.sqrt(min(q, 1.0 / q)) * np.abs(want)
+        got = G.perimeter_hessian((a, b))
+        assert np.all(np.abs(got - want) <= tol), (q, got, want)
+        back = G.perimeter_hessian((b, a))
+        assert np.all(np.abs(back[::-1, ::-1] - want) <= tol), (q, back, want)
+        for H, m in ((got, (a, b)), (back, (b, a))):
+            assert H[0, 1] == H[1, 0]
+            # Euler's relation for degree-1/2 homogeneity, to rounding
+            euler = H @ np.array(m) + 0.5 * np.array(G.perimeter_gradient(m))
+            assert np.all(np.abs(euler) <= 1e-15 * np.abs(H) @ np.array(m))
+
+
+def test_e0_hessian_diag_is_exact_sum():
+    gamma = G.GammaMatrix(2.0, 0.5, 0.3)
+    for m in ((0.3, 1.7), (4.0, 1e-6), (1.0, 1.0)):
+        H = G.perimeter_hessian(m)
+        assert G.e0_hessian_diag(m, gamma, 1) == 2.0 / (2.0 * math.pi) + H[0, 0]
+        assert G.e0_hessian_diag(m, gamma, 2) == 0.5 / (2.0 * math.pi) + H[1, 1]

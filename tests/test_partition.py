@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from triblock import partition
-from triblock.geometry import (GammaMatrix, e0, e0_gradient, perimeter,
-                               single_energy)
+from triblock.geometry import (GammaMatrix, concavity_threshold, e0,
+                               e0_gradient, perimeter, single_energy)
 from triblock.partition import (
     Cluster,
     Configuration,
@@ -57,10 +57,11 @@ def test_threshold_scaling_with_gamma():
 
 def test_threshold_probe_dependence():
     # The concavity threshold shrinks as the partner lobe grows, so the
-    # uniform (probe=None) value sits below a light-partner value.
+    # uniform value (against the partner's mass cap) sits below a
+    # light-partner value.
     th_uniform = thresholds(G_PLAIN)
-    th_light = thresholds(G_PLAIN, probe=1.0)
-    assert th_uniform.concavity[0] < th_light.concavity[0]
+    light = concavity_threshold(1.0, 1, probe_other_mass=1.0)
+    assert th_uniform.concavity[0] < light
 
 
 def test_cluster_kind_validation():
@@ -406,6 +407,22 @@ def test_ebar_meets_necessary_conditions_or_refuses(log_total, log_share,
     _, conf = ebar(M, g)
     report = check_necessary_conditions(conf, g)
     assert report["all_pass"], (M, g, report)
+
+
+def test_ebar_near_ties_pick_the_balanced_candidate():
+    # The exact polish balances each cell to rounding, and candidates within
+    # 1e-10 of the best value rank first by their largest derivative
+    # spread, so the returned configuration is balanced to rounding.
+    coexist = thresholds(G_PLAIN).max_mass[0] * 1.02
+    coexist = (coexist,
+               1.02 * coexistence_bounds(G_PLAIN, 1, 1, m1=coexist)[1])
+    for M, g in [((101.0, 101.0), GammaMatrix(1.0, 1.0, 41.0)),
+                 ((200.0, 170.0), GammaMatrix(1.0, 1.0, 2.0)),
+                 ((300.0, 300.0), GammaMatrix(1.0, 1.0, 2.0)),
+                 (coexist, G_PLAIN)]:
+        _, conf = ebar(M, g)
+        spread = check_necessary_conditions(conf, g)["balance_spread"]
+        assert max(spread) <= 1e-12, (M, spread)
 
 
 def test_necessary_conditions_flag_violations():

@@ -81,6 +81,17 @@ class TestFK:
         lay = Layout(((0.3, 0.4),), ((1.0, 2.0),))
         assert FK(lay, GAMMA) == 0.0
 
+    def test_overflowing_weights_raise(self):
+        # M Gamma M^T overflows past masses of about 1e154: a typed error,
+        # raised before numpy's overflow warning (an error under pytest).
+        lay = Layout(((0.1, 0.1), (0.6, 0.5)), ((1e200, 1e200), (1e200, 0.0)))
+        for call in (lambda: FK(lay, GAMMA), lambda: fk_gradient(lay, GAMMA),
+                     lambda: minimize_FK(lay.masses, GAMMA, restarts=1)):
+            with pytest.raises(ValueError, match="not finite"):
+                call()
+        big = Layout(lay.points, ((1e150, 1e150), (1e150, 0.0)))
+        assert math.isfinite(FK(big, GAMMA))
+
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(5)
         lay = random_layout(rng, 4, [(1.0, 0.5), (0.3, 0.7), (2.0, 0.0), (0.0, 1.5)])
