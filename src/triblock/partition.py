@@ -321,10 +321,13 @@ def _ansatz_for_doubles(kd, M, gamma, th, unit_grids):
         unit_grids[ratio] = _perimeters(ratio * u[:, None], u[None, :])
     quad = (gamma.g11 * X * X + 2.0 * gamma.g12 * X * Y
             + gamma.g22 * Y * Y) / (4.0 * math.pi)
-    r1 = np.maximum(M1 - kd * X, 0.0)
-    r2 = np.maximum(M2 - kd * Y, 0.0)
+    # the leftover of species 1 varies along axis 0 only, of species 2
+    # along axis 1 only: pack each once per grid line and broadcast
+    r1 = np.maximum(M1 - kd * xs, 0.0)
+    r2 = np.maximum(M2 - kd * ys, 0.0)
     val = (kd * (math.sqrt(y_hi) * unit_grids[ratio] + quad)
-           + _packing_grid(r1, gamma.g11) + _packing_grid(r2, gamma.g22))
+           + _packing_grid(r1, gamma.g11)[:, None]
+           + _packing_grid(r2, gamma.g22)[None, :])
     i, j = np.unravel_index(np.argmin(val), val.shape)
     x, y = float(xs[i]), float(ys[j])
     rest1 = max(M1 - kd * x, 0.0)

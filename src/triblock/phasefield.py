@@ -4,13 +4,17 @@ A Field holds the two minority-species densities; relax runs a semi-implicit
 Fourier-spectral L2 gradient flow of the ternary functional (gradient +
 double-well + nonlocal Green coupling) with per-species mean projection.
 The Green force stays in Fourier space and the gradient and Green energies
-are Parseval sums, so only the well term is evaluated in real space.
+are Parseval sums, so only the well term is evaluated in real space.  The
+species transforms are carried across steps: a step costs two rfft2 and two
+irfft2, a trace row no FFT, and a clip back into GUARD_BAND, which keeps
+each species' mass, one rfft2 per species clipped.
 SharpConfig holds thresholded indicator sets, whose rescaled energy combines
 a Cauchy-Crofton grid perimeter with the periodic Green interaction, and
 extract_components turns them into partition-module configurations.
 """
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -21,6 +25,8 @@ from triblock.geometry import GammaMatrix, solve_geometry
 from triblock.partition import Configuration, cluster_from_masses
 
 GUARD_BAND = (-0.1, 1.1)
+
+_log = logging.getLogger(__name__)
 
 # Energy per unit interface length carried by the standard double well:
 # each interface flips two of the three species, and the optimal profile of
@@ -216,25 +222,58 @@ def _spectral_energies(u1hat, u2hat, gamma: GammaMatrix, grid):
                                     + gamma.g22 * p22), axis=0) @ weights))
 
 
+def _energy_parts(u1, u2, u1hat, u2hat, eps, gamma: GammaMatrix, grid, well):
+    """(total, gradient, well, nonlocal) of a field and its rfft2 pair."""
+    grad, nonlocal_term = _spectral_energies(u1hat, u2hat, gamma, grid)
+    grad *= 0.5 * eps
+    nonlocal_term *= 0.5
+    well_term = 0.5 / eps * float(np.mean(well(1.0 - u1 - u2) + well(u1)
+                                          + well(u2)))
+    return (grad + well_term + nonlocal_term, grad, well_term, nonlocal_term)
+
+
 def diffuse_energy(f: Field, gamma_scaled: GammaMatrix,
                    printed_well: bool = False, parts: bool = False):
     """Gradient + well + nonlocal energy of the field.
 
     The well is the standard double well by default; printed_well switches
-    to the non-coercive variant u^2 (1 - u^2).
+    to the non-coercive variant u^2 (1 - u^2).  Costs two rfft2.
     """
-    w = _well_printed if printed_well else _well
-    u1, u2, eps = f.u1, f.u2, f.epsilon
-    grad, nonlocal_term = _spectral_energies(np.fft.rfft2(u1), np.fft.rfft2(u2),
-                                             gamma_scaled, _spectral_grid(f.N))
-    grad *= 0.5 * eps
-    nonlocal_term *= 0.5
-    well = 0.5 / eps * float(np.mean(w(1.0 - u1 - u2) + w(u1) + w(u2)))
-    total = grad + well + nonlocal_term
+    total, grad, well, nonlocal_term = _energy_parts(
+        f.u1, f.u2, np.fft.rfft2(f.u1), np.fft.rfft2(f.u2), f.epsilon,
+        gamma_scaled, _spectral_grid(f.N),
+        _well_printed if printed_well else _well)
     if parts:
         return {"total": total, "gradient": grad, "well": well,
                 "nonlocal": nonlocal_term}
     return total
+
+
+def _mass_exact_clip(v, mean: float):
+    """clip(v + lam, *GUARD_BAND) with lam chosen so that its mean is `mean`.
+
+    The mean of the clipped field rises monotonically (piecewise linearly,
+    with slope at most 1) in lam, from lo at lam = lo - max(v) to hi at
+    lam = hi - min(v).  For lo <= mean <= hi, bisection down to a bracket of
+    one ulp of the band width, or of lam where that is wider, keeps the
+    mean to rounding.
+    """
+    lo, hi = GUARD_BAND
+    a, b = lo - float(v.max()), hi - float(v.min())
+    mid = 0.5 * (a + b)
+    while a < mid < b and b - a > 2.0 ** -52 * (hi - lo):
+        if float(np.clip(v + mid, lo, hi).mean()) < mean:
+            a = mid
+        else:
+            b = mid
+        mid = 0.5 * (a + b)
+    return np.clip(v + b, lo, hi)
+
+
+def _log_clip(step, species, bounds):
+    lo, hi = GUARD_BAND
+    _log.debug("relax step %d: u%d left the guard band by %.3e, clipped at "
+               "fixed mass", step, species, max(lo - bounds[0], bounds[1] - hi))
 
 
 def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
@@ -245,10 +284,16 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
     The coupled Laplacian pair is diagonalized in the sum/difference basis
     (eigenvalues 3 and 1) and treated implicitly together with a linear
     stabilization c_s = 2/epsilon; the well derivative and the nonlocal
-    force, formed in Fourier space as (Gamma uhat)/|k|^2, are explicit: four
-    rfft2 and two irfft2 per step.  Species means are restored exactly.
+    force, formed in Fourier space as (Gamma uhat)/|k|^2, are explicit.
+    The transforms u1hat, u2hat are carried from step to step, their k = 0
+    modes pinned to the species means, so a step costs two rfft2 (the well
+    forces) and two irfft2 (the new fields), and a trace row costs no FFT.
+    A species that leaves GUARD_BAND is clipped at fixed mass, to
+    clip(u + lam) with lam solved so that its mean is kept; each such clip
+    is logged at DEBUG and costs one rfft2 to transform the species afresh.
     Returns (Field, trace) where trace rows are (step, total, gradient,
-    well, nonlocal).  Raises RuntimeError when the field norm blows up.
+    well, nonlocal) of the state itself.
+    Raises RuntimeError when the field norm blows up.
     """
     N = init.N
     eps = init.epsilon
@@ -258,47 +303,65 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
         raise ValueError(f"dt must be positive, got {dt!r}")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps!r}")
+    well = _well_printed if printed_well else _well
     wp = _well_printed_prime if printed_well else _well_prime
-    c_s = 2.0 / eps
-    k2, inv_lap, _ = _spectral_grid(N)
-    den_s = 1.0 + dt * (3.0 * eps * k2 + c_s)
-    den_d = 1.0 + dt * (eps * k2 + c_s)
-    u1 = init.u1.copy()
-    u2 = init.u2.copy()
-    mean1, mean2 = u1.mean(), u2.mean()
+    grid = _spectral_grid(N)
+    k2, inv_lap, _ = grid
     g11, g12, g22 = gamma_scaled.g11, gamma_scaled.g12, gamma_scaled.g22
+    # Per-mode update of half the sum s = u1 + u2 and half the difference
+    # d = u1 - u2: s_new = s1 u1hat + s2 u2hat - s3 (well force of s), and
+    # alike for d; then u1hat = s_new + d_new and u2hat = s_new - d_new.
+    keep = 1.0 + dt * (2.0 / eps)
+    den_s = 2.0 * (keep + dt * 3.0 * eps * k2)
+    den_d = 2.0 * (keep + dt * eps * k2)
+    s1 = (keep - dt * (g11 + g12) * inv_lap) / den_s
+    s2 = (keep - dt * (g12 + g22) * inv_lap) / den_s
+    d1 = (keep - dt * (g11 - g12) * inv_lap) / den_d
+    d2 = (-keep - dt * (g12 - g22) * inv_lap) / den_d
+    s3 = dt / (2.0 * eps) / den_s
+    d3 = dt / (2.0 * eps) / den_d
+    del den_s, den_d
+    u1, u2 = init.u1, init.u2
+    mean1, mean2 = float(u1.mean()), float(u2.mean())
+    zero1, zero2 = mean1 * N * N, mean2 * N * N
+    u1hat = np.fft.rfft2(u1)
+    u2hat = np.fft.rfft2(u2)
     lo, hi = GUARD_BAND
 
     trace = []
 
     def record(step):
-        e = diffuse_energy(Field(u1, u2, eps), gamma_scaled,
-                           printed_well=printed_well, parts=True)
-        trace.append((step, e["total"], e["gradient"], e["well"],
-                      e["nonlocal"]))
+        trace.append((step, *_energy_parts(u1, u2, u1hat, u2hat, eps,
+                                           gamma_scaled, grid, well)))
 
     record(0)
     for step in range(1, steps + 1):
-        u1hat = np.fft.rfft2(u1)
-        u2hat = np.fft.rfft2(u2)
-        wp0 = wp(1.0 - u1 - u2)
-        f1_hat = (np.fft.rfft2(wp(u1) - wp0) / (2.0 * eps)
-                  + (g11 * u1hat + g12 * u2hat) * inv_lap)
-        f2_hat = (np.fft.rfft2(wp(u2) - wp0) / (2.0 * eps)
-                  + (g12 * u1hat + g22 * u2hat) * inv_lap)
-        s_hat = ((1.0 + dt * c_s) * (u1hat + u2hat) - dt * (f1_hat + f2_hat)) / den_s
-        d_hat = ((1.0 + dt * c_s) * (u1hat - u2hat) - dt * (f1_hat - f2_hat)) / den_d
-        u1 = np.fft.irfft2(0.5 * (s_hat + d_hat), s=(N, N))
-        u2 = np.fft.irfft2(0.5 * (s_hat - d_hat), s=(N, N))
-        worst = max(float(np.max(np.abs(u1))), float(np.max(np.abs(u2))))
+        w0 = wp(1.0 - (u1 + u2))
+        w1 = wp(u1) - w0
+        w2 = wp(u2) - w0
+        s_hat = s1 * u1hat + s2 * u2hat - s3 * np.fft.rfft2(w1 + w2)
+        d_hat = d1 * u1hat + d2 * u2hat - d3 * np.fft.rfft2(w1 - w2)
+        u1hat = s_hat + d_hat
+        u2hat = s_hat - d_hat
+        u1hat[0, 0] = zero1
+        u2hat[0, 0] = zero2
+        u1 = np.fft.irfft2(u1hat, s=(N, N))
+        u2 = np.fft.irfft2(u2hat, s=(N, N))
+        bounds = (float(u1.min()), float(u1.max()),
+                  float(u2.min()), float(u2.max()))
+        worst = float(np.max(np.abs(bounds)))
         if not math.isfinite(worst) or worst > blow_limit:
             raise RuntimeError(
                 f"field blow-up at step {step}: max |u| = {worst:.3e} "
                 f"(dt = {dt:g}, epsilon = {eps:g})")
-        np.clip(u1, lo, hi, out=u1)
-        np.clip(u2, lo, hi, out=u2)
-        u1 += mean1 - u1.mean()
-        u2 += mean2 - u2.mean()
+        if bounds[0] < lo or bounds[1] > hi:
+            _log_clip(step, 1, bounds[:2])
+            u1 = _mass_exact_clip(u1, mean1)
+            u1hat = np.fft.rfft2(u1)
+        if bounds[2] < lo or bounds[3] > hi:
+            _log_clip(step, 2, bounds[2:])
+            u2 = _mass_exact_clip(u2, mean2)
+            u2hat = np.fft.rfft2(u2)
         if step % trace_every == 0 or step == steps:
             record(step)
     return Field(u1, u2, eps), trace

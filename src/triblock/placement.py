@@ -259,6 +259,13 @@ def minimize_FK(masses, gamma: GammaMatrix, restarts: int = 8, seed: int = 0,
 # relative, as the small lobe's arc integrals against the large one cancel.
 _PANEL_NODES = 12
 _GRADING_LEVELS = 10
+# The geometry gives the small lobe's radius to a relative 1e-16/sqrt(q)
+# only (see `triblock.geometry`): 3e-6 at this ratio, where the small
+# species' f_ii/m_i^2 still follows its -log(q)/4pi trend to about 4e-6.
+# The error reaches 5e-4 at q = 1e-24 and 11% at 1e-28 (4.67 against a
+# trend of 5.26), and the terms mean nothing once the radius freezes near
+# q = 1e-31, so smaller ratios raise instead of returning a wrong term.
+_MIN_RATIO = 1e-21
 
 
 @functools.cache
@@ -312,7 +319,8 @@ def _self_terms(m1: float, m2: float) -> tuple:
 
     The quadrature runs at unit total mass: scaling the masses by s scales
     lengths by sqrt(s), so f_ij(s u) = s^2 (f_ij(u) - log(s) u_i u_j / 4pi).
-    Raises ValueError when a term is not finite (totals past about 1e154).
+    Raises ValueError when a term is not finite (totals past about 1e154)
+    and, from `_unit_self_terms`, below the mass ratio _MIN_RATIO.
     """
     s = m1 + m2
     u = (m1 / s, m2 / s)
@@ -325,10 +333,18 @@ def _self_terms(m1: float, m2: float) -> tuple:
 
 
 def _unit_self_terms(m1: float, m2: float) -> tuple:
-    """`_self_terms` by direct quadrature at the given masses."""
+    """`_self_terms` by direct quadrature at the given masses.
+
+    Raises ValueError for a double bubble whose mass ratio is below
+    _MIN_RATIO, where the small lobe's geometry is too coarse.
+    """
     if m1 == 0.0 or m2 == 0.0:
         disk = _self_pair(2.0 * math.sqrt(math.pi * (m1 + m2)), math.pi)
         return (disk, 0.0, 0.0) if m2 == 0.0 else (0.0, disk, 0.0)
+    if min(m1, m2) < _MIN_RATIO * max(m1, m2):
+        raise ValueError(f"self-interaction of masses {(m1, m2)!r}: mass ratio "
+                         f"below {_MIN_RATIO:g}, where the small lobe's radius "
+                         "is not resolved")
     g = solve_geometry((m1, m2))
     small = _arc(g.h, g.theta1, g.r1, -1.0)
     big = _arc(g.h, g.theta2, g.r2, 1.0)
@@ -349,8 +365,9 @@ def self_interaction(m, i: int, j: int, *, n_points=None, replicates=None,
     contributes zero.  The value comes from a deterministic boundary
     quadrature.  `n_points`, `replicates` and `seed` are accepted for
     callers of the former sampled estimate and have no effect.  Raises
-    ValueError for bad indices or masses, and when the term is not finite
-    (totals past about 1e154).
+    ValueError for bad indices or masses, when the term is not finite
+    (totals past about 1e154), and for a double bubble whose mass ratio is
+    below 1e-21 (`_MIN_RATIO`), where the small lobe is not resolved.
     """
     m1, m2 = (float(m[0]), float(m[1]))
     if i not in (1, 2) or j not in (1, 2):
@@ -369,7 +386,7 @@ def F0(layout: Layout, gamma: GammaMatrix, *, n_points=None, replicates=None,
     the points for fixed masses.  `n_points`, `replicates` and `seed` are
     accepted for callers of the former sampled estimate and have no effect.
     Raises ValueError when a cluster's self terms are not finite (totals
-    past about 1e154).
+    past about 1e154) or its mass ratio is below 1e-21 (`_MIN_RATIO`).
     """
     total = 0.0
     for m in layout.masses:

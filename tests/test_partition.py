@@ -151,6 +151,28 @@ def test_ansatz_grids_share_one_perimeter_solve_per_ratio():
                 packing(rest, gii), rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("M, gg, kd", [
+    ((1.0, 0.75), (2.0, 1.0, 0.3), 1),
+    ((4.0, 2.5), (1.0, 1.0, 0.5), 2),
+    ((300.0, 300.0), (1.0, 1.0, 2.0), 5),
+])
+def test_packing_grid_separates_by_axis(M, gg, kd):
+    # The leftover of species 1 varies along the ansatz grid's axis 0 only,
+    # so packing the grid lines and broadcasting repeats the 2-D arithmetic.
+    g = GammaMatrix(*gg)
+    th = thresholds(g)
+    n = partition._ANSATZ_GRID
+    x_hi = min(M[0] / kd, 1.5 * th.max_mass[0])
+    y_hi = min(M[1] / kd, 1.5 * th.max_mass[1])
+    xs, ys = np.linspace(x_hi / n, x_hi, n), np.linspace(y_hi / n, y_hi, n)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    full = (partition._packing_grid(np.maximum(M[0] - kd * X, 0.0), g.g11)
+            + partition._packing_grid(np.maximum(M[1] - kd * Y, 0.0), g.g22))
+    lines = (partition._packing_grid(np.maximum(M[0] - kd * xs, 0.0), g.g11)[:, None]
+             + partition._packing_grid(np.maximum(M[1] - kd * ys, 0.0), g.g22)[None, :])
+    assert np.array_equal(full, lines)
+
+
 def test_finalize_rejects_a_repair_that_empties_a_lobe():
     # The species-1 excess of 1e-8 is within the repair tolerance, but taking
     # it off the largest holder would leave that lobe empty.

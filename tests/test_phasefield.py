@@ -1,5 +1,6 @@
 """Diffuse relaxation: energies, descent invariants, thresholding, snapshots."""
 
+import logging
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from triblock.phasefield import (
     INTERFACE_COST,
     Field,
     SharpConfig,
+    _mass_exact_clip,
     diffuse_energy,
     droplet_field,
     extract_components,
@@ -370,6 +372,127 @@ def test_relaxed_shapes_follow_interaction_regime():
     conf, _ = extract_components(threshold(out, 0.5, eta=eta))
     assert sorted(c.kind for c in conf.clusters) == [
         "single_type1", "single_type2"]
+
+
+def fresh_transform_relax(f, g, dt, steps):
+    """The semi-implicit step written out in the species basis, with u1 and
+    u2 transformed afresh on every step and the means restored in real
+    space; returns the final grids and the total energy after every step."""
+    n, eps = f.N, f.epsilon
+    ky = 2.0 * math.pi * np.fft.fftfreq(n, d=1.0 / n)
+    kx = 2.0 * math.pi * np.fft.rfftfreq(n, d=1.0 / n)
+    k2 = ky[:, None] ** 2 + kx[None, :] ** 2
+    inv_lap = np.zeros_like(k2)
+    inv_lap[k2 > 0.0] = 1.0 / k2[k2 > 0.0]
+    c_s = 2.0 / eps
+    lo, hi = GUARD_BAND
+
+    def wp(u):
+        return 2.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
+
+    u1, u2 = f.u1.copy(), f.u2.copy()
+    m1, m2 = u1.mean(), u2.mean()
+    totals = [diffuse_energy(f, g)]
+    for _ in range(steps):
+        a, b = np.fft.rfft2(u1), np.fft.rfft2(u2)
+        w0 = wp(1.0 - u1 - u2)
+        f1 = np.fft.rfft2(wp(u1) - w0) / (2.0 * eps) + (g.g11 * a + g.g12 * b) * inv_lap
+        f2 = np.fft.rfft2(wp(u2) - w0) / (2.0 * eps) + (g.g12 * a + g.g22 * b) * inv_lap
+        s = ((1.0 + dt * c_s) * (a + b) - dt * (f1 + f2)) / (1.0 + dt * (3.0 * eps * k2 + c_s))
+        d = ((1.0 + dt * c_s) * (a - b) - dt * (f1 - f2)) / (1.0 + dt * (eps * k2 + c_s))
+        u1 = np.fft.irfft2(0.5 * (s + d), s=(n, n))
+        u2 = np.fft.irfft2(0.5 * (s - d), s=(n, n))
+        assert lo <= min(u1.min(), u2.min()) and max(u1.max(), u2.max()) <= hi
+        u1 += m1 - u1.mean()
+        u2 += m2 - u2.mean()
+        totals.append(diffuse_energy(Field(u1, u2, eps), g))
+    return u1, u2, np.array(totals)
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_carried_transforms_match_fresh_transforms(n):
+    # Odd n has no Nyquist column; even n has one, counted once by Parseval.
+    eps = 2.0 / n
+    f = droplet_field(n, eps, 0.2, [(2.0, 1.5), (0.0, 2.0)],
+                      [(0.3, 0.35), (0.7, 0.8)])
+    g = scaled_gamma(GammaMatrix(2.0, 1.0, 0.5), 0.2)
+    out, trace = relax(f, g, dt=eps / n, steps=1000)
+    u1, u2, totals = fresh_transform_relax(f, g, eps / n, 1000)
+    assert np.max(np.abs(out.u1 - u1)) <= 1e-12
+    assert np.max(np.abs(out.u2 - u2)) <= 1e-12
+    rows = np.array([row[1] for row in trace])
+    assert np.max(np.abs(rows - totals) / np.abs(totals)) <= 1e-12
+    assert totals[-1] < 0.9 * totals[0]  # the droplets did move
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4, 5])
+def test_last_trace_row_is_the_returned_field(steps):
+    eps = 2.0 / 64
+    f = droplet_field(64, eps, 0.2, [(2.0, 1.5)], [(0.4, 0.5)])
+    g = scaled_gamma(GammaMatrix(1.0, 1.0, 0.3), 0.2)
+    out, trace = relax(f, g, dt=eps / 64, steps=steps, trace_every=2)
+    parts = diffuse_energy(out, g, parts=True)
+    assert trace[-1][0] == steps
+    for value, key in zip(trace[-1][1:], ("total", "gradient", "well", "nonlocal")):
+        assert value == pytest.approx(parts[key], rel=1e-13), key
+
+
+def clip_probe(**kwargs):
+    """The printed well drives this state out of the guard band."""
+    f = noisy_uniform_field(64, 2.0 / 64, (0.7, 0.1), amplitude=0.05, seed=1)
+    return relax(f, NO_COUPLING, dt=0.05, steps=50, printed_well=True,
+                 **kwargs)
+
+
+def test_clip_keeps_mass_and_trace_describes_the_state(caplog):
+    with caplog.at_level(logging.DEBUG, logger="triblock.phasefield"):
+        out, trace = clip_probe(trace_every=1)
+    clips = [r.getMessage() for r in caplog.records if "guard band" in r.getMessage()]
+    assert any("u1 left" in m for m in clips) and any("u2 left" in m for m in clips)
+    assert out.means()[0] == pytest.approx(0.7, abs=1e-12)
+    assert out.means()[1] == pytest.approx(0.1, abs=1e-12)
+    lo, hi = GUARD_BAND
+    assert lo <= min(out.u1.min(), out.u2.min())
+    assert max(out.u1.max(), out.u2.max()) <= hi
+    parts = diffuse_energy(out, NO_COUPLING, printed_well=True, parts=True)
+    assert trace[-1][1] == pytest.approx(parts["total"], rel=1e-12)
+
+
+@pytest.mark.parametrize("low, high, mean", [
+    (-0.5, 1.5, 0.3), (3.0, 5.0, 1.0), (-5.0, -3.0, -0.1), (-0.2, 4.9, 1.1)])
+def test_mass_exact_clip_hits_the_mean(low, high, mean):
+    # shifts of several units, where one ulp of the shift is wider than
+    # one ulp of the band width, and a target on the band's edge
+    v = np.random.default_rng(3).uniform(low, high, size=(16, 16))
+    u = _mass_exact_clip(v, mean)
+    lo, hi = GUARD_BAND
+    assert lo <= u.min() and u.max() <= hi
+    assert abs(float(u.mean()) - mean) <= 1e-15
+
+
+def test_relax_fft_counts(fft_calls, caplog):
+    f = noisy_uniform_field(32, 2.0 / 32, (0.05, 0.05), seed=0)
+    for trace_every in (1, 7):
+        fft_calls.update(rfft2=0, irfft2=0)
+        relax(f, NO_COUPLING, steps=7, trace_every=trace_every)
+        assert fft_calls == {"rfft2": 2 + 2 * 7, "irfft2": 2 * 7}
+    # each species clipped costs one rfft2 to transform it afresh
+    fft_calls.update(rfft2=0, irfft2=0)
+    with caplog.at_level(logging.DEBUG, logger="triblock.phasefield"):
+        clip_probe(trace_every=1)
+    clips = sum("guard band" in r.getMessage() for r in caplog.records)
+    assert clips > 0
+    assert fft_calls == {"rfft2": 2 + 2 * 50 + clips, "irfft2": 2 * 50}
+
+
+def test_energy_fft_counts(fft_calls):
+    f = noisy_uniform_field(32, 2.0 / 32, (0.05, 0.05), seed=0)
+    diffuse_energy(f, NO_COUPLING)
+    assert fft_calls == {"rfft2": 2, "irfft2": 0}
+    ind = disk_indicator(32, (0.5, 0.5), 0.2)
+    sharp_energy(SharpConfig(ind, np.zeros_like(ind), 0.1),
+                 GammaMatrix(1.0, 1.0, 0.0))
+    assert fft_calls == {"rfft2": 4, "irfft2": 0}
 
 
 # ---------------------------------------------------------------------------

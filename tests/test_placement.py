@@ -379,6 +379,22 @@ class TestSelfInteraction:
         with pytest.raises(ValueError, match="not finite"):
             F0(Layout(((0.0, 0.0),), (huge,)), GAMMA)
 
+    def test_unresolved_small_lobe_raises(self):
+        # Below the ratio cut the small lobe's radius is not resolved and
+        # the terms go wrong by orders of magnitude; above it, f_11/m1^2
+        # follows the -log(q)/4pi trend.
+        for m in ((1e-28, 1.0), (1e-300, 1.0), (1.0, 1e-28)):
+            for i, j in _TERMS:
+                with pytest.raises(ValueError, match="mass ratio"):
+                    self_interaction(m, i, j)
+            with pytest.raises(ValueError, match="mass ratio"):
+                F0(Layout(((0.0, 0.0),), (m,)), GAMMA)
+        f11 = self_interaction((1e-20, 1.0), 1, 1)
+        assert f11 / 1e-40 == pytest.approx(
+            self_interaction((1e-10, 1.0), 1, 1) / 1e-20
+            + 10.0 * math.log(10.0) / (4.0 * math.pi), rel=1e-5)
+        assert math.isfinite(F0(Layout(((0.0, 0.0),), ((1e-20, 1.0),)), GAMMA))
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             self_interaction((1.0, 1.0), 0, 1)
