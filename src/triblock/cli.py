@@ -403,7 +403,8 @@ def _run_place(params, out, cfg_hash):
                                seed=params["seed"], full_output=True)
     result = {"layout": layout.as_dict(),
               "fk": info["energy"],
-              "grad_norm": info["grad_norm"]}
+              "grad_norm": info["grad_norm"],
+              "diagnostics": {"restarts": info["restarts"]}}
     if params["with_f0"]:
         result["f0"] = F0(layout, gamma)
     return result, []

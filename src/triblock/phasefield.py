@@ -53,15 +53,19 @@ def _well_printed_prime(u):
 
 @dataclass(frozen=True)
 class Field:
-    """Two periodic density grids with an interface width."""
+    """Two periodic density grids with an interface width.
+
+    The grids are copied.  Raises ValueError unless they are matching square
+    grids of finite values inside GUARD_BAND, and epsilon is positive.
+    """
 
     u1: np.ndarray
     u2: np.ndarray
     epsilon: float
 
     def __post_init__(self):
-        u1 = np.asarray(self.u1, dtype=float)
-        u2 = np.asarray(self.u2, dtype=float)
+        u1 = np.array(self.u1, dtype=float)
+        u2 = np.array(self.u2, dtype=float)
         if u1.ndim != 2 or u1.shape[0] != u1.shape[1] or u1.shape != u2.shape:
             raise ValueError(
                 f"fields must be matching square grids, got {u1.shape} and {u2.shape}")
@@ -70,8 +74,11 @@ class Field:
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
         lo, hi = GUARD_BAND
-        object.__setattr__(self, "u1", np.clip(u1, lo, hi))
-        object.__setattr__(self, "u2", np.clip(u2, lo, hi))
+        for name, u in (("u1", u1), ("u2", u2)):
+            if np.any(u < lo) or np.any(u > hi):
+                raise ValueError(f"{name} leaves the guard band [{lo}, {hi}]: "
+                                 f"min {u.min():.6g}, max {u.max():.6g}")
+            object.__setattr__(self, name, u)
 
     @property
     def N(self) -> int:
@@ -92,7 +99,10 @@ def uniform_field(N: int, epsilon: float, means) -> Field:
 
 def noisy_uniform_field(N: int, epsilon: float, means, amplitude: float = 1e-2,
                         seed: int = 0) -> Field:
-    """Uniform state plus exactly-zero-mean seeded noise."""
+    """Uniform state plus exactly-zero-mean seeded noise.
+
+    Raises ValueError (from `Field`) when the noisy grids leave GUARD_BAND.
+    """
     rng = np.random.default_rng(seed)
     grids = []
     for m in means:
@@ -143,7 +153,9 @@ def droplet_field(N: int, epsilon: float, eta: float, masses, centers) -> Field:
     `masses` are droplet-scale pairs (areas eta^2 m); a single-species
     cluster seeds a disk, a two-species cluster seeds the standing
     double-bubble lobes sharing their middle wall.  Species means are
-    rescaled to eta^2 sum(m_i) exactly.
+    rescaled to eta^2 sum(m_i) exactly.  Raises ValueError (from `Field`)
+    when that rescaling lifts a species out of GUARD_BAND, as it does for a
+    droplet that covers most of the torus at a wide interface.
     """
     if len(masses) != len(centers) or len(masses) == 0:
         raise ValueError("need one center per cluster")
@@ -292,7 +304,9 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
     clip(u + lam) with lam solved so that its mean is kept; each such clip
     is logged at DEBUG and costs one rfft2 to transform the species afresh.
     Returns (Field, trace) where trace rows are (step, total, gradient,
-    well, nonlocal) of the state itself.
+    well, nonlocal) of the state itself.  The trace is non-increasing only
+    while no clip fires: a clip is a projection onto the band, not a
+    descent step, and may raise the energy.
     Raises RuntimeError when the field norm blows up.
     """
     N = init.N
@@ -552,7 +566,8 @@ def read_field_pgm(stem: str) -> Field:
 
     Raises ValueError unless each PGM is binary (P5) with two positive
     integer dimensions, a 16-bit maxval (256..65535) and a payload of
-    exactly width * height * 2 bytes.
+    exactly width * height * 2 bytes, and (from `Field`) when a sample maps
+    outside GUARD_BAND: one above maxval, or a wider sidecar value_range.
     """
     with open(f"{stem}_meta.json") as fh:
         meta = json.load(fh)

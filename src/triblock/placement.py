@@ -123,14 +123,22 @@ def fk_gradient(layout: Layout, gamma: GammaMatrix) -> np.ndarray:
     return _pair_terms(P, _weight_matrix(M, gamma), 1)[1]
 
 
+# Evaluation counters of a descent, by derivative order.
+_EVAL_KEYS = ("energy_evals", "gradient_evals", "hessian_evals")
+
+
 def _descend(z0: np.ndarray, W: np.ndarray, gtol: float, max_rounds: int = 3):
     """Armijo gradient descent plus Newton polish on the free centers.
 
     z holds the flattened centers 1..K-1; center 0 is pinned at the
-    origin.  Returns (z, energy, grad_norm); grad_norm may exceed gtol on
-    failure.
+    origin.  Returns (z, energy, grad_norm, evals); grad_norm may exceed
+    gtol on failure, and evals counts the calls of `_pair_terms` by order
+    under the keys of _EVAL_KEYS.
     """
+    evals = dict.fromkeys(_EVAL_KEYS, 0)
+
     def terms(z, order):
+        evals[_EVAL_KEYS[order]] += 1
         out = _pair_terms(np.vstack([np.zeros(2), z.reshape(-1, 2)]), W, order)
         if order == 0:
             return out
@@ -167,7 +175,7 @@ def _descend(z0: np.ndarray, W: np.ndarray, gtol: float, max_rounds: int = 3):
         # Newton phase on the analytic Hessian.
         for _ in range(40):
             if gnorm <= gtol:
-                return z, energy, gnorm
+                return z, energy, gnorm, evals
             try:
                 delta = np.linalg.solve(terms(z, 2)[2], -grad)
             except np.linalg.LinAlgError:
@@ -190,8 +198,8 @@ def _descend(z0: np.ndarray, W: np.ndarray, gtol: float, max_rounds: int = 3):
             if not improved:
                 break
         if gnorm <= gtol:
-            return z, energy, gnorm
-    return z, energy, gnorm
+            return z, energy, gnorm, evals
+    return z, energy, gnorm, evals
 
 
 def minimize_FK(masses, gamma: GammaMatrix, restarts: int = 8, seed: int = 0,
@@ -200,9 +208,18 @@ def minimize_FK(masses, gamma: GammaMatrix, restarts: int = 8, seed: int = 0,
 
     Pinning the first point at the origin removes the two flat translation
     directions, so convergence is judged on the remaining gradient alone.
-    Raises RuntimeError with diagnostics when no restart reaches gtol,
-    and ValueError when the weights overflow (masses past about 1e154).
+    With full_output, each row of "restarts" holds the restart's energy,
+    gradient norm and its energy, gradient and Hessian evaluation counts.
+    Raises RuntimeError with diagnostics when no restart reaches gtol, and
+    ValueError when `restarts` is not a positive integer (bools refused),
+    when `gtol` is not positive and finite, or when the weights overflow
+    (masses past about 1e154).
     """
+    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) \
+            or restarts < 1:
+        raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
+    if not (gtol > 0.0 and math.isfinite(gtol)):
+        raise ValueError(f"gtol must be positive and finite, got {gtol!r}")
     M = np.asarray([(float(m[0]), float(m[1])) for m in masses], dtype=float)
     K = len(M)
     if K < 1:
@@ -230,8 +247,9 @@ def minimize_FK(masses, gamma: GammaMatrix, restarts: int = 8, seed: int = 0,
                 if len(bad) == 0:
                     break
                 zfree[bad - 1] = rng.uniform(0.0, 1.0, size=(len(bad), 2))
-        z, energy, gnorm = _descend(zfree.ravel(), W, gtol)
-        rows.append({"restart": r, "energy": energy, "grad_norm": gnorm})
+        z, energy, gnorm, evals = _descend(zfree.ravel(), W, gtol)
+        rows.append({"restart": r, "energy": energy, "grad_norm": gnorm,
+                     **evals})
         if gnorm <= gtol and (best is None or energy < best[1]):
             best = (z, energy, gnorm)
     if best is None:
@@ -307,11 +325,27 @@ def _arc(h: float, theta: float, r: float, side: float):
     return X, N, length * w, _self_pair(length, theta)
 
 
-def _cross_pair(a, b) -> float:
-    """(1/2pi) times the boundary integral of two arcs meeting at their ends."""
+def _cross_pair(a, b, work) -> float:
+    """(1/2pi) times the boundary integral of two arcs meeting at their ends.
+
+    `work` is a (2, n, n) scratch array for the node pairs, overwritten.
+    The cross pairs of a double bubble share one, so a term allocates no
+    n x n temporaries and its cost does not depend on the allocator state
+    that earlier work left behind.
+    """
     (Xa, Na, Wa, _), (Xb, Nb, Wb, _) = a, b
-    d2 = sum(np.subtract.outer(Xa[:, k], Xb[:, k]) ** 2 for k in (0, 1))
-    return float(Wa @ ((Na @ Nb.T) * d2 * (np.log(d2) - 2.0)) @ Wb) / (16.0 * math.pi)
+    d2, kern = work
+    np.subtract.outer(Xa[:, 0], Xb[:, 0], out=d2)
+    d2 *= d2
+    np.subtract.outer(Xa[:, 1], Xb[:, 1], out=kern)
+    kern *= kern
+    d2 += kern
+    np.matmul(Na, Nb.T, out=kern)
+    kern *= d2
+    np.log(d2, out=d2)
+    d2 -= 2.0
+    kern *= d2
+    return float(Wa @ kern @ Wb) / (16.0 * math.pi)
 
 
 def _self_terms(m1: float, m2: float) -> tuple:
@@ -349,10 +383,11 @@ def _unit_self_terms(m1: float, m2: float) -> tuple:
     small = _arc(g.h, g.theta1, g.r1, -1.0)
     big = _arc(g.h, g.theta2, g.r2, 1.0)
     mid = _arc(g.h, g.theta0, g.r0, 1.0)  # normals out of the small lobe
-    sm, bm = _cross_pair(small, mid), _cross_pair(big, mid)
+    work = np.empty((2, len(mid[0]), len(mid[0])))
+    sm, bm = _cross_pair(small, mid, work), _cross_pair(big, mid, work)
     f_small = small[3] + 2.0 * sm + mid[3]
     f_big = big[3] - 2.0 * bm + mid[3]
-    f_mixed = _cross_pair(small, big) - sm + bm - mid[3]
+    f_mixed = _cross_pair(small, big, work) - sm + bm - mid[3]
     return (f_big, f_small, f_mixed) if g.swapped else (f_small, f_big, f_mixed)
 
 

@@ -122,6 +122,14 @@ def test_place_two_equal_masses_diagonal(tmp_path, capsys):
     pts = result["layout"]["points"]
     diff = wrap(np.array(pts[1]) - np.array(pts[0]))
     assert np.abs(diff) == pytest.approx([0.5, 0.5], abs=1e-8)
+    # one diagnostics row per restart, with the descent's evaluation counts
+    written = json.loads((tmp_path / "pl" / "result.json").read_text())
+    rows = written["diagnostics"]["restarts"]
+    assert [row["restart"] for row in rows] == list(range(8))
+    for row in rows:
+        assert {"energy", "grad_norm", "energy_evals", "gradient_evals",
+                "hessian_evals"} <= set(row)
+        assert row["gradient_evals"] >= 1
 
 
 def test_place_with_f0_adds_closed_form_disk_terms(tmp_path, capsys):

@@ -73,12 +73,21 @@ def test_field_validation():
         Field(bad, ones, 0.1)
 
 
-def test_field_clips_to_guard_band():
-    u1 = np.full((4, 4), 7.0)
-    u2 = np.full((4, 4), -3.0)
-    f = Field(u1, u2, 0.1)
+def test_field_rejects_values_outside_guard_band():
+    # Out-of-band input is refused, never clipped (a clip would lose mass).
     lo, hi = GUARD_BAND
-    assert float(f.u1.max()) == hi and float(f.u2.min()) == lo
+    inside = np.full((4, 4), 0.5)
+    with pytest.raises(ValueError, match=r"u1 leaves the guard band.*min 7, max 7"):
+        Field(np.full((4, 4), 7.0), inside, 0.1)
+    low = inside.copy()
+    low[1, 2] = -3.0
+    with pytest.raises(ValueError, match=r"u2 leaves the guard band.*min -3, max 0.5"):
+        Field(inside, low, 0.1)
+    # the band edges themselves are accepted, and the grids are copied
+    u1, u2 = np.full((4, 4), hi), np.full((4, 4), lo)
+    f = Field(u1, u2, 0.1)
+    u1[0, 0] = 0.0
+    assert float(f.u1.min()) == hi and float(f.u2.max()) == lo
     assert f.N == 4
     assert f.max_overlap() == pytest.approx(hi + lo - 1.0)
 
@@ -692,3 +701,17 @@ def test_read_pgm_rejects_malformed_header(tmp_path, header, payload, fault):
     (tmp_path / "bad_u2.pgm").write_bytes(header + payload)
     with pytest.raises(ValueError, match=fault):
         read_field_pgm(stem)
+
+
+def test_read_pgm_refuses_samples_outside_guard_band(tmp_path):
+    # A sample above maxval maps above the band; Field refuses it rather
+    # than clipping it back.
+    stem = str(tmp_path / "bad")
+    write_field_pgm(uniform_field(2, 0.1, (0.2, 0.3)), stem)
+    (tmp_path / "bad_u2.pgm").write_bytes(b"P5\n2 2\n256\n" + b"\xff\xff" * 4)
+    with pytest.raises(ValueError, match="u2 leaves the guard band"):
+        read_field_pgm(stem)
+    # samples at 0 and maxval land exactly on the band edges
+    (tmp_path / "bad_u2.pgm").write_bytes(b"P5\n2 2\n65535\n"
+                                         + b"\x00\x00\xff\xff" * 2)
+    assert sorted(set(read_field_pgm(stem).u2.ravel())) == list(GUARD_BAND)

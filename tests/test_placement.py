@@ -236,6 +236,38 @@ class TestMinimizeFK:
             minimize_FK([(1.0, 1.0), (1.0, 1.0)], GAMMA, restarts=1, seed=0,
                         gtol=1e-30)
 
+    @pytest.mark.parametrize("restarts", [0, -1, True, 1.0, "2", None])
+    def test_restarts_must_be_positive_integer(self, restarts):
+        with pytest.raises(ValueError, match="restarts must be a positive integer"):
+            minimize_FK([(1.0, 0.5), (0.5, 1.0)], GAMMA, restarts=restarts)
+
+    @pytest.mark.parametrize("gtol", [0.0, -1e-10, float("nan"), float("inf")])
+    def test_gtol_must_be_positive_and_finite(self, gtol):
+        with pytest.raises(ValueError, match="gtol must be positive and finite"):
+            minimize_FK([(1.0, 0.5), (0.5, 1.0)], GAMMA, gtol=gtol)
+
+    def test_numpy_integer_restarts_accepted(self):
+        a = minimize_FK([(1.0, 0.5), (0.5, 1.0)], GAMMA, restarts=np.int64(2))
+        assert a == minimize_FK([(1.0, 0.5), (0.5, 1.0)], GAMMA, restarts=2)
+
+    def test_restart_rows_count_evaluations(self, monkeypatch):
+        calls = []
+        original = placement._pair_terms
+
+        def counted(P, W, order=0):
+            calls.append(order)
+            return original(P, W, order)
+
+        monkeypatch.setattr(placement, "_pair_terms", counted)
+        _, info = minimize_FK([(1.0, 0.5), (0.5, 1.0), (1.0, 0.0)], GAMMA,
+                              restarts=3, full_output=True)
+        rows = info["restarts"]
+        assert [row["restart"] for row in rows] == [0, 1, 2]
+        for key, order in (("energy_evals", 0), ("gradient_evals", 1),
+                           ("hessian_evals", 2)):
+            assert sum(row[key] for row in rows) == calls.count(order)
+            assert all(row[key] > 0 for row in rows)
+
 
 def disk_mean_log_oracle(mass):
     """Polar-quadrature oracle for the disk log-kernel energy.

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from triblock import torus_green as TG
 
@@ -104,6 +105,58 @@ def test_ewald_orders_agree_with_public_routes():
     assert np.array_equal(value, TG.green(pts))
     assert np.array_equal(value, TG._ewald(q, 1)[0])
     assert np.array_equal(grad, TG.green_gradient(pts))
+
+
+def _wide_ewald(q):
+    """Ewald value, gradient and Hessian with wide truncations: t0 = 1/16,
+    images |n|_inf <= 4 and modes |k|_inf <= 6, whose tails stay below
+    1e-30 for canonical q.  Mode sums run over the full (N, 168) phase
+    array, not over per-axis tables."""
+    t0 = 1.0 / 16.0
+    axis = np.arange(-4.0, 5.0)
+    shifts = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    axis = np.arange(-6.0, 7.0)
+    modes = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    modes = modes[np.any(modes != 0.0, axis=1)]
+    k2 = np.sum(modes * modes, axis=1)
+    coef = np.exp(-4.0 * math.pi**2 * k2 * t0) / (4.0 * math.pi**2 * k2)
+    d = q[:, None, :] + shifts
+    r2 = np.sum(d * d, axis=2)
+    e = np.exp(-r2 / (4.0 * t0))
+    phase = 2.0 * math.pi * q @ modes.T
+    value = (np.sum(exp1(r2 / (4.0 * t0)), axis=1) / (4.0 * math.pi)
+             + np.cos(phase) @ coef - t0)
+    grad = (-np.einsum("nia,ni->na", d, e / r2) / (2.0 * math.pi)
+            - 2.0 * math.pi * (np.sin(phase) * coef) @ modes)
+    radial = e * (1.0 / (2.0 * t0 * r2) + 2.0 / r2**2)
+    hess = (np.einsum("ni,ab->nab", -e / r2, np.eye(2))
+            + np.einsum("ni,nia,nib->nab", radial, d, d)) / (2.0 * math.pi) \
+        - 4.0 * math.pi**2 * np.einsum("nk,ka,kb->nab", np.cos(phase) * coef,
+                                       modes, modes)
+    return value, grad, hess
+
+
+def test_ewald_matches_wide_truncation_reference():
+    # 10^4 seeded points, the seams of the canonical square, and points
+    # within 1e-6 of the source, where G, grad G and the Hessian are large.
+    rng = np.random.default_rng(31)
+    angles = rng.uniform(0.0, 2.0 * math.pi, 8)
+    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    pts = np.concatenate([
+        rng.uniform(-0.5, 0.5, size=(10_000, 2)),
+        [[0.5, 0.5], [-0.5, 0.5], [0.5, -0.5], [-0.5, -0.5], [0.5, 0.0],
+         [0.0, 0.5], [-0.5, 0.25]],
+        *(r * ring for r in (1e-6, 1e-8, 1e-10))])
+    q = TG.wrap(pts)
+    ref = _wide_ewald(q)
+    for order in (0, 1, 2):
+        got = TG._ewald(q, order)
+        got = (got,) if order == 0 else got
+        for a, b in zip(got, ref):
+            a, b = a.reshape(len(q), -1), b.reshape(len(q), -1)
+            scale = np.maximum(1.0, np.abs(b).max(axis=1))
+            assert (np.abs(a - b).max(axis=1) / scale).max() <= 1e-14
+    assert abs(TG.R0 - TG.regular_part_zero_spectral()) <= 1e-15
 
 
 def test_gradient_zero_at_center():
