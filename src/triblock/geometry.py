@@ -424,22 +424,59 @@ def _worst_residuals(a, b, t, r0, r1, r2, h):
     return np.max(np.abs(res), axis=0)
 
 
+def _solve_pairs(m1, m2):
+    """`solve_geometry` on 1-D arrays of positive mass pairs, gated.
+
+    Solves the theta0 equation for all pairs at once: the same initial
+    guesses, Newton steps with a bisection bracket per element, the same
+    stopping rules, h from the larger lobe, the same flat interface inside
+    `SYMMETRY_TOL`, and per element the 1e-12 `geometry_residuals` gate.
+    Runs under a local errstate: the flat elements divide by sin(0).
+    Returns (p, a, b, t, h, r1, r2, flat): the perimeter, then the geometry
+    in canonical order, a and b the caller's masses, not the flat mean.
+    Raises ConvergenceError naming the first pair that fails to converge or
+    fails the gate.
+    """
+    a, b = np.minimum(m1, m2), np.maximum(m1, m2)
+    flat = 1.0 - a / b < SYMMETRY_TOL
+    t = np.zeros_like(a)
+    solved = np.ones(a.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t[~flat], solved[~flat] = _middle_angles(a[~flat], b[~flat])
+        # Flat elements: the mean-mass geometry of `solve_geometry`.
+        mbar = 0.5 * (a + b)
+        a_geo = np.where(flat, mbar, a)
+        b_geo = np.where(flat, mbar, b)
+        r_flat = np.sqrt(mbar / _seg(TWO_PI_THIRDS))
+        _, den, _, _ = _brackets_and_slopes(t)
+        h = np.where(flat, r_flat * math.sin(TWO_PI_THIRDS),
+                     np.sqrt(b_geo / den))
+        r0 = np.where(flat, np.inf, h / np.sin(t))
+        r1 = np.where(flat, r_flat, h / np.sin(TWO_PI_THIRDS - t))
+        r2 = np.where(flat, r_flat, h / np.sin(TWO_PI_THIRDS + t))
+        worst = _worst_residuals(a_geo, b_geo, t, r0, r1, r2, h)
+        middle = np.where(flat, 2.0 * h, 2.0 * h * t / np.sin(t))
+    ok = solved & (worst <= 1e-12)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ConvergenceError(
+            f"array geometry solve failed for masses ({m1[i]:g}, {m2[i]:g})")
+    p = 2.0 * ((TWO_PI_THIRDS - t) * r1 + (TWO_PI_THIRDS + t) * r2) + middle
+    return p, a, b, t, h, r1, r2, flat
+
+
 def _perimeters(m1, m2):
     """`perimeter` on broadcast arrays of nonnegative masses.
 
-    Solves the theta0 equation of `solve_geometry` for all pairs at once:
-    the same initial guesses, Newton steps with a bisection bracket per
-    element, the same stopping rules, h from the larger lobe, the same flat
-    interface inside `SYMMETRY_TOL`, and per element the 1e-12
-    `geometry_residuals` gate.  One mass zero gives the disk value, both
-    zero give 0.  Raises ValueError on negative or nonfinite masses and
-    ConvergenceError naming the first pair (in C order) that fails to
-    converge or fails the gate.
+    Pairs of two positive masses go through `_solve_pairs`; one mass zero
+    gives the disk value, both zero give 0.  Raises ValueError on negative
+    or nonfinite masses and ConvergenceError naming the first pair (in C
+    order) that fails to converge or fails the gate.
 
     The fixed numpy overhead makes a size-1 call ~0.7 ms, against ~21 us
-    for the scalar `perimeter` (2-core x86-64 Xeon, numpy 2.4), so scalar
-    callers such as `ebar` keep `perimeter`.  A 64 x 64 table takes ~6 ms,
-    against ~120 ms for 4096 scalar calls.
+    for the scalar `perimeter` (2-core x86-64 Xeon, numpy 2.4), so only
+    batch callers use it: a 64 x 64 table takes ~6 ms, against ~120 ms for
+    4096 scalar calls.
     """
     m1, m2 = np.broadcast_arrays(np.asarray(m1, dtype=float),
                                  np.asarray(m2, dtype=float))
@@ -449,40 +486,37 @@ def _perimeters(m1, m2):
         raise ValueError("masses must be finite")
     if (m1 < 0.0).any() or (m2 < 0.0).any():
         raise ValueError("masses must be nonnegative")
-    a, b = np.minimum(m1, m2), np.maximum(m1, m2)
-    out = np.zeros(a.shape)
-    ok = np.ones(a.shape, dtype=bool)
-    disk = (a == 0.0) & (b > 0.0)
-    out[disk] = 2.0 * np.sqrt(math.pi * b[disk])
-
-    pair = np.flatnonzero(a > 0.0)
-    a, b = a[pair], b[pair]
-    flat = 1.0 - a / b < SYMMETRY_TOL
-    t = np.zeros_like(a)
-    solved = np.ones(a.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t[~flat], solved[~flat] = _middle_angles(a[~flat], b[~flat])
-        # Flat elements: the mean-mass geometry of `solve_geometry`.
-        mbar = 0.5 * (a + b)
-        a = np.where(flat, mbar, a)
-        b = np.where(flat, mbar, b)
-        r_flat = np.sqrt(mbar / _seg(TWO_PI_THIRDS))
-        th1 = TWO_PI_THIRDS - t
-        th2 = TWO_PI_THIRDS + t
-        _, den, _, _ = _brackets_and_slopes(t)
-        h = np.where(flat, r_flat * math.sin(TWO_PI_THIRDS), np.sqrt(b / den))
-        r0 = np.where(flat, np.inf, h / np.sin(t))
-        r1 = np.where(flat, r_flat, h / np.sin(th1))
-        r2 = np.where(flat, r_flat, h / np.sin(th2))
-        middle = np.where(flat, 2.0 * h, 2.0 * h * t / np.sin(t))
-        worst = _worst_residuals(a, b, t, r0, r1, r2, h)
-    out[pair] = 2.0 * (th1 * r1 + th2 * r2) + middle
-    ok[pair] = solved & (worst <= 1e-12)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise ConvergenceError(
-            f"array geometry solve failed for masses ({m1[i]:g}, {m2[i]:g})")
+    out = np.zeros(m1.shape)
+    disk = (np.minimum(m1, m2) == 0.0) & (m1 + m2 > 0.0)
+    out[disk] = 2.0 * np.sqrt(math.pi * (m1[disk] + m2[disk]))
+    pair = np.flatnonzero((m1 > 0.0) & (m2 > 0.0))
+    out[pair] = _solve_pairs(m1[pair], m2[pair])[0]
     return out.reshape(shape)
+
+
+def _perimeter_derivatives(m1, m2):
+    """p, its gradient and its Hessian on 1-D arrays of positive mass pairs.
+
+    One `_solve_pairs` call; the gradient is `perimeter_gradient` and the
+    Hessian `perimeter_hessian`, elementwise.  Returns (p, p1, p2, h11,
+    h12, h22), all in the caller's order.
+    """
+    p, a, b, t, h, r1, r2, flat = _solve_pairs(m1, m2)
+    seg0, s0, c0 = _angle_terms(t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, C, dA, dC = _brackets_and_slopes(t)
+        g0 = np.where(flat, 0.0, seg0 / (s0 * s0))
+        d0 = np.where(flat, 2.0 / 3.0, 2.0 - 2.0 * seg0 * c0 / (s0 * s0 * s0))
+    s2, c2 = np.sin(TWO_PI_THIRDS + t), np.cos(TWO_PI_THIRDS + t)
+    dtheta = C / (dA - a / b * dC)
+    h12 = (2.0 * s2 - 2.0 * g0 * c2 - d0 * s2) * h * dtheta / (2.0 * b) / b
+    h_small = (-0.5 / r1 - h12 * b) / a
+    h_big = (-0.5 / r2 - h12 * a) / b
+    swapped = m1 > m2
+    return (p, np.where(swapped, 1.0 / r2, 1.0 / r1),
+            np.where(swapped, 1.0 / r1, 1.0 / r2),
+            np.where(swapped, h_big, h_small), h12,
+            np.where(swapped, h_small, h_big))
 
 
 def perimeter_gradient(m) -> tuple[float, float]:
@@ -574,8 +608,7 @@ def e0_hessian_diag(m, gamma: GammaMatrix, i: int) -> float:
     return g_ii / (2.0 * math.pi) + float(perimeter_hessian(m)[i - 1, i - 1])
 
 
-# Geometric grid of the concavity scan: anchor * 10^-3 .. anchor * 10^3.
-_SCAN_POINTS = 61
+# Bracket of the concavity threshold: anchor * 10^-3 .. anchor * 10^3.
 _SCAN_DECADES = 3.0
 
 
@@ -583,12 +616,12 @@ def concavity_threshold(gamma_ii: float, i: int = 1,
                         probe_other_mass: float = 1.0) -> float:
     """Mass where d^2 e0/d m_i^2 changes sign against a fixed partner mass.
 
-    Walks a geometric grid of `_SCAN_POINTS` points up from 1e-3 to 1e3
-    times the single-bubble inflection scale pi * gamma_ii^(-2/3), takes
-    the first negative-to-positive sign change, refines it with Brent's
-    method on the exact second derivative to a few ulps, and verifies that
-    the sign flips across +/- 1e-4 of the result.  Raises ConvergenceError
-    when no sign change lies in the scanned range.
+    Checks that the exact second derivative is negative at 1e-3 and
+    nonnegative at 1e3 times the single-bubble inflection scale
+    pi * gamma_ii^(-2/3), finds the sign change between them with one
+    Brent solve to a few ulps, and verifies that the sign flips across
+    +/- 1e-4 of the result.  Raises ConvergenceError when the two ends do
+    not bracket a sign change.
     """
     if gamma_ii <= 0.0 or not math.isfinite(gamma_ii):
         raise ValueError(f"gamma_ii must be positive, got {gamma_ii!r}")
@@ -603,18 +636,16 @@ def concavity_threshold(gamma_ii: float, i: int = 1,
         return e0_hessian_diag(pair, gamma, i)
 
     anchor = math.pi * gamma_ii ** (-2.0 / 3.0)
-    grid = anchor * np.logspace(-_SCAN_DECADES, _SCAN_DECADES, _SCAN_POINTS)
-    if hess(grid[0]) >= 0.0:
+    lo = anchor * 10.0 ** -_SCAN_DECADES
+    hi = anchor * 10.0 ** _SCAN_DECADES
+    if hess(lo) >= 0.0:
         raise ConvergenceError(
             f"second derivative already nonnegative at scan start "
-            f"{grid[0]:g}; no bracket"
+            f"{lo:g}; no bracket"
         )
-    for lo, hi in zip(grid, grid[1:]):
-        if hess(hi) >= 0.0:
-            break
-    else:
+    if hess(hi) < 0.0:
         raise ConvergenceError(
-            f"no concavity sign change in [{grid[0]:g}, {grid[-1]:g}] for "
+            f"no concavity sign change in [{lo:g}, {hi:g}] for "
             f"gamma_ii={gamma_ii:g}, probe={probe_other_mass:g}"
         )
     # A negligible xtol leaves Brent's relative tolerance in charge, so the

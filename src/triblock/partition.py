@@ -5,12 +5,13 @@ clusters: double bubbles holding both species and single disks holding one.
 Each cluster pays its blow-up energy and the best configuration minimizes
 the sum.  The search, `ebar`, is deterministic: it ranks cluster-count
 cells by the grid minimum of an equal-mass ansatz, and solves the best
-cells for their masses with constrained minimization from fixed structured
-starts, polished to a balanced first-order point.  Closed-form thresholds
-bound the structure of minimizers: their mass caps give the least cluster
-count a search must reach, and `ebar` refuses totals whose count exceeds a
-fixed bound.  A regime classifier reports which structural guarantees apply
-at given parameters.
+cells for their masses with one batched Newton iteration on the
+first-order (KKT) system, over every cell and fixed structured start at
+once, with exact second derivatives from one array geometry solve per
+evaluation.  Closed-form thresholds bound the structure of minimizers:
+their mass caps give the least cluster count a search must reach, and
+`ebar` refuses totals whose count exceeds a fixed bound.  A regime
+classifier reports which structural guarantees apply at given parameters.
 
 The oracle, `ebar_oracle`, is an independent exhaustive route that shares
 no search code: masses on a delta-grid, the energy of every grid cluster
@@ -22,32 +23,32 @@ evaluated at the answer's entry only.
 """
 
 import csv
+import logging
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import optimize
 
 from triblock.geometry import (
     GammaMatrix,
+    _perimeter_derivatives,
     _perimeters,
     concavity_threshold,
     e0,
     e0_gradient,
     perimeter,
-    perimeter_hessian,
     single_energy,
     single_energy_gradient,
-    single_energy_hessian,
 )
 
 KIND_SINGLE_1 = "single_type1"
 KIND_SINGLE_2 = "single_type2"
 KIND_DOUBLE = "double"
 _KINDS = (KIND_DOUBLE, KIND_SINGLE_1, KIND_SINGLE_2)
+
+_log = logging.getLogger(__name__)
 
 _MASS_RTOL = 1e-12
 _FLOOR_FRAC = 1e-9
@@ -248,9 +249,6 @@ def _coexistence_guaranteed(M1, M2, th, k_doubles, k_singles) -> bool:
 _TOP_CELLS = 24
 # Points per axis of the ansatz grid of double lobe pairs.
 _ANSATZ_GRID = 48
-# Cells with more clusters than this solve one shared group per kind plus
-# one free cluster of each kind.
-_FULL_DIM_LIMIT = 14
 # ebar refuses totals whose mass caps force more clusters than this.
 _MAX_CLUSTERS = 64
 
@@ -393,297 +391,271 @@ def _candidate_cells(M, gamma, th):
 
 
 # ---------------------------------------------------------------------------
-# Exact inner solve for one cluster-count cell.
+# Exact inner solve: one batched KKT Newton over every (cell, start) row.
 
-def _groups_for_counts(counts):
-    """Cluster groups (count, kind).  Small cells give every cluster its own
-    group; large cells use one shared group plus one free cluster per kind,
-    matching the structure results that allow at most one exceptional
-    cluster of each sort."""
-    kd, ks1, ks2 = counts
-    if kd + ks1 + ks2 <= _FULL_DIM_LIMIT:
-        return ([(1, KIND_DOUBLE)] * kd + [(1, KIND_SINGLE_1)] * ks1
-                + [(1, KIND_SINGLE_2)] * ks2)
-    groups = []
-    for n, kind in ((kd, KIND_DOUBLE), (ks1, KIND_SINGLE_1),
-                    (ks2, KIND_SINGLE_2)):
-        if n >= 2:
-            groups.append((n - 1, kind))
-        if n >= 1:
-            groups.append((1, kind))
-    return groups
+# A row holds eight slot masses in a fixed layout and one multiplier per
+# species.  Per kind, all but one cluster share a group and the last is
+# free, as the structure results allow at most one exceptional cluster of
+# each sort.  A double group fills a species-1 and a species-2 slot, a
+# single group one slot: (shared, free) doubles, then type-1, then type-2
+# singles.
+_GROUP_SLOTS = ((0, 1), (2, 3), (4, None), (5, None), (None, 6), (None, 7))
+_NSLOT = 8
+_SLOT_SPECIES = np.array([0, 1, 0, 1, 0, 0, 1, 1])
+_DOUBLE_SLOT = np.arange(_NSLOT) < 4
+_FREE_SLOT = np.array([0, 0, 1, 1, 0, 1, 0, 1], dtype=bool)
+# Newton iterations before a row that has not converged is left as it is.
+_NEWTON_ITERS = 50
 
 
-def _group_var_indices(groups):
-    """Per group, the variable index of each species slot (None if absent)."""
-    idx = []
-    j = 0
-    for _, kind in groups:
-        if kind == KIND_DOUBLE:
-            idx.append((j, j + 1))
-            j += 2
-        elif kind == KIND_SINGLE_1:
-            idx.append((j, None))
-            j += 1
-        else:
-            idx.append((None, j))
-            j += 1
-    return idx, j
+def _slot_weights(counts):
+    """Clusters in each slot's group for cluster counts (kd, ks1, ks2)."""
+    n = np.repeat(counts, (4, 2, 2))
+    free, shared = np.minimum(n, 1), np.maximum(n - 1, 0)
+    return np.where(_FREE_SLOT, free, shared).astype(float)
 
 
-def _group_masses(z, groups, idx):
-    out = []
-    for (n, kind), (ix, iy) in zip(groups, idx):
-        out.append((n, kind, z[ix] if ix is not None else 0.0,
-                    z[iy] if iy is not None else 0.0))
-    return out
-
-
-def _cell_seeds(groups, idx, nvar, M, hint):
-    """Starting vectors: equal splits within each kind, the doubles taking
-    half, 95% or 5% of each species (all of it when there are no singles),
-    plus the ansatz lobe pair for every double when a hint is given."""
-    M1, M2 = M
-    mult1 = sum(n for (n, kind), (ix, _) in zip(groups, idx) if ix is not None)
-    mult2 = sum(n for (n, kind), (_, iy) in zip(groups, idx) if iy is not None)
-    seeds = []
+def _cell_seeds(w, M, hint):
+    """Start rows (multipliers 0): equal splits within each kind, the
+    doubles taking half, 95% or 5% of each species (all of it when there
+    are no singles), plus the ansatz lobe pair for every double when a hint
+    is given."""
+    held = w > 0.0
+    dbl = [held & _DOUBLE_SLOT & (_SLOT_SPECIES == s) for s in (0, 1)]
+    sgl = [held & ~_DOUBLE_SLOT & (_SLOT_SPECIES == s) for s in (0, 1)]
 
     def assemble(frac_doubles):
-        """Species mass splits: doubles take the given fraction, equal
-        within each kind."""
-        z = np.zeros(nvar)
-        d_mult1 = sum(n for (n, kind), (ix, _) in zip(groups, idx)
-                      if kind == KIND_DOUBLE and ix is not None)
-        d_mult2 = sum(n for (n, kind), (_, iy) in zip(groups, idx)
-                      if kind == KIND_DOUBLE and iy is not None)
-        s_mult1 = mult1 - d_mult1
-        s_mult2 = mult2 - d_mult2
-        f1 = frac_doubles if s_mult1 > 0 else 1.0
-        f2 = frac_doubles if s_mult2 > 0 else 1.0
-        if d_mult1 == 0:
-            f1 = 0.0
-        if d_mult2 == 0:
-            f2 = 0.0
-        for (n, kind), (ix, iy) in zip(groups, idx):
-            if ix is not None:
-                pool = M1 * (f1 if kind == KIND_DOUBLE else 1.0 - f1)
-                z[ix] = pool / (d_mult1 if kind == KIND_DOUBLE else s_mult1)
-            if iy is not None:
-                pool = M2 * (f2 if kind == KIND_DOUBLE else 1.0 - f2)
-                z[iy] = pool / (d_mult2 if kind == KIND_DOUBLE else s_mult2)
-        return z
+        m = np.zeros(_NSLOT)
+        for s in (0, 1):
+            d, g = w[dbl[s]].sum(), w[sgl[s]].sum()
+            f = 0.0 if d == 0 else (frac_doubles if g > 0 else 1.0)
+            if d:
+                m[dbl[s]] = M[s] * f / d
+            if g:
+                m[sgl[s]] = M[s] * (1.0 - f) / g
+        return m
 
-    has_doubles = any(kind == KIND_DOUBLE for _, kind in groups)
-    has_singles = any(kind != KIND_DOUBLE for _, kind in groups)
+    has_doubles = held[_DOUBLE_SLOT].any()
+    has_singles = held[~_DOUBLE_SLOT].any()
     if has_doubles and has_singles:
-        for frac in (0.5, 0.95, 0.05):
-            seeds.append(assemble(frac))
+        seeds = [assemble(frac) for frac in (0.5, 0.95, 0.05)]
     else:
-        seeds.append(assemble(1.0 if has_doubles else 0.0))
-
+        seeds = [assemble(1.0 if has_doubles else 0.0)]
     if hint is not None and has_doubles:
-        z = assemble(0.5)
-        used1 = used2 = 0.0
-        for (n, kind), (ix, iy) in zip(groups, idx):
-            if kind == KIND_DOUBLE:
-                z[ix] = hint[0]
-                z[iy] = hint[1]
-                used1 += n * hint[0]
-                used2 += n * hint[1]
-        rest1 = max(M1 - used1, 0.0)
-        rest2 = max(M2 - used2, 0.0)
-        s_mult1 = sum(n for (n, kind), _ in zip(groups, idx)
-                      if kind == KIND_SINGLE_1)
-        s_mult2 = sum(n for (n, kind), _ in zip(groups, idx)
-                      if kind == KIND_SINGLE_2)
-        if (s_mult1 > 0 or rest1 == 0.0) and (s_mult2 > 0 or rest2 == 0.0):
-            for (n, kind), (ix, iy) in zip(groups, idx):
-                if kind == KIND_SINGLE_1:
-                    z[ix] = rest1 / s_mult1
-                elif kind == KIND_SINGLE_2:
-                    z[iy] = rest2 / s_mult2
-            seeds.append(z)
-
-    return seeds
+        m = assemble(0.5)
+        fits = True
+        for s in (0, 1):
+            m[dbl[s]] = hint[s]
+            rest = max(M[s] - (w[dbl[s]] * hint[s]).sum(), 0.0)
+            g = w[sgl[s]].sum()
+            if g:
+                m[sgl[s]] = rest / g
+            fits = fits and (g > 0 or rest == 0.0)
+        if fits:
+            seeds.append(m)
+    return [np.concatenate([m, np.zeros(2)]) for m in seeds]
 
 
-def _solve_cell(counts, M, gamma, hint=None):
-    """Best masses for fixed cluster counts.  Returns (value, clusters) or
-    None when the cell is infeasible or every start failed."""
-    M1, M2 = M
-    groups = _groups_for_counts(counts)
-    if not groups:
-        return None
-    idx, nvar = _group_var_indices(groups)
-    floor1 = _FLOOR_FRAC * M1
-    floor2 = _FLOOR_FRAC * M2
-    bounds = []
-    c1 = np.zeros(nvar)
-    c2 = np.zeros(nvar)
-    for (n, kind), (ix, iy) in zip(groups, idx):
-        if ix is not None:
-            bounds.append((floor1, M1))
-            c1[ix] = n
-        if iy is not None:
-            bounds.append((floor2, M2))
-            c2[iy] = n
-    cons = []
-    if c1.any():
-        cons.append({"type": "eq", "fun": lambda z: c1 @ z - M1,
-                     "jac": lambda z: c1})
-    if c2.any():
-        cons.append({"type": "eq", "fun": lambda z: c2 @ z - M2,
-                     "jac": lambda z: c2})
+def _kkt(t, act, w, M, gamma):
+    """(F, J, energy, geometry calls) of the KKT system of every row.
 
-    def fun(z):
-        tot = 0.0
-        for n, kind, x, y in _group_masses(z, groups, idx):
-            tot += n * _cell_energy(x, y, gamma)
-        return tot
-
-    def jac(z):
-        g = np.zeros(nvar)
-        for (n, kind), (ix, iy) in zip(groups, idx):
-            gx, gy = _cell_gradient(z[ix] if ix is not None else 0.0,
-                                    z[iy] if iy is not None else 0.0, gamma)
-            if ix is not None:
-                g[ix] = n * gx
-            if iy is not None:
-                g[iy] = n * gy
-        return g
-
-    scale = M1 + M2
-    best = None
-    seeds = _cell_seeds(groups, idx, nvar, M, hint)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    for z0 in seeds:
-        z0 = np.clip(z0, lo, hi)
-        # A start fails through its result (mass sums off, a non-finite
-        # value), never by raising; an exception is a defect and propagates.
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", message="Values in x were outside bounds")
-            res = optimize.minimize(fun, z0, jac=jac, bounds=bounds,
-                                    constraints=cons, method="SLSQP",
-                                    options={"maxiter": 250, "ftol": 1e-12})
-        z = np.clip(res.x, lo, hi)
-        if abs(c1 @ z - M1) > 1e-7 * max(scale, 1.0):
-            continue
-        if abs(c2 @ z - M2) > 1e-7 * max(scale, 1.0):
-            continue
-        v = fun(z)
-        if not math.isfinite(v):
-            continue
-        if best is None or v < best[0]:
-            best = (v, z)
-    if best is None:
-        return None
-    z = _kkt_polish(best[1], groups, idx, M, gamma)
-    clusters = []
-    for n, kind, x, y in _group_masses(z, groups, idx):
-        for _ in range(n):
-            clusters.append([x, y])
-    return (fun(z), clusters)
-
-
-# Newton iterations of `_kkt_polish`.
-_POLISH_ITERS = 10
-
-
-def _kkt_polish(z, groups, idx, M, gamma):
-    """Newton-polish the first-order system: species derivatives equal
-    within each species across interior slots, mass sums exact.
-
-    The unknowns are the interior slot masses and one multiplier per
-    species.  The Jacobian is exact: each group puts its cluster's energy
-    Hessian on its own slots (`perimeter_hessian` plus Gamma/(2 pi) for a
-    double, `single_energy_hessian` for a single), with -1 in the
-    multiplier columns and the group sizes in the mass rows.
+    Per active slot F is the cluster's energy derivative in that species
+    minus the species multiplier; per species, the mass sum minus M_s.  J
+    is exact: a double with both lobes active puts p's Hessian plus
+    Gamma/(2 pi) on its two slots, from one `_perimeter_derivatives` call
+    for all such doubles; a lone lobe or a single is a disk.  J has -1 in
+    the multiplier columns and the group sizes in the mass rows.  Inactive
+    slots, and the multiplier of a species with no active slot, are
+    identity rows with F = 0.
     """
-    z = np.array(z, dtype=float)
-    scale = max(M[0] + M[1], 1e-300)
-    slots = []  # (variable index, species, group size)
-    cells = []  # per group with interior slots: {species: position in slots}
-    for (n, kind), pair in zip(groups, idx):
-        cell = {}
-        for species, iv in enumerate(pair):
-            # the floor is relative to the slot's own species total
-            if iv is not None and z[iv] > 4.0 * _FLOOR_FRAC * M[species]:
-                cell[species] = len(slots)
-                slots.append((iv, species, n))
-            elif iv is not None:
-                z[iv] = 0.0
-        if cell:
-            cells.append(cell)
-    if not slots:
-        return z
-    ns = len(slots)
-    present = sorted({s for _, s, _ in slots})
-    base = np.zeros((ns + len(present),) * 2)  # multiplier columns, mass rows
-    for k, (_, s, n) in enumerate(slots):
-        lam = ns + present.index(s)
-        base[k, lam], base[lam, k] = -1.0, n
-    gamma_block = np.array([[gamma.g11, gamma.g12],
-                            [gamma.g12, gamma.g22]]) / (2.0 * math.pi)
+    R = len(t)
+    m, lam = t[:, :_NSLOT], t[:, _NSLOT:]
+    two_pi = 2.0 * math.pi
+    grad = np.zeros((R, _NSLOT))
+    hess = np.ones((R, _NSLOT))
+    energy = np.zeros((R, _NSLOT))
+    J = np.zeros((R, _NSLOT + 2, _NSLOT + 2))
+    double = act[:, 0:4:2] & act[:, 1:4:2]
+    calls = int(double.any())
+    r, g = np.nonzero(double)
+    if calls:
+        s1, s2 = 2 * g, 2 * g + 1
+        x, y = m[r, s1], m[r, s2]
+        p, p1, p2, h11, h12, h22 = _perimeter_derivatives(x, y)
+        grad[r, s1] = p1 + (gamma.g11 * x + gamma.g12 * y) / two_pi
+        grad[r, s2] = p2 + (gamma.g12 * x + gamma.g22 * y) / two_pi
+        hess[r, s1] = h11 + gamma.g11 / two_pi
+        hess[r, s2] = h22 + gamma.g22 / two_pi
+        J[r, s1, s2] = J[r, s2, s1] = h12 + gamma.g12 / two_pi
+        energy[r, s1] = w[r, s1] * (
+            p + (gamma.g11 * x * x + 2.0 * gamma.g12 * x * y
+                 + gamma.g22 * y * y) / (2.0 * two_pi))
+    disk = act.copy()
+    disk[:, :4] &= ~np.repeat(double, 2, axis=1)
+    r, k = np.nonzero(disk)
+    x = m[r, k]
+    gii = np.array([gamma.g11, gamma.g22])[_SLOT_SPECIES[k]]
+    grad[r, k] = np.sqrt(math.pi / x) + gii * x / two_pi
+    hess[r, k] = gii / two_pi - 0.5 * math.sqrt(math.pi) * x ** -1.5
+    energy[r, k] = w[r, k] * (2.0 * np.sqrt(math.pi * x)
+                              + gii * x * x / (2.0 * two_pi))
 
-    def masses(t, cell):
-        return [t[cell[s]] if s in cell else 0.0 for s in (0, 1)]
+    F = np.zeros((R, _NSLOT + 2))
+    F[:, :_NSLOT] = np.where(act, grad - lam[:, _SLOT_SPECIES], 0.0)
+    slot = np.arange(_NSLOT)
+    J[:, slot, slot] = np.where(act, hess, 1.0)
+    J[:, slot, _NSLOT + _SLOT_SPECIES] = np.where(act, -1.0, 0.0)
+    J[:, _NSLOT + _SLOT_SPECIES, slot] = np.where(act, w, 0.0)
+    for s in (0, 1):
+        on = act & (_SLOT_SPECIES == s)
+        held = on.any(axis=1)
+        F[:, _NSLOT + s] = np.where(held, (w * m * on).sum(axis=1) - M[s], 0.0)
+        J[:, _NSLOT + s, _NSLOT + s] = ~held
+    return F, J, energy.sum(axis=1), calls
 
-    def residual(t):
-        out = base @ t
-        out[ns:] -= [M[s] for s in present]
-        for cell in cells:
-            g = _cell_gradient(*masses(t, cell), gamma)
-            for s, k in cell.items():
-                out[k] += g[s]
+
+def _trial(cand, act, w, M, gamma):
+    """`_kkt` at candidate rows; a candidate with a non-finite entry or an
+    active slot outside (0, M_s] gets an infinite residual norm."""
+    R = len(cand)
+    F = np.zeros((R, _NSLOT + 2))
+    J = np.zeros((R, _NSLOT + 2, _NSLOT + 2))
+    energy = np.full(R, np.inf)
+    norm = np.full(R, np.inf)
+    m = cand[:, :_NSLOT]
+    valid = np.isfinite(cand).all(axis=1) & np.where(
+        act, (m > 0.0) & (m <= M[_SLOT_SPECIES]), True).all(axis=1)
+    i = np.flatnonzero(valid)
+    calls = 0
+    if i.size:
+        F[i], J[i], energy[i], calls = _kkt(cand[i], act[i], w[i], M, gamma)
+        norm[i] = np.linalg.norm(F[i], axis=1)
+    return F, J, energy, norm, calls
+
+
+def _newton_steps(J, F):
+    """-J^-1 F per row; a singular row gets a nan step."""
+    try:
+        return -np.linalg.solve(J, F[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(F.shape, np.nan)
+        for i in range(len(F)):
+            try:
+                out[i] = -np.linalg.solve(J[i], F[i])
+            except np.linalg.LinAlgError:
+                pass
         return out
 
-    def jacobian(t):
-        J = base.copy()
-        for cell in cells:
-            m = masses(t, cell)
-            if len(cell) == 2:
-                ks = [cell[0], cell[1]]
-                J[np.ix_(ks, ks)] = perimeter_hessian(m) + gamma_block
-            else:
-                (s, k), = cell.items()
-                J[k, k] = single_energy_hessian(m[s], gamma.diag(s + 1))
-        return J
 
-    t = np.zeros(len(base))
-    t[:ns] = [z[iv] for iv, _, _ in slots]
-    g0 = residual(t)
-    for j, s in enumerate(present):
-        t[ns + j] = np.mean([g0[k] for k, sl in enumerate(slots) if sl[1] == s])
+def _newton(t, w, M, gamma):
+    """Newton on the KKT system of every row at once.
 
-    f = residual(t)
-    fnorm = np.linalg.norm(f)
-    for _ in range(_POLISH_ITERS):
-        if fnorm <= 1e-13 * max(1.0, scale):
+    A slot starts active above 4 _FLOOR_FRAC M_s and each multiplier at
+    the mean derivative of its species' active slots.  Every step takes
+    F and J at the full Newton step of each live row; rows whose residual
+    norm did not fall try the damps 1/2 .. 1/32 together and take the
+    largest that lowers it.  A row with no such damp drops the active slots
+    that its full step put at or below 4 _FLOOR_FRAC M_s (a double becomes
+    a single, a single vanishes) and goes on, or else stops.  A row stops
+    once ||F|| <= 1e-13 max(1, M1 + M2).  Returns (t, energy, residual
+    norm, stats).
+    """
+    M = np.asarray(M, dtype=float)
+    floor = 4.0 * _FLOOR_FRAC * M[_SLOT_SPECIES]
+    t = t.copy()
+    act = (w > 0.0) & (t[:, :_NSLOT] > floor)
+    t[:, :_NSLOT] = np.where(act, t[:, :_NSLOT], 0.0)
+    F, J, energy, calls = _kkt(t, act, w, M, gamma)
+    for s in (0, 1):
+        on = act & (_SLOT_SPECIES == s)
+        lam = (np.where(on, F[:, :_NSLOT], 0.0).sum(axis=1)
+               / np.maximum(on.sum(axis=1), 1))
+        t[:, _NSLOT + s] = lam
+        F[:, :_NSLOT] -= np.where(on, lam[:, None], 0.0)
+    fnorm = np.linalg.norm(F, axis=1)
+    tol = 1e-13 * max(1.0, M[0] + M[1])
+    live = np.ones(len(t), dtype=bool)
+    damps = 0.5 ** np.arange(1, 6)
+    iters = 0
+    for _ in range(_NEWTON_ITERS):
+        live &= fnorm > tol
+        rows = np.flatnonzero(live)
+        if not rows.size:
             break
-        try:
-            step = np.linalg.solve(jacobian(t), -f)
-        except np.linalg.LinAlgError:
-            break
-        damp = 1.0
-        improved = False
-        for _ in range(6):
-            tn = t + damp * step
-            if np.any(tn[:ns] <= 0.0):
-                damp *= 0.5
-                continue
-            fn = residual(tn)
-            if np.linalg.norm(fn) < fnorm:
-                t, f, fnorm = tn, fn, np.linalg.norm(fn)
-                improved = True
-                break
-            damp *= 0.5
-        if not improved:
-            break
-    for k, (iv, _, _) in enumerate(slots):
-        z[iv] = t[k]
-    return z
+        iters += 1
+        step = _newton_steps(J[rows], F[rows])
+        full = t[rows] + step
+        F1, J1, e1, n1, c = _trial(full, act[rows], w[rows], M, gamma)
+        calls += c
+        won = n1 < fnorm[rows]
+        k = rows[won]
+        t[k], F[k], J[k], energy[k], fnorm[k] = (
+            full[won], F1[won], J1[won], e1[won], n1[won])
+        back, full, step = rows[~won], full[~won], step[~won]
+        if not back.size:
+            continue
+        cand = (t[back] + damps[:, None, None] * step).reshape(-1, _NSLOT + 2)
+        reps = (len(damps), 1)
+        F2, J2, e2, n2, c = _trial(cand, np.tile(act[back], reps),
+                                   np.tile(w[back], reps), M, gamma)
+        calls += c
+        better = n2.reshape(len(damps), back.size) < fnorm[back]
+        took = better.any(axis=0)
+        first = np.argmax(better, axis=0)[took]
+        pick = first * back.size + np.flatnonzero(took)
+        k = back[took]
+        t[k], F[k], J[k], energy[k], fnorm[k] = (
+            cand[pick], F2[pick], J2[pick], e2[pick], n2[pick])
+        stuck = back[~took]
+        drop = act[stuck] & (full[~took, :_NSLOT] <= floor)
+        live[stuck] = drop.any(axis=1)
+        act[stuck] &= ~drop
+        t[stuck, :_NSLOT] = np.where(drop, 0.0, t[stuck, :_NSLOT])
+        k = stuck[live[stuck]]
+        if k.size:
+            F[k], J[k], energy[k], fnorm[k], c = _trial(t[k], act[k], w[k],
+                                                        M, gamma)
+            calls += c
+    stats = {"rows": len(t), "converged": int(np.sum(fnorm <= tol)),
+             "iterations": iters, "geometry_calls": calls}
+    return t, energy, fnorm, stats
+
+
+def _solve_cells(cells, M, gamma):
+    """Raw cluster masses of each cell's best row, or None where no row
+    keeps the mass sums to 1e-7 with a finite energy; and the solve's
+    statistics, with the worst residual norm over the kept rows."""
+    starts, weights, owner = [], [], []
+    for c, (counts, hint) in enumerate(cells):
+        w = _slot_weights(counts)
+        for t in _cell_seeds(w, M, hint):
+            starts.append(t)
+            weights.append(w)
+            owner.append(c)
+    w, owner = np.array(weights), np.array(owner)
+    t, energy, fnorm, stats = _newton(np.array(starts), w, M, gamma)
+    gap = 1e-7 * max(M[0] + M[1], 1.0)
+    ok = np.isfinite(energy)
+    for s in (0, 1):
+        mass = (w * t[:, :_NSLOT])[:, _SLOT_SPECIES == s].sum(axis=1)
+        ok &= np.abs(mass - M[s]) <= gap
+    out = []
+    worst = 0.0
+    for c in range(len(cells)):
+        mine = np.flatnonzero((owner == c) & ok)
+        if not mine.size:
+            out.append(None)
+            continue
+        k = mine[np.argmin(energy[mine])]
+        worst = max(worst, float(fnorm[k]))
+        clusters = []
+        for pair in _GROUP_SLOTS:
+            x, y = (float(t[k, s]) if s is not None else 0.0 for s in pair)
+            n = int(w[k, pair[0] if pair[0] is not None else pair[1]])
+            clusters += [[x, y] for _ in range(n)]
+        out.append(clusters)
+    stats["worst_residual"] = worst
+    return out, stats
 
 
 def _finalize(raw_clusters, M, gamma):
@@ -736,12 +708,16 @@ def ebar(M, gamma: GammaMatrix):
     """Best found splitting of the total masses into droplet clusters.
 
     Returns (value, Configuration).  The search is deterministic: it ranks
-    cluster-count cells by the grid minimum of an equal-mass ansatz, solves
-    the best-ranked cells with constrained minimization from fixed
-    structured starts, polishes each cell's best point to a balanced
-    first-order point.  Among values within 1e-10 relative of the best it
-    takes the smallest derivative spread of `check_necessary_conditions`,
-    then fewer clusters, then lexicographically larger leading masses.
+    cluster-count cells by the grid minimum of an equal-mass ansatz, and
+    solves the best-ranked cells by Newton's method on the first-order
+    system (equal species derivatives, exact mass sums), for every cell and
+    fixed structured start in one batch.  Each cell keeps its lowest-energy
+    start.  Among values within 1e-10 relative of the best it takes the
+    smallest derivative spread of `check_necessary_conditions`, then fewer
+    clusters, then lexicographically larger leading masses.
+    Logs one DEBUG line per call to the "triblock.partition" logger: rows,
+    rows converged, Newton iterations, array geometry calls and the worst
+    residual of the kept rows.
 
     No droplet or lobe of a minimizer is heavier than the mass cap of its
     species (`thresholds`), so species i needs at least ceil(M_i / cap_i)
@@ -759,15 +735,17 @@ def ebar(M, gamma: GammaMatrix):
         raise ValueError(
             f"the mass caps need at least {needed} clusters, over the "
             f"search bound of {_MAX_CLUSTERS}")
+    solved, stats = _solve_cells(_candidate_cells((M1, M2), gamma, th),
+                                 (M1, M2), gamma)
+    _log.debug("ebar M=(%g, %g): %d rows, %d converged, %d Newton "
+               "iterations, %d geometry calls, worst kept KKT residual %.3e",
+               M1, M2, stats["rows"], stats["converged"], stats["iterations"],
+               stats["geometry_calls"], stats["worst_residual"])
     results = []
-    for counts, hint in _candidate_cells((M1, M2), gamma, th):
-        out = _solve_cell(counts, (M1, M2), gamma, hint)
-        if out is None:
-            continue
-        fin = _finalize(out[1], (M1, M2), gamma)
-        if fin is None:
-            continue
-        results.append(fin)
+    for raw in solved:
+        fin = None if raw is None else _finalize(raw, (M1, M2), gamma)
+        if fin is not None:
+            results.append(fin)
     if not results:
         raise RuntimeError(f"no feasible configuration found for M={M!r}")
     results.sort(key=lambda vc: vc[0])

@@ -211,13 +211,17 @@ def minimize_FK(masses, gamma: GammaMatrix, restarts: int = 8, seed: int = 0,
     With full_output, each row of "restarts" holds the restart's energy,
     gradient norm and its energy, gradient and Hessian evaluation counts.
     Raises RuntimeError with diagnostics when no restart reaches gtol, and
-    ValueError when `restarts` is not a positive integer (bools refused),
-    when `gtol` is not positive and finite, or when the weights overflow
-    (masses past about 1e154).
+    ValueError when `restarts` is not a positive integer or `seed` not a
+    non-negative integer (bools refused for both), when `gtol` is not
+    positive and finite, or when the weights overflow (masses past about
+    1e154).
     """
     if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) \
             or restarts < 1:
         raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not (gtol > 0.0 and math.isfinite(gtol)):
         raise ValueError(f"gtol must be positive and finite, got {gtol!r}")
     M = np.asarray([(float(m[0]), float(m[1])) for m in masses], dtype=float)

@@ -405,3 +405,40 @@ def test_e0_hessian_diag_is_exact_sum():
         H = G.perimeter_hessian(m)
         assert G.e0_hessian_diag(m, gamma, 1) == 2.0 / (2.0 * math.pi) + H[0, 0]
         assert G.e0_hessian_diag(m, gamma, 2) == 0.5 / (2.0 * math.pi) + H[1, 1]
+
+
+_LOG_RATIO = st.floats(-12.0, 0.0)
+_LOG_SCALE = st.floats(-6.0, 6.0)
+
+
+@given(pairs=st.lists(st.tuples(_LOG_RATIO, _LOG_SCALE, st.booleans()),
+                      min_size=1, max_size=8))
+def test_perimeter_derivatives_match_scalar_routines(pairs):
+    # One array call, masses in either order and mixed in one batch, gives
+    # per element the value, gradient and Hessian of the scalar routines.
+    # The flat band (M1 = M2 and 1 +/- 1e-11) rides along in every batch.
+    m = [(10.0 ** (lr + ls), 10.0 ** ls) for lr, ls, _ in pairs]
+    m = [pair[::-1] if swap else pair for pair, (_, _, swap) in zip(m, pairs)]
+    m += [(2.0, 2.0), (1.0 + 1e-11, 1.0), (1.0, 1.0 - 1e-11)]
+    m1, m2 = np.array(m).T
+    got = np.column_stack(G._perimeter_derivatives(m1, m2))
+    for pair, row in zip(m, got):
+        H = G.perimeter_hessian(pair)
+        want = np.array([G.perimeter(pair), *G.perimeter_gradient(pair),
+                         H[0, 0], H[0, 1], H[1, 1]])
+        assert np.all(np.abs(row - want) <= 1e-13 * np.abs(want)), (pair, row, want)
+
+
+def test_concavity_threshold_refuses_a_range_without_sign_change(monkeypatch):
+    # Roots sit at 0.73-1.0 times the inflection scale; a range of
+    # 10^(+/-0.05) around it misses the root of a heavy partner, which
+    # leaves the second derivative nonnegative at both ends.
+    assert G.concavity_threshold(1.0, 1, 10.0) < math.pi * 10.0 ** -0.05
+    monkeypatch.setattr(G, "_SCAN_DECADES", 0.05)
+    G.concavity_threshold(1.0, 1, 1.0)  # root inside the narrow range
+    with pytest.raises(G.ConvergenceError, match="no bracket"):
+        G.concavity_threshold(1.0, 1, 10.0)
+    # A second derivative negative at both ends brackets nothing either.
+    monkeypatch.setattr(G, "e0_hessian_diag", lambda m, gamma, i: -1.0)
+    with pytest.raises(G.ConvergenceError, match="no concavity sign change"):
+        G.concavity_threshold(1.0, 1, 1.0)

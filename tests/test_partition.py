@@ -1,6 +1,8 @@
 """Tests for the cluster-splitting search and its quantized oracle."""
 
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -356,8 +358,8 @@ def test_min_plus_small_buffer_and_many_blocks(monkeypatch):
     assert np.array_equal(partition._min_plus(A, B), _min_plus_reference(A, B))
 
 
-def test_solve_cell_propagates_programming_errors(monkeypatch):
-    # A failed restart is dropped by its result; a TypeError from the
+def test_ebar_propagates_programming_errors(monkeypatch):
+    # A failed start is dropped by its result; a TypeError from the
     # energy is a defect and must reach the caller.
     def broken(m1, m2, gamma):
         raise TypeError("broken cell energy")
@@ -510,3 +512,97 @@ def test_write_sweep_csv_deterministic(tmp_path):
     empty = tmp_path / "empty.csv"
     write_sweep_csv(empty, [], columns=["m1", "m2", "energy"])
     assert empty.read_text() == "m1,m2,energy\n"
+
+
+# Values and cluster counts (doubles, type-1 singles, type-2 singles) that
+# ebar gave with the SLSQP search the batched Newton solve replaced; the
+# Newton solve must reproduce them.  "coexist" is criterion 06's
+# coexistence total.
+_PINNED = [
+    ((101.0, 101.0), (1.0, 1.0, 41.0), 381.78954447822287, (0, 13, 13)),
+    ((1.0, 1.0), (1.0, 1.0, 0.1), 6.53419969136083, (1, 0, 0)),
+    ("coexist", (1.0, 1.0, 0.0), 664.8433548748119, (4, 0, 37)),
+    ((200.0, 170.0), (1.0, 1.0, 2.0), 699.3069215413375, (0, 25, 21)),
+    ((300.0, 300.0), (1.0, 1.0, 2.0), 1133.9310564185225, (0, 38, 38)),
+    ((1e-08, 1.0), (1.0, 1.0, 0.0), 3.624706845901018, (1, 0, 0)),
+    ((1e-09, 1.0), (1.0, 1.0, 0.5), 3.6245552705337603, (1, 0, 0)),
+    ((1e-10, 1.0), (1.0, 1.0, 0.0), 3.6245073398138086, (1, 0, 0)),
+    ((0.75, 1.25), (1.0, 1.0, 0.0), 6.490508687275532, (1, 0, 0)),
+    ((1.0, 1.0), (4.0, 4.0, 6.0), 7.726435175989645, (0, 1, 1)),
+    ((1.25, 0.75), (8.0, 2.0, 0.5), 7.480253489628256, (1, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("M, gg, value, counts", _PINNED)
+def test_ebar_matches_pinned_values(M, gg, value, counts):
+    if M == "coexist":
+        m1 = 1.02 * thresholds(G_PLAIN).max_mass[0]
+        M = (m1, 1.02 * coexistence_bounds(G_PLAIN, 1, 1, m1=m1)[1])
+    got, conf = ebar(M, GammaMatrix(*gg))
+    assert got == pytest.approx(value, rel=1e-12)
+    assert tuple(conf.counts().values()) == counts
+
+
+def test_kkt_jacobian_is_the_derivative_of_the_residual():
+    # Central differences of F against the exact J, on rows with two
+    # doubles, a double with one live lobe (a disk) and singles of both
+    # species; g12 > 0 so the Gamma block shows off the diagonal.
+    g = GammaMatrix(4.0, 2.0, 3.0)
+    M = np.array([1.3, 0.9])
+    w = np.array([[2, 2, 1, 1, 1, 1, 3, 1], [0, 0, 1, 1, 0, 1, 0, 1]], float)
+    act = np.array([[1, 1, 1, 1, 1, 1, 1, 1], [0, 0, 1, 0, 0, 1, 0, 1]], bool)
+    t = np.array([[0.2, 0.1, 0.3, 0.05, 0.15, 0.25, 0.1, 0.3, 1.7, 2.2],
+                  [0.0, 0.0, 0.6, 0.0, 0.0, 0.7, 0.0, 0.9, 1.1, 2.9]])
+    _, J, _, _ = partition._kkt(t, act, w, M, g)
+    # inactive slots are identity rows, not derivatives
+    live = np.hstack([act, np.ones((2, 2), bool)])
+    J = np.where(live[:, :, None], J, 0.0)
+    for j in range(t.shape[1]):
+        h = 1e-6 * np.maximum(np.abs(t[:, j]), 1.0)
+        up, down = t.copy(), t.copy()
+        up[:, j] += h
+        down[:, j] -= h
+        Fu = partition._kkt(up, act, w, M, g)[0]
+        Fd = partition._kkt(down, act, w, M, g)[0]
+        fd = (Fu - Fd) / (2.0 * h[:, None])
+        assert np.allclose(J[:, :, j], fd, rtol=1e-6, atol=1e-6), j
+
+
+def test_rows_driven_to_the_floor_leave_their_active_set():
+    # One double plus one type-1 single at (1, 1), Gamma = (16, 16, 0): from
+    # the even split the double's species-1 lobe runs to the floor and the
+    # double becomes a type-2 disk; from the 95% split the single vanishes.
+    # Either row then converges, and `_finalize` accepts its clusters.
+    g, M = GammaMatrix(16.0, 16.0, 0.0), (1.0, 1.0)
+    w = partition._slot_weights((1, 1, 0))
+    starts = np.array(partition._cell_seeds(w, M, None))
+    t, energy, fnorm, _ = partition._newton(starts, np.tile(w, (3, 1)), M, g)
+    for row, gone, counts in ((0, 2, (0, 1, 1)), (1, 5, (1, 0, 0))):
+        assert starts[row, gone] >= 0.05 and t[row, gone] == 0.0
+        assert fnorm[row] <= 1e-13
+        raw = [[t[row, 2], t[row, 3]], [t[row, 5], 0.0]]
+        value, conf = partition._finalize(raw, M, g)
+        assert tuple(conf.counts().values()) == counts
+        assert value == pytest.approx(energy[row], rel=1e-12)
+        assert check_necessary_conditions(conf, g)["all_pass"]
+
+
+@pytest.mark.parametrize("M, g", [((1.0, 1.0), G_WEAK_CROSS),
+                                  ((1e-10, 1.0), G_PLAIN),
+                                  ((300.0, 300.0), GammaMatrix(1.0, 1.0, 2.0))])
+def test_ebar_is_silent_under_warnings_as_errors(M, g):
+    # The flat middle arc divides by sin(0) inside the array geometry; the
+    # errstate there keeps every warning category silent.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ebar(M, g)
+
+
+def test_ebar_logs_one_debug_line_per_call(caplog):
+    with caplog.at_level(logging.DEBUG, logger="triblock.partition"):
+        ebar((1.25, 0.75), GammaMatrix(8.0, 2.0, 0.5))  # solved swapped
+    (record,) = caplog.records
+    assert record.levelno == logging.DEBUG
+    for word in ("rows", "converged", "Newton iterations", "geometry calls",
+                 "KKT residual"):
+        assert word in record.getMessage()

@@ -246,6 +246,17 @@ class TestMinimizeFK:
         with pytest.raises(ValueError, match="gtol must be positive and finite"):
             minimize_FK([(1.0, 0.5), (0.5, 1.0)], GAMMA, gtol=gtol)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            minimize_FK([(1.0, 0.5), (0.5, 1.0)], GAMMA, restarts=2, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        a = minimize_FK([(1.0, 0.5), (0.5, 1.0)], GAMMA, restarts=2,
+                        seed=np.int64(3))
+        assert a == minimize_FK([(1.0, 0.5), (0.5, 1.0)], GAMMA, restarts=2,
+                                seed=3)
+
     def test_numpy_integer_restarts_accepted(self):
         a = minimize_FK([(1.0, 0.5), (0.5, 1.0)], GAMMA, restarts=np.int64(2))
         assert a == minimize_FK([(1.0, 0.5), (0.5, 1.0)], GAMMA, restarts=2)
