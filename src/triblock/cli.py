@@ -183,11 +183,6 @@ def _check(kind, name, value):
         if v <= 0.0:
             raise ValueError(f"{name} must be positive, got {v!r}")
         return v
-    if kind == "nonneg":
-        v = _finite(name, value)
-        if v < 0.0:
-            raise ValueError(f"{name} must be nonnegative, got {v!r}")
-        return v
     if kind == "unit":
         v = _finite(name, value)
         if not 0.0 < v < 1.0:

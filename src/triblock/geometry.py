@@ -68,7 +68,6 @@ class GammaMatrix:
     g11: float
     g22: float
     g12: float = 0.0
-    enforce_definite: bool = False
 
     def __post_init__(self):
         for name in ("g11", "g22", "g12"):
@@ -79,11 +78,6 @@ class GammaMatrix:
             raise ValueError("diagonal entries g11, g22 must be positive")
         if self.g12 < 0.0:
             raise ValueError("off-diagonal g12 must be nonnegative")
-        if self.enforce_definite and not self.is_positive_definite():
-            raise ValueError(
-                f"gamma matrix not positive definite: g12^2 = {self.g12 ** 2:g} "
-                f">= g11 g22 = {self.g11 * self.g22:g}"
-            )
 
     def is_positive_definite(self) -> bool:
         return self.g12 * self.g12 < self.g11 * self.g22
@@ -110,7 +104,7 @@ class GammaMatrix:
 
     def swapped(self) -> "GammaMatrix":
         """Coefficients with the two species exchanged."""
-        return GammaMatrix(self.g22, self.g11, self.g12, self.enforce_definite)
+        return GammaMatrix(self.g22, self.g11, self.g12)
 
 
 @dataclass(frozen=True)
@@ -591,14 +585,6 @@ def single_energy_gradient(mass: float, gamma_ii: float) -> float:
     if mass <= 0.0:
         raise ValueError(f"mass must be positive, got {mass!r}")
     return math.sqrt(math.pi / mass) + gamma_ii * mass / (2.0 * math.pi)
-
-
-def single_energy_hessian(mass: float, gamma_ii: float) -> float:
-    """Second derivative of the lone-disk energy; negative below the
-    inflection mass pi * gamma_ii^(-2/3)."""
-    if mass <= 0.0:
-        raise ValueError(f"mass must be positive, got {mass!r}")
-    return gamma_ii / (2.0 * math.pi) - 0.5 * math.sqrt(math.pi) * mass ** -1.5
 
 
 def e0_hessian_diag(m, gamma: GammaMatrix, i: int) -> float:

@@ -6,9 +6,9 @@ Each cluster pays its blow-up energy and the best configuration minimizes
 the sum.  The search, `ebar`, is deterministic: it ranks cluster-count
 cells by the grid minimum of an equal-mass ansatz, and solves the best
 cells for their masses with one batched Newton iteration on the
-first-order (KKT) system, over every cell and fixed structured start at
-once, with exact second derivatives from one array geometry solve per
-evaluation.  Closed-form thresholds bound the structure of minimizers:
+first-order (KKT) system, over every cell at once from one structured
+start each, with exact second derivatives from one array geometry solve
+per evaluation.  Closed-form thresholds bound the structure of minimizers:
 their mass caps give the least cluster count a search must reach, and
 `ebar` refuses totals whose count exceeds a fixed bound.  A regime
 classifier reports which structural guarantees apply at given parameters.
@@ -253,47 +253,30 @@ _ANSATZ_GRID = 48
 _MAX_CLUSTERS = 64
 
 
-def _packing_best(mass: float, gamma_ii: float) -> tuple:
-    """(value, count): cheapest split of one species into equal disks.
-
-    The cost of k equal disks is unimodal in k, so walk downhill from the
-    specific-energy optimum.
-    """
-    if mass <= 0.0:
-        return (0.0, 0)
-    xstar = (4.0 * math.pi * math.sqrt(math.pi) / gamma_ii) ** (2.0 / 3.0)
-    k = max(1, round(mass / xstar))
-    val = k * single_energy(mass / k, gamma_ii)
-    while k > 1:
-        v = (k - 1) * single_energy(mass / (k - 1), gamma_ii)
-        if v >= val:
-            break
-        k, val = k - 1, v
-    while True:
-        v = (k + 1) * single_energy(mass / (k + 1), gamma_ii)
-        if v >= val:
-            break
-        k, val = k + 1, v
-    return (val, k)
-
-
 def _packing_grid(mass, gamma_ii: float):
-    """Vectorized equal-disk packing cost over an array of masses."""
+    """(cost, count) arrays: cheapest split of each mass into equal disks
+    of one species, and the disk count that attains it (0 at mass 0).
+
+    The cost of k equal disks is unimodal in k with its optimum at
+    floor(mass/x*) or the count above, so k = 1 .. max(mass)/x* + 3 covers
+    it.
+    """
     mass = np.asarray(mass, dtype=float)
-    out = np.zeros(mass.shape)
+    cost = np.zeros(mass.shape)
+    count = np.zeros(mass.shape, dtype=int)
     pos = mass > 0.0
     if not pos.any():
-        return out
+        return cost, count
     rp = mass[pos]
     xstar = (4.0 * math.pi * math.sqrt(math.pi) / gamma_ii) ** (2.0 / 3.0)
-    kmax = int(np.max(rp) / xstar) + 3
-    best = np.full(rp.shape, np.inf)
-    for k in range(1, kmax + 1):
-        x = rp / k
-        np.minimum(best, k * (gamma_ii * x * x / (4.0 * math.pi)
-                              + 2.0 * np.sqrt(math.pi * x)), out=best)
-    out[pos] = best
-    return out
+    k = np.arange(1, int(np.max(rp) / xstar) + 4)[:, None]
+    x = rp / k
+    costs = k * (gamma_ii * x * x / (4.0 * math.pi)
+                 + 2.0 * np.sqrt(math.pi * x))
+    best = np.argmin(costs, axis=0)
+    cost[pos] = costs[best, np.arange(rp.size)]
+    count[pos] = best + 1
+    return cost, count
 
 
 def _ansatz_for_doubles(kd, M, gamma, th, unit_grids):
@@ -301,10 +284,11 @@ def _ansatz_for_doubles(kd, M, gamma, th, unit_grids):
 
     All kd doubles share one lobe pair (x, y); whatever mass is left goes
     into optimally packed equal singles per species.  The minimum over an
-    _ANSATZ_GRID x _ANSATZ_GRID grid of (x, y) ranks the cell and seeds its
-    exact solve.  The perimeter is homogeneous of degree 1/2, so its grid is
-    sqrt(y_hi) times a unit grid that depends only on x_hi/y_hi;
-    `unit_grids` keeps those by ratio.  Returns (value, x, y, ks1, ks2).
+    _ANSATZ_GRID x _ANSATZ_GRID grid of (x, y) ranks the cell, and the
+    disk counts of the leftover packing there name its singles.  The
+    perimeter is homogeneous of degree 1/2, so its grid is sqrt(y_hi) times
+    a unit grid that depends only on x_hi/y_hi; `unit_grids` keeps those by
+    ratio.  Returns (value, ks1, ks2).
     """
     M1, M2 = M
     n = _ANSATZ_GRID
@@ -323,16 +307,13 @@ def _ansatz_for_doubles(kd, M, gamma, th, unit_grids):
     # along axis 1 only: pack each once per grid line and broadcast
     r1 = np.maximum(M1 - kd * xs, 0.0)
     r2 = np.maximum(M2 - kd * ys, 0.0)
-    val = (kd * (math.sqrt(y_hi) * unit_grids[ratio] + quad)
-           + _packing_grid(r1, gamma.g11)[:, None]
-           + _packing_grid(r2, gamma.g22)[None, :])
+    p1, k1 = _packing_grid(r1, gamma.g11)
+    p2, k2 = _packing_grid(r2, gamma.g22)
+    val = kd * (math.sqrt(y_hi) * unit_grids[ratio] + quad) + p1[:, None] + p2
     i, j = np.unravel_index(np.argmin(val), val.shape)
-    x, y = float(xs[i]), float(ys[j])
-    rest1 = max(M1 - kd * x, 0.0)
-    rest2 = max(M2 - kd * y, 0.0)
-    ks1 = _packing_best(rest1, gamma.g11)[1] if rest1 > 1e-9 * M1 else 0
-    ks2 = _packing_best(rest2, gamma.g22)[1] if rest2 > 1e-9 * M2 else 0
-    return (float(val[i, j]), x, y, ks1, ks2)
+    ks1 = int(k1[i]) if r1[i] > 1e-9 * M1 else 0
+    ks2 = int(k2[j]) if r2[j] > 1e-9 * M2 else 0
+    return (float(val[i, j]), ks1, ks2)
 
 
 def _cell_feasible(counts, M) -> bool:
@@ -351,47 +332,39 @@ def _cell_feasible(counts, M) -> bool:
 
 
 def _candidate_cells(M, gamma, th):
-    """The _TOP_CELLS cluster-count cells of lowest equal-mass ansatz value.
-
-    Returns a list of (counts, hint) where hint is the ansatz lobe pair for
-    seeding the exact solve, or None.
-    """
+    """The _TOP_CELLS cluster-count cells (kd, ks1, ks2) of lowest
+    equal-mass ansatz value, best first."""
     M1, M2 = M
     cells = {}
     unit_grids = {}
 
-    def offer(counts, value, hint=None):
+    def offer(counts, value):
         counts = tuple(int(c) for c in counts)
-        if not _cell_feasible(counts, M):
-            return
-        old = cells.get(counts)
-        if old is None or value < old[0]:
-            cells[counts] = (value, hint)
+        if _cell_feasible(counts, M) and value < cells.get(counts, math.inf):
+            cells[counts] = value
 
-    v1, ks1 = _packing_best(M1, gamma.g11)
-    v2, ks2 = _packing_best(M2, gamma.g22)
+    v1, ks1 = _packing_grid(M1, gamma.g11)
+    v2, ks2 = _packing_grid(M2, gamma.g22)
     for da in (-1, 0, 1):
         for db in (-1, 0, 1):
             bump = 1e-9 * (abs(da) + abs(db))
             offer((0, ks1 + da if M1 > 0 else 0, ks2 + db if M2 > 0 else 0),
-                  v1 + v2 + bump)
+                  float(v1 + v2) + bump)
 
     if M1 > 0.0 and M2 > 0.0:
         kd_cap = 2 + int(min(M1 / th.concavity[0], M2 / th.concavity[1])) + 1
         for kd in range(1, kd_cap + 1):
-            val, x, y, s1, s2 = _ansatz_for_doubles(kd, M, gamma, th,
-                                                    unit_grids)
+            val, s1, s2 = _ansatz_for_doubles(kd, M, gamma, th, unit_grids)
             for da in (-1, 0, 1):
                 for db in (-1, 0, 1):
                     bump = 1e-9 * (abs(da) + abs(db))
-                    offer((kd, s1 + da, s2 + db), val + bump, (x, y))
+                    offer((kd, s1 + da, s2 + db), val + bump)
 
-    ranked = sorted(cells.items(), key=lambda kv: (kv[1][0], kv[0]))
-    return [(counts, hint) for counts, (_, hint) in ranked[:_TOP_CELLS]]
+    return sorted(cells, key=lambda c: (cells[c], c))[:_TOP_CELLS]
 
 
 # ---------------------------------------------------------------------------
-# Exact inner solve: one batched KKT Newton over every (cell, start) row.
+# Exact inner solve: one batched KKT Newton over one row per cell.
 
 # A row holds eight slot masses in a fixed layout and one multiplier per
 # species.  Per kind, all but one cluster share a group and the last is
@@ -415,45 +388,21 @@ def _slot_weights(counts):
     return np.where(_FREE_SLOT, free, shared).astype(float)
 
 
-def _cell_seeds(w, M, hint):
-    """Start rows (multipliers 0): equal splits within each kind, the
-    doubles taking half, 95% or 5% of each species (all of it when there
-    are no singles), plus the ansatz lobe pair for every double when a hint
-    is given."""
-    held = w > 0.0
-    dbl = [held & _DOUBLE_SLOT & (_SLOT_SPECIES == s) for s in (0, 1)]
-    sgl = [held & ~_DOUBLE_SLOT & (_SLOT_SPECIES == s) for s in (0, 1)]
-
-    def assemble(frac_doubles):
-        m = np.zeros(_NSLOT)
-        for s in (0, 1):
-            d, g = w[dbl[s]].sum(), w[sgl[s]].sum()
-            f = 0.0 if d == 0 else (frac_doubles if g > 0 else 1.0)
-            if d:
-                m[dbl[s]] = M[s] * f / d
-            if g:
-                m[sgl[s]] = M[s] * (1.0 - f) / g
-        return m
-
-    has_doubles = held[_DOUBLE_SLOT].any()
-    has_singles = held[~_DOUBLE_SLOT].any()
-    if has_doubles and has_singles:
-        seeds = [assemble(frac) for frac in (0.5, 0.95, 0.05)]
-    else:
-        seeds = [assemble(1.0 if has_doubles else 0.0)]
-    if hint is not None and has_doubles:
-        m = assemble(0.5)
-        fits = True
-        for s in (0, 1):
-            m[dbl[s]] = hint[s]
-            rest = max(M[s] - (w[dbl[s]] * hint[s]).sum(), 0.0)
-            g = w[sgl[s]].sum()
-            if g:
-                m[sgl[s]] = rest / g
-            fits = fits and (g > 0 or rest == 0.0)
-        if fits:
-            seeds.append(m)
-    return [np.concatenate([m, np.zeros(2)]) for m in seeds]
+def _cell_starts(w, M):
+    """One start row per cell of slot weights w, multipliers 0.  Per
+    species the doubles take half the total, all of it when the cell has no
+    singles of that species; each group shares its part equally by slot
+    weight."""
+    t = np.zeros((len(w), _NSLOT + 2))
+    for s in (0, 1):
+        mine = (w > 0.0) & (_SLOT_SPECIES == s)
+        dbl, sgl = mine & _DOUBLE_SLOT, mine & ~_DOUBLE_SLOT
+        d, g = (w * dbl).sum(axis=1), (w * sgl).sum(axis=1)
+        f = np.where(d == 0.0, 0.0, np.where(g > 0.0, 0.5, 1.0))
+        for slots, part, n in ((dbl, f, d), (sgl, 1.0 - f, g)):
+            share = M[s] * part / np.maximum(n, 1.0)
+            t[:, :_NSLOT] += np.where(slots, share[:, None], 0.0)
+    return t
 
 
 def _kkt(t, act, w, M, gamma):
@@ -622,39 +571,29 @@ def _newton(t, w, M, gamma):
 
 
 def _solve_cells(cells, M, gamma):
-    """Raw cluster masses of each cell's best row, or None where no row
-    keeps the mass sums to 1e-7 with a finite energy; and the solve's
-    statistics, with the worst residual norm over the kept rows."""
-    starts, weights, owner = [], [], []
-    for c, (counts, hint) in enumerate(cells):
-        w = _slot_weights(counts)
-        for t in _cell_seeds(w, M, hint):
-            starts.append(t)
-            weights.append(w)
-            owner.append(c)
-    w, owner = np.array(weights), np.array(owner)
-    t, energy, fnorm, stats = _newton(np.array(starts), w, M, gamma)
+    """Per cell, (raw cluster masses, KKT residual norm) of its solved row,
+    or None where the row misses the mass sums by over 1e-7 or has no
+    finite energy; and the solve's statistics, with the worst residual norm
+    over the kept rows."""
+    w = np.array([_slot_weights(counts) for counts in cells])
+    t, energy, fnorm, stats = _newton(_cell_starts(w, M), w, M, gamma)
     gap = 1e-7 * max(M[0] + M[1], 1.0)
     ok = np.isfinite(energy)
     for s in (0, 1):
         mass = (w * t[:, :_NSLOT])[:, _SLOT_SPECIES == s].sum(axis=1)
         ok &= np.abs(mass - M[s]) <= gap
+    stats["worst_residual"] = float(fnorm[ok].max(initial=0.0))
     out = []
-    worst = 0.0
-    for c in range(len(cells)):
-        mine = np.flatnonzero((owner == c) & ok)
-        if not mine.size:
+    for k in range(len(cells)):
+        if not ok[k]:
             out.append(None)
             continue
-        k = mine[np.argmin(energy[mine])]
-        worst = max(worst, float(fnorm[k]))
         clusters = []
         for pair in _GROUP_SLOTS:
             x, y = (float(t[k, s]) if s is not None else 0.0 for s in pair)
             n = int(w[k, pair[0] if pair[0] is not None else pair[1]])
             clusters += [[x, y] for _ in range(n)]
-        out.append(clusters)
-    stats["worst_residual"] = worst
+        out.append((clusters, float(fnorm[k])))
     return out, stats
 
 
@@ -710,14 +649,15 @@ def ebar(M, gamma: GammaMatrix):
     Returns (value, Configuration).  The search is deterministic: it ranks
     cluster-count cells by the grid minimum of an equal-mass ansatz, and
     solves the best-ranked cells by Newton's method on the first-order
-    system (equal species derivatives, exact mass sums), for every cell and
-    fixed structured start in one batch.  Each cell keeps its lowest-energy
-    start.  Among values within 1e-10 relative of the best it takes the
-    smallest derivative spread of `check_necessary_conditions`, then fewer
-    clusters, then lexicographically larger leading masses.
+    system (equal species derivatives, exact mass sums), every cell in one
+    batch from one start: per species the doubles take half the total, or
+    all of it when the cell has no singles of that species.  Among values
+    within 1e-10 relative of the best it takes the smallest derivative
+    spread of `check_necessary_conditions`, then fewer clusters, then
+    lexicographically larger leading masses.
     Logs one DEBUG line per call to the "triblock.partition" logger: rows,
-    rows converged, Newton iterations, array geometry calls and the worst
-    residual of the kept rows.
+    rows converged, Newton iterations, array geometry calls, and the KKT
+    residual of the chosen cell next to the worst over the kept rows.
 
     No droplet or lobe of a minimizer is heavier than the mass cap of its
     species (`thresholds`), so species i needs at least ceil(M_i / cap_i)
@@ -737,15 +677,11 @@ def ebar(M, gamma: GammaMatrix):
             f"search bound of {_MAX_CLUSTERS}")
     solved, stats = _solve_cells(_candidate_cells((M1, M2), gamma, th),
                                  (M1, M2), gamma)
-    _log.debug("ebar M=(%g, %g): %d rows, %d converged, %d Newton "
-               "iterations, %d geometry calls, worst kept KKT residual %.3e",
-               M1, M2, stats["rows"], stats["converged"], stats["iterations"],
-               stats["geometry_calls"], stats["worst_residual"])
     results = []
-    for raw in solved:
-        fin = None if raw is None else _finalize(raw, (M1, M2), gamma)
+    for row in solved:
+        fin = None if row is None else _finalize(row[0], (M1, M2), gamma)
         if fin is not None:
-            results.append(fin)
+            results.append((*fin, row[1]))
     if not results:
         raise RuntimeError(f"no feasible configuration found for M={M!r}")
     results.sort(key=lambda vc: vc[0])
@@ -758,8 +694,13 @@ def ebar(M, gamma: GammaMatrix):
         masses = tuple((c.kind, -c.mass, -c.m1) for c in conf.clusters)
         return (spread, len(conf.clusters), masses)
 
-    best = min(near, key=tie_key)
-    return best
+    value, conf, residual = min(near, key=tie_key)
+    _log.debug("ebar M=(%g, %g): %d rows, %d converged, %d Newton "
+               "iterations, %d geometry calls, KKT residual %.3e of the "
+               "chosen cell, worst kept %.3e", M1, M2, stats["rows"],
+               stats["converged"], stats["iterations"],
+               stats["geometry_calls"], residual, stats["worst_residual"])
+    return value, conf
 
 
 # ---------------------------------------------------------------------------

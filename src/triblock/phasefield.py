@@ -16,6 +16,7 @@ extract_components turns them into partition-module configurations.
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -55,8 +56,9 @@ def _well_printed_prime(u):
 class Field:
     """Two periodic density grids with an interface width.
 
-    The grids are copied.  Raises ValueError unless they are matching square
-    grids of finite values inside GUARD_BAND, and epsilon is positive.
+    The grids are copied.  Raises ValueError unless they are matching,
+    non-empty square grids of finite values inside GUARD_BAND, and epsilon
+    is positive.
     """
 
     u1: np.ndarray
@@ -66,9 +68,10 @@ class Field:
     def __post_init__(self):
         u1 = np.array(self.u1, dtype=float)
         u2 = np.array(self.u2, dtype=float)
-        if u1.ndim != 2 or u1.shape[0] != u1.shape[1] or u1.shape != u2.shape:
-            raise ValueError(
-                f"fields must be matching square grids, got {u1.shape} and {u2.shape}")
+        if (u1.ndim != 2 or u1.shape[0] != u1.shape[1] or u1.shape != u2.shape
+                or u1.size == 0):
+            raise ValueError("fields must be matching non-empty square grids, "
+                             f"got {u1.shape} and {u2.shape}")
         if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
             raise ValueError("field values must be finite")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
@@ -190,19 +193,16 @@ def droplet_field(N: int, epsilon: float, eta: float, masses, centers) -> Field:
     return Field(u1, u2, epsilon)
 
 
-def scaled_gamma(gamma: GammaMatrix, eta: float,
-                 match_sharp: bool = True) -> GammaMatrix:
+def scaled_gamma(gamma: GammaMatrix, eta: float) -> GammaMatrix:
     """Interaction matrix for the diffuse flow at droplet scale eta.
 
-    The droplet scaling is 1/(eta^3 |log eta|); with match_sharp the result
-    is further multiplied by INTERFACE_COST so that perimeter and nonlocal
-    forces balance in the same ratio as in the sharp rescaled energy.
+    The droplet scaling 1/(eta^3 |log eta|) times INTERFACE_COST, so that
+    perimeter and nonlocal forces balance in the same ratio as in the sharp
+    rescaled energy.
     """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must be in (0, 1), got {eta!r}")
-    factor = 1.0 / (eta ** 3 * abs(math.log(eta)))
-    if match_sharp:
-        factor *= INTERFACE_COST
+    factor = 1.0 / (eta ** 3 * abs(math.log(eta))) * INTERFACE_COST
     return GammaMatrix(gamma.g11 * factor, gamma.g22 * factor,
                        gamma.g12 * factor)
 
@@ -307,7 +307,10 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
     well, nonlocal) of the state itself.  The trace is non-increasing only
     while no clip fires: a clip is a projection onto the band, not a
     descent step, and may raise the energy.
-    Raises RuntimeError when the field norm blows up.
+    Raises RuntimeError when the field norm blows up, and ValueError naming
+    the argument when `dt` or `blow_limit` is not positive and finite,
+    `steps` is not a non-negative integer or `trace_every` not a positive
+    one (bools refused for both).
     """
     N = init.N
     eps = init.epsilon
@@ -315,8 +318,12 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
         dt = eps * (1.0 / N)
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive, got {dt!r}")
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps!r}")
+    for name, v, low in (("steps", steps, 0), ("trace_every", trace_every, 1)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+    if not (blow_limit > 0.0 and math.isfinite(blow_limit)):
+        raise ValueError(
+            f"blow_limit must be positive and finite, got {blow_limit!r}")
     well = _well_printed if printed_well else _well
     wp = _well_printed_prime if printed_well else _well_prime
     grid = _spectral_grid(N)

@@ -117,13 +117,16 @@ def test_cell_energy_is_e0_at_a_vanishing_lobe():
         assert partition._cell_gradient(*m, g) == e0_gradient(m, g)
 
 
-def test_ansatz_grids_share_one_perimeter_solve_per_ratio():
+def test_ansatz_grids_share_one_perimeter_solve_per_ratio(monkeypatch):
     # p is homogeneous of degree 1/2: when no mass cap binds, every double
     # count kd has x_hi/y_hi = M1/M2, and sqrt(y_hi) times the one unit grid
     # is the perimeter on that count's grid.  The ansatz value is the grid
-    # minimum: kd doubles at the hint plus the best equal-disk packing of
-    # what is left, and no grid point is lower.
-    M, grids, n = (1.0, 0.75), {}, partition._ANSATZ_GRID
+    # minimum of kd doubles at one lobe pair plus the best equal-disk
+    # packing of what is left, and the single counts are the disk counts of
+    # that packing at the minimizing pair.
+    n = 12
+    monkeypatch.setattr(partition, "_ANSATZ_GRID", n)
+    M, grids = (1.0, 0.75), {}
     g = GammaMatrix(2.0, 1.0, 0.3)
     th = thresholds(g)
     found = [partition._ansatz_for_doubles(kd, M, g, th, grids)
@@ -131,26 +134,37 @@ def test_ansatz_grids_share_one_perimeter_solve_per_ratio():
     assert len(grids) == 1
     (unit,) = grids.values()
     u = np.linspace(1.0 / n, 1.0, n)
-    for kd, (value, x, y, ks1, ks2) in zip((1, 2, 4), found):
+
+    def packing(rest, gii):
+        # (cost, disk count) of the best split into at most 12 equal disks
+        if rest <= 1e-9:
+            return (0.0, 0)
+        return min((k * single_energy(rest / k, gii), k) for k in range(1, 13))
+
+    for kd, (value, ks1, ks2) in zip((1, 2, 4), found):
         x_hi, y_hi = M[0] / kd, M[1] / kd
         want = [[perimeter((x, y)) for y in y_hi * u] for x in x_hi * u]
         assert np.allclose(math.sqrt(y_hi) * unit, want, rtol=1e-13, atol=0.0)
-        assert x in x_hi * u and y in y_hi * u
+        grid = np.array([[kd * e0((x, y), g) + packing(M[0] - kd * x, g.g11)[0]
+                          + packing(M[1] - kd * y, g.g22)[0]
+                          for y in y_hi * u] for x in x_hi * u])
+        i, j = np.unravel_index(np.argmin(grid), grid.shape)
+        assert value == pytest.approx(grid[i, j], rel=1e-12)
+        assert ks1 == packing(M[0] - kd * x_hi * u[i], g.g11)[1]
+        assert ks2 == packing(M[1] - kd * y_hi * u[j], g.g22)[1]
+    assert any(ks1 or ks2 for _, ks1, ks2 in found)  # a leftover is packed
 
-        def packing(rest, gii):
-            return best_equal_split(rest, gii) if rest > 0.0 else 0.0
 
-        def ansatz(a, b):
-            return (kd * e0((a, b), g) + packing(M[0] - kd * a, g.g11)
-                    + packing(M[1] - kd * b, g.g22))
-
-        assert value == pytest.approx(ansatz(x, y), rel=1e-12)
-        assert value <= min(ansatz(a, b) for a in x_hi * u[::5]
-                            for b in y_hi * u[::5]) * (1.0 + 1e-12)
-        for rest, gii, ks in ((M[0] - kd * x, g.g11, ks1),
-                              (M[1] - kd * y, g.g22, ks2)):
-            assert ks * single_energy(rest / max(ks, 1), gii) == pytest.approx(
-                packing(rest, gii), rel=1e-12, abs=1e-12)
+@pytest.mark.parametrize("gii", [0.5, 1.0, 16.0])
+def test_packing_grid_count_attains_the_cheapest_equal_split(gii):
+    # Against a walk over every disk count up to far past the optimum.
+    mass = np.array([0.0, 1e-6, 0.3, 2.0, 17.0, 95.0, 400.0])
+    cost, count = partition._packing_grid(mass, gii)
+    assert cost[0] == 0.0 and count[0] == 0
+    for m, c, k in zip(mass[1:], cost[1:], count[1:]):
+        want = min((j * single_energy(m / j, gii), j) for j in range(1, 400))
+        assert c == pytest.approx(want[0], rel=1e-13)
+        assert k == want[1]
 
 
 @pytest.mark.parametrize("M, gg, kd", [
@@ -168,10 +182,10 @@ def test_packing_grid_separates_by_axis(M, gg, kd):
     y_hi = min(M[1] / kd, 1.5 * th.max_mass[1])
     xs, ys = np.linspace(x_hi / n, x_hi, n), np.linspace(y_hi / n, y_hi, n)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    full = (partition._packing_grid(np.maximum(M[0] - kd * X, 0.0), g.g11)
-            + partition._packing_grid(np.maximum(M[1] - kd * Y, 0.0), g.g22))
-    lines = (partition._packing_grid(np.maximum(M[0] - kd * xs, 0.0), g.g11)[:, None]
-             + partition._packing_grid(np.maximum(M[1] - kd * ys, 0.0), g.g22)[None, :])
+    full = (partition._packing_grid(np.maximum(M[0] - kd * X, 0.0), g.g11)[0]
+            + partition._packing_grid(np.maximum(M[1] - kd * Y, 0.0), g.g22)[0])
+    lines = (partition._packing_grid(np.maximum(M[0] - kd * xs, 0.0), g.g11)[0][:, None]
+             + partition._packing_grid(np.maximum(M[1] - kd * ys, 0.0), g.g22)[0])
     assert np.array_equal(full, lines)
 
 
@@ -517,7 +531,9 @@ def test_write_sweep_csv_deterministic(tmp_path):
 # Values and cluster counts (doubles, type-1 singles, type-2 singles) that
 # ebar gave with the SLSQP search the batched Newton solve replaced; the
 # Newton solve must reproduce them.  "coexist" is criterion 06's
-# coexistence total.
+# coexistence total.  The last three, x = 66.58, 94.30 and 150 from
+# geomspace(0.05, 150, 70) at Gamma = (1, 9, 0.2), were computed with
+# several starts per cell; there a +-1 neighbour of the ansatz cell wins.
 _PINNED = [
     ((101.0, 101.0), (1.0, 1.0, 41.0), 381.78954447822287, (0, 13, 13)),
     ((1.0, 1.0), (1.0, 1.0, 0.1), 6.53419969136083, (1, 0, 0)),
@@ -530,6 +546,11 @@ _PINNED = [
     ((0.75, 1.25), (1.0, 1.0, 0.0), 6.490508687275532, (1, 0, 0)),
     ((1.0, 1.0), (4.0, 4.0, 6.0), 7.726435175989645, (0, 1, 1)),
     ((1.25, 0.75), (8.0, 2.0, 0.5), 7.480253489628256, (1, 0, 0)),
+    ((66.5793923888248, 66.5793923888248), (1.0, 9.0, 0.2),
+     379.52096664301916, (10, 0, 26)),
+    ((94.30158936051934, 94.30158936051934), (1.0, 9.0, 0.2),
+     537.5564669932445, (14, 0, 37)),
+    ((150.0, 150.0), (1.0, 9.0, 0.2), 855.0420271385364, (23, 0, 59)),
 ]
 
 
@@ -571,12 +592,17 @@ def test_kkt_jacobian_is_the_derivative_of_the_residual():
 def test_rows_driven_to_the_floor_leave_their_active_set():
     # One double plus one type-1 single at (1, 1), Gamma = (16, 16, 0): from
     # the even split the double's species-1 lobe runs to the floor and the
-    # double becomes a type-2 disk; from the 95% split the single vanishes.
-    # Either row then converges, and `_finalize` accepts its clusters.
+    # double becomes a type-2 disk; from a 95% split the single vanishes.
+    # Either row then converges, and `_finalize` accepts its clusters.  The
+    # slots held are the free double's (2, 3) and the free type-1 single's
+    # (5); the even split is the cell's own start.
     g, M = GammaMatrix(16.0, 16.0, 0.0), (1.0, 1.0)
     w = partition._slot_weights((1, 1, 0))
-    starts = np.array(partition._cell_seeds(w, M, None))
-    t, energy, fnorm, _ = partition._newton(starts, np.tile(w, (3, 1)), M, g)
+    starts = np.zeros((2, 10))
+    starts[:, 3] = 1.0
+    starts[:, [2, 5]] = [[0.5, 0.5], [0.95, 0.05]]
+    assert np.array_equal(partition._cell_starts(w[None], M)[0], starts[0])
+    t, energy, fnorm, _ = partition._newton(starts, np.tile(w, (2, 1)), M, g)
     for row, gone, counts in ((0, 2, (0, 1, 1)), (1, 5, (1, 0, 0))):
         assert starts[row, gone] >= 0.05 and t[row, gone] == 0.0
         assert fnorm[row] <= 1e-13
@@ -604,5 +630,5 @@ def test_ebar_logs_one_debug_line_per_call(caplog):
     (record,) = caplog.records
     assert record.levelno == logging.DEBUG
     for word in ("rows", "converged", "Newton iterations", "geometry calls",
-                 "KKT residual"):
+                 "KKT residual", "chosen cell", "worst kept"):
         assert word in record.getMessage()

@@ -73,6 +73,12 @@ def test_field_validation():
         Field(bad, ones, 0.1)
 
 
+def test_field_refuses_an_empty_grid():
+    # relax would divide by N = 0 on it.
+    with pytest.raises(ValueError, match="non-empty"):
+        Field(np.zeros((0, 0)), np.zeros((0, 0)), 0.1)
+
+
 def test_field_rejects_values_outside_guard_band():
     # Out-of-band input is refused, never clipped (a clip would lose mass).
     lo, hi = GUARD_BAND
@@ -147,8 +153,6 @@ def test_scaled_gamma_factor():
     factor = INTERFACE_COST / (eta ** 3 * abs(math.log(eta)))
     assert g.g11 == pytest.approx(2.0 * factor)
     assert g.g12 == pytest.approx(0.5 * factor)
-    raw = scaled_gamma(GammaMatrix(2.0, 1.0, 0.5), eta, match_sharp=False)
-    assert raw.g11 == pytest.approx(g.g11 / INTERFACE_COST)
     with pytest.raises(ValueError):
         scaled_gamma(GammaMatrix(1.0, 1.0, 0.0), 1.5)
 
@@ -340,6 +344,23 @@ def test_relax_validation():
         relax(f, NO_COUPLING, dt=0.0)
     with pytest.raises(ValueError):
         relax(f, NO_COUPLING, steps=-1)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("trace_every", 0), ("trace_every", -2), ("trace_every", 1.5),
+    ("trace_every", True), ("steps", 2.5), ("steps", True),
+    ("blow_limit", float("nan")), ("blow_limit", 0.0),
+])
+def test_relax_refuses_a_bad_argument_by_name(name, bad):
+    f = uniform_field(8, 0.1, (0.1, 0.1))
+    with pytest.raises(ValueError, match=name):
+        relax(f, NO_COUPLING, **{name: bad})
+
+
+def test_relax_accepts_numpy_integer_counts():
+    f = uniform_field(8, 0.1, (0.1, 0.1))
+    _, trace = relax(f, NO_COUPLING, steps=np.int64(4), trace_every=np.int32(2))
+    assert [row[0] for row in trace] == [0, 2, 4]
 
 
 def test_trace_rows_and_csv(tmp_path):
