@@ -146,7 +146,10 @@ _SWEEP_COLUMNS = [
 # Parameter validation.
 
 def _finite(name, value) -> float:
+    """value as a finite float; booleans and strings are not numbers."""
     try:
+        if isinstance(value, (bool, str)):
+            raise TypeError
         v = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
@@ -155,12 +158,18 @@ def _finite(name, value) -> float:
     return v
 
 
+def _json_text(name, value):
+    """Decode a list given as JSON text; other values pass unchanged."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return json.loads(value)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{name}: not valid JSON ({err})") from None
+
+
 def _pair_list(name, value, what):
-    if isinstance(value, str):
-        try:
-            value = json.loads(value)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{name}: not valid JSON ({err})") from None
+    value = _json_text(name, value)
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{name} must be a list of {what} pairs")
     out = []
@@ -225,8 +234,7 @@ def _check(kind, name, value):
     if kind == "points":
         return _pair_list(name, value, "point")
     if kind in ("pos_list", "nonneg_list"):
-        if isinstance(value, str):
-            value = json.loads(value)
+        value = _json_text(name, value)
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{name} must be a list of numbers")
         low = 0.0

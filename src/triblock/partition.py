@@ -8,10 +8,11 @@ cells by the grid minimum of an equal-mass ansatz, and solves the best
 cells for their masses with one batched Newton iteration on the
 first-order (KKT) system, over every cell at once from one structured
 start each, with exact second derivatives from one array geometry solve
-per evaluation.  Closed-form thresholds bound the structure of minimizers:
-their mass caps give the least cluster count a search must reach, and
-`ebar` refuses totals whose count exceeds a fixed bound.  A regime
-classifier reports which structural guarantees apply at given parameters.
+per evaluation; the answer is the converged row of lowest energy.
+Closed-form thresholds bound the structure of minimizers: their mass caps
+give the least cluster count a search must reach, and `ebar` refuses
+totals whose count exceeds a fixed bound.  A regime classifier reports
+which structural guarantees apply at given parameters.
 
 The oracle, `ebar_oracle`, is an independent exhaustive route that shares
 no search code: masses on a delta-grid, the energy of every grid cluster
@@ -52,7 +53,6 @@ _log = logging.getLogger(__name__)
 
 _MASS_RTOL = 1e-12
 _FLOOR_FRAC = 1e-9
-_DROP_FRAC = 1e-8
 
 
 @dataclass(frozen=True)
@@ -333,33 +333,28 @@ def _cell_feasible(counts, M) -> bool:
 
 def _candidate_cells(M, gamma, th):
     """The _TOP_CELLS cluster-count cells (kd, ks1, ks2) of lowest
-    equal-mass ansatz value, best first."""
+    equal-mass ansatz value, best first: each seed cell and its +-1
+    neighbours in the single counts, the packing seed at kd = 0 and then
+    the ansatz seed of each double count."""
     M1, M2 = M
-    cells = {}
     unit_grids = {}
-
-    def offer(counts, value):
-        counts = tuple(int(c) for c in counts)
-        if _cell_feasible(counts, M) and value < cells.get(counts, math.inf):
-            cells[counts] = value
-
-    v1, ks1 = _packing_grid(M1, gamma.g11)
-    v2, ks2 = _packing_grid(M2, gamma.g22)
-    for da in (-1, 0, 1):
-        for db in (-1, 0, 1):
-            bump = 1e-9 * (abs(da) + abs(db))
-            offer((0, ks1 + da if M1 > 0 else 0, ks2 + db if M2 > 0 else 0),
-                  float(v1 + v2) + bump)
-
+    v1, k1 = _packing_grid(M1, gamma.g11)
+    v2, k2 = _packing_grid(M2, gamma.g22)
+    seeds = [(float(v1 + v2), 0, int(k1), int(k2))]
     if M1 > 0.0 and M2 > 0.0:
         kd_cap = 2 + int(min(M1 / th.concavity[0], M2 / th.concavity[1])) + 1
         for kd in range(1, kd_cap + 1):
             val, s1, s2 = _ansatz_for_doubles(kd, M, gamma, th, unit_grids)
-            for da in (-1, 0, 1):
-                for db in (-1, 0, 1):
-                    bump = 1e-9 * (abs(da) + abs(db))
-                    offer((kd, s1 + da, s2 + db), val + bump)
-
+            seeds.append((val, kd, s1, s2))
+    cells = {}
+    for val, kd, s1, s2 in seeds:
+        for da in (-1, 0, 1):
+            for db in (-1, 0, 1):
+                counts = (kd, s1 + da, s2 + db)
+                value = val + 1e-9 * (abs(da) + abs(db))
+                if (_cell_feasible(counts, M)
+                        and value < cells.get(counts, math.inf)):
+                    cells[counts] = value
     return sorted(cells, key=lambda c: (cells[c], c))[:_TOP_CELLS]
 
 
@@ -507,7 +502,7 @@ def _newton(t, w, M, gamma):
     that its full step put at or below 4 _FLOOR_FRAC M_s (a double becomes
     a single, a single vanishes) and goes on, or else stops.  A row stops
     once ||F|| <= 1e-13 max(1, M1 + M2).  Returns (t, energy, residual
-    norm, stats).
+    norm, which rows converged, stats).
     """
     M = np.asarray(M, dtype=float)
     floor = 4.0 * _FLOOR_FRAC * M[_SLOT_SPECIES]
@@ -565,68 +560,22 @@ def _newton(t, w, M, gamma):
             F[k], J[k], energy[k], fnorm[k], c = _trial(t[k], act[k], w[k],
                                                         M, gamma)
             calls += c
-    stats = {"rows": len(t), "converged": int(np.sum(fnorm <= tol)),
+    converged = fnorm <= tol
+    stats = {"rows": len(t), "converged": int(converged.sum()),
              "iterations": iters, "geometry_calls": calls}
-    return t, energy, fnorm, stats
+    return t, energy, fnorm, converged, stats
 
 
-def _solve_cells(cells, M, gamma):
-    """Per cell, (raw cluster masses, KKT residual norm) of its solved row,
-    or None where the row misses the mass sums by over 1e-7 or has no
-    finite energy; and the solve's statistics, with the worst residual norm
-    over the kept rows."""
-    w = np.array([_slot_weights(counts) for counts in cells])
-    t, energy, fnorm, stats = _newton(_cell_starts(w, M), w, M, gamma)
-    gap = 1e-7 * max(M[0] + M[1], 1.0)
-    ok = np.isfinite(energy)
-    for s in (0, 1):
-        mass = (w * t[:, :_NSLOT])[:, _SLOT_SPECIES == s].sum(axis=1)
-        ok &= np.abs(mass - M[s]) <= gap
-    stats["worst_residual"] = float(fnorm[ok].max(initial=0.0))
-    out = []
-    for k in range(len(cells)):
-        if not ok[k]:
-            out.append(None)
-            continue
-        clusters = []
-        for pair in _GROUP_SLOTS:
-            x, y = (float(t[k, s]) if s is not None else 0.0 for s in pair)
-            n = int(w[k, pair[0] if pair[0] is not None else pair[1]])
-            clusters += [[x, y] for _ in range(n)]
-        out.append((clusters, float(fnorm[k])))
-    return out, stats
-
-
-def _finalize(raw_clusters, M, gamma):
-    """Drop dust, reclassify dead lobes, repair sums, and build the
-    Configuration.  Returns (value, Configuration) or None."""
-    M1, M2 = M
-    drop1 = _DROP_FRAC * max(M1, 1e-300)
-    drop2 = _DROP_FRAC * max(M2, 1e-300)
-    masses = []
-    for x, y in raw_clusters:
-        x = x if x > drop1 else 0.0
-        y = y if y > drop2 else 0.0
+def _row_clusters(t, w):
+    """The clusters of one solved row: n of them for a group of weight n,
+    none for a group whose slots all left the active set."""
+    clusters = []
+    for pair in _GROUP_SLOTS:
+        x, y = (float(t[s]) if s is not None else 0.0 for s in pair)
         if x > 0.0 or y > 0.0:
-            masses.append([x, y])
-    if not masses:
-        return None
-    for species, total in ((0, M1), (1, M2)):
-        s = sum(m[species] for m in masses)
-        deficit = total - s
-        if abs(deficit) > 1e-6 * max(total, 1.0):
-            return None
-        holders = [m for m in masses if m[species] > 0.0]
-        if holders:
-            target = max(holders, key=lambda m: m[species])
-            target[species] += deficit
-            if target[species] <= 0.0:  # the repair would empty a lobe
-                return None
-        elif abs(deficit) > 0.0:
-            return None
-    clusters = [cluster_from_masses(m[0], m[1]) for m in masses]
-    conf = _build_configuration(clusters, (M1, M2))
-    return (conf.energy(gamma), conf)
+            n = int(w[pair[0] if pair[0] is not None else pair[1]])
+            clusters += [cluster_from_masses(x, y)] * n
+    return clusters
 
 
 def _check_mass_pair(M):
@@ -651,18 +600,19 @@ def ebar(M, gamma: GammaMatrix):
     solves the best-ranked cells by Newton's method on the first-order
     system (equal species derivatives, exact mass sums), every cell in one
     batch from one start: per species the doubles take half the total, or
-    all of it when the cell has no singles of that species.  Among values
-    within 1e-10 relative of the best it takes the smallest derivative
-    spread of `check_necessary_conditions`, then fewer clusters, then
-    lexicographically larger leading masses.
+    all of it when the cell has no singles of that species.  The answer is
+    the row of lowest energy among those that converged (KKT residual norm
+    within 1e-13 max(1, M1 + M2)) with a finite energy and species mass sums
+    within the Configuration's 1e-12 relative tolerance; the value is the
+    energy of its clusters.
     Logs one DEBUG line per call to the "triblock.partition" logger: rows,
     rows converged, Newton iterations, array geometry calls, and the KKT
-    residual of the chosen cell next to the worst over the kept rows.
+    residual of the chosen cell.
 
     No droplet or lobe of a minimizer is heavier than the mass cap of its
     species (`thresholds`), so species i needs at least ceil(M_i / cap_i)
     clusters.  Raises ValueError when that lower bound exceeds 64 clusters,
-    and RuntimeError if no cell yields a feasible configuration.
+    and RuntimeError when no row qualifies.
     """
     M1, M2 = _check_mass_pair(M)
     if (M2, gamma.g22) < (M1, gamma.g11):
@@ -675,32 +625,23 @@ def ebar(M, gamma: GammaMatrix):
         raise ValueError(
             f"the mass caps need at least {needed} clusters, over the "
             f"search bound of {_MAX_CLUSTERS}")
-    solved, stats = _solve_cells(_candidate_cells((M1, M2), gamma, th),
-                                 (M1, M2), gamma)
-    results = []
-    for row in solved:
-        fin = None if row is None else _finalize(row[0], (M1, M2), gamma)
-        if fin is not None:
-            results.append((*fin, row[1]))
-    if not results:
+    cells = _candidate_cells((M1, M2), gamma, th)
+    w = np.array([_slot_weights(counts) for counts in cells])
+    t, energy, fnorm, ok, stats = _newton(_cell_starts(w, (M1, M2)), w,
+                                          (M1, M2), gamma)
+    ok &= np.isfinite(energy)
+    for s, total in ((0, M1), (1, M2)):
+        mass = (w * t[:, :_NSLOT])[:, _SLOT_SPECIES == s].sum(axis=1)
+        ok &= np.abs(mass - total) <= _MASS_RTOL * max(M1 + M2, 1e-300)
+    if not ok.any():
         raise RuntimeError(f"no feasible configuration found for M={M!r}")
-    results.sort(key=lambda vc: vc[0])
-    v0 = results[0][0]
-    near = [vc for vc in results if vc[0] <= v0 + 1e-10 * max(1.0, abs(v0))]
-
-    def tie_key(vc):
-        conf = vc[1]
-        spread = max(check_necessary_conditions(conf, gamma, th)["balance_spread"])
-        masses = tuple((c.kind, -c.mass, -c.m1) for c in conf.clusters)
-        return (spread, len(conf.clusters), masses)
-
-    value, conf, residual = min(near, key=tie_key)
+    k = np.flatnonzero(ok)[np.argmin(energy[ok])]
+    conf = _build_configuration(_row_clusters(t[k], w[k]), (M1, M2))
     _log.debug("ebar M=(%g, %g): %d rows, %d converged, %d Newton "
                "iterations, %d geometry calls, KKT residual %.3e of the "
-               "chosen cell, worst kept %.3e", M1, M2, stats["rows"],
-               stats["converged"], stats["iterations"],
-               stats["geometry_calls"], residual, stats["worst_residual"])
-    return value, conf
+               "chosen cell", M1, M2, stats["rows"], stats["converged"],
+               stats["iterations"], stats["geometry_calls"], fnorm[k])
+    return conf.energy(gamma), conf
 
 
 # ---------------------------------------------------------------------------

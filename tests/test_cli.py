@@ -279,6 +279,10 @@ INTEGER_KEYS = [(command, key) for command in sorted(_SCHEMAS)
                 for key, spec in sorted(_SCHEMAS[command].items())
                 if spec.kind in ("pos_int", "nonneg_int")]
 
+# Kinds that hold one real number: every wrong-typed value must raise, bar
+# None for an optional key.
+SCALAR_KINDS = ("pos", "unit", "float", "opt_pos")
+
 
 def test_valid_configs_resolve():
     assert sorted(VALID_CONFIGS) == sorted(_SCHEMAS)
@@ -293,10 +297,36 @@ def test_resolve_parameters_fuzz_wrong_types(data):
     key = data.draw(st.sampled_from(sorted(_SCHEMAS[command])), label="key")
     value = data.draw(WRONG_TYPED_JSON, label="value")
     params = dict(VALID_CONFIGS[command], **{key: value})
+    kind = _SCHEMAS[command][key].kind
+    if kind in SCALAR_KINDS and not (value is None and kind.startswith("opt_")):
+        with pytest.raises(ValueError, match=key):
+            resolve_parameters(command, params, {})
+        return
     try:
         resolve_parameters(command, params, {})
     except ValueError:
         pass  # any other exception type fails the test
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("bubble", "m1", True), ("bubble", "m2", "2.5"), ("green", "x", "0.1"),
+    ("relax", "amplitude", False), ("relax", "epsilon", "1e-2"),
+    ("partition", "gamma", [1.0, "1", 0.0]),
+    ("place", "masses", [[1, 0], [True, 1]])])
+def test_numbers_given_as_booleans_or_strings_are_refused(command, key, value):
+    params = dict(VALID_CONFIGS[command], **{key: value})
+    with pytest.raises(ValueError, match=f"{key} must be a number"):
+        resolve_parameters(command, params, {})
+
+
+@pytest.mark.parametrize("key", ["M1_values", "g12_values"])
+def test_list_json_text_is_decoded_or_refused_by_key(key):
+    params = dict(VALID_CONFIGS["regime-sweep"], **{key: "[1, 2.5]"})
+    assert resolve_parameters("regime-sweep", params, {})[key] == [1.0, 2.5]
+    params[key] = "abc"
+    with pytest.raises(ValueError, match=f"{key}: not valid JSON") as err:
+        resolve_parameters("regime-sweep", params, {})
+    assert type(err.value) is ValueError
 
 
 def test_huge_integer_literal_is_a_value_error():

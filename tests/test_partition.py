@@ -189,13 +189,6 @@ def test_packing_grid_separates_by_axis(M, gg, kd):
     assert np.array_equal(full, lines)
 
 
-def test_finalize_rejects_a_repair_that_empties_a_lobe():
-    # The species-1 excess of 1e-8 is within the repair tolerance, but taking
-    # it off the largest holder would leave that lobe empty.
-    raw = [[0.0, 1.0], [1e-8, 0.0], [1e-8, 0.0]]
-    assert partition._finalize(raw, (1e-8, 1.0), G_PLAIN) is None
-
-
 def test_ebar_tiny_species_one_total_is_one_double():
     value, conf = ebar((1e-8, 1.0), G_PLAIN)
     assert conf.counts() == {KIND_DOUBLE: 1, KIND_SINGLE_1: 0, KIND_SINGLE_2: 0}
@@ -448,9 +441,8 @@ def test_ebar_meets_necessary_conditions_or_refuses(log_total, log_share,
 
 
 def test_ebar_near_ties_pick_the_balanced_candidate():
-    # The exact polish balances each cell to rounding, and candidates within
-    # 1e-10 of the best value rank first by their largest derivative
-    # spread, so the returned configuration is balanced to rounding.
+    # ebar answers only from rows whose KKT residual converged, so among
+    # near-tied cells the returned configuration is balanced to rounding.
     coexist = thresholds(G_PLAIN).max_mass[0] * 1.02
     coexist = (coexist,
                1.02 * coexistence_bounds(G_PLAIN, 1, 1, m1=coexist)[1])
@@ -593,7 +585,7 @@ def test_rows_driven_to_the_floor_leave_their_active_set():
     # One double plus one type-1 single at (1, 1), Gamma = (16, 16, 0): from
     # the even split the double's species-1 lobe runs to the floor and the
     # double becomes a type-2 disk; from a 95% split the single vanishes.
-    # Either row then converges, and `_finalize` accepts its clusters.  The
+    # Either row then converges, and its slots give the clusters left.  The
     # slots held are the free double's (2, 3) and the free type-1 single's
     # (5); the even split is the cell's own start.
     g, M = GammaMatrix(16.0, 16.0, 0.0), (1.0, 1.0)
@@ -602,12 +594,13 @@ def test_rows_driven_to_the_floor_leave_their_active_set():
     starts[:, 3] = 1.0
     starts[:, [2, 5]] = [[0.5, 0.5], [0.95, 0.05]]
     assert np.array_equal(partition._cell_starts(w[None], M)[0], starts[0])
-    t, energy, fnorm, _ = partition._newton(starts, np.tile(w, (2, 1)), M, g)
+    t, energy, fnorm, converged, _ = partition._newton(
+        starts, np.tile(w, (2, 1)), M, g)
     for row, gone, counts in ((0, 2, (0, 1, 1)), (1, 5, (1, 0, 0))):
         assert starts[row, gone] >= 0.05 and t[row, gone] == 0.0
-        assert fnorm[row] <= 1e-13
-        raw = [[t[row, 2], t[row, 3]], [t[row, 5], 0.0]]
-        value, conf = partition._finalize(raw, M, g)
+        assert fnorm[row] <= 1e-13 and converged[row]
+        conf = Configuration(tuple(partition._row_clusters(t[row], w)), M)
+        value = conf.energy(g)
         assert tuple(conf.counts().values()) == counts
         assert value == pytest.approx(energy[row], rel=1e-12)
         assert check_necessary_conditions(conf, g)["all_pass"]
@@ -630,5 +623,32 @@ def test_ebar_logs_one_debug_line_per_call(caplog):
     (record,) = caplog.records
     assert record.levelno == logging.DEBUG
     for word in ("rows", "converged", "Newton iterations", "geometry calls",
-                 "KKT residual", "chosen cell", "worst kept"):
+                 "KKT residual", "chosen cell"):
         assert word in record.getMessage()
+    assert "worst" not in record.getMessage()
+
+
+@pytest.mark.parametrize("flaw", ["stalled", "mass gap"])
+def test_ebar_never_answers_from_a_stalled_or_short_row(monkeypatch, flaw):
+    # Every row that ties the lowest energy is spoilt: marked as stalled
+    # short of the KKT tolerance, or with its masses 1e-9 short of the
+    # totals.  ebar must answer from the best row left that qualifies.
+    newton = partition._newton
+    seen = {}
+
+    def spoil_best_rows(t, w, M, gamma):
+        t, energy, fnorm, converged, stats = newton(t, w, M, gamma)
+        low = converged & (energy <= energy[converged].min() * (1 + 1e-9))
+        if flaw == "stalled":
+            fnorm[low], converged[low] = 1.0, False
+        else:
+            t[low, :partition._NSLOT] *= 1.0 - 1e-9
+        seen["next"] = energy[converged & ~low].min()
+        return t, energy, fnorm, converged, stats
+
+    M, g = (1.0, 1.0), GammaMatrix(4.0, 4.0, 6.0)
+    best, _ = ebar(M, g)
+    monkeypatch.setattr(partition, "_newton", spoil_best_rows)
+    got, _ = ebar(M, g)
+    assert got > best * (1 + 1e-9)
+    assert got == pytest.approx(seen["next"], rel=1e-12)
