@@ -4,10 +4,12 @@ A Field holds the two minority-species densities; relax runs a semi-implicit
 Fourier-spectral L2 gradient flow of the ternary functional (gradient +
 double-well + nonlocal Green coupling) with per-species mean projection.
 The Green force stays in Fourier space and the gradient and Green energies
-are Parseval sums, so only the well term is evaluated in real space.  The
-species transforms are carried across steps: a step costs two rfft2 and two
-irfft2, a trace row no FFT, and a clip back into GUARD_BAND, which keeps
-each species' mass, one rfft2 per species clipped.
+are Parseval sums, so only the well term is evaluated in real space, there
+as the sum and difference forces the spectral update needs: cubics in
+u1 + u2 and u1 - u2 built in place.  The species transforms are carried
+across steps: a step costs two rfft2 and two irfft2, a trace row no FFT,
+and a clip back into GUARD_BAND, which keeps each species' mass, one rfft2
+per species clipped.
 SharpConfig holds thresholded indicator sets, whose rescaled energy combines
 a Cauchy-Crofton grid perimeter with the periodic Green interaction, and
 extract_components turns them into partition-module configurations.
@@ -40,16 +42,49 @@ def _well(u):
     return u * u * (1.0 - u) ** 2
 
 
-def _well_prime(u):
-    return 2.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
-
-
 def _well_printed(u):
     return u * u * (1.0 - u * u)
 
 
-def _well_printed_prime(u):
-    return 2.0 * u - 4.0 * u ** 3
+def _well_forces(u1, u2, s, d, printed_well):
+    """Sum and difference of the species well forces, written over the grids.
+
+    With w_i = W'(u_i) - W'(1 - u1 - u2), returns (w1 + w2, w1 - w2), two of
+    the four given grids, all of which are overwritten.  Both are cubics in
+    s = u1 + u2 and d = u1 - u2:
+      standard well u^2 (1 - u)^2:  w1 - w2 = d r, r = 2 - 6s + 3s^2 + d^2,
+                                    w1 + w2 = 3 [s (r + s) - d^2];
+      printed well u^2 (1 - u^2):   w1 - w2 = d p, p = 2 - 3s^2 - d^2,
+                                    w1 + w2 = 4 + 3s (p + 8s - 8).
+    """
+    np.add(u1, u2, out=s)
+    np.subtract(u1, u2, out=d)
+    d2 = np.multiply(d, d, out=u1)
+    if printed_well:
+        p = np.multiply(s, s, out=u2)
+        p *= -3.0
+        p += 2.0
+        p -= d2
+        total = np.multiply(s, 8.0, out=u1)  # d^2 is spent
+        total -= 8.0
+        total += p
+        total *= s
+        total *= 3.0
+        total += 4.0
+        d *= p
+        return total, d
+    r = np.subtract(s, 2.0, out=u2)
+    r *= s
+    r *= 3.0
+    r += d2
+    r += 2.0
+    d *= r
+    total = r  # r is spent once d holds the difference force
+    total += s
+    total *= s
+    total -= d2
+    total *= 3.0
+    return total, d
 
 
 @dataclass(frozen=True)
@@ -288,6 +323,19 @@ def _log_clip(step, species, bounds):
                "fixed mass", step, species, max(lo - bounds[0], bounds[1] - hi))
 
 
+def _is_real(v) -> bool:
+    """A real number, not a bool, a string or a complex."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _positive_finite(name, v):
+    """v as a float; ValueError naming `name` unless it is a positive, finite
+    real number."""
+    if not (_is_real(v) and v > 0.0 and math.isfinite(v)):
+        raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+    return float(v)
+
+
 def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
           steps: int = 1000, printed_well: bool = False, trace_every: int = 1,
           blow_limit: float = 5.0):
@@ -297,6 +345,10 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
     (eigenvalues 3 and 1) and treated implicitly together with a linear
     stabilization c_s = 2/epsilon; the well derivative and the nonlocal
     force, formed in Fourier space as (Gamma uhat)/|k|^2, are explicit.
+    The well forces are evaluated in the same basis, as cubics in
+    s = u1 + u2 and d = u1 - u2 (`_well_forces`), and the per-mode update
+    runs in place in their two transforms, with two real and one complex
+    scratch buffer allocated once per call; `init` is not written.
     The transforms u1hat, u2hat are carried from step to step, their k = 0
     modes pinned to the species means, so a step costs two rfft2 (the well
     forces) and two irfft2 (the new fields), and a trace row costs no FFT.
@@ -308,30 +360,25 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
     while no clip fires: a clip is a projection onto the band, not a
     descent step, and may raise the energy.
     Raises RuntimeError when the field norm blows up, and ValueError naming
-    the argument when `dt` or `blow_limit` is not positive and finite,
-    `steps` is not a non-negative integer or `trace_every` not a positive
-    one (bools refused for both).
+    the argument when `dt` or `blow_limit` is not a positive finite real
+    number, `steps` is not a non-negative integer or `trace_every` not a
+    positive one (bools and strings refused for all four).
     """
     N = init.N
     eps = init.epsilon
-    if dt is None:
-        dt = eps * (1.0 / N)
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    dt = _positive_finite("dt", eps * (1.0 / N) if dt is None else dt)
     for name, v, low in (("steps", steps, 0), ("trace_every", trace_every, 1)):
         if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
-    if not (blow_limit > 0.0 and math.isfinite(blow_limit)):
-        raise ValueError(
-            f"blow_limit must be positive and finite, got {blow_limit!r}")
+    blow_limit = _positive_finite("blow_limit", blow_limit)
     well = _well_printed if printed_well else _well
-    wp = _well_printed_prime if printed_well else _well_prime
     grid = _spectral_grid(N)
     k2, inv_lap, _ = grid
     g11, g12, g22 = gamma_scaled.g11, gamma_scaled.g12, gamma_scaled.g22
     # Per-mode update of half the sum s = u1 + u2 and half the difference
     # d = u1 - u2: s_new = s1 u1hat + s2 u2hat - s3 (well force of s), and
     # alike for d; then u1hat = s_new + d_new and u2hat = s_new - d_new.
+    # The force multipliers are kept negated, so the update adds them.
     keep = 1.0 + dt * (2.0 / eps)
     den_s = 2.0 * (keep + dt * 3.0 * eps * k2)
     den_d = 2.0 * (keep + dt * eps * k2)
@@ -339,8 +386,8 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
     s2 = (keep - dt * (g12 + g22) * inv_lap) / den_s
     d1 = (keep - dt * (g11 - g12) * inv_lap) / den_d
     d2 = (-keep - dt * (g12 - g22) * inv_lap) / den_d
-    s3 = dt / (2.0 * eps) / den_s
-    d3 = dt / (2.0 * eps) / den_d
+    s3 = -dt / (2.0 * eps) / den_s
+    d3 = -dt / (2.0 * eps) / den_d
     del den_s, den_d
     u1, u2 = init.u1, init.u2
     mean1, mean2 = float(u1.mean()), float(u2.mean())
@@ -356,14 +403,23 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
                                            gamma_scaled, grid, well)))
 
     record(0)
+    # A step writes its forces over u1 and u2, which the next irfft2
+    # replaces, so the caller's grids are copied once; `scratch` holds the
+    # forces' other two grids and `mode` is the update's complex buffer.
+    # Given an output, rfft2 makes no second half-plane array.
+    u1, u2 = u1.copy(), u2.copy()
+    scratch = (np.empty_like(u1), np.empty_like(u1))
+    mode = np.empty_like(u1hat)
     for step in range(1, steps + 1):
-        w0 = wp(1.0 - (u1 + u2))
-        w1 = wp(u1) - w0
-        w2 = wp(u2) - w0
-        s_hat = s1 * u1hat + s2 * u2hat - s3 * np.fft.rfft2(w1 + w2)
-        d_hat = d1 * u1hat + d2 * u2hat - d3 * np.fft.rfft2(w1 - w2)
-        u1hat = s_hat + d_hat
-        u2hat = s_hat - d_hat
+        s_hat, d_hat = (np.fft.rfft2(w, out=np.empty_like(mode)) for w in
+                        _well_forces(u1, u2, *scratch, printed_well))
+        for new, m1, m2, m3 in ((s_hat, s1, s2, s3), (d_hat, d1, d2, d3)):
+            new *= m3
+            new += np.multiply(u1hat, m1, out=mode)
+            new += np.multiply(u2hat, m2, out=mode)
+        np.add(s_hat, d_hat, out=u1hat)
+        np.subtract(s_hat, d_hat, out=u2hat)
+        del s_hat, d_hat, new  # freed before the irfft2 outputs are made
         u1hat[0, 0] = zero1
         u2hat[0, 0] = zero2
         u1 = np.fft.irfft2(u1hat, s=(N, N))
@@ -385,6 +441,7 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
             u2hat = np.fft.rfft2(u2)
         if step % trace_every == 0 or step == steps:
             record(step)
+    del scratch, mode
     return Field(u1, u2, eps), trace
 
 
@@ -571,14 +628,31 @@ def write_field_pgm(f: Field, stem: str, metadata: dict | None = None,
 def read_field_pgm(stem: str) -> Field:
     """Rebuild a Field from write_field_pgm output (quantized to 16 bits).
 
+    The JSON sidecar must hold a numeric "epsilon", and its "value_range"
+    (GUARD_BAND when absent) must be two finite numbers lo < hi; otherwise
+    ValueError names the key, as a reversed range would invert the field.
     Raises ValueError unless each PGM is binary (P5) with two positive
     integer dimensions, a 16-bit maxval (256..65535) and a payload of
     exactly width * height * 2 bytes, and (from `Field`) when a sample maps
     outside GUARD_BAND: one above maxval, or a wider sidecar value_range.
     """
-    with open(f"{stem}_meta.json") as fh:
+    meta_path = f"{stem}_meta.json"
+    with open(meta_path) as fh:
         meta = json.load(fh)
-    lo, hi = meta.get("value_range", GUARD_BAND)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: sidecar must be a JSON object")
+    value_range = meta.get("value_range", GUARD_BAND)
+    if not (isinstance(value_range, (list, tuple)) and len(value_range) == 2
+            and all(_is_real(v) and math.isfinite(v) for v in value_range)
+            and value_range[0] < value_range[1]):
+        raise ValueError(f"{meta_path}: value_range must be two finite numbers "
+                         f"lo < hi, got {value_range!r}")
+    lo, hi = (float(v) for v in value_range)
+    epsilon = meta.get("epsilon")
+    if not _is_real(epsilon):
+        raise ValueError(f"{meta_path}: epsilon must be a number, "
+                         f"got {epsilon!r}")
+
     def header_line(fh):
         line = fh.readline()
         while line.startswith(b"#"):
@@ -611,7 +685,7 @@ def read_field_pgm(stem: str) -> Field:
                              f"{w * hgt * 2} for {w} x {hgt} 16-bit samples")
         data = np.frombuffer(payload, dtype=">u2")
         grids.append(data.reshape(hgt, w).astype(float) / maxval * (hi - lo) + lo)
-    return Field(grids[0], grids[1], float(meta["epsilon"]))
+    return Field(grids[0], grids[1], float(epsilon))
 
 
 def write_trace_csv(trace, path: str, comment: str | None = None) -> None:

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from triblock.phasefield import (
     Field,
     SharpConfig,
     _mass_exact_clip,
+    _well_forces,
     diffuse_energy,
     droplet_field,
     extract_components,
@@ -45,6 +47,13 @@ def disk_indicator(n, center, radius):
     dx = np.mod(X - center[0] + 0.5, 1.0) - 0.5
     dy = np.mod(Y - center[1] + 0.5, 1.0) - 0.5
     return np.hypot(dx, dy) < radius
+
+
+def well_prime(u, printed_well=False):
+    """W'(u) in product form: W = u^2 (1 - u)^2, or u^2 (1 - u^2) printed."""
+    if printed_well:
+        return 2.0 * u * (1.0 - 2.0 * u * u)
+    return 2.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
 
 
 def tanh_stripe_field(n, epsilon, lo=0.25, hi=0.75):
@@ -338,6 +347,55 @@ def test_printed_well_blow_up_raises():
               blow_limit=1.5, trace_every=400)
 
 
+@pytest.mark.parametrize("printed_well", [False, True])
+def test_well_forces_match_the_product_forms(printed_well):
+    # The species forces w_i = W'(u_i) - W'(u0), u0 = 1 - u1 - u2, written
+    # as products, against the cubics in u1 + u2 and u1 - u2; random points
+    # fill the guard band, and its edges and corners are included.
+    lo, hi = GUARD_BAND
+    rng = np.random.default_rng(14)
+    u1 = rng.uniform(lo, hi, size=(40, 40))
+    u2 = rng.uniform(lo, hi, size=(40, 40))
+    edges = np.linspace(lo, hi, 40)
+    u1[0], u2[0] = lo, edges
+    u1[1], u2[1] = hi, edges
+    u1[2], u2[2] = edges, lo
+    u1[3], u2[3] = edges, hi
+    w0 = well_prime(1.0 - u1 - u2, printed_well)
+    w1 = well_prime(u1, printed_well) - w0
+    w2 = well_prime(u2, printed_well) - w0
+    fs, fd = _well_forces(u1.copy(), u2.copy(), np.empty_like(u1),
+                          np.empty_like(u1), printed_well)
+    assert np.max(np.abs(fs - (w1 + w2))) <= 1e-13
+    assert np.max(np.abs(fd - (w1 - w2))) <= 1e-13
+
+
+@pytest.mark.parametrize("printed_well", [False, True])
+def test_relax_leaves_its_input_unchanged(printed_well):
+    f = droplet_field(64, 2.0 / 64, 0.2, [(2.0, 1.5)], [(0.4, 0.5)])
+    before = (f.u1.tobytes(), f.u2.tobytes())
+    relax(f, scaled_gamma(GammaMatrix(1.0, 1.0, 0.3), 0.2), dt=0.05 / 64,
+          steps=3, printed_well=printed_well)
+    assert (f.u1.tobytes(), f.u2.tobytes()) == before
+
+
+def test_relax_peak_memory_at_n512():
+    # One step holds the caller's grids' copies, two real and one complex
+    # scratch buffer, the carried transforms and the six multipliers; the
+    # bound keeps a step from growing extra full-grid temporaries.
+    n = 512
+    f = noisy_uniform_field(n, 2.0 / n, (0.1, 0.1), seed=0)
+    g = scaled_gamma(GammaMatrix(1.0, 1.0, 0.1), 0.04)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        relax(f, g, steps=2, trace_every=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / (n * n * 8) <= 17.5
+
+
 def test_relax_validation():
     f = uniform_field(16, 0.1, (0.1, 0.1))
     with pytest.raises(ValueError):
@@ -350,6 +408,8 @@ def test_relax_validation():
     ("trace_every", 0), ("trace_every", -2), ("trace_every", 1.5),
     ("trace_every", True), ("steps", 2.5), ("steps", True),
     ("blow_limit", float("nan")), ("blow_limit", 0.0),
+    ("dt", True), ("dt", "0.1"), ("dt", 1e-3 + 0j), ("dt", float("inf")),
+    ("blow_limit", True), ("blow_limit", "5"), ("blow_limit", 5 + 0j),
 ])
 def test_relax_refuses_a_bad_argument_by_name(name, bad):
     f = uniform_field(8, 0.1, (0.1, 0.1))
@@ -404,7 +464,7 @@ def test_relaxed_shapes_follow_interaction_regime():
         "single_type1", "single_type2"]
 
 
-def fresh_transform_relax(f, g, dt, steps):
+def fresh_transform_relax(f, g, dt, steps, printed_well=False):
     """The semi-implicit step written out in the species basis, with u1 and
     u2 transformed afresh on every step and the means restored in real
     space; returns the final grids and the total energy after every step."""
@@ -416,18 +476,16 @@ def fresh_transform_relax(f, g, dt, steps):
     inv_lap[k2 > 0.0] = 1.0 / k2[k2 > 0.0]
     c_s = 2.0 / eps
     lo, hi = GUARD_BAND
-
-    def wp(u):
-        return 2.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
-
     u1, u2 = f.u1.copy(), f.u2.copy()
     m1, m2 = u1.mean(), u2.mean()
-    totals = [diffuse_energy(f, g)]
+    totals = [diffuse_energy(f, g, printed_well)]
     for _ in range(steps):
         a, b = np.fft.rfft2(u1), np.fft.rfft2(u2)
-        w0 = wp(1.0 - u1 - u2)
-        f1 = np.fft.rfft2(wp(u1) - w0) / (2.0 * eps) + (g.g11 * a + g.g12 * b) * inv_lap
-        f2 = np.fft.rfft2(wp(u2) - w0) / (2.0 * eps) + (g.g12 * a + g.g22 * b) * inv_lap
+        w0 = well_prime(1.0 - u1 - u2, printed_well)
+        w1 = well_prime(u1, printed_well) - w0
+        w2 = well_prime(u2, printed_well) - w0
+        f1 = np.fft.rfft2(w1) / (2.0 * eps) + (g.g11 * a + g.g12 * b) * inv_lap
+        f2 = np.fft.rfft2(w2) / (2.0 * eps) + (g.g12 * a + g.g22 * b) * inv_lap
         s = ((1.0 + dt * c_s) * (a + b) - dt * (f1 + f2)) / (1.0 + dt * (3.0 * eps * k2 + c_s))
         d = ((1.0 + dt * c_s) * (a - b) - dt * (f1 - f2)) / (1.0 + dt * (eps * k2 + c_s))
         u1 = np.fft.irfft2(0.5 * (s + d), s=(n, n))
@@ -435,24 +493,34 @@ def fresh_transform_relax(f, g, dt, steps):
         assert lo <= min(u1.min(), u2.min()) and max(u1.max(), u2.max()) <= hi
         u1 += m1 - u1.mean()
         u2 += m2 - u2.mean()
-        totals.append(diffuse_energy(Field(u1, u2, eps), g))
+        totals.append(diffuse_energy(Field(u1, u2, eps), g, printed_well))
     return u1, u2, np.array(totals)
 
 
-@pytest.mark.parametrize("n", [63, 64])
-def test_carried_transforms_match_fresh_transforms(n):
+@pytest.mark.parametrize("n, printed_well", [(63, False), (64, False), (64, True)],
+                         ids=["63", "64", "64-printed"])
+def test_carried_transforms_match_fresh_transforms(n, printed_well):
     # Odd n has no Nyquist column; even n has one, counted once by Parseval.
+    # The printed well drives separated phases out of the band, so its case
+    # relaxes noise around means at which that well is convex.
     eps = 2.0 / n
-    f = droplet_field(n, eps, 0.2, [(2.0, 1.5), (0.0, 2.0)],
-                      [(0.3, 0.35), (0.7, 0.8)])
     g = scaled_gamma(GammaMatrix(2.0, 1.0, 0.5), 0.2)
-    out, trace = relax(f, g, dt=eps / n, steps=1000)
-    u1, u2, totals = fresh_transform_relax(f, g, eps / n, 1000)
+    if printed_well:
+        means = (0.3, 0.35)
+        f = noisy_uniform_field(n, eps, means, amplitude=0.1, seed=4)
+        floor = diffuse_energy(uniform_field(n, eps, means), g, printed_well)
+    else:
+        f = droplet_field(n, eps, 0.2, [(2.0, 1.5), (0.0, 2.0)],
+                          [(0.3, 0.35), (0.7, 0.8)])
+        floor = 0.0
+    out, trace = relax(f, g, dt=eps / n, steps=1000, printed_well=printed_well)
+    u1, u2, totals = fresh_transform_relax(f, g, eps / n, 1000, printed_well)
     assert np.max(np.abs(out.u1 - u1)) <= 1e-12
     assert np.max(np.abs(out.u2 - u2)) <= 1e-12
     rows = np.array([row[1] for row in trace])
     assert np.max(np.abs(rows - totals) / np.abs(totals)) <= 1e-12
-    assert totals[-1] < 0.9 * totals[0]  # the droplets did move
+    # the droplets did move, or the noise did decay
+    assert totals[-1] - floor < 0.9 * (totals[0] - floor)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5])
@@ -736,3 +804,18 @@ def test_read_pgm_refuses_samples_outside_guard_band(tmp_path):
     (tmp_path / "bad_u2.pgm").write_bytes(b"P5\n2 2\n65535\n"
                                          + b"\x00\x00\xff\xff" * 2)
     assert sorted(set(read_field_pgm(stem).u2.ravel())) == list(GUARD_BAND)
+
+
+@pytest.mark.parametrize("meta, key", [
+    ('{"epsilon": 0.1, "value_range": [1.0, 0.0]}', "value_range"),
+    ('{"epsilon": 0.1, "value_range": [0.0]}', "value_range"),
+    ('{"value_range": [-0.1, 1.1]}', "epsilon"),
+    ('[0.1]', "JSON object"),
+], ids=["reversed-range", "one-element-range", "missing-epsilon", "not-an-object"])
+def test_read_pgm_refuses_a_bad_sidecar_by_key(tmp_path, meta, key):
+    # a reversed range would read a uniform 0.1 back as 0.833
+    stem = str(tmp_path / "bad")
+    write_field_pgm(uniform_field(2, 0.1, (0.1, 0.3)), stem)
+    (tmp_path / "bad_meta.json").write_text(meta)
+    with pytest.raises(ValueError, match=key):
+        read_field_pgm(stem)
