@@ -18,7 +18,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import sys
 from itertools import permutations, product
 from pathlib import Path
@@ -27,6 +26,7 @@ import numpy as np
 import scipy
 
 from triblock import __version__
+from triblock._args import integer, real
 from triblock import torus_green as TG
 from triblock.geometry import (
     ConvergenceError,
@@ -145,19 +145,6 @@ _SWEEP_COLUMNS = [
 # ---------------------------------------------------------------------------
 # Parameter validation.
 
-def _finite(name, value) -> float:
-    """value as a finite float; booleans and strings are not numbers."""
-    try:
-        if isinstance(value, (bool, str)):
-            raise TypeError
-        v = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(v):
-        raise ValueError(f"{name} must be finite, got {v!r}")
-    return v
-
-
 def _json_text(name, value):
     """Decode a list given as JSON text; other values pass unchanged."""
     if not isinstance(value, str):
@@ -177,7 +164,7 @@ def _pair_list(name, value, what):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ValueError(f"{name}: each {what} needs two numbers, "
                              f"got {item!r}")
-        out.append([_finite(name, item[0]), _finite(name, item[1])])
+        out.append([real(name, item[0]), real(name, item[1])])
     return out
 
 
@@ -188,27 +175,15 @@ def _check(kind, name, value):
             return None
         kind = kind[4:]
     if kind == "pos":
-        v = _finite(name, value)
-        if v <= 0.0:
-            raise ValueError(f"{name} must be positive, got {v!r}")
-        return v
+        return real(name, value, 0.0)
     if kind == "unit":
-        v = _finite(name, value)
-        if not 0.0 < v < 1.0:
-            raise ValueError(f"{name} must be in (0, 1), got {v!r}")
-        return v
+        return real(name, value, 0.0, 1.0)
     if kind == "float":
-        return _finite(name, value)
+        return real(name, value)
     if kind in ("pos_int", "nonneg_int"):
-        integral = isinstance(value, numbers.Integral) or (
-            isinstance(value, float) and value.is_integer())
-        if isinstance(value, bool) or not integral:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        v = int(value)
-        low = 1 if kind == "pos_int" else 0
-        if v < low:
-            raise ValueError(f"{name} must be >= {low}, got {v}")
-        return v
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)  # a config's 2.0 is the integer 2
+        return integer(name, value, 1 if kind == "pos_int" else 0)
     if kind == "bool":
         if not isinstance(value, bool):
             raise ValueError(f"{name} must be true or false, got {value!r}")
@@ -216,13 +191,13 @@ def _check(kind, name, value):
     if kind == "gamma":
         if not isinstance(value, (list, tuple)) or len(value) != 3:
             raise ValueError(f"{name} needs three numbers (g11, g22, g12)")
-        g11, g22, g12 = (_finite(name, v) for v in value)
+        g11, g22, g12 = (real(name, v) for v in value)
         GammaMatrix(g11, g22, g12)  # range checks
         return [g11, g22, g12]
     if kind == "pair":
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             raise ValueError(f"{name} needs two numbers")
-        return [_finite(name, v) for v in value]
+        return [real(name, v) for v in value]
     if kind == "mass_pairs":
         pairs = _pair_list(name, value, "mass")
         if not pairs:
@@ -237,12 +212,7 @@ def _check(kind, name, value):
         value = _json_text(name, value)
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{name} must be a list of numbers")
-        low = 0.0
-        out = [_finite(name, v) for v in value]
-        for v in out:
-            if v < low or (kind == "pos_list" and v == 0.0):
-                raise ValueError(f"{name}: value {v!r} out of range")
-        return out
+        return [real(name, v, 0.0, closed=kind == "nonneg_list") for v in value]
     if kind == "init":
         if value not in ("droplets", "noise"):
             raise ValueError(f"init must be 'droplets' or 'noise', got {value!r}")

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
+from triblock._args import mass_pair, real
+
 TWO_PI_THIRDS = 2.0 * math.pi / 3.0
 THETA0_MAX = math.pi / 3.0
 # pi/3 - theta0 ~ _SMALL_LOBE * sqrt(q) as the mass ratio q -> 0, where
@@ -70,14 +72,9 @@ class GammaMatrix:
     g12: float = 0.0
 
     def __post_init__(self):
-        for name in ("g11", "g22", "g12"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-        if self.g11 <= 0.0 or self.g22 <= 0.0:
-            raise ValueError("diagonal entries g11, g22 must be positive")
-        if self.g12 < 0.0:
-            raise ValueError("off-diagonal g12 must be nonnegative")
+        for name, closed in (("g11", False), ("g22", False), ("g12", True)):
+            object.__setattr__(self, name,
+                               real(name, getattr(self, name), 0.0, closed=closed))
 
     def is_positive_definite(self) -> bool:
         return self.g12 * self.g12 < self.g11 * self.g22
@@ -126,23 +123,6 @@ class BubbleGeometry:
     r2: float
     h: float
     swapped: bool
-
-
-def _check_masses(m, *, positive: bool) -> tuple[float, float]:
-    try:
-        m1, m2 = float(m[0]), float(m[1])
-    except (TypeError, IndexError, KeyError) as exc:
-        raise ValueError(f"mass pair must be a 2-sequence, got {m!r}") from exc
-    if not (math.isfinite(m1) and math.isfinite(m2)):
-        raise ValueError(f"masses must be finite, got ({m1!r}, {m2!r})")
-    lo = 0.0 if positive else -0.0
-    if positive:
-        if m1 <= 0.0 or m2 <= 0.0:
-            raise ValueError(f"masses must be positive, got ({m1:g}, {m2:g})")
-    else:
-        if m1 < lo or m2 < lo:
-            raise ValueError(f"masses must be nonnegative, got ({m1:g}, {m2:g})")
-    return m1, m2
 
 
 def _seg(theta: float) -> float:
@@ -238,7 +218,7 @@ def solve_geometry(m) -> BubbleGeometry:
     nonfinite masses and ConvergenceError if the residual target cannot be
     met.
     """
-    m1, m2 = _check_masses(m, positive=True)
+    m1, m2 = mass_pair("m", m, True)
     swapped = m1 > m2
     a, b = (m2, m1) if swapped else (m1, m2)
 
@@ -314,7 +294,7 @@ def perimeter(m) -> float:
     with the middle term written as 2 h theta0/sin(theta0) so the flat
     symmetric case is exact.
     """
-    m1, m2 = _check_masses(m, positive=False)
+    m1, m2 = mass_pair("m", m)
     if m1 == 0.0 and m2 == 0.0:
         return 0.0
     if m1 == 0.0 or m2 == 0.0:
@@ -520,7 +500,7 @@ def perimeter_gradient(m) -> tuple[float, float]:
     Zero masses are rejected (the disk endpoint has infinite slope).  See
     the module docstring for the accuracy of the small-lobe slope.
     """
-    m1, m2 = _check_masses(m, positive=True)
+    m1, m2 = mass_pair("m", m, True)
     g = solve_geometry((m1, m2))
     g_small, g_big = 1.0 / g.r1, 1.0 / g.r2
     return (g_big, g_small) if g.swapped else (g_small, g_big)
@@ -537,7 +517,7 @@ def perimeter_hessian(m) -> np.ndarray:
     g0' the middle-arc `_segment_terms`.  p is homogeneous of degree 1/2,
     so Euler's relation H m = -grad(p)/2 gives the pure entries.
     """
-    m1, m2 = _check_masses(m, positive=True)
+    m1, m2 = mass_pair("m", m, True)
     g = solve_geometry((m1, m2))
     a, b = (m2, m1) if g.swapped else (m1, m2)
     _, C, dA, dC = _brackets(g.theta0)
@@ -558,15 +538,15 @@ def e0(m, gamma: GammaMatrix) -> float:
     e0(m) = p(m1, m2) + (g11 m1^2 + 2 g12 m1 m2 + g22 m2^2)/(4 pi).
     One mass may be zero (single droplet); both zero is rejected.
     """
-    m1, m2 = _check_masses(m, positive=False)
+    m1, m2 = mass_pair("m", m)
     if m1 == 0.0 and m2 == 0.0:
-        raise ValueError("droplet energy undefined for the empty mass pair")
+        raise ValueError(f"m must not be the empty pair {m!r}")
     return perimeter((m1, m2)) + gamma.quad(m1, m2) / (4.0 * math.pi)
 
 
 def e0_gradient(m, gamma: GammaMatrix) -> tuple[float, float]:
     """(d e0/d m1, d e0/d m2) at a positive mass pair."""
-    m1, m2 = _check_masses(m, positive=True)
+    m1, m2 = mass_pair("m", m, True)
     p1, p2 = perimeter_gradient((m1, m2))
     two_pi = 2.0 * math.pi
     return (p1 + gamma.row(1, m1, m2) / two_pi,
@@ -575,15 +555,15 @@ def e0_gradient(m, gamma: GammaMatrix) -> tuple[float, float]:
 
 def single_energy(mass: float, gamma_ii: float) -> float:
     """Energy of a lone disk of one species: 2 sqrt(pi m) + g m^2/(4 pi)."""
-    if mass < 0.0 or not math.isfinite(mass):
-        raise ValueError(f"mass must be nonnegative, got {mass!r}")
+    mass = real("mass", mass, 0.0, closed=True)
+    gamma_ii = real("gamma_ii", gamma_ii, 0.0, closed=True)
     return 2.0 * math.sqrt(math.pi * mass) + gamma_ii * mass * mass / (4.0 * math.pi)
 
 
 def single_energy_gradient(mass: float, gamma_ii: float) -> float:
     """d/dm of the lone-disk energy: sqrt(pi/m) + g m/(2 pi)."""
-    if mass <= 0.0:
-        raise ValueError(f"mass must be positive, got {mass!r}")
+    mass = real("mass", mass, 0.0)
+    gamma_ii = real("gamma_ii", gamma_ii, 0.0, closed=True)
     return math.sqrt(math.pi / mass) + gamma_ii * mass / (2.0 * math.pi)
 
 
@@ -609,12 +589,8 @@ def concavity_threshold(gamma_ii: float, i: int = 1,
     +/- 1e-4 of the result.  Raises ConvergenceError when the two ends do
     not bracket a sign change.
     """
-    if gamma_ii <= 0.0 or not math.isfinite(gamma_ii):
-        raise ValueError(f"gamma_ii must be positive, got {gamma_ii!r}")
-    if probe_other_mass <= 0.0 or not math.isfinite(probe_other_mass):
-        raise ValueError(
-            f"probe mass must be positive, got {probe_other_mass!r}"
-        )
+    gamma_ii = real("gamma_ii", gamma_ii, 0.0)
+    probe_other_mass = real("probe_other_mass", probe_other_mass, 0.0)
     gamma = GammaMatrix(gamma_ii, gamma_ii, 0.0)
 
     def hess(mi: float) -> float:

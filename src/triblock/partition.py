@@ -26,12 +26,12 @@ evaluated at the answer's entry only.
 import csv
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from triblock._args import integer, mass_pair, real
 from triblock.geometry import (
     GammaMatrix,
     _perimeter_derivatives,
@@ -53,6 +53,10 @@ _log = logging.getLogger(__name__)
 
 _MASS_RTOL = 1e-12
 _FLOOR_FRAC = 1e-9
+# check_necessary_conditions: relative spread allowed between the species
+# derivatives, and relative slack on the mass thresholds.
+_BALANCE_RTOL = 1e-6
+_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,9 @@ class Cluster:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown cluster kind {self.kind!r}")
-        for v in (self.m1, self.m2):
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"cluster masses must be finite and >= 0, got {v!r}")
+        for name in ("m1", "m2"):
+            object.__setattr__(self, name, real(name, getattr(self, name), 0.0,
+                                                closed=True))
         if self.kind == KIND_DOUBLE and not (self.m1 > 0.0 and self.m2 > 0.0):
             raise ValueError("a double bubble needs two positive lobe masses")
         if self.kind == KIND_SINGLE_1 and not (self.m1 > 0.0 and self.m2 == 0.0):
@@ -89,13 +93,15 @@ class Cluster:
 
 def cluster_from_masses(m1: float, m2: float) -> Cluster:
     """Build a cluster of the kind implied by which masses are positive."""
+    m1 = real("m1", m1, 0.0, closed=True)
+    m2 = real("m2", m2, 0.0, closed=True)
     if m1 > 0.0 and m2 > 0.0:
         return Cluster(KIND_DOUBLE, m1, m2)
     if m1 > 0.0:
         return Cluster(KIND_SINGLE_1, m1, 0.0)
     if m2 > 0.0:
         return Cluster(KIND_SINGLE_2, 0.0, m2)
-    raise ValueError("empty mass pair does not define a cluster")
+    raise ValueError("m1 and m2 must not both be zero")
 
 
 @dataclass(frozen=True)
@@ -194,6 +200,11 @@ class Thresholds:
     concavity: tuple
     gamma12_split: float
 
+    def swapped(self) -> "Thresholds":
+        """The thresholds of `GammaMatrix.swapped`: each pair reversed."""
+        return Thresholds(self.max_mass[::-1], self.single_floor[::-1],
+                          self.concavity[::-1], self.gamma12_split)
+
 
 def thresholds(gamma: GammaMatrix) -> Thresholds:
     """Compute the structure thresholds for an interaction matrix.
@@ -224,11 +235,13 @@ def coexistence_bounds(gamma: GammaMatrix, k_doubles: int = 1,
     evaluated at m1 (defaulting to B1, the smallest admissible M1); for
     larger M1 recompute with that value.
     """
+    k_doubles = integer("k_doubles", k_doubles)
+    k_singles = integer("k_singles", k_singles)
     th = thresholds(gamma)
     cap1, cap2 = th.max_mass
     m1s = th.concavity[0]
     b1 = k_doubles * cap1
-    m1_used = b1 if m1 is None else max(float(m1), b1)
+    m1_used = b1 if m1 is None else max(real("m1", m1, 0.0, closed=True), b1)
     b2 = (1.0 + m1_used / m1s + k_singles) * cap2
     return (b1, b2)
 
@@ -579,16 +592,9 @@ def _row_clusters(t, w):
 
 
 def _check_mass_pair(M):
-    try:
-        m1, m2 = (float(M[0]), float(M[1]))
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ValueError(f"expected a mass pair, got {M!r}") from exc
-    if not (math.isfinite(m1) and math.isfinite(m2)):
-        raise ValueError(f"masses must be finite, got {M!r}")
-    if m1 < 0.0 or m2 < 0.0:
-        raise ValueError(f"masses must be nonnegative, got {M!r}")
+    m1, m2 = mass_pair("M", M)
     if m1 == 0.0 and m2 == 0.0:
-        raise ValueError("total mass must be positive")
+        raise ValueError(f"M must not be the empty pair {M!r}")
     return (m1, m2)
 
 
@@ -716,18 +722,14 @@ def ebar_oracle(M, gamma: GammaMatrix, delta: float = 1.0 / 64,
     min-plus dynamic programming: the cluster energy table (one array
     geometry solve for every grid pair) raised to the max_parts-th min-plus
     power by repeated squaring.  Only the answer's entry of the last
-    product is formed.  Raises ValueError on a max_parts or max_states
-    that is not an integer of at least 1, and RuntimeError when the state
-    space exceeds max_states or M/delta is not finite.
+    product is formed.  `delta` is a positive number and max_parts and
+    max_states positive integers (`triblock._args`).  Raises RuntimeError
+    when the state space exceeds max_states or M/delta is not finite.
     """
     M1, M2 = _check_mass_pair(M)
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise ValueError(f"delta must be positive, got {delta!r}")
-    for name, v in (("max_parts", max_parts), ("max_states", max_states)):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-        if v < 1:
-            raise ValueError(f"{name} must be at least 1, got {v!r}")
+    delta = real("delta", delta, 0.0)
+    max_parts = integer("max_parts", max_parts, 1)
+    max_states = integer("max_states", max_states, 1)
     q1, q2 = M1 / delta, M2 / delta
     if not (math.isfinite(q1) and math.isfinite(q2)):
         raise RuntimeError(
@@ -742,7 +744,7 @@ def ebar_oracle(M, gamma: GammaMatrix, delta: float = 1.0 / 64,
             f"oracle budget exceeded: {states} grid states > {max_states}")
     table = _quantized_energy_table(n1, n2, delta, gamma)
     # Repeated squaring; `result` collects the powers of the set bits.
-    result, power, mp = None, table, int(max_parts)
+    result, power, mp = None, table, max_parts
     while mp > 1:
         if mp & 1:
             result = power if result is None else _min_plus(result, power)
@@ -761,7 +763,9 @@ def round_config_to_grid(config: Configuration, delta: float):
     Per species the masses are floored to quanta and the leftover quanta go
     to the largest fractional remainders (largest-remainder rule), so the
     totals stay exact multiples.  Returns the rounded cluster list.
+    Raises ValueError unless delta is a positive number.
     """
+    delta = real("delta", delta, 0.0)
     ms = [[c.m1, c.m2] for c in config.clusters]
     for species, total in ((0, config.total[0]), (1, config.total[1])):
         target = round(total / delta)
@@ -804,28 +808,25 @@ def quantization_bound(config: Configuration, gamma: GammaMatrix,
 # ---------------------------------------------------------------------------
 # Necessary conditions and regime classification.
 
-def check_necessary_conditions(config: Configuration, gamma: GammaMatrix,
-                               th: Thresholds | None = None,
-                               balance_rtol: float = 1e-6,
-                               slack: float = 1e-9) -> dict:
+def check_necessary_conditions(config: Configuration, gamma: GammaMatrix) -> dict:
     """Structural first-order conditions every minimizer satisfies.
 
     Checks mass caps, the floor for repeated singles, the one-small-lobe
-    rule for doubles, and equality of the per-species energy derivatives
-    across all clusters holding that species.
+    rule for doubles (each threshold with a relative slack of 1e-9), and
+    equality of the per-species energy derivatives across all clusters
+    holding that species (a relative spread of at most 1e-6).
     """
-    if th is None:
-        th = thresholds(gamma)
-    caps_ok = all(c.m1 <= th.max_mass[0] * (1.0 + slack)
-                  and c.m2 <= th.max_mass[1] * (1.0 + slack)
+    th = thresholds(gamma)
+    caps_ok = all(c.m1 <= th.max_mass[0] * (1.0 + _SLACK)
+                  and c.m2 <= th.max_mass[1] * (1.0 + _SLACK)
                   for c in config.clusters)
     singles = {1: [c.m1 for c in config.clusters if c.kind == KIND_SINGLE_1],
                2: [c.m2 for c in config.clusters if c.kind == KIND_SINGLE_2]}
-    floor_ok = all(len(v) < 2 or min(v) >= th.single_floor[i - 1] * (1.0 - slack)
+    floor_ok = all(len(v) < 2 or min(v) >= th.single_floor[i - 1] * (1.0 - _SLACK)
                    for i, v in singles.items())
     doubles = [c for c in config.clusters if c.kind == KIND_DOUBLE]
-    small1 = sum(1 for c in doubles if c.m1 < th.concavity[0] * (1.0 - slack))
-    small2 = sum(1 for c in doubles if c.m2 < th.concavity[1] * (1.0 - slack))
+    small1 = sum(1 for c in doubles if c.m1 < th.concavity[0] * (1.0 - _SLACK))
+    small2 = sum(1 for c in doubles if c.m2 < th.concavity[1] * (1.0 - _SLACK))
     flex_ok = small1 <= 1 and small2 <= 1
     spreads = []
     balance_ok = True
@@ -841,7 +842,7 @@ def check_necessary_conditions(config: Configuration, gamma: GammaMatrix,
         else:
             spread = 0.0
         spreads.append(spread)
-        balance_ok = balance_ok and spread <= balance_rtol
+        balance_ok = balance_ok and spread <= _BALANCE_RTOL
     report = {
         "mass_caps": caps_ok,
         "single_floor": floor_ok,
@@ -886,7 +887,7 @@ def classify_regime(M, gamma: GammaMatrix, run_search: bool = True) -> dict:
     k_guaranteed = 0
     singles_species = None
     if gamma.g12 == 0.0 and M1 > 0.0 and M2 > 0.0:
-        th_sw = thresholds(gamma.swapped())
+        th_sw = th.swapped()
         while True:
             k = k_guaranteed + 1
             if _coexistence_guaranteed(M1, M2, th, k, k):

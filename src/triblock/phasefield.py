@@ -18,12 +18,12 @@ extract_components turns them into partition-module configurations.
 import json
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from scipy import ndimage
 
+from triblock._args import integer, mass_pair, real
 from triblock.geometry import GammaMatrix, solve_geometry
 from triblock.partition import Configuration, cluster_from_masses
 
@@ -92,8 +92,8 @@ class Field:
     """Two periodic density grids with an interface width.
 
     The grids are copied.  Raises ValueError unless they are matching,
-    non-empty square grids of finite values inside GUARD_BAND, and epsilon
-    is positive.
+    non-empty square grids of finite values inside GUARD_BAND; epsilon is
+    a positive number (`triblock._args`).
     """
 
     u1: np.ndarray
@@ -109,8 +109,7 @@ class Field:
                              f"got {u1.shape} and {u2.shape}")
         if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
             raise ValueError("field values must be finite")
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", real("epsilon", self.epsilon, 0.0))
         lo, hi = GUARD_BAND
         for name, u in (("u1", u1), ("u2", u2)):
             if np.any(u < lo) or np.any(u > hi):
@@ -131,7 +130,8 @@ class Field:
 
 
 def uniform_field(N: int, epsilon: float, means) -> Field:
-    m1, m2 = (float(means[0]), float(means[1]))
+    N = integer("N", N, 1)
+    m1, m2 = mass_pair("means", means)
     return Field(np.full((N, N), m1), np.full((N, N), m2), epsilon)
 
 
@@ -141,12 +141,15 @@ def noisy_uniform_field(N: int, epsilon: float, means, amplitude: float = 1e-2,
 
     Raises ValueError (from `Field`) when the noisy grids leave GUARD_BAND.
     """
-    rng = np.random.default_rng(seed)
+    N = integer("N", N, 1)
+    means = mass_pair("means", means)
+    amplitude = real("amplitude", amplitude, 0.0, closed=True)
+    rng = np.random.default_rng(integer("seed", seed))
     grids = []
     for m in means:
         noise = rng.uniform(-amplitude, amplitude, size=(N, N))
         noise -= noise.mean()
-        grids.append(float(m) + noise)
+        grids.append(m + noise)
     return Field(grids[0], grids[1], epsilon)
 
 
@@ -195,6 +198,10 @@ def droplet_field(N: int, epsilon: float, eta: float, masses, centers) -> Field:
     when that rescaling lifts a species out of GUARD_BAND, as it does for a
     droplet that covers most of the torus at a wide interface.
     """
+    N = integer("N", N, 1)
+    epsilon = real("epsilon", epsilon, 0.0)
+    eta = real("eta", eta, 0.0)
+    masses = [mass_pair("masses", m) for m in masses]
     if len(masses) != len(centers) or len(masses) == 0:
         raise ValueError("need one center per cluster")
     xs = np.arange(N) / N
@@ -202,8 +209,8 @@ def droplet_field(N: int, epsilon: float, eta: float, masses, centers) -> Field:
     u1 = np.zeros((N, N))
     u2 = np.zeros((N, N))
     for (m1, m2), (cx, cy) in zip(masses, centers):
-        if m1 < 0.0 or m2 < 0.0 or m1 + m2 <= 0.0:
-            raise ValueError(f"bad mass pair ({m1!r}, {m2!r})")
+        if m1 + m2 == 0.0:
+            raise ValueError(f"masses must not hold the empty pair {(m1, m2)!r}")
         if m1 > 0.0 and m2 > 0.0:
             sd_1, sd_2 = _double_lobe_distances(X, Y, (cx, cy), (m1, m2), eta)
             u1 += 0.5 * (1.0 + np.tanh(eta * sd_1 / (2.0 * epsilon)))
@@ -235,8 +242,7 @@ def scaled_gamma(gamma: GammaMatrix, eta: float) -> GammaMatrix:
     perimeter and nonlocal forces balance in the same ratio as in the sharp
     rescaled energy.
     """
-    if not (0.0 < eta < 1.0):
-        raise ValueError(f"eta must be in (0, 1), got {eta!r}")
+    eta = real("eta", eta, 0.0, 1.0)
     factor = 1.0 / (eta ** 3 * abs(math.log(eta))) * INTERFACE_COST
     return GammaMatrix(gamma.g11 * factor, gamma.g22 * factor,
                        gamma.g12 * factor)
@@ -323,19 +329,6 @@ def _log_clip(step, species, bounds):
                "fixed mass", step, species, max(lo - bounds[0], bounds[1] - hi))
 
 
-def _is_real(v) -> bool:
-    """A real number, not a bool, a string or a complex."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _positive_finite(name, v):
-    """v as a float; ValueError naming `name` unless it is a positive, finite
-    real number."""
-    if not (_is_real(v) and v > 0.0 and math.isfinite(v)):
-        raise ValueError(f"{name} must be a positive finite number, got {v!r}")
-    return float(v)
-
-
 def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
           steps: int = 1000, printed_well: bool = False, trace_every: int = 1,
           blow_limit: float = 5.0):
@@ -359,18 +352,17 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
     well, nonlocal) of the state itself.  The trace is non-increasing only
     while no clip fires: a clip is a projection onto the band, not a
     descent step, and may raise the energy.
-    Raises RuntimeError when the field norm blows up, and ValueError naming
-    the argument when `dt` or `blow_limit` is not a positive finite real
-    number, `steps` is not a non-negative integer or `trace_every` not a
-    positive one (bools and strings refused for all four).
+    Raises RuntimeError when the field norm blows up.  `dt` and
+    `blow_limit` are positive numbers, `steps` a non-negative integer and
+    `trace_every` a positive one, checked by the package's argument policy
+    (`triblock._args`).
     """
     N = init.N
     eps = init.epsilon
-    dt = _positive_finite("dt", eps * (1.0 / N) if dt is None else dt)
-    for name, v, low in (("steps", steps, 0), ("trace_every", trace_every, 1)):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
-    blow_limit = _positive_finite("blow_limit", blow_limit)
+    dt = real("dt", eps * (1.0 / N) if dt is None else dt, 0.0)
+    steps = integer("steps", steps)
+    trace_every = integer("trace_every", trace_every, 1)
+    blow_limit = real("blow_limit", blow_limit, 0.0)
     well = _well_printed if printed_well else _well
     grid = _spectral_grid(N)
     k2, inv_lap, _ = grid
@@ -466,8 +458,10 @@ class SharpConfig:
                 f"and {ind2.shape}")
         if np.any(ind1 & ind2):
             raise ValueError("species supports overlap")
-        if not (self.eta > 0.0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be positive, got {self.eta!r}")
+        object.__setattr__(self, "eta", real("eta", self.eta, 0.0))
+        object.__setattr__(self, "overlap_fraction",
+                           real("overlap_fraction", self.overlap_fraction, 0.0,
+                                1.0, closed=True))
         object.__setattr__(self, "ind1", ind1)
         object.__setattr__(self, "ind2", ind2)
 
@@ -516,8 +510,7 @@ def sharp_energy(c: SharpConfig, gamma: GammaMatrix) -> float:
 
 def threshold(f: Field, level: float = 0.5, *, eta: float) -> SharpConfig:
     """Indicator sets u_i > level, contested cells going to the larger value."""
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"level must be in (0, 1), got {level!r}")
+    level = real("level", level, 0.0, 1.0)
     above1 = f.u1 > level
     above2 = f.u2 > level
     both = above1 & above2
@@ -628,8 +621,8 @@ def write_field_pgm(f: Field, stem: str, metadata: dict | None = None,
 def read_field_pgm(stem: str) -> Field:
     """Rebuild a Field from write_field_pgm output (quantized to 16 bits).
 
-    The JSON sidecar must hold a numeric "epsilon", and its "value_range"
-    (GUARD_BAND when absent) must be two finite numbers lo < hi; otherwise
+    The JSON sidecar must hold a positive "epsilon", and its "value_range"
+    (GUARD_BAND when absent) must be two numbers lo < hi; otherwise
     ValueError names the key, as a reversed range would invert the field.
     Raises ValueError unless each PGM is binary (P5) with two positive
     integer dimensions, a 16-bit maxval (256..65535) and a payload of
@@ -641,17 +634,13 @@ def read_field_pgm(stem: str) -> Field:
         meta = json.load(fh)
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path}: sidecar must be a JSON object")
+    key = f"{meta_path}: value_range"
     value_range = meta.get("value_range", GUARD_BAND)
-    if not (isinstance(value_range, (list, tuple)) and len(value_range) == 2
-            and all(_is_real(v) and math.isfinite(v) for v in value_range)
-            and value_range[0] < value_range[1]):
-        raise ValueError(f"{meta_path}: value_range must be two finite numbers "
-                         f"lo < hi, got {value_range!r}")
-    lo, hi = (float(v) for v in value_range)
-    epsilon = meta.get("epsilon")
-    if not _is_real(epsilon):
-        raise ValueError(f"{meta_path}: epsilon must be a number, "
-                         f"got {epsilon!r}")
+    if not (isinstance(value_range, (list, tuple)) and len(value_range) == 2):
+        raise ValueError(f"{key} must be two numbers lo < hi, got {value_range!r}")
+    lo = real(key, value_range[0])
+    hi = real(key, value_range[1], lo)
+    epsilon = real(f"{meta_path}: epsilon", meta.get("epsilon"), 0.0)
 
     def header_line(fh):
         line = fh.readline()
@@ -685,7 +674,7 @@ def read_field_pgm(stem: str) -> Field:
                              f"{w * hgt * 2} for {w} x {hgt} 16-bit samples")
         data = np.frombuffer(payload, dtype=">u2")
         grids.append(data.reshape(hgt, w).astype(float) / maxval * (hi - lo) + lo)
-    return Field(grids[0], grids[1], float(epsilon))
+    return Field(grids[0], grids[1], epsilon)
 
 
 def write_trace_csv(trace, path: str, comment: str | None = None) -> None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from triblock._args import integer, mass_pair, real
 from triblock.geometry import GammaMatrix, solve_geometry
 from triblock.torus_green import R0, _ewald, wrap
 
@@ -36,12 +37,7 @@ class Layout:
         for p in self.points:
             if len(p) != 2 or not all(math.isfinite(float(c)) for c in p):
                 raise ValueError(f"bad torus point {p!r}")
-        for m in self.masses:
-            m1, m2 = (float(m[0]), float(m[1]))
-            if not (math.isfinite(m1) and math.isfinite(m2)):
-                raise ValueError(f"bad mass pair {m!r}")
-            if m1 < 0.0 or m2 < 0.0 or m1 + m2 <= 0.0:
-                raise ValueError(f"mass pair must be nonnegative and nontrivial, got {m!r}")
+        object.__setattr__(self, "masses", _cluster_masses(self.masses))
         pts = np.asarray(self.points, dtype=float)
         same = np.all(wrap(pts[:, None] - pts[None]) == 0.0, axis=-1)
         k, ell = np.nonzero(np.triu(same, 1))
@@ -54,7 +50,16 @@ class Layout:
 
     def as_dict(self) -> dict:
         return {"points": [list(map(float, p)) for p in self.points],
-                "masses": [list(map(float, m)) for m in self.masses]}
+                "masses": [list(m) for m in self.masses]}
+
+
+def _cluster_masses(masses) -> tuple:
+    """Each pair through `mass_pair`; a pair of two zeros is refused."""
+    out = tuple(mass_pair("masses", m) for m in masses)
+    for m in out:
+        if m == (0.0, 0.0):
+            raise ValueError(f"masses must not hold the empty pair {m!r}")
+    return out
 
 
 def _layout_arrays(layout: Layout):
@@ -210,29 +215,23 @@ def minimize_FK(masses, gamma: GammaMatrix, restarts: int = 8, seed: int = 0,
     directions, so convergence is judged on the remaining gradient alone.
     With full_output, each row of "restarts" holds the restart's energy,
     gradient norm and its energy, gradient and Hessian evaluation counts.
-    Raises RuntimeError with diagnostics when no restart reaches gtol, and
-    ValueError when `restarts` is not a positive integer or `seed` not a
-    non-negative integer (bools refused for both), when `gtol` is not
-    positive and finite, or when the weights overflow (masses past about
-    1e154).
+    `restarts` is a positive integer, `seed` a non-negative one and `gtol`
+    a positive number (`triblock._args`).  Raises RuntimeError with
+    diagnostics when no restart reaches gtol, and ValueError when the
+    weights overflow (masses past about 1e154).
     """
-    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) \
-            or restarts < 1:
-        raise ValueError(f"restarts must be a positive integer, got {restarts!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
-            or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if not (gtol > 0.0 and math.isfinite(gtol)):
-        raise ValueError(f"gtol must be positive and finite, got {gtol!r}")
-    M = np.asarray([(float(m[0]), float(m[1])) for m in masses], dtype=float)
-    K = len(M)
+    restarts = integer("restarts", restarts, 1)
+    seed = integer("seed", seed)
+    gtol = real("gtol", gtol, 0.0)
+    masses = _cluster_masses(masses)
+    K = len(masses)
     if K < 1:
         raise ValueError("need at least one cluster")
     if K == 1:
-        layout = Layout(((0.0, 0.0),), tuple(map(tuple, M)))
+        layout = Layout(((0.0, 0.0),), masses)
         return (layout, {"energy": 0.0, "grad_norm": 0.0,
                          "restarts": []}) if full_output else layout
-    W = _weight_matrix(M, gamma)
+    W = _weight_matrix(np.asarray(masses), gamma)
     best = None
     rows = []
     for r in range(restarts):
@@ -262,7 +261,7 @@ def minimize_FK(masses, gamma: GammaMatrix, restarts: int = 8, seed: int = 0,
             "descent failed: best gradient norm "
             f"{worst['grad_norm']:.3e} over {restarts} restarts (gtol {gtol:g})")
     P = np.vstack([np.zeros(2), wrap(best[0].reshape(K - 1, 2))])
-    layout = Layout(tuple(map(tuple, P)), tuple(map(tuple, M)))
+    layout = Layout(tuple(map(tuple, P)), masses)
     if full_output:
         return layout, {"energy": best[1], "grad_norm": best[2],
                         "restarts": rows}
@@ -408,11 +407,11 @@ def self_interaction(m, i: int, j: int, *, n_points=None, replicates=None,
     (totals past about 1e154), and for a double bubble whose mass ratio is
     below 1e-21 (`_MIN_RATIO`), where the small lobe is not resolved.
     """
-    m1, m2 = (float(m[0]), float(m[1]))
-    if i not in (1, 2) or j not in (1, 2):
+    m1, m2 = mass_pair("m", m)
+    if m1 + m2 == 0.0:
+        raise ValueError(f"m must not be the empty pair {m!r}")
+    if integer("i", i, 1) > 2 or integer("j", j, 1) > 2:
         raise ValueError(f"species indices must be 1 or 2, got {(i, j)!r}")
-    if min(m1, m2) < 0.0 or m1 + m2 <= 0.0:
-        raise ValueError(f"bad mass pair {m!r}")
     return _self_terms(m1, m2)[2 if i != j else i - 1]
 
 
@@ -438,6 +437,10 @@ def F0(layout: Layout, gamma: GammaMatrix, *, n_points=None, replicates=None,
 
 
 def disk_self_interaction(mass: float) -> float:
-    """Closed-form log-kernel energy of a disk of the given area."""
+    """Closed-form log-kernel energy of a disk of the given area; 0 for
+    the empty disk, the limit of the closed form."""
+    mass = real("mass", mass, 0.0, closed=True)
+    if mass == 0.0:
+        return 0.0
     a = math.sqrt(mass / math.pi)
     return 0.5 * math.pi * a ** 4 * (0.25 - math.log(a))

@@ -312,7 +312,8 @@ def test_resolve_parameters_fuzz_wrong_types(data):
     ("bubble", "m1", True), ("bubble", "m2", "2.5"), ("green", "x", "0.1"),
     ("relax", "amplitude", False), ("relax", "epsilon", "1e-2"),
     ("partition", "gamma", [1.0, "1", 0.0]),
-    ("place", "masses", [[1, 0], [True, 1]])])
+    ("place", "masses", [[1, 0], [True, 1]]), ("compare", "level", "0.5"),
+    ("regime-sweep", "M1_values", [1.0, True]), ("relax", "centers", [["0", 1]])])
 def test_numbers_given_as_booleans_or_strings_are_refused(command, key, value):
     params = dict(VALID_CONFIGS[command], **{key: value})
     with pytest.raises(ValueError, match=f"{key} must be a number"):

@@ -66,6 +66,17 @@ def test_threshold_probe_dependence():
     assert th_uniform.concavity[0] < light
 
 
+@pytest.mark.parametrize("g", [G_PLAIN, GammaMatrix(4.0, 0.3, 0.0),
+                               GammaMatrix(0.2, 25.0, 3.0),
+                               GammaMatrix(8.0, 2.0, 0.5)],
+                         ids=["plain", "4-0.3", "0.2-25", "8-2"])
+def test_thresholds_of_the_swapped_matrix_are_the_mirror(g):
+    # classify_regime builds the swapped thresholds from th.swapped()
+    # instead of two more Brent solves; they must agree exactly.
+    assert thresholds(g.swapped()) == thresholds(g).swapped()
+    assert thresholds(g).swapped().swapped() == thresholds(g)
+
+
 def test_cluster_kind_validation():
     with pytest.raises(ValueError):
         Cluster(KIND_DOUBLE, 1.0, 0.0)
@@ -290,11 +301,11 @@ def test_oracle_guards():
     # M/delta overflows to inf: no grid exists, which is a budget failure.
     with pytest.raises(RuntimeError, match="budget"):
         ebar_oracle((1.0, 1.0), G_PLAIN, delta=1e-320)
-    for bad in (2.5, 3.9, True, float("inf"), 12.0, "12"):
+    for bad in (2.5, 3.9, True, float("inf"), 12.0, "12", 12 + 0j):
         with pytest.raises(ValueError, match="max_parts"):
             ebar_oracle((1.0, 1.0), G_PLAIN, max_parts=bad)
     # states > nan is False, so a NaN budget would disable the state check.
-    for bad in (float("nan"), float("inf"), 2.5, True, "12", 0):
+    for bad in (float("nan"), float("inf"), 2.5, True, "12", 0, 12 + 0j):
         with pytest.raises(ValueError, match="max_states"):
             ebar_oracle((1.0, 1.0), G_PLAIN, max_states=bad)
     assert ebar_oracle((0.5, 0.5), G_PLAIN, delta=1.0 / 16,
@@ -388,6 +399,16 @@ def test_round_to_grid_preserves_totals():
     for c in rounded:
         for m in (c.m1, c.m2):
             assert abs(m / DELTA - round(m / DELTA)) < 1e-9
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
+def test_quantization_refuses_a_bad_delta_by_name(delta):
+    # 0 divided by zero, -0.1 gave a bound of 6.5e-10, nan failed in int()
+    conf = Configuration((cluster_from_masses(0.37, 0.21),), (0.37, 0.21))
+    with pytest.raises(ValueError, match="^delta must be positive"):
+        round_config_to_grid(conf, delta)
+    with pytest.raises(ValueError, match="^delta must be positive"):
+        quantization_bound(conf, G_PLAIN, delta)
 
 
 def test_quantization_bound_positive_and_valid():

@@ -410,6 +410,9 @@ def test_relax_validation():
     ("blow_limit", float("nan")), ("blow_limit", 0.0),
     ("dt", True), ("dt", "0.1"), ("dt", 1e-3 + 0j), ("dt", float("inf")),
     ("blow_limit", True), ("blow_limit", "5"), ("blow_limit", 5 + 0j),
+    ("steps", "3"), ("steps", float("nan")), ("trace_every", "2"),
+    ("trace_every", 2 + 0j), ("dt", float("nan")), ("dt", -1e-3),
+    ("blow_limit", float("inf")),
 ])
 def test_relax_refuses_a_bad_argument_by_name(name, bad):
     f = uniform_field(8, 0.1, (0.1, 0.1))

@@ -246,7 +246,7 @@ class TestMinimizeFK:
         with pytest.raises(ValueError, match="gtol must be positive and finite"):
             minimize_FK([(1.0, 0.5), (0.5, 1.0)], GAMMA, gtol=gtol)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", 3 + 0j])
     def test_seed_must_be_non_negative_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             minimize_FK([(1.0, 0.5), (0.5, 1.0)], GAMMA, restarts=2, seed=seed)
@@ -352,6 +352,17 @@ class TestSelfInteraction:
                 assert abs(self_interaction(m, i, i) - oracle) <= tol
                 assert abs(self_interaction(m, i, i)
                            - disk_self_interaction(mass)) <= tol
+
+    def test_empty_disk_has_no_self_term(self):
+        # the closed form tends to 0 as the mass does, and an absent
+        # species gives self_interaction a zero term
+        assert disk_self_interaction(0.0) == 0.0
+        assert disk_self_interaction(np.float64(0)) == 0.0
+        assert abs(disk_self_interaction(1e-12)) < 1e-23
+        assert self_interaction((1.0, 0.0), 2, 2) == 0.0
+        for bad in (-1.0, -1e-300, math.nan, math.inf, True, "1"):
+            with pytest.raises(ValueError, match="^mass must"):
+                disk_self_interaction(bad)
 
     @given(q=_RATIO, s=_SCALE)
     def test_scaling_relation(self, q, s):
