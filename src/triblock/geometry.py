@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from triblock._args import mass_pair, real
+from triblock._args import integer, mass_pair, real
 
 TWO_PI_THIRDS = 2.0 * math.pi / 3.0
 THETA0_MAX = math.pi / 3.0
@@ -79,25 +79,9 @@ class GammaMatrix:
     def is_positive_definite(self) -> bool:
         return self.g12 * self.g12 < self.g11 * self.g22
 
-    def diag(self, i: int) -> float:
-        """Diagonal entry for species i in {1, 2}."""
-        if i == 1:
-            return self.g11
-        if i == 2:
-            return self.g22
-        raise ValueError(f"species index must be 1 or 2, got {i}")
-
     def quad(self, m1: float, m2: float) -> float:
         """Quadratic form g11 m1^2 + 2 g12 m1 m2 + g22 m2^2."""
         return self.g11 * m1 * m1 + 2.0 * self.g12 * m1 * m2 + self.g22 * m2 * m2
-
-    def row(self, i: int, m1: float, m2: float) -> float:
-        """(Gamma m)_i, the species-i linear interaction potential."""
-        if i == 1:
-            return self.g11 * m1 + self.g12 * m2
-        if i == 2:
-            return self.g12 * m1 + self.g22 * m2
-        raise ValueError(f"species index must be 1 or 2, got {i}")
 
     def swapped(self) -> "GammaMatrix":
         """Coefficients with the two species exchanged."""
@@ -549,8 +533,8 @@ def e0_gradient(m, gamma: GammaMatrix) -> tuple[float, float]:
     m1, m2 = mass_pair("m", m, True)
     p1, p2 = perimeter_gradient((m1, m2))
     two_pi = 2.0 * math.pi
-    return (p1 + gamma.row(1, m1, m2) / two_pi,
-            p2 + gamma.row(2, m1, m2) / two_pi)
+    return (p1 + (gamma.g11 * m1 + gamma.g12 * m2) / two_pi,
+            p2 + (gamma.g12 * m1 + gamma.g22 * m2) / two_pi)
 
 
 def single_energy(mass: float, gamma_ii: float) -> float:
@@ -569,8 +553,12 @@ def single_energy_gradient(mass: float, gamma_ii: float) -> float:
 
 def e0_hessian_diag(m, gamma: GammaMatrix, i: int) -> float:
     """Pure second derivative d^2 e0/d m_i^2 at a positive mass pair:
-    g_ii/(2 pi) plus the diagonal entry of `perimeter_hessian`."""
-    g_ii = gamma.diag(i)  # raises on a bad species index
+    g_ii/(2 pi) plus the diagonal entry of `perimeter_hessian`.  The
+    species index i is an integer, 1 or 2."""
+    i = integer("i", i, 1)
+    if i > 2:
+        raise ValueError(f"i must be 1 or 2, got {i}")
+    g_ii = gamma.g11 if i == 1 else gamma.g22
     return g_ii / (2.0 * math.pi) + float(perimeter_hessian(m)[i - 1, i - 1])
 
 
@@ -587,7 +575,8 @@ def concavity_threshold(gamma_ii: float, i: int = 1,
     pi * gamma_ii^(-2/3), finds the sign change between them with one
     Brent solve to a few ulps, and verifies that the sign flips across
     +/- 1e-4 of the result.  Raises ConvergenceError when the two ends do
-    not bracket a sign change.
+    not bracket a sign change; `e0_hessian_diag` refuses a species index i
+    other than 1 or 2.
     """
     gamma_ii = real("gamma_ii", gamma_ii, 0.0)
     probe_other_mass = real("probe_other_mass", probe_other_mass, 0.0)

@@ -35,8 +35,10 @@ class Layout:
         if len(self.points) != len(self.masses):
             raise ValueError("points and masses must pair up")
         for p in self.points:
-            if len(p) != 2 or not all(math.isfinite(float(c)) for c in p):
-                raise ValueError(f"bad torus point {p!r}")
+            if np.ndim(p) != 1 or len(p) != 2:
+                raise ValueError(f"points must be pairs of numbers, got {p!r}")
+        object.__setattr__(self, "points", tuple(
+            (real("points", x), real("points", y)) for x, y in self.points))
         object.__setattr__(self, "masses", _cluster_masses(self.masses))
         pts = np.asarray(self.points, dtype=float)
         same = np.all(wrap(pts[:, None] - pts[None]) == 0.0, axis=-1)
@@ -49,7 +51,7 @@ class Layout:
         return len(self.points)
 
     def as_dict(self) -> dict:
-        return {"points": [list(map(float, p)) for p in self.points],
+        return {"points": [list(p) for p in self.points],
                 "masses": [list(m) for m in self.masses]}
 
 

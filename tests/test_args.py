@@ -52,6 +52,10 @@ CASES = [
      lambda v: G.concavity_threshold(v)),
     ("concavity_threshold", "probe_other_mass", "real", 3.0,
      lambda v: G.concavity_threshold(1.0, 1, v)),
+    ("concavity_threshold", "i", "int", 2,
+     lambda v: G.concavity_threshold(1.0, v)),
+    ("e0_hessian_diag", "i", "int", 2,
+     lambda v: G.e0_hessian_diag((0.5, 1.0), GAMMA, v)),
     ("Cluster", "m1", "real", 0.5, lambda v: P.Cluster(P.KIND_DOUBLE, v, 1.0)),
     ("Cluster", "m2", "real", 0.5, lambda v: P.Cluster(P.KIND_DOUBLE, 1.0, v)),
     ("cluster_from_masses", "m1", "real", 0.5,
@@ -77,6 +81,8 @@ CASES = [
      lambda v: P.quantization_bound(CONF, GAMMA, v)),
     ("Layout", "masses", "real", 0.5,
      lambda v: PL.Layout(((0.0, 0.0), (0.5, 0.5)), ((v, 1.0), (1.0, 0.0)))),
+    ("Layout", "points", "real", 0.25,
+     lambda v: PL.Layout(((v, 0.0), (0.5, 0.5)), ((1.0, 0.0), (0.0, 1.0)))),
     ("minimize_FK", "masses", "real", 0.5,
      lambda v: PL.minimize_FK([(v, 1.0), (1.0, 0.0)], GAMMA, restarts=1)),
     ("minimize_FK", "gtol", "real", 1e-10,
@@ -160,9 +166,13 @@ def test_accepts_numpy_scalars(entry, name, kind, good, call):
     (lambda: PL.Layout(((0.0, 0.0),), ((0.0, 0.0),)), "masses"),
     (lambda: PL.self_interaction((0.0, 0.0), 1, 1), "m"),
     (lambda: PF.droplet_field(16, 0.1, 0.2, [(0, 0)], [(0.5, 0.5)]), "masses"),
+    (lambda: G.e0_hessian_diag((0.5, 1.0), GAMMA, 3), "i"),
+    (lambda: PL.Layout((0.0, 0.5), ((1.0, 0.0), (0.0, 1.0))), "points"),
+    (lambda: PL.Layout(((0.0, 0.5, 0.5),), ((1.0, 0.0),)), "points"),
 ], ids=["k-negative", "seed-negative", "eta-zero", "N-zero", "m1-negative",
         "pair-of-strings", "one-mass", "zero-lobe", "e0-empty", "ebar-empty",
-        "cluster-empty", "layout-empty", "self-empty", "droplet-empty"])
+        "cluster-empty", "layout-empty", "self-empty", "droplet-empty",
+        "species-three", "layout-bare-point", "layout-triple"])
 def test_refuses_an_out_of_range_scalar_by_name(call, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -190,8 +200,9 @@ def test_policy_helpers():
 
 
 def test_dataclasses_store_the_checked_floats():
-    lay = PL.Layout(((0.0, 0.0),), ((1, np.float64(0.5)),))
+    lay = PL.Layout(((0, np.float64(0.5)),), ((1, np.float64(0.5)),))
     assert [type(v) for v in lay.masses[0]] == [float, float]
+    assert [type(v) for v in lay.points[0]] == [float, float]
     assert type(G.GammaMatrix(1, 1, 0).g11) is float
     assert type(PF.Field(U, U, np.float64(0.1)).epsilon) is float
 

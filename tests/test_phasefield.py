@@ -704,6 +704,27 @@ def test_threshold_overlap_goes_to_larger_value():
     assert c.overlap_fraction == 1.0
 
 
+def test_threshold_counts_positive_parts():
+    # At (2, 2) neither species passes 0.5 alone, as in a wall cell; at
+    # (5, 5) u1 + u2 < 0.5 because u2 is negative.  Both cells go to u1.
+    u1 = np.zeros((8, 8))
+    u2 = np.zeros((8, 8))
+    u1[2, 2], u2[2, 2] = 0.3, 0.25
+    u1[5, 5], u2[5, 5] = 0.52, -0.04
+    c = threshold(Field(u1, u2, 0.1), 0.5, eta=0.1)
+    assert np.array_equal(np.argwhere(c.ind1), [[2, 2], [5, 5]])
+    assert not c.ind2.any()
+    assert c.overlap_fraction == 0.0
+
+
+def test_threshold_keeps_a_grid_line_wall_in_its_double():
+    # The double's wall lies on the grid line x = 1/2, where u1 = u2 < 1/2,
+    # so no wall cell passes the level on one species alone.
+    f = droplet_field(64, 2.0 / 64, 0.1, [(4.0, 4.0)], [(0.5, 0.5)])
+    conf, _ = extract_components(threshold(f, 0.5, eta=0.1))
+    assert [c.kind for c in conf.clusters] == ["double"]
+
+
 def test_extract_two_disks():
     n, eta = 256, 0.1
     ind1 = disk_indicator(n, (0.25, 0.25), 0.05)
