@@ -683,7 +683,13 @@ def _min_plus(A, B):
     in one scratch buffer and reduced elementwise, by column block and by
     chunk of rows b1.  Every entry is the minimum of the same float sums as
     an elementwise loop, so the result is exact; inf marks an empty state.
+
+    A square (A is B) visits only the row pairs b1 >= a1: the mirror pair
+    (b1, a1) at split s2 - a2 adds the same two floats in the other order,
+    and float addition commutes, so each entry is still the minimum of the
+    same set of sums and equals the full pass bit for bit.
     """
+    square = A is B
     S1, S2 = A.shape
     C = np.full(A.shape, np.inf)
     pad = np.full((S1, 2 * S2 - 1), np.inf)
@@ -695,7 +701,7 @@ def _min_plus(A, B):
     buf = np.empty(S2 * rows * width)
     for a1 in range(S1):
         weights = A[a1, ::-1, None, None]
-        for r0 in range(0, S1 - a1, rows):
+        for r0 in range(a1 if square else 0, S1 - a1, rows):
             r1 = min(r0 + rows, S1 - a1)
             for s0 in range(0, S2, width):
                 s1 = min(s0 + width, S2)
@@ -721,10 +727,15 @@ def ebar_oracle(M, gamma: GammaMatrix, delta: float = 1.0 / 64,
     configurations of at most max_parts grid clusters is computed by
     min-plus dynamic programming: the cluster energy table (one array
     geometry solve for every grid pair) raised to the max_parts-th min-plus
-    power by repeated squaring.  Only the answer's entry of the last
-    product is formed.  `delta` is a positive number and max_parts and
-    max_states positive integers (`triblock._args`).  Raises RuntimeError
-    when the state space exceeds max_states or M/delta is not finite.
+    power by repeated squaring.  Each squaring passes one array as both
+    operands, so `_min_plus` forms it as a square, over half the row pairs.
+    A full product of two different powers comes once for each set bit of
+    max_parts past the top two (max_parts = 7, 11, 13, 14, 15, ...); at
+    max_parts = 12 all three full products are squares.  Only the answer's
+    entry of the last product is formed.  `delta` is a positive number and
+    max_parts and max_states positive integers (`triblock._args`).  Raises
+    RuntimeError when the state space exceeds max_states or M/delta is not
+    finite.
     """
     M1, M2 = _check_mass_pair(M)
     delta = real("delta", delta, 0.0)

@@ -340,14 +340,28 @@ def _min_plus_reference(A, B):
 @pytest.mark.parametrize("shape", [(1, 1), (5, 1), (1, 7), (4, 9), (9, 4),
                                    (6, 6), (3, 40), (40, 3)])
 def test_min_plus_matches_quadruple_loop(shape):
+    # B = A itself is a square, where _min_plus visits only the row pairs
+    # b1 >= a1.
     rng = np.random.default_rng(sum(shape))
     for _ in range(3):
         A = rng.uniform(0.0, 4.0, size=shape)
         B = rng.uniform(0.0, 4.0, size=shape)
         A[rng.uniform(size=shape) < 0.2] = np.inf
         B[rng.uniform(size=shape) < 0.2] = np.inf
-        assert np.array_equal(partition._min_plus(A, B),
-                              _min_plus_reference(A, B))
+        for other in (B, A):
+            assert np.array_equal(partition._min_plus(A, other),
+                                  _min_plus_reference(A, other))
+
+
+def test_min_plus_square_equals_the_full_pass():
+    # The same floats whether the square path or the full pass forms them,
+    # on a real cluster table and on its square.
+    T = partition._quantized_energy_table(32, 32, 1.0 / 32,
+                                          GammaMatrix(4.0, 4.0, 6.0))
+    for _ in range(2):
+        square = partition._min_plus(T, T)
+        assert np.array_equal(square, partition._min_plus(T, T.copy()))
+        T = square
 
 
 def test_oracle_powers_match_repeated_products():
@@ -366,14 +380,17 @@ def test_oracle_powers_match_repeated_products():
 
 
 def test_min_plus_small_buffer_and_many_blocks(monkeypatch):
-    # Row chunks of one row and blocks of one column reach the same minima.
+    # Row chunks of one row and blocks of one column reach the same minima,
+    # in a product and in a square.
     monkeypatch.setattr(partition, "_MIN_PLUS_BUFFER_BYTES", 1)
     monkeypatch.setattr(partition, "_MIN_PLUS_BLOCKS", 50)
     rng = np.random.default_rng(7)
     A = rng.uniform(size=(7, 11))
     B = rng.uniform(size=(7, 11))
     A[2, 3] = np.inf
-    assert np.array_equal(partition._min_plus(A, B), _min_plus_reference(A, B))
+    for other in (B, A):
+        assert np.array_equal(partition._min_plus(A, other),
+                              _min_plus_reference(A, other))
 
 
 def test_ebar_propagates_programming_errors(monkeypatch):
@@ -457,6 +474,22 @@ def test_ebar_meets_necessary_conditions_or_refuses(log_total, log_share,
             ebar(M, g)
         return
     _, conf = ebar(M, g)
+    report = check_necessary_conditions(conf, g)
+    assert report["all_pass"], (M, g, report)
+
+
+@settings(max_examples=50)
+@given(k1=st.integers(7, 128), k2=st.integers(7, 128), g11=_DIAGONAL,
+       g22=_DIAGONAL, g12=st.floats(0.0, 20.0))
+def test_ebar_agrees_with_oracle_on_its_grid(k1, k2, g11, g22, g12):
+    # Criterion 05's checks on drawn instances.  The totals lie on the
+    # oracle's grid: off it the oracle solves the rounded totals, and its
+    # value can fall below ebar's by the rounding alone.
+    M, g = (k1 * DELTA, k2 * DELTA), GammaMatrix(g11, g22, g12)
+    value, conf = ebar(M, g)
+    grid_value = ebar_oracle(M, g, delta=DELTA, max_parts=12)
+    assert value <= grid_value + 1e-9, (M, g)
+    assert grid_value <= value + quantization_bound(conf, g, DELTA), (M, g)
     report = check_necessary_conditions(conf, g)
     assert report["all_pass"], (M, g, report)
 
