@@ -130,26 +130,28 @@ def fk_gradient(layout: Layout, gamma: GammaMatrix) -> np.ndarray:
     return _pair_terms(P, _weight_matrix(M, gamma), 1)[1]
 
 
-# Evaluation counters of a descent, by derivative order.
-_EVAL_KEYS = ("energy_evals", "gradient_evals", "hessian_evals")
+# Evaluation counters of a descent: the calls of `_pair_terms` at orders 1
+# and 2.
+_EVAL_KEYS = ("gradient_evals", "hessian_evals")
 
 
 def _descend(z0: np.ndarray, W: np.ndarray, gtol: float, max_rounds: int = 3):
     """Armijo gradient descent plus Newton polish on the free centers.
 
     z holds the flattened centers 1..K-1; center 0 is pinned at the
-    origin.  Returns (z, energy, grad_norm, evals); grad_norm may exceed
-    gtol on failure, and evals counts the calls of `_pair_terms` by order
-    under the keys of _EVAL_KEYS.
+    origin.  Every trial point costs one `_pair_terms` call at order 1, and
+    an accepted trial's energy and gradient become the next step's, so no
+    point is evaluated twice.  Returns (z, energy, grad_norm, evals);
+    grad_norm may exceed gtol on failure, and evals counts the calls by
+    order under the keys of _EVAL_KEYS.
     """
     evals = dict.fromkeys(_EVAL_KEYS, 0)
+    P = np.zeros((len(z0) // 2 + 1, 2))  # row 0 stays the pinned origin
 
     def terms(z, order):
-        evals[_EVAL_KEYS[order]] += 1
-        out = _pair_terms(np.vstack([np.zeros(2), z.reshape(-1, 2)]), W, order)
-        if order == 0:
-            return out
-        energy, grad, *hess = out
+        evals[_EVAL_KEYS[order - 1]] += 1
+        P[1:] = z.reshape(-1, 2)
+        energy, grad, *hess = _pair_terms(P, W, order)
         return (energy, grad[1:].ravel(), *(h[2:, 2:] for h in hess))
 
     z = wrap(z0.reshape(-1, 2)).ravel()
@@ -166,17 +168,16 @@ def _descend(z0: np.ndarray, W: np.ndarray, gtol: float, max_rounds: int = 3):
             for _ in range(40):
                 trial = wrap((z - alpha * grad).reshape(-1, 2)).ravel()
                 try:
-                    e_trial = terms(trial, 0)
+                    e_t, g_t = terms(trial, 1)
                 except ValueError:
-                    e_trial = math.inf
-                if e_trial <= energy - 1e-4 * alpha * gnorm * gnorm:
+                    e_t = math.inf
+                if e_t <= energy - 1e-4 * alpha * gnorm * gnorm:
                     accepted = True
                     break
                 alpha *= 0.5
             if not accepted:
                 break
-            z = trial
-            energy, grad = terms(z, 1)
+            z, energy, grad = trial, e_t, g_t
             gnorm = float(np.linalg.norm(grad))
             step = min(alpha * 1.5, 0.25)
         # Newton phase on the analytic Hessian.
@@ -215,8 +216,10 @@ def minimize_FK(masses, gamma: GammaMatrix, restarts: int = 8, seed: int = 0,
 
     Pinning the first point at the origin removes the two flat translation
     directions, so convergence is judged on the remaining gradient alone.
-    With full_output, each row of "restarts" holds the restart's energy,
-    gradient norm and its energy, gradient and Hessian evaluation counts.
+    Each restart runs `_descend`, which evaluates every line-search trial
+    once with its gradient and keeps an accepted trial's pair.  With
+    full_output, each row of "restarts" holds the restart's energy,
+    gradient norm and its gradient and Hessian evaluation counts.
     `restarts` is a positive integer, `seed` a non-negative one and `gtol`
     a positive number (`triblock._args`).  Raises RuntimeError with
     diagnostics when no restart reaches gtol, and ValueError when the

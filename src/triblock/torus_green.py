@@ -31,6 +31,8 @@ import math
 import numpy as np
 from scipy.special import exp1
 
+from triblock._args import real
+
 EWALD_T0 = 1.0 / 64.0
 _REAL_RANGE = 1       # real-space images n in [-1, 1]^2
 _RECIP_RANGE = 7      # reciprocal modes k in [-7, 7]^2 minus the origin
@@ -122,7 +124,9 @@ def green_gradient(p):
 def _stripe_terms(a, x, tol):
     """Log-resummed column sum of the spectral series, minus the Bernoulli part."""
     c = np.cos(2.0 * math.pi * x)
-    n_terms = max(2, int(math.ceil(-math.log(tol * 0.1) / (2.0 * math.pi))) + 1)
+    # log(tol / 10) taken apart, so that a subnormal tol does not round to 0
+    n_terms = max(2, int(math.ceil((math.log(10.0) - math.log(tol))
+                                   / (2.0 * math.pi))) + 1)
     total = np.zeros_like(a)
     for j in range(n_terms):
         for expo in (j + a, j + 1.0 - a):
@@ -135,8 +139,10 @@ def green_spectral(p, tol=1e-14):
     """Spectral-sum evaluation of the Green's function (independent of Ewald).
 
     Column-resummed form: B2(|y|)/2 plus log products with ratio e^{-2 pi};
-    the outer truncation adapts to `tol`.
+    the outer truncation adapts to `tol`, a positive number
+    (`triblock._args`).
     """
+    tol = real("tol", tol, 0.0)
     q, shape, scalar = _prepare(p)
     x, y = q[:, 0], q[:, 1]
     a = np.abs(y)
@@ -158,7 +164,9 @@ def _r0_ewald() -> float:
 
 def regular_part_zero_spectral(tol=1e-16) -> float:
     """R(0) by the spectral route: 1/12 - log(2 pi)/(2 pi)
-    - (1/pi) sum_{k>=1} log(1 - e^{-2 pi k})."""
+    - (1/pi) sum_{k>=1} log(1 - e^{-2 pi k}).  `tol` is a positive number
+    (`triblock._args`)."""
+    tol = real("tol", tol, 0.0)
     n_terms = max(2, int(math.ceil(-math.log(tol) / (2.0 * math.pi))) + 1)
     tail = sum(math.log1p(-math.exp(-2.0 * math.pi * k))
                for k in range(1, n_terms + 1))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from triblock import geometry as G, partition as P, phasefield as PF
-from triblock import placement as PL
+from triblock import placement as PL, torus_green as TG
 from triblock._args import integer, mass_pair, real
 
 GAMMA = G.GammaMatrix(1.0, 1.0, 0.5)
@@ -96,6 +96,10 @@ CASES = [
      lambda v: PL.self_interaction((0.5, 1.0), 1, v)),
     ("disk_self_interaction", "mass", "real", 1.5,
      lambda v: PL.disk_self_interaction(v)),
+    ("green_spectral", "tol", "real", 1e-14,
+     lambda v: TG.green_spectral((0.3, 0.1), tol=v)),
+    ("regular_part_zero_spectral", "tol", "real", 1e-16,
+     lambda v: TG.regular_part_zero_spectral(v)),
     ("Field", "epsilon", "real", 0.1, lambda v: PF.Field(U, U, v)),
     ("uniform_field", "N", "int", 4,
      lambda v: PF.uniform_field(v, 0.1, (0.1, 0.2))),
@@ -169,10 +173,13 @@ def test_accepts_numpy_scalars(entry, name, kind, good, call):
     (lambda: G.e0_hessian_diag((0.5, 1.0), GAMMA, 3), "i"),
     (lambda: PL.Layout((0.0, 0.5), ((1.0, 0.0), (0.0, 1.0))), "points"),
     (lambda: PL.Layout(((0.0, 0.5, 0.5),), ((1.0, 0.0),)), "points"),
+    (lambda: TG.green_spectral((0.3, 0.1), tol=0.0), "tol"),
+    (lambda: TG.regular_part_zero_spectral(-1e-16), "tol"),
 ], ids=["k-negative", "seed-negative", "eta-zero", "N-zero", "m1-negative",
         "pair-of-strings", "one-mass", "zero-lobe", "e0-empty", "ebar-empty",
         "cluster-empty", "layout-empty", "self-empty", "droplet-empty",
-        "species-three", "layout-bare-point", "layout-triple"])
+        "species-three", "layout-bare-point", "layout-triple", "tol-zero",
+        "tol-negative"])
 def test_refuses_an_out_of_range_scalar_by_name(call, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -127,7 +127,7 @@ def test_place_two_equal_masses_diagonal(tmp_path, capsys):
     rows = written["diagnostics"]["restarts"]
     assert [row["restart"] for row in rows] == list(range(8))
     for row in rows:
-        assert {"energy", "grad_norm", "energy_evals", "gradient_evals",
+        assert {"energy", "grad_norm", "gradient_evals",
                 "hessian_evals"} <= set(row)
         assert row["gradient_evals"] >= 1
 

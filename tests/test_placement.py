@@ -47,6 +47,20 @@ _CLUSTER = st.one_of(st.tuples(_MASS, _MASS),
                      st.tuples(st.just(0.0), _MASS))
 
 
+@pytest.fixture
+def pair_term_calls(monkeypatch):
+    """The orders of the `_pair_terms` calls made while the test runs."""
+    calls = []
+    original = placement._pair_terms
+
+    def counted(P, W, order=0):
+        calls.append(order)
+        return original(P, W, order)
+
+    monkeypatch.setattr(placement, "_pair_terms", counted)
+    return calls
+
+
 class TestLayout:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -261,23 +275,56 @@ class TestMinimizeFK:
         a = minimize_FK([(1.0, 0.5), (0.5, 1.0)], GAMMA, restarts=np.int64(2))
         assert a == minimize_FK([(1.0, 0.5), (0.5, 1.0)], GAMMA, restarts=2)
 
-    def test_restart_rows_count_evaluations(self, monkeypatch):
-        calls = []
-        original = placement._pair_terms
-
-        def counted(P, W, order=0):
-            calls.append(order)
-            return original(P, W, order)
-
-        monkeypatch.setattr(placement, "_pair_terms", counted)
+    def test_restart_rows_count_evaluations(self, pair_term_calls):
         _, info = minimize_FK([(1.0, 0.5), (0.5, 1.0), (1.0, 0.0)], GAMMA,
                               restarts=3, full_output=True)
         rows = info["restarts"]
         assert [row["restart"] for row in rows] == [0, 1, 2]
-        for key, order in (("energy_evals", 0), ("gradient_evals", 1),
-                           ("hessian_evals", 2)):
-            assert sum(row[key] for row in rows) == calls.count(order)
+        # every line-search trial is evaluated with its gradient
+        assert pair_term_calls.count(0) == 0
+        for key, order in (("gradient_evals", 1), ("hessian_evals", 2)):
+            assert sum(row[key] for row in rows) == pair_term_calls.count(order)
             assert all(row[key] > 0 for row in rows)
+
+    def test_pinned_eight_cluster_descent(self, pair_term_calls):
+        # perfbench's K=8 mass template: its restart energies, best layout
+        # and call budget, one `_pair_terms` call per line-search trial
+        masses = [(1.2, 0.8), (1.0, 0.0), (0.0, 1.5), (0.9, 1.1),
+                  (1.1, 0.0), (0.0, 1.2), (0.8, 0.9), (1.3, 0.0)]
+        lay, info = minimize_FK(masses, GammaMatrix(1, 1, 0.5), restarts=2,
+                                seed=0, full_output=True)
+        rows = info["restarts"]
+        assert [row["energy"] for row in rows] == pytest.approx(
+            [-0.28819051531732487, -1.147196052970049], rel=1e-12)
+        assert info["grad_norm"] <= 1e-10
+        points = [(0.0, 0.0),
+                  (-0.4367900613070127, -0.49365043234856104),
+                  (-0.2887803726280062, 0.2572926145992745),
+                  (0.2827779973251588, -0.28098266998979504),
+                  (-0.4436798036064159, -0.015410269266059887),
+                  (-0.2556635940374706, -0.27142467682483595),
+                  (0.2853830751607517, 0.262186982663132),
+                  (-0.0342260356371143, 0.4856570406722595)]
+        assert np.abs(np.asarray(lay.points) - points).max() <= 1e-12
+        assert [(row["gradient_evals"], row["hessian_evals"])
+                for row in rows] == [(45, 2), (306, 3)]
+        assert len(pair_term_calls) == 356
+
+
+@given(masses=st.lists(_CLUSTER, min_size=2, max_size=6),
+       g=st.tuples(st.floats(0.2, 2.0), st.floats(0.2, 2.0), st.floats(0.0, 2.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_descent_state_matches_a_fresh_evaluation(masses, g, seed):
+    # the energy and gradient norm a descent returns belong to its point,
+    # not to a rejected trial
+    W = _weight_matrix(np.asarray(masses), GammaMatrix(*g))
+    lay = random_layout(np.random.default_rng(seed), len(masses), masses,
+                        min_sep=0.05)
+    P = np.asarray(lay.points)
+    z, energy, gnorm, _ = placement._descend((P[1:] - P[0]).ravel(), W, 1e-10)
+    e, grad = _pair_terms(np.vstack([np.zeros(2), z.reshape(-1, 2)]), W, 1)
+    assert energy == e
+    assert gnorm == float(np.linalg.norm(grad[1:].ravel()))
 
 
 def disk_mean_log_oracle(mass):

@@ -23,6 +23,15 @@ def test_ewald_vs_spectral_thousand_points():
     assert diff.max() < 1e-10
 
 
+def test_spectral_takes_a_subnormal_tol():
+    # the smallest positive float asks for more columns, not a log of zero
+    pts = far_points(50, seed=6)
+    tiny = np.nextafter(0.0, 1.0)
+    assert np.abs(TG.green_spectral(pts, tol=tiny)
+                  - TG.green_spectral(pts)).max() <= 1e-15
+    assert abs(TG.regular_part_zero_spectral(tiny) - TG.R0) <= 1e-15
+
+
 def test_brute_double_sum_sanity():
     # Literal truncated lattice sum converges only like 1/K; check coarse
     # agreement so the resummed series is anchored to the raw definition.
