@@ -7,9 +7,12 @@ The Green force stays in Fourier space and the gradient and Green energies
 are Parseval sums, so only the well term is evaluated in real space, there
 as the sum and difference forces the spectral update needs: cubics in
 u1 + u2 and u1 - u2 built in place.  The species transforms are carried
-across steps: a step costs two rfft2 and two irfft2, a trace row no FFT,
-and a clip back into GUARD_BAND, which keeps each species' mass, one rfft2
-per species clipped.
+across steps: a step costs two rfft2 and two inverse transforms, each run
+as numpy's irfftn runs it (an ifft along axis 0, then an irfft), a trace row
+no FFT, and a clip back into GUARD_BAND, which keeps each species' mass,
+one rfft2 per species clipped.  Every transform of a step writes into
+buffers allocated once per relax call, so a step allocates no array
+unless it clips.
 SharpConfig holds thresholded indicator sets, whose rescaled energy combines
 a Cauchy-Crofton grid perimeter with the periodic Green interaction, and
 extract_components turns them into partition-module configurations.
@@ -39,12 +42,33 @@ _log = logging.getLogger(__name__)
 INTERFACE_COST = 1.0 / 3.0
 
 
-def _well(u):
-    return u * u * (1.0 - u) ** 2
+def _well(u, out, tmp):
+    """u^2 (1 - u)^2 written into `out`; `tmp` is overwritten and may be u."""
+    np.multiply(u, u, out=out)
+    np.subtract(1.0, u, out=tmp)
+    tmp *= tmp
+    out *= tmp
+    return out
 
 
-def _well_printed(u):
-    return u * u * (1.0 - u * u)
+def _well_printed(u, out, tmp):
+    """u^2 (1 - u^2) written into `out`; `tmp` is overwritten and may be u."""
+    np.multiply(u, u, out=out)
+    np.subtract(1.0, out, out=tmp)
+    out *= tmp
+    return out
+
+
+def _well_mean(u1, u2, well, grids):
+    """Grid mean of W(1 - u1 - u2) + W(u1) + W(u2), formed in the three
+    n x n `grids`, which are overwritten."""
+    total, a, b = grids
+    np.subtract(1.0, u1, out=a)
+    a -= u2
+    well(a, total, a)
+    total += well(u1, a, b)
+    total += well(u2, a, b)
+    return float(np.mean(total))
 
 
 def _well_forces(u1, u2, s, d, printed_well):
@@ -263,26 +287,43 @@ def _spectral_grid(n: int):
     return k2, inv_lap, weights
 
 
-def _spectral_energies(u1hat, u2hat, gamma: GammaMatrix, grid):
+def _spectral_energies(u1hat, u2hat, gamma: GammaMatrix, grid, halves):
     """Parseval sums: mean |grad u_i|^2 summed over the three species, and
     sum_ij Gamma_ij <u_i, (-Delta)^-1 u_j>.  Off k = 0, u0hat = -u1hat - u2hat.
+    The products are formed in the four real half-planes `halves`, which are
+    overwritten; each is C-contiguous, so the column sums add in the order
+    they would over fresh arrays.
     """
     k2, inv_lap, weights = grid
-    p11 = u1hat.real ** 2 + u1hat.imag ** 2
-    p22 = u2hat.real ** 2 + u2hat.imag ** 2
-    p12 = u1hat.real * u2hat.real + u1hat.imag * u2hat.imag
-    return (2.0 * float(np.sum(k2 * (p11 + p12 + p22), axis=0) @ weights),
-            float(np.sum(inv_lap * (gamma.g11 * p11 + 2.0 * gamma.g12 * p12
-                                    + gamma.g22 * p22), axis=0) @ weights))
+    p11, p22, p12, t = halves
+    for p, x, y in ((p11, u1hat, u1hat), (p22, u2hat, u2hat),
+                    (p12, u1hat, u2hat)):
+        np.multiply(x.real, y.real, out=p)
+        p += np.multiply(x.imag, y.imag, out=t)
+    np.add(p11, p12, out=t)
+    t += p22
+    t *= k2
+    grad = 2.0 * float(np.sum(t, axis=0) @ weights)
+    np.multiply(p11, gamma.g11, out=t)
+    p12 *= 2.0 * gamma.g12
+    t += p12
+    p22 *= gamma.g22
+    t += p22
+    t *= inv_lap
+    return grad, float(np.sum(t, axis=0) @ weights)
 
 
-def _energy_parts(u1, u2, u1hat, u2hat, eps, gamma: GammaMatrix, grid, well):
-    """(total, gradient, well, nonlocal) of a field and its rfft2 pair."""
-    grad, nonlocal_term = _spectral_energies(u1hat, u2hat, gamma, grid)
+def _energy_parts(u1, u2, u1hat, u2hat, eps, gamma: GammaMatrix, grid, well,
+                  work):
+    """(total, gradient, well, nonlocal) of a field and its rfft2 pair.
+
+    `work` is (three n x n grids, four real half-planes), all overwritten.
+    """
+    grids, halves = work
+    grad, nonlocal_term = _spectral_energies(u1hat, u2hat, gamma, grid, halves)
     grad *= 0.5 * eps
     nonlocal_term *= 0.5
-    well_term = 0.5 / eps * float(np.mean(well(1.0 - u1 - u2) + well(u1)
-                                          + well(u2)))
+    well_term = 0.5 / eps * _well_mean(u1, u2, well, grids)
     return (grad + well_term + nonlocal_term, grad, well_term, nonlocal_term)
 
 
@@ -293,10 +334,12 @@ def diffuse_energy(f: Field, gamma_scaled: GammaMatrix,
     The well is the standard double well by default; printed_well switches
     to the non-coercive variant u^2 (1 - u^2).  Costs two rfft2.
     """
+    u1hat = np.fft.rfft2(f.u1)
+    work = (tuple(np.empty_like(f.u1) for _ in range(3)),
+            np.empty((4, *u1hat.shape)))
     total, grad, well, nonlocal_term = _energy_parts(
-        f.u1, f.u2, np.fft.rfft2(f.u1), np.fft.rfft2(f.u2), f.epsilon,
-        gamma_scaled, _spectral_grid(f.N),
-        _well_printed if printed_well else _well)
+        f.u1, f.u2, u1hat, np.fft.rfft2(f.u2), f.epsilon, gamma_scaled,
+        _spectral_grid(f.N), _well_printed if printed_well else _well, work)
     if parts:
         return {"total": total, "gradient": grad, "well": well,
                 "nonlocal": nonlocal_term}
@@ -315,13 +358,15 @@ def _mass_exact_clip(v, mean: float):
     lo, hi = GUARD_BAND
     a, b = lo - float(v.max()), hi - float(v.min())
     mid = 0.5 * (a + b)
+    out = np.empty_like(v)
     while a < mid < b and b - a > 2.0 ** -52 * (hi - lo):
-        if float(np.clip(v + mid, lo, hi).mean()) < mean:
+        np.clip(np.add(v, mid, out=out), lo, hi, out=out)
+        if float(out.mean()) < mean:
             a = mid
         else:
             b = mid
         mid = 0.5 * (a + b)
-    return np.clip(v + b, lo, hi)
+    return np.clip(np.add(v, b, out=out), lo, hi, out=out)
 
 
 def _log_clip(step, species, bounds):
@@ -341,11 +386,15 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
     force, formed in Fourier space as (Gamma uhat)/|k|^2, are explicit.
     The well forces are evaluated in the same basis, as cubics in
     s = u1 + u2 and d = u1 - u2 (`_well_forces`), and the per-mode update
-    runs in place in their two transforms, with two real and one complex
-    scratch buffer allocated once per call; `init` is not written.
+    runs in place in their two transforms.  Two real grids and two complex
+    half-planes are allocated once per call and hold every intermediate of
+    a step, so a step allocates no array unless it clips; between steps
+    they are dead, and a trace row forms its products over them.  `init`
+    is not written.
     The transforms u1hat, u2hat are carried from step to step, their k = 0
     modes pinned to the species means, so a step costs two rfft2 (the well
-    forces) and two irfft2 (the new fields), and a trace row costs no FFT.
+    forces) and two inverse transforms (the new fields), each an ifft along
+    axis 0 and an irfft along axis 1, and a trace row costs no FFT.
     A species that leaves GUARD_BAND is clipped at fixed mass, to
     clip(u + lam) with lam solved so that its mean is kept; each such clip
     is logged at DEBUG and costs one rfft2 to transform the species afresh.
@@ -390,33 +439,47 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
     lo, hi = GUARD_BAND
 
     trace = []
+    # The step's own buffers, allocated once: `scratch` holds the forces'
+    # other two grids, and `hats` takes the two force transforms and the
+    # half-plane stage of the inverse.  Between steps both are dead, so a
+    # trace row forms its products over them: three n x n grids and, with
+    # `hats` read as reals, four real half-planes.
+    scratch = (np.empty_like(u1), np.empty_like(u1))
+    hats = np.empty((2, *u1hat.shape), dtype=u1hat.dtype)
+    s_hat, d_hat = hats
+    reals = hats.view(np.float64).reshape(-1)
+    work = ((*scratch, reals[:N * N].reshape(N, N)),
+            reals.reshape(4, *u1hat.shape))
 
     def record(step):
         trace.append((step, *_energy_parts(u1, u2, u1hat, u2hat, eps,
-                                           gamma_scaled, grid, well)))
+                                           gamma_scaled, grid, well, work)))
 
     record(0)
-    # A step writes its forces over u1 and u2, which the next irfft2
-    # replaces, so the caller's grids are copied once; `scratch` holds the
-    # forces' other two grids and `mode` is the update's complex buffer.
-    # Given an output, rfft2 makes no second half-plane array.
+    # A step writes its forces over u1 and u2 and its inverse transforms
+    # into them, so the caller's grids are copied once.  The sum force's
+    # update is formed in s_hat with its products in d_hat; the difference
+    # force's in d_hat with its products in u1hat and u2hat, which the new
+    # transforms then overwrite.  The inverse runs in numpy's two irfftn
+    # stages, so its half-plane stage has an output too.
     u1, u2 = u1.copy(), u2.copy()
-    scratch = (np.empty_like(u1), np.empty_like(u1))
-    mode = np.empty_like(u1hat)
     for step in range(1, steps + 1):
-        s_hat, d_hat = (np.fft.rfft2(w, out=np.empty_like(mode)) for w in
-                        _well_forces(u1, u2, *scratch, printed_well))
-        for new, m1, m2, m3 in ((s_hat, s1, s2, s3), (d_hat, d1, d2, d3)):
-            new *= m3
-            new += np.multiply(u1hat, m1, out=mode)
-            new += np.multiply(u2hat, m2, out=mode)
+        s, d = _well_forces(u1, u2, *scratch, printed_well)
+        np.fft.rfft2(s, out=s_hat)
+        s_hat *= s3
+        s_hat += np.multiply(u1hat, s1, out=d_hat)
+        s_hat += np.multiply(u2hat, s2, out=d_hat)
+        np.fft.rfft2(d, out=d_hat)
+        d_hat *= d3
+        d_hat += np.multiply(u1hat, d1, out=u1hat)
+        d_hat += np.multiply(u2hat, d2, out=u2hat)
         np.add(s_hat, d_hat, out=u1hat)
         np.subtract(s_hat, d_hat, out=u2hat)
-        del s_hat, d_hat, new  # freed before the irfft2 outputs are made
         u1hat[0, 0] = zero1
         u2hat[0, 0] = zero2
-        u1 = np.fft.irfft2(u1hat, s=(N, N))
-        u2 = np.fft.irfft2(u2hat, s=(N, N))
+        for uhat, u in ((u1hat, u1), (u2hat, u2)):
+            np.fft.irfft(np.fft.ifft(uhat, axis=0, out=s_hat), n=N, axis=1,
+                         out=u)
         bounds = (float(u1.min()), float(u1.max()),
                   float(u2.min()), float(u2.max()))
         worst = float(np.max(np.abs(bounds)))
@@ -427,14 +490,16 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
         if bounds[0] < lo or bounds[1] > hi:
             _log_clip(step, 1, bounds[:2])
             u1 = _mass_exact_clip(u1, mean1)
-            u1hat = np.fft.rfft2(u1)
+            np.fft.rfft2(u1, out=u1hat)
         if bounds[2] < lo or bounds[3] > hi:
             _log_clip(step, 2, bounds[2:])
             u2 = _mass_exact_clip(u2, mean2)
-            u2hat = np.fft.rfft2(u2)
+            np.fft.rfft2(u2, out=u2hat)
         if step % trace_every == 0 or step == steps:
             record(step)
-    del scratch, mode
+    # Dropped before the result copies u1 and u2, so the copies fit under
+    # a step's peak.
+    del scratch, hats, s_hat, d_hat, reals, work
     return Field(u1, u2, eps), trace
 
 
@@ -506,9 +571,10 @@ def sharp_energy(c: SharpConfig, gamma: GammaMatrix) -> float:
         raise ValueError("empty configuration has no droplet energy")
     eta = c.eta
     per = 2.0 * grid_perimeter(c.ind1 + np.uint8(2) * c.ind2)
+    hat1 = np.fft.rfft2(c.ind1 / eta ** 2)
     _, interaction = _spectral_energies(
-        np.fft.rfft2(c.ind1 / eta ** 2), np.fft.rfft2(c.ind2 / eta ** 2),
-        gamma, _spectral_grid(c.N))
+        hat1, np.fft.rfft2(c.ind2 / eta ** 2), gamma, _spectral_grid(c.N),
+        np.empty((4, *hat1.shape)))
     return per / (2.0 * eta) + interaction / (2.0 * abs(math.log(eta)))
 
 

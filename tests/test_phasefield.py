@@ -379,21 +379,33 @@ def test_relax_leaves_its_input_unchanged(printed_well):
     assert (f.u1.tobytes(), f.u2.tobytes()) == before
 
 
-def test_relax_peak_memory_at_n512():
-    # One step holds the caller's grids' copies, two real and one complex
-    # scratch buffer, the carried transforms and the six multipliers; the
-    # bound keeps a step from growing extra full-grid temporaries.
-    n = 512
+def relax_peak(n, steps):
+    """tracemalloc peak of a relax traced every step, in n x n arrays."""
     f = noisy_uniform_field(n, 2.0 / n, (0.1, 0.1), seed=0)
     g = scaled_gamma(GammaMatrix(1.0, 1.0, 0.1), 0.04)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        relax(f, g, steps=2, trace_every=1)
+        relax(f, g, steps=steps, trace_every=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - start) / (n * n * 8) <= 17.5
+    return (peak - start) / (n * n * 8)
+
+
+def test_relax_peak_memory_at_n512():
+    # A step holds the copies of the caller's grids, the two real scratch
+    # grids, the two complex half-planes of the step's transforms, the
+    # carried transforms, the six multipliers and |k|^2 with (-Delta)^-1:
+    # about 12.04 arrays, with trace rows formed over the dead buffers.
+    # The bound keeps a step or a trace row from growing a full-grid
+    # temporary.
+    assert relax_peak(512, 2) <= 12.5
+
+
+def test_relax_allocates_nothing_per_step():
+    # per-step garbage would raise the peak of the longer run
+    assert abs(relax_peak(256, 12) - relax_peak(256, 2)) <= 0.1
 
 
 def test_relax_validation():
@@ -531,11 +543,16 @@ def test_last_trace_row_is_the_returned_field(steps):
     eps = 2.0 / 64
     f = droplet_field(64, eps, 0.2, [(2.0, 1.5)], [(0.4, 0.5)])
     g = scaled_gamma(GammaMatrix(1.0, 1.0, 0.3), 0.2)
-    out, trace = relax(f, g, dt=eps / 64, steps=steps, trace_every=2)
-    parts = diffuse_energy(out, g, parts=True)
-    assert trace[-1][0] == steps
-    for value, key in zip(trace[-1][1:], ("total", "gradient", "well", "nonlocal")):
-        assert value == pytest.approx(parts[key], rel=1e-13), key
+    for printed_well in (False, True):
+        out, trace = relax(f, g, dt=eps / 64, steps=steps, trace_every=2,
+                           printed_well=printed_well)
+        parts = diffuse_energy(out, g, printed_well, parts=True)
+        assert trace[-1][0] == steps
+        for value, key in zip(trace[-1][1:],
+                              ("total", "gradient", "well", "nonlocal")):
+            assert value == pytest.approx(parts[key], rel=1e-13), key
+        # the well term adds the same floats over the same grids on both sides
+        assert trace[-1][3] == parts["well"]
 
 
 def clip_probe(**kwargs):
@@ -573,27 +590,30 @@ def test_mass_exact_clip_hits_the_mean(low, high, mean):
 
 def test_relax_fft_counts(fft_calls, caplog):
     f = noisy_uniform_field(32, 2.0 / 32, (0.05, 0.05), seed=0)
+    # a step: two forward transforms, and two inverse ones in two stages
     for trace_every in (1, 7):
-        fft_calls.update(rfft2=0, irfft2=0)
+        fft_calls.update(dict.fromkeys(fft_calls, 0))
         relax(f, NO_COUPLING, steps=7, trace_every=trace_every)
-        assert fft_calls == {"rfft2": 2 + 2 * 7, "irfft2": 2 * 7}
+        assert fft_calls == {"rfft2": 2 + 2 * 7, "irfft2": 0,
+                             "ifft": 2 * 7, "irfft": 2 * 7}
     # each species clipped costs one rfft2 to transform it afresh
-    fft_calls.update(rfft2=0, irfft2=0)
+    fft_calls.update(dict.fromkeys(fft_calls, 0))
     with caplog.at_level(logging.DEBUG, logger="triblock.phasefield"):
         clip_probe(trace_every=1)
     clips = sum("guard band" in r.getMessage() for r in caplog.records)
     assert clips > 0
-    assert fft_calls == {"rfft2": 2 + 2 * 50 + clips, "irfft2": 2 * 50}
+    assert fft_calls == {"rfft2": 2 + 2 * 50 + clips, "irfft2": 0,
+                         "ifft": 2 * 50, "irfft": 2 * 50}
 
 
 def test_energy_fft_counts(fft_calls):
     f = noisy_uniform_field(32, 2.0 / 32, (0.05, 0.05), seed=0)
     diffuse_energy(f, NO_COUPLING)
-    assert fft_calls == {"rfft2": 2, "irfft2": 0}
+    assert fft_calls == {"rfft2": 2, "irfft2": 0, "ifft": 0, "irfft": 0}
     ind = disk_indicator(32, (0.5, 0.5), 0.2)
     sharp_energy(SharpConfig(ind, np.zeros_like(ind), 0.1),
                  GammaMatrix(1.0, 1.0, 0.0))
-    assert fft_calls == {"rfft2": 4, "irfft2": 0}
+    assert fft_calls == {"rfft2": 4, "irfft2": 0, "ifft": 0, "irfft": 0}
 
 
 # ---------------------------------------------------------------------------
