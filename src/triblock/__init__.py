@@ -3,124 +3,4 @@ energies on the plane and the unit torus: double-bubble geometry, optimal
 mass partitions, periodic Green-function kernels, droplet placement, and a
 semi-implicit phase-field relaxer with a command-line front end."""
 
-from triblock.geometry import (
-    BubbleGeometry,
-    ConvergenceError,
-    GammaMatrix,
-    concavity_threshold,
-    e0,
-    e0_gradient,
-    e0_hessian_diag,
-    perimeter,
-    perimeter_gradient,
-    single_energy,
-    solve_geometry,
-)
-from triblock.partition import (
-    Cluster,
-    Configuration,
-    Thresholds,
-    check_necessary_conditions,
-    classify_regime,
-    cluster_from_masses,
-    coexistence_bounds,
-    ebar,
-    ebar_oracle,
-    quantization_bound,
-    round_config_to_grid,
-    thresholds,
-    write_sweep_csv,
-)
-from triblock.phasefield import (
-    Field,
-    SharpConfig,
-    diffuse_energy,
-    droplet_field,
-    extract_components,
-    grid_perimeter,
-    noisy_uniform_field,
-    read_field_pgm,
-    relax,
-    scaled_gamma,
-    sharp_energy,
-    threshold,
-    uniform_field,
-    write_field_pgm,
-    write_trace_csv,
-)
-from triblock.placement import (
-    F0,
-    FK,
-    Layout,
-    disk_self_interaction,
-    fk_gradient,
-    minimize_FK,
-    self_interaction,
-)
-from triblock.torus_green import (
-    R0,
-    green,
-    green_gradient,
-    green_spectral,
-    periodic_poisson_solve,
-    regular_part,
-    wrap,
-)
-
-__all__ = [
-    "BubbleGeometry",
-    "Cluster",
-    "Configuration",
-    "ConvergenceError",
-    "F0",
-    "FK",
-    "Field",
-    "GammaMatrix",
-    "Layout",
-    "R0",
-    "SharpConfig",
-    "Thresholds",
-    "check_necessary_conditions",
-    "classify_regime",
-    "cluster_from_masses",
-    "coexistence_bounds",
-    "concavity_threshold",
-    "diffuse_energy",
-    "disk_self_interaction",
-    "droplet_field",
-    "e0",
-    "e0_gradient",
-    "e0_hessian_diag",
-    "ebar",
-    "ebar_oracle",
-    "extract_components",
-    "fk_gradient",
-    "green",
-    "green_gradient",
-    "green_spectral",
-    "grid_perimeter",
-    "minimize_FK",
-    "noisy_uniform_field",
-    "perimeter",
-    "perimeter_gradient",
-    "periodic_poisson_solve",
-    "quantization_bound",
-    "read_field_pgm",
-    "regular_part",
-    "relax",
-    "round_config_to_grid",
-    "scaled_gamma",
-    "self_interaction",
-    "sharp_energy",
-    "single_energy",
-    "solve_geometry",
-    "threshold",
-    "thresholds",
-    "uniform_field",
-    "wrap",
-    "write_field_pgm",
-    "write_sweep_csv",
-    "write_trace_csv",
-]
-
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ null, keeping every artifact strictly JSON.
 """
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -35,11 +36,7 @@ from triblock.geometry import (
     perimeter,
     solve_geometry,
 )
-from triblock.partition import (
-    classify_regime,
-    ebar,
-    write_sweep_csv,
-)
+from triblock.partition import classify_regime, ebar
 from triblock.phasefield import (
     diffuse_energy,
     droplet_field,
@@ -493,6 +490,31 @@ def _run_compare(params, out, cfg_hash):
     return result, paths
 
 
+def _write_sweep_csv(path, rows, columns=None) -> None:
+    """Write a list of flat dicts as CSV with deterministic formatting.
+
+    Floats are rendered with %.17g so identical runs produce identical
+    bytes; columns default to the sorted keys of the first row.  An empty
+    row list is allowed only with explicit columns (header-only file).
+    """
+    rows = list(rows)
+    if not rows and columns is None:
+        raise ValueError("no rows to write")
+    if columns is None:
+        columns = sorted(rows[0].keys())
+
+    def fmt(v):
+        if isinstance(v, float):
+            return "%.17g" % v
+        return str(v)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([fmt(row[c]) for c in columns])
+
+
 def _run_regime_sweep(params, out, cfg_hash):
     rows = []
     failures = 0
@@ -523,7 +545,7 @@ def _run_regime_sweep(params, out, cfg_hash):
             failures += 1
         rows.append(row)
     sweep_path = out / "sweep.csv"
-    write_sweep_csv(sweep_path, rows, columns=_SWEEP_COLUMNS)
+    _write_sweep_csv(sweep_path, rows, columns=_SWEEP_COLUMNS)
     result = {"rows": len(rows), "failures": failures,
               "columns": _SWEEP_COLUMNS}
     return result, [sweep_path]

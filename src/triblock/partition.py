@@ -23,7 +23,6 @@ minimum over the other axis for all rows at once; the last product is
 evaluated at the answer's entry only.
 """
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -948,28 +947,3 @@ def classify_regime(M, gamma: GammaMatrix, run_search: bool = True) -> dict:
                             "configuration": conf,
                             "consistent": consistent}
     return report
-
-
-def write_sweep_csv(path, rows, columns=None) -> None:
-    """Write a list of flat dicts as CSV with deterministic formatting.
-
-    Floats are rendered with %.17g so identical runs produce identical
-    bytes; columns default to the sorted keys of the first row.  An empty
-    row list is allowed only with explicit columns (header-only file).
-    """
-    rows = list(rows)
-    if not rows and columns is None:
-        raise ValueError("no rows to write")
-    if columns is None:
-        columns = sorted(rows[0].keys())
-
-    def fmt(v):
-        if isinstance(v, float):
-            return "%.17g" % v
-        return str(v)
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([fmt(row[c]) for c in columns])

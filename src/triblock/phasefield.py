@@ -508,7 +508,11 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
 
 @dataclass(frozen=True)
 class SharpConfig:
-    """Disjoint per-species indicator grids at droplet scale eta."""
+    """Disjoint per-species indicator grids at droplet scale eta.
+
+    eta must be in (0, 1) with a finite cell mass 1/(N^2 eta^2); otherwise
+    ValueError names it.
+    """
 
     ind1: np.ndarray
     ind2: np.ndarray
@@ -518,13 +522,18 @@ class SharpConfig:
     def __post_init__(self):
         ind1 = np.asarray(self.ind1, dtype=bool)
         ind2 = np.asarray(self.ind2, dtype=bool)
-        if ind1.ndim != 2 or ind1.shape[0] != ind1.shape[1] or ind1.shape != ind2.shape:
-            raise ValueError(
-                f"indicators must be matching square grids, got {ind1.shape} "
-                f"and {ind2.shape}")
+        if (ind1.ndim != 2 or ind1.shape[0] != ind1.shape[1]
+                or ind1.shape != ind2.shape or ind1.size == 0):
+            raise ValueError("indicators must be matching non-empty square "
+                             f"grids, got {ind1.shape} and {ind2.shape}")
         if np.any(ind1 & ind2):
             raise ValueError("species supports overlap")
-        object.__setattr__(self, "eta", real("eta", self.eta, 0.0))
+        eta = real("eta", self.eta, 0.0, 1.0)
+        n2_eta2 = ind1.shape[0] ** 2 * eta ** 2
+        if n2_eta2 == 0.0 or not math.isfinite(1.0 / n2_eta2):
+            raise ValueError("eta must give a finite cell mass 1/(N^2 eta^2), "
+                             f"got {self.eta!r} at N={ind1.shape[0]}")
+        object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "overlap_fraction",
                            real("overlap_fraction", self.overlap_fraction, 0.0,
                                 1.0, closed=True))
@@ -655,17 +664,24 @@ def extract_components(c: SharpConfig):
 # ---------------------------------------------------------------------------
 # Snapshots and traces.
 
+def _comment_line(comment: str | None) -> str:
+    """The line `# comment`, or nothing for None; a line break is refused."""
+    if comment is None:
+        return ""
+    if "\n" in comment or "\r" in comment:
+        raise ValueError("comment must be a single line")
+    return f"# {comment}\n"
+
+
 def write_field_pgm(f: Field, stem: str, metadata: dict | None = None,
                     comment: str | None = None) -> list:
     """16-bit PGM per species plus a JSON sidecar; returns written paths.
 
     An optional single-line comment is embedded in each PGM header.
     """
-    if comment is not None and ("\n" in comment or "\r" in comment):
-        raise ValueError("PGM comment must be a single line")
+    note = _comment_line(comment)
     lo, hi = GUARD_BAND
     span = hi - lo
-    note = f"# {comment}\n" if comment is not None else ""
     paths = []
     for name, grid in (("u1", f.u1), ("u2", f.u2)):
         path = f"{stem}_{name}.pgm"
@@ -746,14 +762,14 @@ def read_field_pgm(stem: str) -> Field:
 def write_trace_csv(trace, path: str, comment: str | None = None) -> None:
     """Energy trace rows (step, total, gradient, well, nonlocal) as CSV.
 
-    An optional comment is written as a leading `#` line before the header.
+    An optional single-line comment is written as a leading `#` line
+    before the header.
     """
     if not trace:
         raise ValueError("empty trace")
+    note = _comment_line(comment)
     with open(path, "w") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        fh.write("step,total,gradient,well,nonlocal\n")
+        fh.write(note + "step,total,gradient,well,nonlocal\n")
         for row in trace:
             step, total, grad, well, nl = row
             fh.write(f"{step:d},{total:.17g},{grad:.17g},{well:.17g},{nl:.17g}\n")

@@ -175,11 +175,18 @@ def test_accepts_numpy_scalars(entry, name, kind, good, call):
     (lambda: PL.Layout(((0.0, 0.5, 0.5),), ((1.0, 0.0),)), "points"),
     (lambda: TG.green_spectral((0.3, 0.1), tol=0.0), "tol"),
     (lambda: TG.regular_part_zero_spectral(-1e-16), "tol"),
+    (lambda: PF.SharpConfig(IND, NO_IND, 1.0), "eta"),
+    (lambda: PF.threshold(FIELD, 0.5, eta=1.0), "eta"),
+    (lambda: PF.SharpConfig(IND, NO_IND, 1e-160), "eta"),
+    (lambda: PF.SharpConfig(IND, NO_IND, 1e-300), "eta"),
+    (lambda: PF.SharpConfig(IND[:0, :0], NO_IND[:0, :0], 0.2), "indicators"),
 ], ids=["k-negative", "seed-negative", "eta-zero", "N-zero", "m1-negative",
         "pair-of-strings", "one-mass", "zero-lobe", "e0-empty", "ebar-empty",
         "cluster-empty", "layout-empty", "self-empty", "droplet-empty",
         "species-three", "layout-bare-point", "layout-triple", "tol-zero",
-        "tol-negative"])
+        "tol-negative", "sharp-eta-one", "threshold-eta-one",
+        "sharp-cell-mass-inf", "sharp-cell-mass-zero-division",
+        "sharp-empty-grid"])
 def test_refuses_an_out_of_range_scalar_by_name(call, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

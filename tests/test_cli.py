@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from triblock import torus_green as TG
 from triblock.cli import _SCHEMAS, ExperimentConfig, main, resolve_parameters
+from triblock.cli import _write_sweep_csv as write_sweep_csv
 from triblock.placement import disk_self_interaction
 from triblock.torus_green import wrap
 
@@ -407,6 +408,23 @@ def test_regime_sweep_records_cell_failure_and_continues(tmp_path, capsys):
     assert "ValueError" in lines[2] and "ValueError" not in lines[1]
     assert "search bound of 64" in lines[2]
     assert lines[1].split(",")[5] != ""  # the good cell still has its energy
+
+
+def test_write_sweep_csv_deterministic(tmp_path):
+    rows = [{"m1": 1.0, "m2": 0.5, "energy": 6.534199691360831},
+            {"m1": 2.0, "m2": 1.0, "energy": 9.213}]
+    p1 = tmp_path / "a.csv"
+    p2 = tmp_path / "b.csv"
+    write_sweep_csv(p1, rows)
+    write_sweep_csv(p2, rows)
+    assert p1.read_bytes() == p2.read_bytes()
+    header = p1.read_text().splitlines()[0]
+    assert header == "energy,m1,m2"
+    with pytest.raises(ValueError):
+        write_sweep_csv(p1, [])
+    empty = tmp_path / "empty.csv"
+    write_sweep_csv(empty, [], columns=["m1", "m2", "energy"])
+    assert empty.read_text() == "m1,m2,energy\n"
 
 
 def test_resolve_parameters_and_config_hash():

@@ -26,7 +26,6 @@ from triblock.partition import (
     quantization_bound,
     round_config_to_grid,
     thresholds,
-    write_sweep_csv,
 )
 
 G_PLAIN = GammaMatrix(1.0, 1.0, 0.0)
@@ -555,23 +554,6 @@ def test_classify_regime_coexistence():
     assert counts[KIND_DOUBLE] >= 1
     assert counts[KIND_SINGLE_2] >= 1
     assert report["search"]["consistent"]
-
-
-def test_write_sweep_csv_deterministic(tmp_path):
-    rows = [{"m1": 1.0, "m2": 0.5, "energy": 6.534199691360831},
-            {"m1": 2.0, "m2": 1.0, "energy": 9.213}]
-    p1 = tmp_path / "a.csv"
-    p2 = tmp_path / "b.csv"
-    write_sweep_csv(p1, rows)
-    write_sweep_csv(p2, rows)
-    assert p1.read_bytes() == p2.read_bytes()
-    header = p1.read_text().splitlines()[0]
-    assert header == "energy,m1,m2"
-    with pytest.raises(ValueError):
-        write_sweep_csv(p1, [])
-    empty = tmp_path / "empty.csv"
-    write_sweep_csv(empty, [], columns=["m1", "m2", "energy"])
-    assert empty.read_text() == "m1,m2,energy\n"
 
 
 # Values and cluster counts (doubles, type-1 singles, type-2 singles) that

@@ -453,6 +453,17 @@ def test_trace_rows_and_csv(tmp_path):
         write_trace_csv([], str(path))
 
 
+
+@pytest.mark.parametrize("comment", ["a\nb", "a\rb"], ids=["LF", "CR"])
+def test_multi_line_comment_is_refused_before_writing(tmp_path, comment):
+    f = uniform_field(4, 0.1, (0.1, 0.2))
+    with pytest.raises(ValueError, match="^comment must be a single line"):
+        write_trace_csv([(0, 1.0, 0.5, 0.25, 0.25)], str(tmp_path / "t.csv"),
+                        comment=comment)
+    with pytest.raises(ValueError, match="^comment must be a single line"):
+        write_field_pgm(f, str(tmp_path / "snap"), comment=comment)
+    assert not any(tmp_path.iterdir())
+
 def test_relaxed_shapes_follow_interaction_regime():
     # Weak cross-repulsion keeps a seeded cluster as one double (the regime
     # classifier guarantees it); strong cross-repulsion makes two disks at
