@@ -232,26 +232,22 @@ def coexistence_bounds(gamma: GammaMatrix, k_doubles: int = 1,
     singles.  B2 grows with the species-1 total because every extra
     double the species-1 mass supports can hide species-2 mass, so B2 is
     evaluated at m1 (defaulting to B1, the smallest admissible M1); for
-    larger M1 recompute with that value.
+    larger M1 recompute with that value.  `classify_regime` applies the
+    same bounds.
     """
     k_doubles = integer("k_doubles", k_doubles)
     k_singles = integer("k_singles", k_singles)
-    th = thresholds(gamma)
+    m1 = None if m1 is None else real("m1", m1, 0.0, closed=True)
+    return _coexistence_bounds(thresholds(gamma), k_doubles, k_singles, m1)
+
+
+def _coexistence_bounds(th, k_doubles, k_singles, m1):
+    """(B1, B2) of `coexistence_bounds` from its thresholds: k_doubles cap1
+    and (1 + max(m1, B1) / concavity1 + k_singles) cap2, m1 None as B1."""
     cap1, cap2 = th.max_mass
-    m1s = th.concavity[0]
     b1 = k_doubles * cap1
-    m1_used = b1 if m1 is None else max(real("m1", m1, 0.0, closed=True), b1)
-    b2 = (1.0 + m1_used / m1s + k_singles) * cap2
-    return (b1, b2)
-
-
-def _coexistence_guaranteed(M1, M2, th, k_doubles, k_singles) -> bool:
-    """Joint mass test forcing >= k_doubles doubles and >= k_singles
-    species-2 singles when the cross-interaction vanishes."""
-    cap1, cap2 = th.max_mass
-    m1s = th.concavity[0]
-    return (M1 >= k_doubles * cap1
-            and M2 >= (1.0 + M1 / m1s + k_singles) * cap2)
+    m1_used = b1 if m1 is None else max(m1, b1)
+    return (b1, (1.0 + m1_used / th.concavity[0] + k_singles) * cap2)
 
 
 # ---------------------------------------------------------------------------
@@ -269,26 +265,20 @@ def _packing_grid(mass, gamma_ii: float):
     """(cost, count) arrays: cheapest split of each mass into equal disks
     of one species, and the disk count that attains it (0 at mass 0).
 
-    The cost of k equal disks is unimodal in k with its optimum at
-    floor(mass/x*) or the count above, so k = 1 .. max(mass)/x* + 3 covers
-    it.
+    The cost of k equal disks, gamma_ii m^2/(4 pi k) + 2 sqrt(pi m k), falls
+    and then rises in k, with its real minimum at m/x*, where a disk of mass
+    x* costs least per unit mass.  So only k = max(floor(m/x*), 1) and k + 1
+    are compared, the smaller count winning a tie.
     """
     mass = np.asarray(mass, dtype=float)
-    cost = np.zeros(mass.shape)
-    count = np.zeros(mass.shape, dtype=int)
-    pos = mass > 0.0
-    if not pos.any():
-        return cost, count
-    rp = mass[pos]
     xstar = (4.0 * math.pi * math.sqrt(math.pi) / gamma_ii) ** (2.0 / 3.0)
-    k = np.arange(1, int(np.max(rp) / xstar) + 4)[:, None]
-    x = rp / k
-    costs = k * (gamma_ii * x * x / (4.0 * math.pi)
-                 + 2.0 * np.sqrt(math.pi * x))
-    best = np.argmin(costs, axis=0)
-    cost[pos] = costs[best, np.arange(rp.size)]
-    count[pos] = best + 1
-    return cost, count
+    k = np.maximum(np.floor(mass / xstar), 1.0)
+    n = np.stack((k, k + 1.0))
+    x = mass / n
+    cost = n * (gamma_ii * x * x / (4.0 * math.pi) + 2.0 * np.sqrt(math.pi * x))
+    pos = mass > 0.0
+    return (np.where(pos, cost.min(axis=0), 0.0),
+            np.where(pos, k + (cost[1] < cost[0]), 0.0).astype(int))
 
 
 def _ansatz_for_doubles(kd, M, gamma, th, unit_grids):
@@ -308,13 +298,12 @@ def _ansatz_for_doubles(kd, M, gamma, th, unit_grids):
     y_hi = min(M2 / kd, 1.5 * th.max_mass[1])
     xs = np.linspace(x_hi / n, x_hi, n)
     ys = np.linspace(y_hi / n, y_hi, n)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
     ratio = x_hi / y_hi
     if ratio not in unit_grids:
         u = np.linspace(1.0 / n, 1.0, n)
         unit_grids[ratio] = _perimeters(ratio * u[:, None], u[None, :])
-    quad = (gamma.g11 * X * X + 2.0 * gamma.g12 * X * Y
-            + gamma.g22 * Y * Y) / (4.0 * math.pi)
+    quad = ((gamma.g11 * xs * xs)[:, None] + np.outer(2.0 * gamma.g12 * xs, ys)
+            + gamma.g22 * ys * ys) / (4.0 * math.pi)
     # the leftover of species 1 varies along axis 0 only, of species 2
     # along axis 1 only: pack each once per grid line and broadcast
     r1 = np.maximum(M1 - kd * xs, 0.0)
@@ -329,32 +318,27 @@ def _ansatz_for_doubles(kd, M, gamma, th, unit_grids):
 
 
 def _cell_feasible(counts, M) -> bool:
+    """No count is negative, and a species has clusters exactly when its
+    total is positive."""
     kd, ks1, ks2 = counts
-    if min(counts) < 0 or kd + ks1 + ks2 == 0:
-        return False
-    if M[0] > 0.0 and kd + ks1 == 0:
-        return False
-    if M[1] > 0.0 and kd + ks2 == 0:
-        return False
-    if M[0] == 0.0 and kd + ks1 > 0:
-        return False
-    if M[1] == 0.0 and kd + ks2 > 0:
-        return False
-    return True
+    return (min(counts) >= 0 and (M[0] > 0.0) == (kd + ks1 > 0)
+            and (M[1] > 0.0) == (kd + ks2 > 0))
 
 
 def _candidate_cells(M, gamma, th):
     """The _TOP_CELLS cluster-count cells (kd, ks1, ks2) of lowest
-    equal-mass ansatz value, best first: each seed cell and its +-1
-    neighbours in the single counts, the packing seed at kd = 0 and then
-    the ansatz seed of each double count."""
+    equal-mass ansatz value, best first.  The seeds are the packing of
+    each total into singles at kd = 0 and the ansatz of each double count
+    kd = 1 .. 3 + floor(min_s M_s / concavity_s); each seed and its +-1
+    neighbours in the single counts (1e-9 dearer per step) are ranked if
+    `_cell_feasible`."""
     M1, M2 = M
     unit_grids = {}
     v1, k1 = _packing_grid(M1, gamma.g11)
     v2, k2 = _packing_grid(M2, gamma.g22)
     seeds = [(float(v1 + v2), 0, int(k1), int(k2))]
     if M1 > 0.0 and M2 > 0.0:
-        kd_cap = 2 + int(min(M1 / th.concavity[0], M2 / th.concavity[1])) + 1
+        kd_cap = 3 + int(min(M1 / th.concavity[0], M2 / th.concavity[1]))
         for kd in range(1, kd_cap + 1):
             val, s1, s2 = _ansatz_for_doubles(kd, M, gamma, th, unit_grids)
             seeds.append((val, kd, s1, s2))
@@ -870,9 +854,11 @@ def classify_regime(M, gamma: GammaMatrix, run_search: bool = True) -> dict:
     Reports the thresholds, the hypothesis status of each guarantee (one
     double bubble; no doubles with equal singles; coexistence counts at
     zero cross-interaction), and, with run_search, the structure `ebar`
-    finds and whether it is consistent with the guarantee.  With
-    run_search, raises what `ebar` raises, such as its ValueError for
-    totals past the cluster bound.
+    finds and whether it is consistent with the guarantee.  The coexistence
+    count is the largest k at which the totals reach `coexistence_bounds`
+    with k doubles and k singles, in either species order, from one
+    `thresholds` solve.  With run_search, raises what `ebar` raises, such
+    as its ValueError for totals past the cluster bound.
     """
     M1, M2 = _check_mass_pair(M)
     th = thresholds(gamma)
@@ -897,32 +883,28 @@ def classify_regime(M, gamma: GammaMatrix, run_search: bool = True) -> dict:
     k_guaranteed = 0
     singles_species = None
     if gamma.g12 == 0.0 and M1 > 0.0 and M2 > 0.0:
-        th_sw = th.swapped()
+        # species 2 singles from (M1, M2), species 1 singles from the swap
+        sides = ((2, th, M1, M2), (1, th.swapped(), M2, M1))
         while True:
             k = k_guaranteed + 1
-            if _coexistence_guaranteed(M1, M2, th, k, k):
-                singles_species = 2
-            elif _coexistence_guaranteed(M2, M1, th_sw, k, k):
-                singles_species = 1
+            for species, t, a, b in sides:
+                b1, b2 = _coexistence_bounds(t, k, k, a)
+                if a >= b1 and b >= b2:
+                    singles_species, k_guaranteed = species, k
+                    break
             else:
                 break
-            k_guaranteed = k
     report["coexistence"] = {
         "holds": k_guaranteed >= 1,
         "guaranteed_doubles": k_guaranteed,
         "guaranteed_singles": k_guaranteed,
         "singles_species": singles_species,
-        "bounds_for_one_each": coexistence_bounds(gamma, 1, 1, m1=M1),
+        "bounds_for_one_each": _coexistence_bounds(th, 1, 1, M1),
     }
 
-    if one_double:
-        report["guarantee"] = "one_double"
-    elif all_singles:
-        report["guarantee"] = "no_doubles"
-    elif k_guaranteed >= 1:
-        report["guarantee"] = "coexistence"
-    else:
-        report["guarantee"] = "none"
+    report["guarantee"] = ("one_double" if one_double
+                           else "no_doubles" if all_singles
+                           else "coexistence" if k_guaranteed >= 1 else "none")
 
     if run_search:
         value, conf = ebar((M1, M2), gamma)
@@ -932,13 +914,10 @@ def classify_regime(M, gamma: GammaMatrix, run_search: bool = True) -> dict:
             consistent = (counts[KIND_DOUBLE] == 1
                           and len(conf.clusters) == 1)
         elif report["guarantee"] == "no_doubles":
-            sizes_ok = True
-            for kind, species in ((KIND_SINGLE_1, 1), (KIND_SINGLE_2, 2)):
-                ms = [c.m1 if species == 1 else c.m2
-                      for c in conf.clusters if c.kind == kind]
-                if len(ms) >= 2:
-                    sizes_ok = sizes_ok and (max(ms) - min(ms)) <= 1e-6 * max(ms)
-            consistent = counts[KIND_DOUBLE] == 0 and sizes_ok
+            singles = [[c.mass for c in conf.clusters if c.kind == kind]
+                       for kind in (KIND_SINGLE_1, KIND_SINGLE_2)]
+            consistent = counts[KIND_DOUBLE] == 0 and all(
+                max(ms) - min(ms) <= 1e-6 * max(ms) for ms in singles if ms)
         elif report["guarantee"] == "coexistence":
             kind = KIND_SINGLE_2 if singles_species == 2 else KIND_SINGLE_1
             consistent = (counts[KIND_DOUBLE] >= k_guaranteed

@@ -265,10 +265,15 @@ def scaled_gamma(gamma: GammaMatrix, eta: float) -> GammaMatrix:
 
     The droplet scaling 1/(eta^3 |log eta|) times INTERFACE_COST, so that
     perimeter and nonlocal forces balance in the same ratio as in the sharp
-    rescaled energy.
+    rescaled energy.  An eta whose factor is not finite is refused with a
+    ValueError naming it.
     """
     eta = real("eta", eta, 0.0, 1.0)
-    factor = 1.0 / (eta ** 3 * abs(math.log(eta))) * INTERFACE_COST
+    scale = eta ** 3 * abs(math.log(eta))
+    if scale == 0.0 or not math.isfinite(1.0 / scale):
+        raise ValueError("eta must give a finite factor 1/(eta^3 |log eta|), "
+                         f"got {eta!r}")
+    factor = 1.0 / scale * INTERFACE_COST
     return GammaMatrix(gamma.g11 * factor, gamma.g22 * factor,
                        gamma.g12 * factor)
 
@@ -574,17 +579,24 @@ def sharp_energy(c: SharpConfig, gamma: GammaMatrix) -> float:
     1/(2 eta).  Each interface bounds two of the three phases, so their sum
     is twice the `grid_perimeter` of the label grid ind1 + 2 ind2.  The
     Green interaction of v_i = indicator/eta^2 enters with weight
-    Gamma_ij/(2 |log eta|).
+    Gamma_ij/(2 |log eta|); it is formed from the bare indicators and
+    divided by eta^4 after, so it overflows only where the energy itself
+    passes the float range, which is refused with a ValueError naming eta.
     """
     if not (c.ind1.any() or c.ind2.any()):
         raise ValueError("empty configuration has no droplet energy")
     eta = c.eta
     per = 2.0 * grid_perimeter(c.ind1 + np.uint8(2) * c.ind2)
-    hat1 = np.fft.rfft2(c.ind1 / eta ** 2)
+    hat1 = np.fft.rfft2(c.ind1)
     _, interaction = _spectral_energies(
-        hat1, np.fft.rfft2(c.ind2 / eta ** 2), gamma, _spectral_grid(c.N),
+        hat1, np.fft.rfft2(c.ind2), gamma, _spectral_grid(c.N),
         np.empty((4, *hat1.shape)))
-    return per / (2.0 * eta) + interaction / (2.0 * abs(math.log(eta)))
+    # eta^2 > 0, as SharpConfig keeps the cell mass finite
+    energy = (per / (2.0 * eta)
+              + interaction / (2.0 * abs(math.log(eta))) / eta ** 2 / eta ** 2)
+    if not math.isfinite(energy):
+        raise ValueError(f"eta must give a finite energy, got {eta!r}")
+    return energy
 
 
 def threshold(f: Field, level: float = 0.5, *, eta: float) -> SharpConfig:

@@ -180,13 +180,17 @@ def test_accepts_numpy_scalars(entry, name, kind, good, call):
     (lambda: PF.SharpConfig(IND, NO_IND, 1e-160), "eta"),
     (lambda: PF.SharpConfig(IND, NO_IND, 1e-300), "eta"),
     (lambda: PF.SharpConfig(IND[:0, :0], NO_IND[:0, :0], 0.2), "indicators"),
+    (lambda: PF.scaled_gamma(GAMMA, 1e-104), "eta"),
+    (lambda: PF.scaled_gamma(GAMMA, 1e-120), "eta"),
+    (lambda: PF.scaled_gamma(GAMMA, 1e-300), "eta"),
 ], ids=["k-negative", "seed-negative", "eta-zero", "N-zero", "m1-negative",
         "pair-of-strings", "one-mass", "zero-lobe", "e0-empty", "ebar-empty",
         "cluster-empty", "layout-empty", "self-empty", "droplet-empty",
         "species-three", "layout-bare-point", "layout-triple", "tol-zero",
         "tol-negative", "sharp-eta-one", "threshold-eta-one",
         "sharp-cell-mass-inf", "sharp-cell-mass-zero-division",
-        "sharp-empty-grid"])
+        "sharp-empty-grid", "scaled-factor-inf", "scaled-zero-division",
+        "scaled-eta-1e-300"])
 def test_refuses_an_out_of_range_scalar_by_name(call, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -230,6 +230,18 @@ def test_validation_error_is_machine_readable(tmp_path, capsys):
     assert "eta" in payload["error"]["message"]
 
 
+def test_compare_refuses_an_eta_without_a_finite_gamma_factor(tmp_path, capsys):
+    rc, stdout, stderr = run_cli(
+        capsys, "compare", "--n", "16", "--eta", "1e-300", "--steps", "1",
+        "--masses", "[[2,0]]", "--centers", "[[0.5,0.5]]",
+        "--out", str(tmp_path / "c"))
+    assert rc == 2
+    assert stdout == ""
+    payload = json.loads(stderr)
+    assert payload["error"]["type"] == "ValueError"
+    assert payload["error"]["message"].startswith("eta must")
+
+
 @pytest.mark.parametrize("text", ['{"n": [1]}', '{"steps": Infinity}',
                                   '{"seed": {}}', '{"n": null}',
                                   pytest.param('{"n": 1' + "0" * 400 + "}",

@@ -44,9 +44,10 @@ def test_spectral_green_routes_use_no_ewald_code():
 def test_quantized_oracle_calls_no_search_function():
     funcs = _functions(P)
     order = list(funcs)
-    search = set(order[order.index("_candidate_cells"):
+    search = set(order[order.index("_packing_grid"):
                        order.index("_row_clusters") + 1]) | {"ebar", "thresholds"}
-    assert {"_newton", "_kkt", "_cell_starts"} <= search
+    assert {"_packing_grid", "_ansatz_for_doubles", "_cell_feasible",
+            "_candidate_cells", "_newton", "_kkt", "_cell_starts"} <= search
     for name in ("ebar_oracle", "_min_plus", "_corner_min_plus",
                  "_quantized_energy_table", "round_config_to_grid",
                  "quantization_bound"):

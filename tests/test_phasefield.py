@@ -3,6 +3,7 @@
 import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -673,6 +674,31 @@ def test_sharp_energy_empty_raises():
     c = SharpConfig(zeros, zeros, 0.1)
     with pytest.raises(ValueError):
         sharp_energy(c, GammaMatrix(1.0, 1.0, 0.0))
+
+
+def test_sharp_energy_at_tiny_eta_is_finite_or_refused():
+    # One occupied cell of a 4x4 grid.  The interaction is formed from the
+    # bare indicators, so it stays finite down to eta = 1e-77, where the
+    # indicators over eta^2 would overflow; at 1e-100 and 1e-154 the energy
+    # itself is past the float range.
+    ind = np.zeros((4, 4), dtype=bool)
+    ind[1, 1] = True
+    g = GammaMatrix(1.0, 1.0, 0.5)
+
+    def energy(eta):
+        return sharp_energy(SharpConfig(ind, np.zeros_like(ind), eta), g)
+
+    per = 2.0 * grid_perimeter(ind)
+    bare = (energy(0.5) - per) * 2.0 * math.log(2.0) * 0.5 ** 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eta = 1e-77
+        want = per / (2.0 * eta) + math.exp(
+            math.log(bare / (2.0 * abs(math.log(eta)))) - 4.0 * math.log(eta))
+        assert energy(eta) == pytest.approx(want, rel=1e-12)
+        for eta in (1e-100, 1e-154):
+            with pytest.raises(ValueError, match="^eta must give a finite energy"):
+                energy(eta)
 
 
 def test_sharp_config_validation():
