@@ -36,7 +36,7 @@ from triblock.geometry import (
     perimeter,
     solve_geometry,
 )
-from triblock.partition import classify_regime, ebar
+from triblock.partition import _ebar, classify_regime, ebar
 from triblock.phasefield import (
     diffuse_energy,
     droplet_field,
@@ -534,7 +534,7 @@ def _run_regime_sweep(params, out, cfg_hash):
                        coexistence=rep["coexistence"]["holds"],
                        guarantee=rep["guarantee"])
             if params["run_search"]:
-                value, conf = ebar((m1, m2), gamma)
+                value, conf = _ebar(rep["M"], gamma, th)
                 counts = conf.counts()
                 row.update(ebar=value,
                            n_double=counts["double"],

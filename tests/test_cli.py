@@ -420,6 +420,9 @@ def test_regime_sweep_records_cell_failure_and_continues(tmp_path, capsys):
     assert "ValueError" in lines[2] and "ValueError" not in lines[1]
     assert "search bound of 64" in lines[2]
     assert lines[1].split(",")[5] != ""  # the good cell still has its energy
+    # the failed search keeps the cell's threshold columns
+    cols = lines[0].split(",")
+    assert lines[2].split(",")[cols.index("max_mass1")] != ""
 
 
 def test_write_sweep_csv_deterministic(tmp_path):

@@ -17,12 +17,13 @@ PACKAGE = Path(triblock.__file__).parent
 SUBMODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
 
 
-def _loaded_by(module: str) -> set:
-    """The triblock modules a fresh interpreter holds after importing module."""
+def _loaded_by(module: str, prefix: str = "triblock.") -> set:
+    """The modules under `prefix` a fresh interpreter holds after importing
+    module."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     code = (f"import sys, {module}\n"
-            "print(*(m for m in sys.modules if m.startswith('triblock.')))")
+            f"print(*(m for m in sys.modules if m.startswith({prefix!r})))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          timeout=120, stdout=subprocess.PIPE, text=True).stdout
     return set(out.split())
@@ -47,3 +48,11 @@ def test_geometry_loads_no_later_layer():
     later = {f"triblock.{m}" for m in ("partition", "phasefield", "placement",
                                        "torus_green", "cli")}
     assert not _loaded_by("triblock.geometry") & later
+
+
+def test_cli_loads_neither_the_solver_nor_the_labelling():
+    loaded = _loaded_by("triblock.cli", "scipy.")
+    assert "scipy.special" in loaded
+    # each loads on the first call of its one user: concavity_threshold,
+    # and extract_components' periodic labelling
+    assert not loaded & {"scipy.optimize", "scipy.ndimage", "scipy.sparse"}

@@ -70,8 +70,9 @@ def test_threshold_probe_dependence():
                                GammaMatrix(8.0, 2.0, 0.5)],
                          ids=["plain", "4-0.3", "0.2-25", "8-2"])
 def test_thresholds_of_the_swapped_matrix_are_the_mirror(g):
-    # classify_regime builds the swapped thresholds from th.swapped()
-    # instead of two more Brent solves; they must agree exactly.
+    # classify_regime and ebar's species swap build the swapped thresholds
+    # from th.swapped() instead of two more Brent solves; they must agree
+    # exactly.
     assert thresholds(g.swapped()) == thresholds(g).swapped()
     assert thresholds(g).swapped().swapped() == thresholds(g)
 
@@ -587,6 +588,26 @@ def test_classify_regime_coexistence():
     assert counts[KIND_DOUBLE] >= 1
     assert counts[KIND_SINGLE_2] >= 1
     assert report["search"]["consistent"]
+
+
+@pytest.mark.parametrize("M", [(1.0, 1.0), (3.0, 1.0)],
+                         ids=["in-order", "species-swap"])
+def test_one_thresholds_solve_per_question(monkeypatch, M):
+    # a thresholds solve is two concavity_threshold calls; classify_regime
+    # hands its own to the search, and ebar's species swap mirrors its
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return concavity_threshold(*args, **kwargs)
+
+    monkeypatch.setattr(partition, "concavity_threshold", counted)
+    report = classify_regime(M, G_WEAK_CROSS)
+    assert len(calls) == 2
+    calls.clear()
+    assert ebar(M, G_WEAK_CROSS) == (report["search"]["energy"],
+                                     report["search"]["configuration"])
+    assert len(calls) == 2
 
 
 # Values and cluster counts (doubles, type-1 singles, type-2 singles) that

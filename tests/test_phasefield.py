@@ -589,10 +589,11 @@ def test_clip_keeps_mass_and_trace_describes_the_state(caplog):
 
 
 @pytest.mark.parametrize("low, high, mean", [
-    (-0.5, 1.5, 0.3), (3.0, 5.0, 1.0), (-5.0, -3.0, -0.1), (-0.2, 4.9, 1.1)])
+    (-0.5, 1.5, 0.3), (3.0, 5.0, 1.0), (-5.0, -3.0, -0.1), (-0.2, 4.9, 1.1),
+    (-0.5, 1.5, GUARD_BAND[0]), (-0.5, 1.5, GUARD_BAND[1])])
 def test_mass_exact_clip_hits_the_mean(low, high, mean):
     # shifts of several units, where one ulp of the shift is wider than
-    # one ulp of the band width, and a target on the band's edge
+    # one ulp of the band width, and targets on the band's edges
     v = np.random.default_rng(3).uniform(low, high, size=(16, 16))
     u = _mass_exact_clip(v, mean)
     lo, hi = GUARD_BAND
