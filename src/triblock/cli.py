@@ -24,7 +24,6 @@ from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from triblock import __version__
 from triblock._args import integer, real
@@ -576,6 +575,10 @@ def run(config: ExperimentConfig) -> dict:
     result_path = out / "result.json"
     _dump_json(result, result_path)
     artifacts = {p.name: _sha256_file(Path(p)) for p in [result_path, *extra]}
+    # imported for its version string alone, so that `import triblock.cli`
+    # loads no scipy module
+    import scipy
+
     manifest = {
         "command": config.command,
         "config_sha256": cfg_hash,

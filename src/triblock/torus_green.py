@@ -6,10 +6,13 @@ exact evaluations are provided:
 * `green` / `green_gradient`: Ewald splitting of the heat-kernel
   representation G = int_0^inf (Theta(p,t) - 1) dt at t0 = 1/64: a sum of
   E1(|p+n|^2/(4 t0)) over the 3x3 nearest images, plus a Gaussian-damped
-  Fourier sum over |k|_inf <= 7 built from per-axis cos/sin tables.  At
-  canonical p the first image left out lies at distance >= 3/2; the tails
-  stay below 5e-19 in G, 3e-17 in grad G and 1.3e-15 in the Hessian.  Both
-  wrap the private `_ewald`, which also gives the Hessian for `placement`.
+  Fourier sum over |k|_inf <= 7 built from one complex per-axis table
+  e^{2 pi i k p_a}.  At canonical p the first image left out lies at
+  distance >= 3/2; the tails stay below 5e-19 in G, 3e-17 in grad G and
+  1.3e-15 in the Hessian.  E1 comes from two fixed quadratures in numpy
+  (Gauss-Laguerre for the eight outer images, Gauss-Legendre for Ein at the
+  n = 0 image), with errors below 1e-15 max(1, E1).  Both wrap the private
+  `_ewald`, which also gives the Hessian for `placement`.
 
 * `green_spectral`: the plain spectral sum sum_{k != 0} e^{2 pi i k.p}
   /(4 pi^2 |k|^2) with the inner index of each column summed in closed form
@@ -29,7 +32,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import exp1
 
 from triblock._args import real
 
@@ -39,9 +41,24 @@ _RECIP_RANGE = 7      # reciprocal modes k in [-7, 7]^2 minus the origin
 _SINGULAR_TOL = 1e-12
 
 _SHIFTS = np.indices((2 * _REAL_RANGE + 1,) * 2).reshape(2, -1).T - float(_REAL_RANGE)
+_ORIGIN = len(_SHIFTS) // 2   # the n = 0 row of _SHIFTS
+
+# E1(x) on the image arguments x = |q + n|^2/(4 t0) by two fixed rules.  At
+# canonical q the eight outer images have x in [4, 72] and the n = 0 image x
+# <= 8.  For x >= 4, E1(x) = e^{-x} int_0^inf e^{-t}/(x + t) dt by 24-node
+# Gauss-Laguerre: absolute error 5.4e-17.  Below 4, E1(x) = Ein(x) - log x
+# - euler_gamma with Ein(x) = int_0^1 -expm1(-x s)/s ds by 16-node
+# Gauss-Legendre on [0, 1], stored as nodes -s and weights -w/s: error
+# 7.3e-16 max(1, E1), the rounding of Ein - log x near x = 4 (at x = 8 it
+# would be 1.5e-15, so the n = 0 image keeps the Laguerre value from 4 up).
+_LAGUERRE_T, _LAGUERRE_W = np.polynomial.laguerre.laggauss(24)
+_s, _w = np.polynomial.legendre.leggauss(16)
+_EIN_S = -0.5 * (_s + 1.0)
+_EIN_W = 0.5 * _w / _EIN_S
 
 # Mode weights c_k, c_k k_a, c_k k_a k_b on the (k1, k2) table, k1 pairing with
-# x, side by side: the value, gradient and Hessian blocks of `_ewald`.
+# x, side by side: the value, gradient and Hessian blocks of `_ewald`, which
+# applies them to the per-axis table e^{2 pi i k q_a} of phases _MODE_PHASE.
 _k = np.arange(-_RECIP_RANGE, _RECIP_RANGE + 1, dtype=float)
 _k1, _k2 = np.meshgrid(_k, _k, indexing="ij")
 _ksq = _k1 * _k1 + _k2 * _k2
@@ -49,6 +66,7 @@ _ksq[_RECIP_RANGE, _RECIP_RANGE] = np.inf   # the k = 0 weight is 0
 _RECIP_COEF = np.exp(-4.0 * math.pi**2 * _ksq * EWALD_T0) / (4.0 * math.pi**2 * _ksq)
 _MODE_WEIGHTS = np.concatenate([_RECIP_COEF * f for f in (
     1.0, _k1, _k2, _k1 * _k1, _k1 * _k2, _k2 * _k2)], axis=1)
+_MODE_PHASE = 2j * math.pi * _k
 
 
 def wrap(p):
@@ -64,42 +82,55 @@ def _prepare(p):
     return wrap(arr).reshape(-1, 2), arr.shape, arr.ndim == 1
 
 
+def _e1_laguerre(x, e):
+    """E1(x) for x >= 4, given e = e^{-x}: the Gauss-Laguerre rule."""
+    return e * (1.0 / (x[..., None] + _LAGUERRE_T) @ _LAGUERRE_W)
+
+
+def _e1_ein(x):
+    """E1(x) for 0 < x <= 4: Ein(x) - log x - euler_gamma, Ein by Gauss-Legendre."""
+    return np.expm1(x[..., None] * _EIN_S) @ _EIN_W - np.log(x) - np.euler_gamma
+
+
 def _ewald(q, order=0):
     """Ewald sums at canonical points q of shape (N, 2).
 
     Returns G, or (G, grad G) for order 1, or (G, grad G, Hessian of G) of
-    shapes (N,), (N, 2), (N, 2, 2) for order 2.  The lattice differences
-    and the per-axis mode tables are built once for all orders.  Raises
-    ValueError when any point sits on the source lattice.
+    shapes (N,), (N, 2), (N, 2, 2) for order 2.  The lattice differences,
+    x = r^2/(4 t0) with e^{-x}, and the complex mode table are built once
+    for all orders.  E1 is the Laguerre rule at every image, replaced at
+    the n = 0 image by the Ein rule where x < 4; the mode sums take their
+    real part for the value and Hessian and their imaginary part for the
+    gradient.  Raises ValueError when any point sits on the source lattice.
     """
     d = q[:, None, :] + _SHIFTS[None, :, :]
     r2 = np.einsum("ijk,ijk->ij", d, d)
-    if np.any(r2 < _SINGULAR_TOL**2):
+    if (r2 < _SINGULAR_TOL**2).any():
         raise ValueError("the Green function is singular at the source point "
                          "p = 0 (mod 1)")
-    # Mode sums as bilinear forms in the tables cos/sin(2 pi k x), cos/sin(2 pi
-    # k y): cos 2pi k.q = cos cos - sin sin, sin 2pi k.q = sin cos + cos sin.
-    t = 2.0 * math.pi * q[:, :, None] * _k
-    c, s = np.cos(t), np.sin(t)
+    x = r2 / (4.0 * EWALD_T0)
+    e = np.exp(-x)
+    E1 = _e1_laguerre(x, e)
+    x0 = x[:, _ORIGIN]
+    E1[:, _ORIGIN] = np.where(x0 < 4.0, _e1_ein(x0), E1[:, _ORIGIN])
+    # Mode sums sum_k w_k e^{2 pi i k.q} as a bilinear form in the per-axis
+    # table z = e^{2 pi i k q_a}: sum over k1 by the matmul, over k2 by the
+    # product with z_y.
+    z = np.exp(q[:, :, None] * _MODE_PHASE)
     shape = (len(q), (1, 3, 6)[order], len(_k))
     weights = _MODE_WEIGHTS[:, :shape[1] * shape[2]]
-    cw, sw = (c[:, 0] @ weights).reshape(shape), (s[:, 0] @ weights).reshape(shape)
-    cy, sy = c[:, 1, None], s[:, 1, None]
-    cos_sums = np.sum(cw * cy - sw * sy, axis=2)
-    real = np.sum(exp1(r2 / (4.0 * EWALD_T0)), axis=1) / (4.0 * math.pi)
-    G = real + cos_sums[:, 0] - EWALD_T0
+    sums = np.sum((z[:, 0] @ weights).reshape(shape) * z[:, 1, None], axis=2)
+    G = E1.sum(axis=1) / (4.0 * math.pi) + sums.real[:, 0] - EWALD_T0
     if order == 0:
         return G
-    e = np.exp(-r2 / (4.0 * EWALD_T0))
-    real = -np.sum(d * (e / r2)[..., None], axis=1) / (2.0 * math.pi)
-    sin_sums = np.sum(sw[:, 1:3] * cy + cw[:, 1:3] * sy, axis=2)
-    grad = real - 2.0 * math.pi * sin_sums
+    real = -np.einsum("ijk,ij->ik", d, e / r2) / (2.0 * math.pi)
+    grad = real - 2.0 * math.pi * sums.imag[:, 1:3]
     if order == 1:
         return G, grad
     radial = e * (1.0 / (2.0 * EWALD_T0 * r2) + 2.0 / (r2 * r2))
     real = -(np.sum(e / r2, axis=1)[:, None, None] * np.eye(2)
              - np.swapaxes(d, 1, 2) @ (radial[..., None] * d)) / (2.0 * math.pi)
-    recip = -4.0 * math.pi**2 * cos_sums[:, [3, 4, 4, 5]].reshape(-1, 2, 2)
+    recip = -4.0 * math.pi**2 * sums.real[:, [3, 4, 4, 5]].reshape(-1, 2, 2)
     return G, grad, real + recip
 
 
@@ -157,7 +188,8 @@ def _r0_ewald() -> float:
     """R(0) from the Ewald split: the n = 0 term's finite part is
     (log(4 t0) - euler_gamma)/(4 pi)."""
     r2 = np.sum(_SHIFTS * _SHIFTS, axis=1)
-    real = float(np.sum(exp1(r2[r2 > 0.0] / (4.0 * EWALD_T0)))) / (4.0 * math.pi)
+    x = r2[r2 > 0.0] / (4.0 * EWALD_T0)
+    real = float(np.sum(_e1_laguerre(x, np.exp(-x)))) / (4.0 * math.pi)
     const = (math.log(4.0 * EWALD_T0) - np.euler_gamma) / (4.0 * math.pi)
     return const + real + float(np.sum(_RECIP_COEF)) - EWALD_T0
 

@@ -34,7 +34,9 @@ def test_phasefield_does_not_use_the_poisson_reference():
 
 
 def test_spectral_green_routes_use_no_ewald_code():
-    ewald = {"_ewald", "_SHIFTS", "_RECIP_COEF", "_MODE_WEIGHTS"}
+    ewald = {"_ewald", "_SHIFTS", "_ORIGIN", "_RECIP_COEF", "_MODE_WEIGHTS",
+             "_MODE_PHASE", "_e1_laguerre", "_e1_ein", "_LAGUERRE_T",
+             "_LAGUERRE_W", "_EIN_S", "_EIN_W"}
     funcs = _functions(TG)
     for name in ("green_spectral", "_stripe_terms",
                  "regular_part_zero_spectral"):

@@ -17,16 +17,21 @@ PACKAGE = Path(triblock.__file__).parent
 SUBMODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
 
 
-def _loaded_by(module: str, prefix: str = "triblock.") -> set:
-    """The modules under `prefix` a fresh interpreter holds after importing
-    module."""
+def _loaded_after(code: str, prefix: str) -> set:
+    """The modules under `prefix` a fresh interpreter holds after running
+    code."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    code = (f"import sys, {module}\n"
-            f"print(*(m for m in sys.modules if m.startswith({prefix!r})))")
+    code += f"\nimport sys\nprint(*(m for m in sys.modules if m.startswith({prefix!r})))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          timeout=120, stdout=subprocess.PIPE, text=True).stdout
     return set(out.split())
+
+
+def _loaded_by(module: str, prefix: str = "triblock.") -> set:
+    """The modules under `prefix` a fresh interpreter holds after importing
+    module."""
+    return _loaded_after(f"import {module}", prefix)
 
 
 def test_no_module_reads_a_name_through_the_package_root():
@@ -50,9 +55,23 @@ def test_geometry_loads_no_later_layer():
     assert not _loaded_by("triblock.geometry") & later
 
 
-def test_cli_loads_neither_the_solver_nor_the_labelling():
-    loaded = _loaded_by("triblock.cli", "scipy.")
-    assert "scipy.special" in loaded
-    # each loads on the first call of its one user: concavity_threshold,
-    # and extract_components' periodic labelling
-    assert not loaded & {"scipy.optimize", "scipy.ndimage", "scipy.sparse"}
+def test_cli_loads_no_scipy():
+    # scipy loads only inside its users: concavity_threshold,
+    # extract_components' periodic labelling, and run's manifest
+    assert not _loaded_by("triblock.cli", "scipy")
+
+
+def test_placement_pipeline_loads_no_scipy_subpackage():
+    # the Ewald sums take E1 from numpy quadratures, not scipy.special
+    code = """
+from triblock.geometry import GammaMatrix
+from triblock.placement import F0, FK, minimize_FK
+from triblock.torus_green import green, green_gradient, regular_part
+g = GammaMatrix(1.0, 1.0, 0.5)
+layout = minimize_FK(((1.2, 0.8), (0.0, 1.5)), g, restarts=1)
+FK(layout, g)
+F0(layout, g, n_points=2 ** 8, replicates=2)
+pts = [[0.1, 0.2], [0.3, -0.1]]
+green(pts), green_gradient(pts), regular_part(pts)
+"""
+    assert not _loaded_after(code, "scipy.")

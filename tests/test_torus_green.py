@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -166,6 +167,37 @@ def test_ewald_matches_wide_truncation_reference():
             scale = np.maximum(1.0, np.abs(b).max(axis=1))
             assert (np.abs(a - b).max(axis=1) / scale).max() <= 1e-14
     assert abs(TG.R0 - TG.regular_part_zero_spectral()) <= 1e-15
+
+
+def _mp_e1(x):
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.e1(mpmath.mpf(float(v)))) for v in x])
+
+
+def test_e1_rules_match_mpmath():
+    # Each rule on its own range, against 40-digit E1: the Gauss-Laguerre
+    # rule on the outer images' x in [4, 72], the Ein rule below 4.
+    rng = np.random.default_rng(41)
+    outer = np.concatenate([np.linspace(4.0, 72.0, 681), rng.uniform(4.0, 72.0, 300)])
+    inner = np.concatenate([np.logspace(-20.0, math.log10(4.0), 401),
+                            np.linspace(0.0, 4.0, 401)[1:], rng.uniform(0.0, 4.0, 300)])
+    for got, x in ((TG._e1_laguerre(outer, np.exp(-outer)), outer),
+                   (TG._e1_ein(inner), inner)):
+        ref = _mp_e1(x)
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1.0, ref))
+
+
+def test_image_arguments_stay_in_the_rules_ranges():
+    # At canonical q every image but n = 0 has x = |q + n|^2/(4 t0) in
+    # [4, 72], so only the n = 0 image needs the Ein rule.
+    rng = np.random.default_rng(43)
+    q = TG.wrap(np.concatenate([rng.uniform(-0.5, 0.5, (10_000, 2)),
+                                [[-0.5, -0.5], [-0.5, 0.0], [0.0, -0.5]]]))
+    d = q[:, None, :] + TG._SHIFTS
+    x = np.sum(d * d, axis=2) / (4.0 * TG.EWALD_T0)
+    outer = np.delete(x, TG._ORIGIN, axis=1)
+    assert outer.min() == 4.0 and outer.max() <= 72.0
+    assert x[:, TG._ORIGIN].max() <= 8.0
 
 
 def test_gradient_zero_at_center():
