@@ -575,10 +575,7 @@ def run(config: ExperimentConfig) -> dict:
     result_path = out / "result.json"
     _dump_json(result, result_path)
     artifacts = {p.name: _sha256_file(Path(p)) for p in [result_path, *extra]}
-    # imported for its version string alone, so that `import triblock.cli`
-    # loads no scipy module
-    import scipy
-
+    # versions of all a run executes: the interpreter, numpy and this package
     manifest = {
         "command": config.command,
         "config_sha256": cfg_hash,
@@ -586,7 +583,6 @@ def run(config: ExperimentConfig) -> dict:
         "seed": config.parameters.get("seed"),
         "versions": {"python": "%d.%d.%d" % sys.version_info[:3],
                      "numpy": np.__version__,
-                     "scipy": scipy.__version__,
                      "artifact": __version__},
         "green_regular_part_zero": TG.R0,
         "threads": 1,

@@ -28,9 +28,9 @@ input order was reversed internally, and the mass-indexed operations
 (perimeter_gradient, perimeter_hessian, e0_hessian_diag) translate back to
 the caller's order.
 
-Only `concavity_threshold` uses scipy (one `optimize.brentq`), and it
-imports `scipy.optimize` on its first call, so importing this module loads
-numpy and no scipy.
+`concavity_threshold` finds its sign change with `_brentq`, Brent's
+method (Brent 1973, ch. 4) as scipy's `brentq` runs it, with the same
+defaults, so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -567,6 +567,66 @@ def e0_hessian_diag(m, gamma: GammaMatrix, i: int) -> float:
 
 # Bracket of the concavity threshold: anchor * 10^-3 .. anchor * 10^3.
 _SCAN_DECADES = 3.0
+# Brent's tolerances.  A negligible xtol leaves the relative tolerance in
+# charge, so the scaling m*(Gamma/lam^3, lam^2 probe) = lam^2 m* of the
+# threshold holds to the root.
+_BRENT_XTOL = 1e-300
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAX_ITER = 100
+
+
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of f in [xa, xb], where f(xa) and f(xb) differ in sign.
+
+    Brent's method step for step as scipy's `brentq` takes it at
+    xtol=_BRENT_XTOL and its default rtol and maxiter, so it returns the
+    same root after the same calls.  Raises ConvergenceError after
+    _BRENT_MAX_ITER steps.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic step
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise ConvergenceError(
+        f"Brent's method did not converge in {_BRENT_MAX_ITER} steps "
+        f"in [{xa:g}, {xb:g}]"
+    )
 
 
 def concavity_threshold(gamma_ii: float, i: int = 1,
@@ -602,14 +662,7 @@ def concavity_threshold(gamma_ii: float, i: int = 1,
             f"no concavity sign change in [{lo:g}, {hi:g}] for "
             f"gamma_ii={gamma_ii:g}, probe={probe_other_mass:g}"
         )
-    # scipy.optimize (with scipy.linalg and scipy.sparse under it) is
-    # imported at its only use: loading it takes about 0.23 s and 21 MB,
-    # which a run that never asks for a threshold does not pay.
-    from scipy import optimize
-
-    # A negligible xtol leaves Brent's relative tolerance in charge, so the
-    # scaling m*(Gamma/lam^3, lam^2 probe) = lam^2 m* holds to the root.
-    m_star = optimize.brentq(hess, lo, hi, xtol=1e-300)
+    m_star = _brentq(hess, lo, hi)
 
     delta = 1e-4 * m_star
     if not (hess(m_star - delta) < 0.0 < hess(m_star + delta)):

@@ -15,9 +15,9 @@ buffers allocated once per relax call, so a step allocates no array
 unless it clips.
 SharpConfig holds thresholded indicator sets, whose rescaled energy combines
 a Cauchy-Crofton grid perimeter with the periodic Green interaction, and
-extract_components turns them into partition-module configurations; its
-periodic labelling imports scipy.ndimage and scipy.sparse on the first call,
-so a run that never labels does not load them.
+extract_components turns them into partition-module configurations.  Its
+periodic labelling is numpy alone: the runs of each row are joined across
+rows and across the wraps by a min-label merge.
 """
 
 import json
@@ -619,36 +619,52 @@ def threshold(f: Field, level: float = 0.5, *, eta: float) -> SharpConfig:
                        overlap_fraction=both / cells if cells else 0.0)
 
 
+def _run_starts(grid: np.ndarray) -> np.ndarray:
+    """The cells of a boolean grid that begin a run along their row."""
+    starts = grid.copy()
+    starts[:, 1:] &= ~grid[:, :-1]
+    return starts
+
+
 def _periodic_labels(mask: np.ndarray):
     """Connected components of a periodic boolean grid (4-connectivity).
 
-    The planar labels of `ndimage.label`, joined across the wrap (row 0 to
-    row -1, column 0 to column -1) and numbered by their smallest label.
+    Returns (labels, count): 0 on empty cells and 1..count on the
+    components, numbered in raster order of their first cell.  The runs of
+    occupied cells along each row are numbered in raster order and joined
+    to the runs they touch in the next row (row -1 to row 0 across the
+    wrap) and across the row wrap (column -1 to column 0).
     """
-    # Only this function needs ndimage, sparse and csgraph, so they load on
-    # the first labelling: together about 0.15 s and 10 MB, which a run
-    # that never labels does not pay.  csgraph numbers components by their
-    # smallest node, so label 0, the empty cells, which joins nothing,
-    # keeps component 0.
-    from scipy import ndimage
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
-
-    labels, n = ndimage.label(mask)
-    a = np.concatenate((labels[0], labels[:, 0]))
-    b = np.concatenate((labels[-1], labels[:, -1]))
-    wrap = (a > 0) & (b > 0)
-    pairs = coo_array((np.ones(np.count_nonzero(wrap)), (a[wrap], b[wrap])),
-                      shape=(n + 1, n + 1))
-    count, component = connected_components(pairs, directed=False)
-    return component[labels], count - 1
-
-
-def _circular_mean(coords: np.ndarray, n: int) -> float:
-    angles = 2.0 * math.pi * coords / n
-    x = math.atan2(float(np.mean(np.sin(angles))),
-                   float(np.mean(np.cos(angles)))) / (2.0 * math.pi)
-    return x % 1.0
+    runs = np.cumsum(_run_starts(mask), axis=None)
+    count = int(runs[-1])
+    runs = runs.reshape(mask.shape) * mask
+    below = np.roll(runs, -1, axis=0)
+    # one edge per stretch of columns occupied in both rows
+    first = _run_starts(mask & (below > 0))
+    row_wrap = mask[:, -1] & mask[:, 0]
+    a = np.concatenate((runs[first], runs[row_wrap, -1]))
+    b = np.concatenate((below[first], runs[row_wrap, 0]))
+    # Min-label merge: every run points at a smaller or equal run, so each
+    # tree's root is its smallest run.  Hook the larger root of each split
+    # edge onto the smaller, then jump pointers until all point at roots.
+    root = np.arange(count + 1)
+    while True:
+        ra, rb = root[a], root[b]
+        split = ra != rb
+        if not split.any():
+            break
+        np.minimum.at(root, np.maximum(ra[split], rb[split]),
+                      np.minimum(ra[split], rb[split]))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    # number the components by their smallest run: raster order
+    is_root = root == np.arange(count + 1)
+    is_root[0] = False
+    number = np.cumsum(is_root)
+    return number[root][runs], int(number[-1])
 
 
 def extract_components(c: SharpConfig):
@@ -656,7 +672,8 @@ def extract_components(c: SharpConfig):
 
     Returns (Configuration, centers): per component, species masses are
     cell counts scaled by h^2/eta^2 and the center is the circular mean of
-    its cells on the torus.
+    its cells on the torus.  One pass over the occupied cells collects
+    every component's counts and sums.
     """
     union = c.ind1 | c.ind2
     if not union.any():
@@ -664,15 +681,22 @@ def extract_components(c: SharpConfig):
     labels, count = _periodic_labels(union)
     N = c.N
     cell_mass = 1.0 / (N ** 2 * c.eta ** 2)
-    clusters = []
-    centers = []
-    for comp in range(1, count + 1):
-        mask = labels == comp
-        m1 = float(np.count_nonzero(mask & c.ind1)) * cell_mass
-        m2 = float(np.count_nonzero(mask & c.ind2)) * cell_mass
-        ii, jj = np.nonzero(mask)
-        centers.append((_circular_mean(ii, N), _circular_mean(jj, N)))
-        clusters.append(cluster_from_masses(m1, m2))
+    n1 = np.bincount(labels[c.ind1], minlength=count + 1)
+    n2 = np.bincount(labels[c.ind2], minlength=count + 1)
+    ii, jj = np.nonzero(union)
+    comp = labels[ii, jj]
+    angles = 2.0 * math.pi * np.arange(N) / N
+    sin, cos = np.sin(angles), np.cos(angles)
+
+    def circular_mean(coords):
+        x = np.arctan2(np.bincount(comp, sin[coords], count + 1),
+                       np.bincount(comp, cos[coords], count + 1))
+        return (x / (2.0 * math.pi) % 1.0)[1:].tolist()
+
+    centers = list(zip(circular_mean(ii), circular_mean(jj)))
+    clusters = [cluster_from_masses(float(n1[k]) * cell_mass,
+                                    float(n2[k]) * cell_mass)
+                for k in range(1, count + 1)]
     total = (sum(cl.m1 for cl in clusters), sum(cl.m2 for cl in clusters))
     return Configuration(tuple(clusters), total), centers
 

@@ -79,6 +79,8 @@ def _prepare(p):
     arr = np.asarray(p, dtype=float)
     if arr.shape[-1] != 2:
         raise ValueError(f"points must have trailing dimension 2, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("points must be finite")
     return wrap(arr).reshape(-1, 2), arr.shape, arr.ndim == 1
 
 

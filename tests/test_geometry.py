@@ -438,3 +438,35 @@ def test_concavity_threshold_refuses_a_range_without_sign_change(monkeypatch):
     monkeypatch.setattr(G, "e0_hessian_diag", lambda m, gamma, i: -1.0)
     with pytest.raises(G.ConvergenceError, match="no concavity sign change"):
         G.concavity_threshold(1.0, 1, 1.0)
+
+
+@pytest.mark.parametrize("gamma_ii", [0.1, 1.0, 10.0, 100.0])
+@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize("probe", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3])
+def test_brentq_takes_scipys_steps(gamma_ii, i, probe):
+    # The port of scipy's Brent solver returns its root after as many
+    # calls, so concavity_threshold returns scipy's root.
+    from scipy import optimize
+
+    gamma = G.GammaMatrix(gamma_ii, gamma_ii, 0.0)
+    calls = []
+
+    def hess(mi):
+        calls.append(mi)
+        pair = (mi, probe) if i == 1 else (probe, mi)
+        return G.e0_hessian_diag(pair, gamma, i)
+
+    anchor = math.pi * gamma_ii ** (-2.0 / 3.0)
+    lo, hi = anchor * 1e-3, anchor * 1e3
+    root = G._brentq(hess, lo, hi)
+    ours = len(calls)
+    want, info = optimize.brentq(hess, lo, hi, xtol=1e-300, full_output=True)
+    assert info.converged
+    assert (root, ours) == (want, info.function_calls)
+    assert G.concavity_threshold(gamma_ii, i, probe) == want
+
+
+def test_brentq_refuses_to_stop_short(monkeypatch):
+    monkeypatch.setattr(G, "_BRENT_MAX_ITER", 3)
+    with pytest.raises(G.ConvergenceError, match="did not converge in 3"):
+        G._brentq(lambda x: x ** 3 - 2.0, 0.0, 4.0)

@@ -12,20 +12,25 @@ import sys
 from pathlib import Path
 
 import triblock
+from test_acceptance import PIPELINES
 
 PACKAGE = Path(triblock.__file__).parent
 SUBMODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
 
 
+def _fresh(code: str) -> str:
+    """What a fresh interpreter prints running code; raises if it fails."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          timeout=120, stdout=subprocess.PIPE, text=True).stdout
+
+
 def _loaded_after(code: str, prefix: str) -> set:
     """The modules under `prefix` a fresh interpreter holds after running
     code."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     code += f"\nimport sys\nprint(*(m for m in sys.modules if m.startswith({prefix!r})))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         timeout=120, stdout=subprocess.PIPE, text=True).stdout
-    return set(out.split())
+    return set(_fresh(code).split())
 
 
 def _loaded_by(module: str, prefix: str = "triblock.") -> set:
@@ -56,9 +61,30 @@ def test_geometry_loads_no_later_layer():
 
 
 def test_cli_loads_no_scipy():
-    # scipy loads only inside its users: concavity_threshold,
-    # extract_components' periodic labelling, and run's manifest
+    # triblock.cli imports every module of the package, none of which
+    # imports scipy
     assert not _loaded_by("triblock.cli", "scipy")
+
+
+def test_every_pipeline_runs_without_scipy(tmp_path):
+    # criterion 10's pipelines, in an interpreter that cannot import scipy
+    code = f"""
+import os, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{{name}} is refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+from triblock.cli import main
+for command, flags in {PIPELINES!r}:
+    out = os.path.join({str(tmp_path)!r}, command)
+    if main([command, *flags, "--out", out]) != 0:
+        sys.exit(f"{{command}} failed")
+print("ok")
+"""
+    assert _fresh(code).split()[-1] == "ok"
 
 
 def test_placement_pipeline_loads_no_scipy_subpackage():

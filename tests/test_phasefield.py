@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.integrate import quad
 
 from triblock import torus_green as TG
@@ -18,6 +20,7 @@ from triblock.phasefield import (
     Field,
     SharpConfig,
     _mass_exact_clip,
+    _periodic_labels,
     _well_forces,
     diffuse_energy,
     droplet_field,
@@ -827,6 +830,76 @@ def test_extract_empty():
     zeros = np.zeros((16, 16), dtype=bool)
     conf, centers = extract_components(SharpConfig(zeros, zeros, 0.1))
     assert conf.clusters == () and centers == []
+
+
+def _reference_labels(mask):
+    """ndimage's planar labels joined across the wraps by csgraph, which
+    numbers components by their smallest planar label."""
+    from scipy import ndimage
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    labels, n = ndimage.label(mask)
+    a = np.concatenate((labels[0], labels[:, 0]))
+    b = np.concatenate((labels[-1], labels[:, -1]))
+    wrap = (a > 0) & (b > 0)
+    pairs = coo_array((np.ones(np.count_nonzero(wrap)), (a[wrap], b[wrap])),
+                      shape=(n + 1, n + 1))
+    count, component = connected_components(pairs, directed=False)
+    return component[labels], count - 1
+
+
+_CHECKERBOARD = np.indices((6, 6)).sum(axis=0) % 2 == 0
+_STRIPES = np.zeros((7, 9), dtype=bool)
+_STRIPES[:, [0, 8]] = True   # two columns joined across the row wrap
+_STRIPES[3, 2:7] = True      # a stripe touching no wrap
+_STRIPES[0, 2:4] = True      # two stripes joined across the column wrap
+_STRIPES[6, 3:5] = True
+
+
+@given(mask=arrays(bool, array_shapes(min_dims=2, max_dims=2, max_side=24)))
+@example(mask=np.ones((1, 1), dtype=bool))
+@example(mask=np.zeros((1, 1), dtype=bool))
+@example(mask=np.array([[True, False, True, True, False, True]]))
+@example(mask=np.array([[True], [False], [True], [True], [False], [True]]))
+@example(mask=np.ones((5, 4), dtype=bool))
+@example(mask=_CHECKERBOARD)
+@example(mask=_STRIPES)
+@example(mask=_STRIPES.T.copy())
+def test_periodic_labels_match_scipy(mask):
+    labels, count = _periodic_labels(mask)
+    want, want_count = _reference_labels(mask)
+    assert count == want_count
+    assert np.array_equal(labels, want)
+
+
+def test_extract_components_matches_a_per_component_pass():
+    # One mask, circular mean and count per component, as extract_components
+    # once computed them.  Its sums now run in another order, so the
+    # centers agree to rounding only.
+    rng = np.random.default_rng(11)
+    n, eta = 48, 0.1
+    occupied = rng.random((n, n)) < 0.45
+    ind1 = occupied & (rng.random((n, n)) < 0.5)
+    ind2 = occupied & ~ind1
+    conf, centers = extract_components(SharpConfig(ind1, ind2, eta))
+    labels, count = _periodic_labels(occupied)
+    assert count > 50 and len(conf.clusters) == len(centers) == count
+
+    def circular_mean(coords):
+        angles = 2.0 * math.pi * coords / n
+        return math.atan2(np.mean(np.sin(angles)),
+                          np.mean(np.cos(angles))) / (2.0 * math.pi) % 1.0
+
+    cell = 1.0 / (n ** 2 * eta ** 2)
+    for k, cluster, center in zip(range(1, count + 1), conf.clusters, centers):
+        mask = labels == k
+        assert cluster.m1 == np.count_nonzero(mask & ind1) * cell
+        assert cluster.m2 == np.count_nonzero(mask & ind2) * cell
+        ii, jj = np.nonzero(mask)
+        for got, want in zip(center, (circular_mean(ii), circular_mean(jj))):
+            gap = abs(got - want)
+            assert min(gap, 1.0 - gap) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

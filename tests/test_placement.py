@@ -2,8 +2,6 @@
 
 import json
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -572,12 +570,3 @@ class TestMassReport:
         report = masses_report(lay, g)
         assert not report["single_floor"]
         assert not report["all_pass"]
-
-
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats costs about 0.3 s of import time on top of the scipy
-    # modules the package needs
-    code = "import sys, triblock; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"

@@ -72,6 +72,18 @@ def test_green_singular_inputs():
         TG.green_gradient((0.0, 0.0))
 
 
+@pytest.mark.parametrize("route", [TG.green, TG.green_gradient,
+                                   TG.green_spectral, TG.regular_part])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_refused(route, bad):
+    # a nan point would come back as a nan value, an infinite one as a
+    # RuntimeWarning from wrap
+    with pytest.raises(ValueError, match="points must be finite"):
+        route([[0.1, 0.2], [0.3, bad]])
+    with pytest.raises(ValueError, match="points must be finite"):
+        route((bad, 0.1))
+
+
 def test_gradient_matches_fd():
     pts = far_points(100, seed=9, min_r=5e-2)
     h = 1e-6
