@@ -44,9 +44,21 @@ from triblock._args import integer, mass_pair, real
 
 TWO_PI_THIRDS = 2.0 * math.pi / 3.0
 THETA0_MAX = math.pi / 3.0
-# pi/3 - theta0 ~ _SMALL_LOBE * sqrt(q) as the mass ratio q -> 0, where
-# q ~ 2 (seg/sin^2)(pi/3) (pi/3 - theta0)^2 / pi; the next term is O(q^1.5).
-_SMALL_LOBE = math.sqrt(math.pi / (8.0 * math.pi / 9.0 - 2.0 / math.sqrt(3.0)))
+
+# Chebyshev coefficients of phi(x), the start theta0 = (1 - sqrt q) phi(x) of
+# the middle-angle solve at mass ratio q, x = 2 sqrt(q) - 1.  Fitted by
+# `numpy.polynomial.chebyshev.chebfit(x, t / (1 - sqrt q), 18)` on 400
+# Chebyshev nodes of t in [1e-3, pi/3), q = A(t)/C(t) from `_brackets`: within
+# 1.8e-14 of t there (3.2e-13 relative).
+_START = (
+    0.8421923326195673, -0.20546423656412785, 0.004930706918093017,
+    0.00429365161115387, -0.001037781237530026, 8.420826573886428e-05,
+    1.7635174365862704e-05, -7.282805548445741e-06, 1.0810993261600693e-06,
+    2.13815316314726e-08, -4.9199181127646447e-08, 1.1696001353296674e-08,
+    -9.638687626142166e-10, -2.4637090693740227e-10, 1.0715502635437564e-10,
+    -1.795386634330357e-11, 1.0625127315233028e-13, 7.696309486822619e-13,
+    -2.2363391445256697e-13,
+)
 
 # Relative mass gap below which the middle arc is treated as flat.
 SYMMETRY_TOL = 1e-10
@@ -152,27 +164,31 @@ def _brackets(t: float) -> tuple[float, float, float, float]:
     return g1 + g0, g2 - g0, d0 - d1, d2 - d0
 
 
+def _start(q, sqrt):
+    """The `_START` series at mass ratios q, summed by Clenshaw's recurrence
+    with `sqrt` math.sqrt or np.sqrt: the same operations on a float or
+    elementwise on an array, so the two solves start bit for bit alike."""
+    s = sqrt(q)
+    x = 2.0 * s - 1.0
+    b1 = b2 = 0.0
+    for c in reversed(_START[1:]):
+        b1, b2 = 2.0 * x * b1 - b2 + c, b1
+    return (1.0 - s) * (x * b1 - b2 + _START[0])
+
+
 def _solve_middle_angle(a: float, b: float, residual_tol: float,
                         max_iter: int) -> float:
     """Root of a*C(t) - b*A(t) = 0 on (0, pi/3) for masses a < b.
 
-    Newton iteration with a maintained bisection bracket.  Once the second
-    area equation holds to residual_tol relative to a + b, or the Newton
-    step is at most 2 ulps of t, it returns the Newton step; a one-ulp
-    bracket returns t.  These only stop the loop: the `geometry_residuals`
-    gate of `solve_geometry` decides.
+    Newton iteration with a maintained bisection bracket, from the `_START`
+    series: one pass for ratios a/b >= 1e-2, at most two down to 1e-12.
+    Once the second area equation holds to residual_tol relative to a + b,
+    or the Newton step is at most 2 ulps of t, it returns the Newton step;
+    a one-ulp bracket returns t.  These only stop the loop: the
+    `geometry_residuals` gate of `solve_geometry` decides.
     """
     scale = a + b
-    q = a / b
-
-    # Asymptotic initial guesses: near-symmetric masses give a middle angle
-    # ~ (1 - q)/3.10; a tiny small lobe pushes theta0 toward pi/3.
-    if q > 0.7:
-        t = (1.0 - q) / 3.1008
-    else:
-        t = THETA0_MAX - _SMALL_LOBE * math.sqrt(q)
-    t = min(max(t, 1e-18), THETA0_MAX - 1e-12)
-
+    t = min(_start(a / b, math.sqrt), THETA0_MAX - 1e-12)
     lo, hi = 0.0, THETA0_MAX  # gap(lo) < 0 < gap(hi) by monotonicity
     for _ in range(max_iter):
         num, den, nump, denp = _brackets(t)
@@ -297,43 +313,41 @@ def perimeter(m) -> float:
 # ---------------------------------------------------------------------------
 # Array solver: the scalar path above, elementwise in numpy, for batch callers.
 
-def _angle_terms(theta):
-    """(seg, sin, cos) of an angle array, with `_seg`'s two branches."""
+def _angle_terms(t):
+    """Arc terms at the three angles (t, 2pi/3 - t, 2pi/3 + t) of a
+    middle-angle array t, each as a (3, n) array: seg, sin, cos and the
+    `_segment_terms` pair (g, d).  Only t goes below pi/3, so `_seg`'s
+    series and the theta = 0 values apply to row 0 alone."""
+    theta = np.stack((t, TWO_PI_THIRDS - t, TWO_PI_THIRDS + t))
     seg = theta - 0.5 * np.sin(2.0 * theta)
-    small = theta < 0.25
+    small = t < 0.25
     if small.any():
-        ts = theta[small]
+        ts = t[small]
         t2 = ts * ts
         acc = np.zeros_like(ts)
         for c in reversed(_SEG_COEFFS):
             acc = acc * t2 + c
-        seg[small] = acc * t2 * ts
-    return seg, np.sin(theta), np.cos(theta)
-
-
-def _brackets_and_slopes(t):
-    """`_brackets` on an array."""
-    g, d = [], []
-    for theta in (t, TWO_PI_THIRDS - t, TWO_PI_THIRDS + t):
-        seg, s, c = _angle_terms(theta)
-        zero = theta == 0.0
-        g.append(np.where(zero, 0.0, seg / (s * s)))
-        d.append(np.where(zero, 2.0 / 3.0, 2.0 - 2.0 * seg * c / (s * s * s)))
-    return g[1] + g[0], g[2] - g[0], d[0] - d[1], d[2] - d[0]
+        seg[0, small] = acc * t2 * ts
+    s, c = np.sin(theta), np.cos(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = seg / (s * s)
+        d = 2.0 - 2.0 * seg * c / (s * s * s)
+    zero = t == 0.0
+    g[0] = np.where(zero, 0.0, g[0])
+    d[0] = np.where(zero, 2.0 / 3.0, d[0])
+    return seg, s, c, g, d
 
 
 def _middle_angles(a, b):
-    """`_solve_middle_angle` on arrays a < b: the same guesses and steps.
+    """`_solve_middle_angle` on arrays a < b: the same start and steps.
 
     Each element keeps its own bisection bracket and leaves the active set
-    by the stopping rules of `_solve_middle_angle`.  Returns (t, ok); ok is
+    by the stopping rules of `_solve_middle_angle`, so a batch pays for the
+    passes of its slow elements on those alone.  Returns (t, ok); ok is
     False where the scalar solve would raise.
     """
     scale = a + b
-    q = a / b
-    t = np.where(q > 0.7, (1.0 - q) / 3.1008,
-                 THETA0_MAX - _SMALL_LOBE * np.sqrt(q))
-    t = np.minimum(np.maximum(t, 1e-18), THETA0_MAX - 1e-12)
+    t = np.minimum(_start(a / b, np.sqrt), THETA0_MAX - 1e-12)
     out = np.zeros_like(t)
     ok = np.zeros(t.shape, dtype=bool)
     idx = np.arange(t.size)
@@ -342,13 +356,14 @@ def _middle_angles(a, b):
     for _ in range(_MAX_ITER):
         if not idx.size:
             break
-        num, den, nump, denp = _brackets_and_slopes(t)
+        *_, g, d = _angle_terms(t)
+        num, den = g[1] + g[0], g[2] - g[0]
         gap = a * den - b * num
         conv = np.abs(gap) <= _RESIDUAL_TOL * scale * num
         up = gap > 0.0
         hi = np.where(up, t, hi)
         lo = np.where(up, lo, t)
-        slope = a * denp - b * nump
+        slope = a * (d[2] - d[0]) - b * (d[0] - d[1])
         t_next = np.where(slope > 0.0, t - gap / slope, np.nan)
         stop = conv | (np.abs(t_next - t) <= 2.0 * np.spacing(t))
         t_stop = np.where(stop & ~np.isnan(t_next), t_next, t)
@@ -363,38 +378,18 @@ def _middle_angles(a, b):
     return out, ok
 
 
-def _worst_residuals(a, b, t, r0, r1, r2, h):
-    """Largest |`geometry_residuals`| per element; t = 0, r0 = inf is flat."""
-    th1 = TWO_PI_THIRDS - t
-    th2 = TWO_PI_THIRDS + t
-    seg0, s0, c0 = _angle_terms(t)
-    seg1, s1, c1 = _angle_terms(th1)
-    seg2, s2, c2 = _angle_terms(th2)
-    flat = np.isinf(r0)
-    seg0 = np.where(flat, 0.0, r0 ** 2 * seg0)
-    h0 = np.where(flat, h, r0 * s0)
-    scale = a + b
-    res = (
-        (r1 ** 2 * seg1 + seg0 - a) / scale,
-        (r2 ** 2 * seg2 - seg0 - b) / scale,
-        (r1 * s1 - h0) / h,
-        (r2 * s2 - h0) / h,
-        (1.0 / r1 - 1.0 / r2 - 1.0 / r0) * h,
-        c1 + c2 + c0,
-    )
-    return np.max(np.abs(res), axis=0)
-
-
 def _solve_pairs(m1, m2):
     """`solve_geometry` on 1-D arrays of positive mass pairs, gated.
 
-    Solves the theta0 equation for all pairs at once: the same initial
-    guesses, Newton steps with a bisection bracket per element, the same
+    Solves the theta0 equation for all pairs at once: the same `_START`
+    series, Newton steps with a bisection bracket per element, the same
     stopping rules, h from the larger lobe, the same flat interface inside
-    `SYMMETRY_TOL`, and per element the 1e-12 `geometry_residuals` gate.
-    Runs under a local errstate: the flat elements divide by sin(0).
-    Returns (p, a, b, t, h, r1, r2, flat): the perimeter, then the geometry
-    in canonical order, a and b the caller's masses, not the flat mean.
+    `SYMMETRY_TOL`, and per element the 1e-12 `geometry_residuals` gate, all
+    from one `_angle_terms` call at the solved t.  Runs under a local
+    errstate: the flat elements divide by sin(0).  Returns (p, a, b, h, r,
+    s, c, g, d): the perimeter, a and b the caller's masses in canonical
+    order (not the flat mean), h, the radii r = (r0, r1, r2), and the sin,
+    cos and `_segment_terms` rows of `_angle_terms` at the solved t.
     Raises ConvergenceError naming the first pair that fails to converge or
     fails the gate.
     """
@@ -404,26 +399,36 @@ def _solve_pairs(m1, m2):
     solved = np.ones(a.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         t[~flat], solved[~flat] = _middle_angles(a[~flat], b[~flat])
+        seg, s, c, g, d = _angle_terms(t)
         # Flat elements: the mean-mass geometry of `solve_geometry`.
         mbar = 0.5 * (a + b)
         a_geo = np.where(flat, mbar, a)
         b_geo = np.where(flat, mbar, b)
         r_flat = np.sqrt(mbar / _seg(TWO_PI_THIRDS))
-        _, den, _, _ = _brackets_and_slopes(t)
         h = np.where(flat, r_flat * math.sin(TWO_PI_THIRDS),
-                     np.sqrt(b_geo / den))
-        r0 = np.where(flat, np.inf, h / np.sin(t))
-        r1 = np.where(flat, r_flat, h / np.sin(TWO_PI_THIRDS - t))
-        r2 = np.where(flat, r_flat, h / np.sin(TWO_PI_THIRDS + t))
-        worst = _worst_residuals(a_geo, b_geo, t, r0, r1, r2, h)
-        middle = np.where(flat, 2.0 * h, 2.0 * h * t / np.sin(t))
+                     np.sqrt(b_geo / (g[2] - g[0])))
+        r = h / s  # r0 = inf on the flat elements
+        r[1:] = np.where(flat, r_flat, r[1:])
+        seg0 = np.where(flat, 0.0, r[0] ** 2 * seg[0])
+        h0 = np.where(flat, h, r[0] * s[0])
+        scale = a_geo + b_geo
+        worst = np.max(np.abs((
+            (r[1] ** 2 * seg[1] + seg0 - a_geo) / scale,
+            (r[2] ** 2 * seg[2] - seg0 - b_geo) / scale,
+            (r[1] * s[1] - h0) / h,
+            (r[2] * s[2] - h0) / h,
+            (1.0 / r[1] - 1.0 / r[2] - 1.0 / r[0]) * h,
+            c[1] + c[2] + c[0],
+        )), axis=0)
+        middle = np.where(flat, 2.0 * h, 2.0 * h * t / s[0])
     ok = solved & (worst <= 1e-12)
     if not ok.all():
         i = int(np.argmin(ok))
         raise ConvergenceError(
             f"array geometry solve failed for masses ({m1[i]:g}, {m2[i]:g})")
-    p = 2.0 * ((TWO_PI_THIRDS - t) * r1 + (TWO_PI_THIRDS + t) * r2) + middle
-    return p, a, b, t, h, r1, r2, flat
+    p = (2.0 * ((TWO_PI_THIRDS - t) * r[1] + (TWO_PI_THIRDS + t) * r[2])
+         + middle)
+    return p, a, b, h, r, s, c, g, d
 
 
 def _perimeters(m1, m2):
@@ -434,9 +439,9 @@ def _perimeters(m1, m2):
     or nonfinite masses and ConvergenceError naming the first pair (in C
     order) that fails to converge or fails the gate.
 
-    The fixed numpy overhead makes a size-1 call ~0.7 ms, against ~21 us
+    The fixed numpy overhead makes a size-1 call ~0.25 ms, against ~11 us
     for the scalar `perimeter` (2-core x86-64 Xeon, numpy 2.4), so only
-    batch callers use it: a 64 x 64 table takes ~6 ms, against ~120 ms for
+    batch callers use it: a 64 x 64 table takes ~2.2 ms, against ~50 ms for
     4096 scalar calls.
     """
     m1, m2 = np.broadcast_arrays(np.asarray(m1, dtype=float),
@@ -459,23 +464,19 @@ def _perimeter_derivatives(m1, m2):
     """p, its gradient and its Hessian on 1-D arrays of positive mass pairs.
 
     One `_solve_pairs` call; the gradient is `perimeter_gradient` and the
-    Hessian `perimeter_hessian`, elementwise.  Returns (p, p1, p2, h11,
-    h12, h22), all in the caller's order.
+    Hessian `perimeter_hessian`, elementwise, from the arc terms that the
+    residual gate used.  Returns (p, p1, p2, h11, h12, h22), all in the
+    caller's order.
     """
-    p, a, b, t, h, r1, r2, flat = _solve_pairs(m1, m2)
-    seg0, s0, c0 = _angle_terms(t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _, C, dA, dC = _brackets_and_slopes(t)
-        g0 = np.where(flat, 0.0, seg0 / (s0 * s0))
-        d0 = np.where(flat, 2.0 / 3.0, 2.0 - 2.0 * seg0 * c0 / (s0 * s0 * s0))
-    s2, c2 = np.sin(TWO_PI_THIRDS + t), np.cos(TWO_PI_THIRDS + t)
-    dtheta = C / (dA - a / b * dC)
-    h12 = (2.0 * s2 - 2.0 * g0 * c2 - d0 * s2) * h * dtheta / (2.0 * b) / b
-    h_small = (-0.5 / r1 - h12 * b) / a
-    h_big = (-0.5 / r2 - h12 * a) / b
+    p, a, b, h, r, s, c, g, d = _solve_pairs(m1, m2)
+    dtheta = (g[2] - g[0]) / (d[0] - d[1] - a / b * (d[2] - d[0]))
+    h12 = ((2.0 * s[2] - 2.0 * g[0] * c[2] - d[0] * s[2]) * h * dtheta
+           / (2.0 * b) / b)
+    h_small = (-0.5 / r[1] - h12 * b) / a
+    h_big = (-0.5 / r[2] - h12 * a) / b
     swapped = m1 > m2
-    return (p, np.where(swapped, 1.0 / r2, 1.0 / r1),
-            np.where(swapped, 1.0 / r1, 1.0 / r2),
+    return (p, np.where(swapped, 1.0 / r[2], 1.0 / r[1]),
+            np.where(swapped, 1.0 / r[1], 1.0 / r[2]),
             np.where(swapped, h_big, h_small), h12,
             np.where(swapped, h_small, h_big))
 

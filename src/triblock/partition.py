@@ -370,6 +370,12 @@ _DOUBLE_SLOT = np.arange(_NSLOT) < 4
 _FREE_SLOT = np.array([0, 0, 1, 1, 0, 1, 0, 1], dtype=bool)
 # Newton iterations before a row that has not converged is left as it is.
 _NEWTON_ITERS = 50
+# A row converges at ||F|| <= 1e-13 max(1, M1 + M2) + _KKT_RTOL max|lambda|.
+# A derivative row carries the slope 1/r of its lobe, good to ~1e-16/sqrt(q)
+# relative at lobe ratio q (geometry's docstring): 1e-12 of the multiplier
+# down to q = 1e-8.  Over the ten entries of F that is sqrt(10) 1e-12, and
+# the factor 3 above it keeps a row at its KKT point from running on.
+_KKT_RTOL = 1e-11
 
 
 def _slot_weights(counts):
@@ -455,16 +461,16 @@ def _kkt(t, act, w, M, gamma):
 
 
 def _trial(cand, act, w, M, gamma):
-    """`_kkt` at candidate rows; a candidate with a non-finite entry or an
-    active slot outside (0, M_s] gets an infinite residual norm."""
+    """`_kkt` at candidate rows; a candidate with a non-finite entry or a
+    nonpositive active slot gets an infinite residual norm."""
     R = len(cand)
     F = np.zeros((R, _NSLOT + 2))
     J = np.zeros((R, _NSLOT + 2, _NSLOT + 2))
     energy = np.full(R, np.inf)
     norm = np.full(R, np.inf)
     m = cand[:, :_NSLOT]
-    valid = np.isfinite(cand).all(axis=1) & np.where(
-        act, (m > 0.0) & (m <= M[_SLOT_SPECIES]), True).all(axis=1)
+    valid = np.isfinite(cand).all(axis=1) & np.where(act, m > 0.0,
+                                                     True).all(axis=1)
     i = np.flatnonzero(valid)
     calls = 0
     if i.size:
@@ -497,8 +503,8 @@ def _newton(t, w, M, gamma):
     largest that lowers it.  A row with no such damp drops the active slots
     that its full step put at or below 4 _FLOOR_FRAC M_s (a double becomes
     a single, a single vanishes) and goes on, or else stops.  A row stops
-    once ||F|| <= 1e-13 max(1, M1 + M2).  Returns (t, energy, residual
-    norm, which rows converged, stats).
+    once ||F|| <= 1e-13 max(1, M1 + M2) + _KKT_RTOL max|lambda|.  Returns
+    (t, energy, residual norm, which rows converged, stats).
     """
     M = np.asarray(M, dtype=float)
     floor = 4.0 * _FLOOR_FRAC * M[_SLOT_SPECIES]
@@ -518,7 +524,7 @@ def _newton(t, w, M, gamma):
     damps = 0.5 ** np.arange(1, 6)
     iters = 0
     for _ in range(_NEWTON_ITERS):
-        live &= fnorm > tol
+        live &= fnorm > tol + _KKT_RTOL * np.abs(t[:, _NSLOT:]).max(axis=1)
         rows = np.flatnonzero(live)
         if not rows.size:
             break
@@ -556,7 +562,7 @@ def _newton(t, w, M, gamma):
             F[k], J[k], energy[k], fnorm[k], c = _trial(t[k], act[k], w[k],
                                                         M, gamma)
             calls += c
-    converged = fnorm <= tol
+    converged = fnorm <= tol + _KKT_RTOL * np.abs(t[:, _NSLOT:]).max(axis=1)
     stats = {"rows": len(t), "converged": int(converged.sum()),
              "iterations": iters, "geometry_calls": calls}
     return t, energy, fnorm, converged, stats
@@ -591,9 +597,10 @@ def ebar(M, gamma: GammaMatrix):
     batch from one start: per species the doubles take half the total, or
     all of it when the cell has no singles of that species.  The answer is
     the row of lowest energy among those that converged (KKT residual norm
-    within 1e-13 max(1, M1 + M2)) with a finite energy and species mass sums
-    within the Configuration's 1e-12 relative tolerance; the value is the
-    energy of its clusters.
+    within 1e-13 max(1, M1 + M2) plus 1e-11 of the larger species
+    multiplier) with a finite energy and species mass sums within the
+    Configuration's 1e-12 relative tolerance; the value is the energy of
+    its clusters.
     Logs one DEBUG line per call to the "triblock.partition" logger: rows,
     rows converged, Newton iterations, array geometry calls, and the KKT
     residual of the chosen cell.

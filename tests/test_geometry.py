@@ -304,6 +304,53 @@ def test_newton_stops_within_six_iterations(monkeypatch):
     G._perimeters(ratios, 1.0)
 
 
+def test_start_is_within_5e_14_of_the_middle_angle():
+    t = np.linspace(1e-3, G.THETA0_MAX - 1e-6, 20001)
+    q = np.array([A / C for A, C, _, _ in map(G._brackets, t)])
+    assert np.max(np.abs(G._start(q, np.sqrt) - t)) <= 5e-14
+
+
+def test_scalar_and_array_starts_are_identical():
+    q = 10.0 ** np.random.default_rng(31).uniform(-300.0, 0.0, 10_000)
+    scalar = np.array([G._start(float(x), math.sqrt) for x in q])
+    assert np.array_equal(G._start(q, np.sqrt), scalar)
+
+
+def test_two_newton_passes_solve_ratios_down_to_1e_12(monkeypatch):
+    monkeypatch.setattr(G, "_MAX_ITER", 2)
+    rng = np.random.default_rng(37)
+    ratios = np.concatenate([10.0 ** rng.uniform(-12.0, 0.0, 2000),
+                             [1e-12, 1e-2, 0.5, 1.0 - 2e-10, 1.0]])
+    scales = 10.0 ** rng.uniform(-6.0, 6.0, ratios.size)
+    for q, b in zip(ratios, scales):
+        G.solve_geometry((q * b, b))
+    G._perimeters(ratios * scales, scales)
+
+
+def test_perimeter_derivatives_evaluate_the_arcs_once_per_pass(monkeypatch):
+    # One `_angle_terms` call per Newton pass of the slowest element, and
+    # one at the solved angles for h, the radii, the gate and the Hessian.
+    rng = np.random.default_rng(41)
+    q = np.concatenate([10.0 ** rng.uniform(-12.0, 0.0, 24), [1.0]])
+    b = 10.0 ** rng.uniform(-3.0, 3.0, q.size)
+    passes = 0
+    brackets = G._brackets
+    for qi in q[:-1]:
+        calls = []
+        monkeypatch.setattr(G, "_brackets",
+                            lambda t: calls.append(t) or brackets(t))
+        G._solve_middle_angle(qi, 1.0, G._RESIDUAL_TOL, G._MAX_ITER)
+        passes = max(passes, len(calls))
+    monkeypatch.setattr(G, "_brackets", brackets)
+    angle_terms = G._angle_terms
+    calls = []
+    monkeypatch.setattr(G, "_angle_terms",
+                        lambda t: calls.append(t) or angle_terms(t))
+    G._perimeter_derivatives(q * b, b)
+    assert 1 <= passes <= 2
+    assert len(calls) <= passes + 1
+
+
 # Array solver `_perimeters` against the scalar `perimeter`.
 _PAIR = st.tuples(st.floats(-300.0, 0.0),  # log10 of the ratio
                   st.floats(-6.0, 6.0),    # log10 of the scale
@@ -343,8 +390,10 @@ def test_array_perimeters_raise_on_unconverged_pair(monkeypatch):
     with pytest.raises(G.ConvergenceError, match="after 1 iterations"):
         G.solve_geometry((1e-10, 1.0))
     monkeypatch.undo()
-    # A loose gap test stops the loop early; the 1e-12 residual gate then
-    # rejects the geometry, per element as in solve_geometry.
+    # A crude start, the series cut to its constant term, and a loose gap
+    # test stop the loop early; the 1e-12 residual gate then rejects the
+    # geometry, per element as in solve_geometry.
+    monkeypatch.setattr(G, "_START", G._START[:1])
     monkeypatch.setattr(G, "_RESIDUAL_TOL", 0.05)
     with pytest.raises(G.ConvergenceError, match="exceed 1e-12"):
         G.solve_geometry((0.3, 1.0))
