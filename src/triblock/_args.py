@@ -57,3 +57,11 @@ def mass_pair(name, m, positive=False) -> tuple[float, float]:
             return m1, m2
     return (real(name, m1, 0.0, closed=not positive),
             real(name, m2, 0.0, closed=not positive))
+
+
+def nonempty_pair(name, m) -> tuple[float, float]:
+    """`mass_pair`, refusing the pair of two zeros."""
+    m1, m2 = mass_pair(name, m)
+    if m1 == 0.0 and m2 == 0.0:
+        raise ValueError(f"{name} must not be the empty pair {m!r}")
+    return m1, m2

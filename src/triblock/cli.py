@@ -489,19 +489,12 @@ def _run_compare(params, out, cfg_hash):
     return result, paths
 
 
-def _write_sweep_csv(path, rows, columns=None) -> None:
-    """Write a list of flat dicts as CSV with deterministic formatting.
+def _write_sweep_csv(path, rows, columns) -> None:
+    """Write flat dicts as CSV, one column per key in columns.
 
     Floats are rendered with %.17g so identical runs produce identical
-    bytes; columns default to the sorted keys of the first row.  An empty
-    row list is allowed only with explicit columns (header-only file).
+    bytes; no rows give a header-only file.
     """
-    rows = list(rows)
-    if not rows and columns is None:
-        raise ValueError("no rows to write")
-    if columns is None:
-        columns = sorted(rows[0].keys())
-
     def fmt(v):
         if isinstance(v, float):
             return "%.17g" % v

@@ -28,9 +28,8 @@ input order was reversed internally, and the mass-indexed operations
 (perimeter_gradient, perimeter_hessian, e0_hessian_diag) translate back to
 the caller's order.
 
-`concavity_threshold` finds its sign change with `_brentq`, Brent's
-method (Brent 1973, ch. 4) as scipy's `brentq` runs it, with the same
-defaults, so the module needs numpy alone.
+`concavity_threshold` finds its sign change by regula falsi in m^(3/2),
+where the second derivative times m^(3/2) is nearly linear.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from triblock._args import integer, mass_pair, real
+from triblock._args import integer, mass_pair, nonempty_pair, real
 
 TWO_PI_THIRDS = 2.0 * math.pi / 3.0
 THETA0_MAX = math.pi / 3.0
@@ -526,9 +525,7 @@ def e0(m, gamma: GammaMatrix) -> float:
     e0(m) = p(m1, m2) + (g11 m1^2 + 2 g12 m1 m2 + g22 m2^2)/(4 pi).
     One mass may be zero (single droplet); both zero is rejected.
     """
-    m1, m2 = mass_pair("m", m)
-    if m1 == 0.0 and m2 == 0.0:
-        raise ValueError(f"m must not be the empty pair {m!r}")
+    m1, m2 = nonempty_pair("m", m)
     return perimeter((m1, m2)) + gamma.quad(m1, m2) / (4.0 * math.pi)
 
 
@@ -568,66 +565,31 @@ def e0_hessian_diag(m, gamma: GammaMatrix, i: int) -> float:
 
 # Bracket of the concavity threshold: anchor * 10^-3 .. anchor * 10^3.
 _SCAN_DECADES = 3.0
-# Brent's tolerances.  A negligible xtol leaves the relative tolerance in
-# charge, so the scaling m*(Gamma/lam^3, lam^2 probe) = lam^2 m* of the
-# threshold holds to the root.
-_BRENT_XTOL = 1e-300
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
-_BRENT_MAX_ITER = 100
+# Stop once the bracket is within four ulps of the root, so the scaling
+# m*(Gamma/lam^3, lam^2 probe) = lam^2 m* holds; a scan took up to 250 steps
+# where a lobe ratio below 1e-20 leaves the second derivative noise.
+_ROOT_RTOL = 2.0 ** -50
+_ROOT_MAX_ITER = 300
 
 
-def _brentq(f, xa: float, xb: float) -> float:
-    """Root of f in [xa, xb], where f(xa) and f(xb) differ in sign.
-
-    Brent's method step for step as scipy's `brentq` takes it at
-    xtol=_BRENT_XTOL and its default rtol and maxiter, so it returns the
-    same root after the same calls.  Raises ConvergenceError after
-    _BRENT_MAX_ITER steps.
-    """
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAX_ITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant step
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic step
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+def _illinois(f, a: float, fa: float, b: float, fb: float) -> float:
+    """Root of f between a and b, where fa = f(a) and fb = f(b) differ in
+    sign, by the Illinois variant of regula falsi (Dowell & Jarratt 1971):
+    step to the secant point, and halve the value kept at an end that two
+    steps in a row leave in place.  b is the newest end.  Raises
+    ConvergenceError after _ROOT_MAX_ITER steps."""
+    scale = 1.0  # the first step keeps a for the first time
+    for _ in range(_ROOT_MAX_ITER):
+        x = b - (b - a) * (fb / (fb - fa))
+        if abs(b - a) <= _ROOT_RTOL * abs(x) or (fx := f(x)) == 0.0:
+            return x
+        if (fx < 0.0) != (fb < 0.0):
+            a, fa = b, fb
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-    raise ConvergenceError(
-        f"Brent's method did not converge in {_BRENT_MAX_ITER} steps "
-        f"in [{xa:g}, {xb:g}]"
-    )
+            fa *= scale
+        b, fb, scale = x, fx, 0.5
+    raise ConvergenceError(f"regula falsi did not converge in "
+                           f"{_ROOT_MAX_ITER} steps in [{a:g}, {b:g}]")
 
 
 def concavity_threshold(gamma_ii: float, i: int = 1,
@@ -636,11 +598,16 @@ def concavity_threshold(gamma_ii: float, i: int = 1,
 
     Checks that the exact second derivative is negative at 1e-3 and
     nonnegative at 1e3 times the single-bubble inflection scale
-    pi * gamma_ii^(-2/3), finds the sign change between them with one
-    Brent solve to a few ulps, and verifies that the sign flips across
-    +/- 1e-4 of the result.  Raises ConvergenceError when the two ends do
-    not bracket a sign change; `e0_hessian_diag` refuses a species index i
-    other than 1 or 2.
+    pi * gamma_ii^(-2/3), finds the sign change between them to a few ulps,
+    and verifies that the sign flips across +/- 1e-4 of the result.  The
+    perimeter is homogeneous of degree 1/2, so in x = m_i^(3/2) the product
+    x d^2 e0/d m_i^2 is linear for a lone disk, gamma_ii x/(2 pi) -
+    sqrt(pi)/2, and nearly linear with a partner: `_illinois` solves it in
+    x, from the two end values the bracket checks computed.  Raises
+    ConvergenceError when the two ends do not bracket a sign change, when
+    x at the upper end passes the float range (gamma_ii below about
+    1e-303), or when the solve or the post-check fails; `e0_hessian_diag`
+    refuses a species index i other than 1 or 2.
     """
     gamma_ii = real("gamma_ii", gamma_ii, 0.0)
     probe_other_mass = real("probe_other_mass", probe_other_mass, 0.0)
@@ -653,17 +620,26 @@ def concavity_threshold(gamma_ii: float, i: int = 1,
     anchor = math.pi * gamma_ii ** (-2.0 / 3.0)
     lo = anchor * 10.0 ** -_SCAN_DECADES
     hi = anchor * 10.0 ** _SCAN_DECADES
-    if hess(lo) >= 0.0:
+    h_lo = hess(lo)
+    if h_lo >= 0.0:
         raise ConvergenceError(
             f"second derivative already nonnegative at scan start "
             f"{lo:g}; no bracket"
         )
-    if hess(hi) < 0.0:
+    h_hi = hess(hi)
+    if h_hi < 0.0:
         raise ConvergenceError(
             f"no concavity sign change in [{lo:g}, {hi:g}] for "
             f"gamma_ii={gamma_ii:g}, probe={probe_other_mass:g}"
         )
-    m_star = _brentq(hess, lo, hi)
+    x_lo, x_hi = lo * math.sqrt(lo), hi * math.sqrt(hi)
+    if math.isinf(x_hi):
+        raise ConvergenceError(
+            f"bracket end {hi:g} passes the float range as m^(3/2)"
+        )
+    x_star = _illinois(lambda x: x * hess(x ** (2.0 / 3.0)),
+                       x_lo, x_lo * h_lo, x_hi, x_hi * h_hi)
+    m_star = x_star ** (2.0 / 3.0)
 
     delta = 1e-4 * m_star
     if not (hess(m_star - delta) < 0.0 < hess(m_star + delta)):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from triblock._args import integer, mass_pair, real
+from triblock._args import integer, nonempty_pair, real
 from triblock.geometry import (
     GammaMatrix,
     _perimeter_derivatives,
@@ -218,8 +218,12 @@ def thresholds(gamma: GammaMatrix) -> Thresholds:
     floor2 = 4.0 * math.pi ** 3 / (gamma.g22 * cap2) ** 2
     m1s = concavity_threshold(gamma.g11, 1, probe_other_mass=cap2)
     m2s = concavity_threshold(gamma.g22, 2, probe_other_mass=cap1)
+    # one factor at a time, the larger first: m1s * m2s leaves the float
+    # range for Gamma outside about 1e+-230, and the order keeps the swap
+    # exact
     split = (4.0 * math.pi * math.sqrt(math.pi)
-             * (math.sqrt(cap1) + math.sqrt(cap2)) / (m1s * m2s))
+             * (math.sqrt(cap1) + math.sqrt(cap2))
+             / max(m1s, m2s) / min(m1s, m2s))
     return Thresholds((cap1, cap2), (floor1, floor2), (m1s, m2s), split)
 
 
@@ -580,13 +584,6 @@ def _row_clusters(t, w):
     return clusters
 
 
-def _check_mass_pair(M):
-    m1, m2 = mass_pair("M", M)
-    if m1 == 0.0 and m2 == 0.0:
-        raise ValueError(f"M must not be the empty pair {M!r}")
-    return (m1, m2)
-
-
 def ebar(M, gamma: GammaMatrix):
     """Best found splitting of the total masses into droplet clusters.
 
@@ -610,7 +607,7 @@ def ebar(M, gamma: GammaMatrix):
     clusters.  Raises ValueError when that lower bound exceeds 64 clusters,
     and RuntimeError when no row qualifies.
     """
-    return _ebar(_check_mass_pair(M), gamma, thresholds(gamma))
+    return _ebar(nonempty_pair("M", M), gamma, thresholds(gamma))
 
 
 def _ebar(M, gamma, th):
@@ -732,7 +729,7 @@ def ebar_oracle(M, gamma: GammaMatrix, delta: float = 1.0 / 64,
     RuntimeError when the state space exceeds max_states or M/delta is not
     finite.
     """
-    M1, M2 = _check_mass_pair(M)
+    M1, M2 = nonempty_pair("M", M)
     delta = real("delta", delta, 0.0)
     max_parts = integer("max_parts", max_parts, 1)
     max_states = integer("max_states", max_states, 1)
@@ -873,7 +870,7 @@ def classify_regime(M, gamma: GammaMatrix, run_search: bool = True) -> dict:
     what `ebar` raises, such as its ValueError for totals past the cluster
     bound.
     """
-    M1, M2 = _check_mass_pair(M)
+    M1, M2 = nonempty_pair("M", M)
     th = thresholds(gamma)
     report = {"M": (M1, M2), "thresholds": th}
 

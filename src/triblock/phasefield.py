@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from triblock._args import integer, mass_pair, real
+from triblock._args import integer, mass_pair, nonempty_pair, real
 from triblock.geometry import GammaMatrix, solve_geometry
 from triblock.partition import Configuration, cluster_from_masses
 
@@ -226,7 +226,7 @@ def droplet_field(N: int, epsilon: float, eta: float, masses, centers) -> Field:
     N = integer("N", N, 1)
     epsilon = real("epsilon", epsilon, 0.0)
     eta = real("eta", eta, 0.0)
-    masses = [mass_pair("masses", m) for m in masses]
+    masses = [nonempty_pair("masses", m) for m in masses]
     if len(masses) != len(centers) or len(masses) == 0:
         raise ValueError("need one center per cluster")
     xs = np.arange(N) / N
@@ -234,8 +234,6 @@ def droplet_field(N: int, epsilon: float, eta: float, masses, centers) -> Field:
     u1 = np.zeros((N, N))
     u2 = np.zeros((N, N))
     for (m1, m2), (cx, cy) in zip(masses, centers):
-        if m1 + m2 == 0.0:
-            raise ValueError(f"masses must not hold the empty pair {(m1, m2)!r}")
         if m1 > 0.0 and m2 > 0.0:
             sd_1, sd_2 = _double_lobe_distances(X, Y, (cx, cy), (m1, m2), eta)
             u1 += 0.5 * (1.0 + np.tanh(eta * sd_1 / (2.0 * epsilon)))
@@ -738,65 +736,6 @@ def write_field_pgm(f: Field, stem: str, metadata: dict | None = None,
         fh.write("\n")
     paths.append(meta_path)
     return paths
-
-
-def read_field_pgm(stem: str) -> Field:
-    """Rebuild a Field from write_field_pgm output (quantized to 16 bits).
-
-    The JSON sidecar must hold a positive "epsilon", and its "value_range"
-    (GUARD_BAND when absent) must be two numbers lo < hi; otherwise
-    ValueError names the key, as a reversed range would invert the field.
-    Raises ValueError unless each PGM is binary (P5) with two positive
-    integer dimensions, a 16-bit maxval (256..65535) and a payload of
-    exactly width * height * 2 bytes, and (from `Field`) when a sample maps
-    outside GUARD_BAND: one above maxval, or a wider sidecar value_range.
-    """
-    meta_path = f"{stem}_meta.json"
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    if not isinstance(meta, dict):
-        raise ValueError(f"{meta_path}: sidecar must be a JSON object")
-    key = f"{meta_path}: value_range"
-    value_range = meta.get("value_range", GUARD_BAND)
-    if not (isinstance(value_range, (list, tuple)) and len(value_range) == 2):
-        raise ValueError(f"{key} must be two numbers lo < hi, got {value_range!r}")
-    lo = real(key, value_range[0])
-    hi = real(key, value_range[1], lo)
-    epsilon = real(f"{meta_path}: epsilon", meta.get("epsilon"), 0.0)
-
-    def header_line(fh):
-        line = fh.readline()
-        while line.startswith(b"#"):
-            line = fh.readline()
-        return line
-
-    def positive_ints(fh, count, what, path):
-        fields = header_line(fh).split()
-        if len(fields) != count or not all(f.isdigit() and int(f) > 0
-                                           for f in fields):
-            raise ValueError(f"{path}: {what} must be {count} positive "
-                             f"integer(s), got {b' '.join(fields)!r}")
-        return [int(f) for f in fields]
-
-    grids = []
-    for name in ("u1", "u2"):
-        path = f"{stem}_{name}.pgm"
-        with open(path, "rb") as fh:
-            magic = header_line(fh).strip()
-            if magic != b"P5":
-                raise ValueError(f"not a binary PGM: {magic!r}")
-            w, hgt = positive_ints(fh, 2, "dimensions", path)
-            (maxval,) = positive_ints(fh, 1, "maxval", path)
-            payload = fh.read()
-        if not 256 <= maxval <= 65535:
-            raise ValueError(f"{path}: maxval must be in 256..65535 for 16-bit "
-                             f"samples, got {maxval}")
-        if len(payload) != w * hgt * 2:
-            raise ValueError(f"{path}: payload is {len(payload)} bytes, expected "
-                             f"{w * hgt * 2} for {w} x {hgt} 16-bit samples")
-        data = np.frombuffer(payload, dtype=">u2")
-        grids.append(data.reshape(hgt, w).astype(float) / maxval * (hi - lo) + lo)
-    return Field(grids[0], grids[1], epsilon)
 
 
 def write_trace_csv(trace, path: str, comment: str | None = None) -> None:

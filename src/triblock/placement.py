@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from triblock._args import integer, mass_pair, real
+from triblock._args import integer, nonempty_pair, real
 from triblock.geometry import GammaMatrix, solve_geometry
 from triblock.torus_green import R0, _ewald, wrap
 
@@ -56,12 +56,8 @@ class Layout:
 
 
 def _cluster_masses(masses) -> tuple:
-    """Each pair through `mass_pair`; a pair of two zeros is refused."""
-    out = tuple(mass_pair("masses", m) for m in masses)
-    for m in out:
-        if m == (0.0, 0.0):
-            raise ValueError(f"masses must not hold the empty pair {m!r}")
-    return out
+    """Each pair through `nonempty_pair`."""
+    return tuple(nonempty_pair("masses", m) for m in masses)
 
 
 def _layout_arrays(layout: Layout):
@@ -412,9 +408,7 @@ def self_interaction(m, i: int, j: int, *, n_points=None, replicates=None,
     (totals past about 1e154), and for a double bubble whose mass ratio is
     below 1e-21 (`_MIN_RATIO`), where the small lobe is not resolved.
     """
-    m1, m2 = mass_pair("m", m)
-    if m1 + m2 == 0.0:
-        raise ValueError(f"m must not be the empty pair {m!r}")
+    m1, m2 = nonempty_pair("m", m)
     if integer("i", i, 1) > 2 or integer("j", j, 1) > 2:
         raise ValueError(f"species indices must be 1 or 2, got {(i, j)!r}")
     return _self_terms(m1, m2)[2 if i != j else i - 1]

@@ -166,6 +166,8 @@ def test_accepts_numpy_scalars(entry, name, kind, good, call):
     (lambda: G.solve_geometry((0.0, 1.0)), "m"),
     (lambda: G.e0((0.0, 0.0), GAMMA), "m"),
     (lambda: P.ebar((0, 0), GAMMA), "M"),
+    (lambda: P.ebar_oracle((0.0, 0.0), GAMMA), "M"),
+    (lambda: P.classify_regime((0.0, 0.0), GAMMA), "M"),
     (lambda: P.cluster_from_masses(0.0, 0.0), "m1 and m2"),
     (lambda: PL.Layout(((0.0, 0.0),), ((0.0, 0.0),)), "masses"),
     (lambda: PL.self_interaction((0.0, 0.0), 1, 1), "m"),
@@ -185,7 +187,8 @@ def test_accepts_numpy_scalars(entry, name, kind, good, call):
     (lambda: PF.scaled_gamma(GAMMA, 1e-300), "eta"),
 ], ids=["k-negative", "seed-negative", "eta-zero", "N-zero", "m1-negative",
         "pair-of-strings", "one-mass", "zero-lobe", "e0-empty", "ebar-empty",
-        "cluster-empty", "layout-empty", "self-empty", "droplet-empty",
+        "oracle-empty", "regime-empty", "cluster-empty", "layout-empty",
+        "self-empty", "droplet-empty",
         "species-three", "layout-bare-point", "layout-triple", "tol-zero",
         "tol-negative", "sharp-eta-one", "threshold-eta-one",
         "sharp-cell-mass-inf", "sharp-cell-mass-zero-division",

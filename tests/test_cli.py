@@ -430,13 +430,12 @@ def test_write_sweep_csv_deterministic(tmp_path):
             {"m1": 2.0, "m2": 1.0, "energy": 9.213}]
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    write_sweep_csv(p1, rows)
-    write_sweep_csv(p2, rows)
+    cols = ["energy", "m1", "m2"]
+    write_sweep_csv(p1, rows, columns=cols)
+    write_sweep_csv(p2, rows, columns=cols)
     assert p1.read_bytes() == p2.read_bytes()
-    header = p1.read_text().splitlines()[0]
-    assert header == "energy,m1,m2"
-    with pytest.raises(ValueError):
-        write_sweep_csv(p1, [])
+    assert p1.read_text().splitlines() == [
+        "energy,m1,m2", "6.5341996913608309,1,0.5", "9.2129999999999992,2,1"]
     empty = tmp_path / "empty.csv"
     write_sweep_csv(empty, [], columns=["m1", "m2", "energy"])
     assert empty.read_text() == "m1,m2,energy\n"

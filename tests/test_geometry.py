@@ -1,6 +1,7 @@
 """Double-bubble geometry: closed forms, residuals, derivatives, thresholds."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -489,33 +490,84 @@ def test_concavity_threshold_refuses_a_range_without_sign_change(monkeypatch):
         G.concavity_threshold(1.0, 1, 1.0)
 
 
-@pytest.mark.parametrize("gamma_ii", [0.1, 1.0, 10.0, 100.0])
+_GRID_GAMMA = (0.1, 1.0, 10.0, 100.0)
+_GRID_PROBE = (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3)
+
+
+def _count_hessians(monkeypatch):
+    calls = []
+    hessian = G.e0_hessian_diag
+
+    def counted(*args):
+        calls.append(args)
+        return hessian(*args)
+
+    monkeypatch.setattr(G, "e0_hessian_diag", counted)
+    return calls
+
+
+@pytest.mark.parametrize("gamma_ii", _GRID_GAMMA)
 @pytest.mark.parametrize("i", [1, 2])
-@pytest.mark.parametrize("probe", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3])
-def test_brentq_takes_scipys_steps(gamma_ii, i, probe):
-    # The port of scipy's Brent solver returns its root after as many
-    # calls, so concavity_threshold returns scipy's root.
+@pytest.mark.parametrize("probe", _GRID_PROBE)
+def test_concavity_threshold_matches_scipy_brentq(monkeypatch, gamma_ii, i,
+                                                  probe):
+    # On the bracket concavity_threshold checks, scipy.optimize.brentq finds
+    # the same root, to rounding; the regula falsi in m^(3/2) needs at most
+    # 16 second derivatives, bracket checks and post-check included.
     from scipy import optimize
 
     gamma = G.GammaMatrix(gamma_ii, gamma_ii, 0.0)
-    calls = []
+    anchor = math.pi * gamma_ii ** (-2.0 / 3.0)
 
     def hess(mi):
-        calls.append(mi)
         pair = (mi, probe) if i == 1 else (probe, mi)
         return G.e0_hessian_diag(pair, gamma, i)
 
-    anchor = math.pi * gamma_ii ** (-2.0 / 3.0)
-    lo, hi = anchor * 1e-3, anchor * 1e3
-    root = G._brentq(hess, lo, hi)
-    ours = len(calls)
-    want, info = optimize.brentq(hess, lo, hi, xtol=1e-300, full_output=True)
-    assert info.converged
-    assert (root, ours) == (want, info.function_calls)
-    assert G.concavity_threshold(gamma_ii, i, probe) == want
+    want = optimize.brentq(hess, anchor * 1e-3, anchor * 1e3, xtol=1e-300)
+    calls = _count_hessians(monkeypatch)
+    got = G.concavity_threshold(gamma_ii, i, probe)
+    assert type(got) is float
+    assert abs(got - want) <= 1e-14 * want
+    assert len(calls) <= 16
 
 
-def test_brentq_refuses_to_stop_short(monkeypatch):
-    monkeypatch.setattr(G, "_BRENT_MAX_ITER", 3)
+def test_concavity_threshold_grid_costs_under_half_of_brentq(
+        monkeypatch):
+    # scipy.optimize.brentq, run from the same bracket checks, took 1166
+    # second derivatives over this grid.
+    calls = _count_hessians(monkeypatch)
+    for gamma_ii in _GRID_GAMMA:
+        for i in (1, 2):
+            for probe in _GRID_PROBE:
+                G.concavity_threshold(gamma_ii, i, probe)
+    assert len(calls) < 1166 / 2
+
+
+def test_concavity_threshold_refuses_a_bracket_past_the_float_range():
+    # below gamma_ii ~ 1e-303 the bracket's upper end overflows as m^(3/2)
+    assert G.concavity_threshold(1e-303) > 0.0
+    with pytest.raises(G.ConvergenceError, match="float range"):
+        G.concavity_threshold(1e-304)
+
+
+def test_illinois_refuses_to_stop_short(monkeypatch):
+    monkeypatch.setattr(G, "_ROOT_MAX_ITER", 3)
     with pytest.raises(G.ConvergenceError, match="did not converge in 3"):
-        G._brentq(lambda x: x ** 3 - 2.0, 0.0, 4.0)
+        G._illinois(lambda x: x ** 3 - 2.0, 0.0, -2.0, 4.0, 62.0)
+
+
+@given(log_gamma=st.floats(-300.0, 300.0), log_probe=st.floats(-12.0, 12.0),
+       i=st.sampled_from([1, 2]))
+def test_concavity_threshold_answers_or_refuses_at_every_scale(
+        log_gamma, log_probe, i):
+    # The second derivative times m^(3/2) stays of order one at every
+    # scale; where no threshold is found the refusal is a ConvergenceError,
+    # never a division by zero, an overflow or a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            m_star = G.concavity_threshold(10.0 ** log_gamma, i,
+                                           10.0 ** log_probe)
+        except G.ConvergenceError:
+            return
+    assert type(m_star) is float and math.isfinite(m_star)

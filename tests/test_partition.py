@@ -65,16 +65,26 @@ def test_threshold_probe_dependence():
     assert th_uniform.concavity[0] < light
 
 
+_EXTREME = (1e-300, 1e-250, 1e-200, 1e200, 1e250, 1e300)
+
+
 @pytest.mark.parametrize("g", [G_PLAIN, GammaMatrix(4.0, 0.3, 0.0),
                                GammaMatrix(0.2, 25.0, 3.0),
-                               GammaMatrix(8.0, 2.0, 0.5)],
-                         ids=["plain", "4-0.3", "0.2-25", "8-2"])
+                               GammaMatrix(8.0, 2.0, 0.5)]
+                         + [GammaMatrix(s, 2.0 * s, 0.0) for s in _EXTREME],
+                         ids=["plain", "4-0.3", "0.2-25", "8-2"]
+                         + [f"{s:.0e}" for s in _EXTREME])
 def test_thresholds_of_the_swapped_matrix_are_the_mirror(g):
     # classify_regime and ebar's species swap build the swapped thresholds
-    # from th.swapped() instead of two more Brent solves; they must agree
-    # exactly.
-    assert thresholds(g.swapped()) == thresholds(g).swapped()
-    assert thresholds(g).swapped().swapped() == thresholds(g)
+    # from th.swapped() instead of two more solves; they must agree
+    # exactly.  Every bound is finite at every scale: the splitting bound
+    # divides by the two concavity thresholds, whose product leaves the
+    # float range for Gamma outside about 1e+-230.
+    th = thresholds(g)
+    assert thresholds(g.swapped()) == th.swapped()
+    assert th.swapped().swapped() == th
+    bounds = (*th.max_mass, *th.single_floor, *th.concavity, th.gamma12_split)
+    assert all(0.0 < b < math.inf for b in bounds)
 
 
 def test_cluster_kind_validation():
