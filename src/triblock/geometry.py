@@ -19,7 +19,10 @@ resolution of theta0: r1 freezes, and the perimeter tends to 2 sqrt(pi b).
 its entries hold to a relative error of at most 6e-12 at ratios in
 [1e-8, 1e-7), 1.5e-12 in [1e-7, 1e-6), 5e-13, 2e-13, 7e-14, 2e-14 and 4e-15
 in the next five decades, and 1.5e-15 in [0.1, 1], the flat branch
-included; about 1e-15/sqrt(q) throughout.
+included; about 1e-15/sqrt(q) throughout.  Against the small-lobe limit
+-kappa/(4 a^(3/2)) of the small lobe's entry, kappa = (4pi/3 - sqrt 3) /
+sqrt(2pi/3 - sqrt(3)/2), the error is 1e-4 at 1e-23, 3e-3 at 1e-26 and
+0.4 at 1e-30, so `perimeter_hessian` refuses ratios below 1e-26.
 
 Conventions: the canonical geometry orders the lobes so lobe 1 is the smaller
 one (theta1 = 2pi/3 - theta0 <= theta2 = 2pi/3 + theta0, r1 <= r2).  Callers
@@ -166,13 +169,30 @@ def _brackets(t: float) -> tuple[float, float, float, float]:
 def _start(q, sqrt):
     """The `_START` series at mass ratios q, summed by Clenshaw's recurrence
     with `sqrt` math.sqrt or np.sqrt: the same operations on a float or
-    elementwise on an array, so the two solves start bit for bit alike."""
+    elementwise on an array, so the two solves start bit for bit alike.
+    Callers replace a start past _LENS_START with `_lens_start`."""
     s = sqrt(q)
     x = 2.0 * s - 1.0
     b1 = b2 = 0.0
     for c in reversed(_START[1:]):
         b1, b2 = 2.0 * x * b1 - b2 + c, b1
     return (1.0 - s) * (x * b1 - b2 + _START[0])
+
+
+def _lens_start(q, sqrt):
+    """Start at mass ratios q below about 5e-25, where the series passes
+    _LENS_START: the small-lobe limit pi/3 - sqrt(pi q / A(pi/3)), from
+    a C(t) = b A(t) with C ~ pi/(pi/3 - t)^2.  A start farther from pi/3
+    than sqrt(3) times the root's distance lets Newton overshoot to within
+    a few ulps of pi/3, where its 2-ulp step rule stops it on a small lobe
+    hundreds of times too small."""
+    return THETA0_MAX - sqrt(_LENS_AREA * q)
+
+
+# Where the `_START` series hands over to `_lens_start`, and pi / A(pi/3)
+# for the latter: the lens of two arcs of half-angle pi/3.
+_LENS_START = THETA0_MAX - 1e-12
+_LENS_AREA = math.pi / _brackets(THETA0_MAX)[0]
 
 
 def _solve_middle_angle(a: float, b: float, residual_tol: float,
@@ -187,7 +207,9 @@ def _solve_middle_angle(a: float, b: float, residual_tol: float,
     `geometry_residuals` gate of `solve_geometry` decides.
     """
     scale = a + b
-    t = min(_start(a / b, math.sqrt), THETA0_MAX - 1e-12)
+    t = _start(a / b, math.sqrt)
+    if t > _LENS_START:
+        t = _lens_start(a / b, math.sqrt)
     lo, hi = 0.0, THETA0_MAX  # gap(lo) < 0 < gap(hi) by monotonicity
     for _ in range(max_iter):
         num, den, nump, denp = _brackets(t)
@@ -346,7 +368,8 @@ def _middle_angles(a, b):
     False where the scalar solve would raise.
     """
     scale = a + b
-    t = np.minimum(_start(a / b, np.sqrt), THETA0_MAX - 1e-12)
+    t = _start(a / b, np.sqrt)
+    t = np.where(t > _LENS_START, _lens_start(a / b, np.sqrt), t)
     out = np.zeros_like(t)
     ok = np.zeros(t.shape, dtype=bool)
     idx = np.arange(t.size)
@@ -493,6 +516,19 @@ def perimeter_gradient(m) -> tuple[float, float]:
     return (g_big, g_small) if g.swapped else (g_small, g_big)
 
 
+# Mass ratio below which the small lobe's Hessian entries are refused: their
+# relative error, about 3e-16/sqrt(q), reaches 0.3% here and 40% at 1e-30.
+_HESSIAN_MIN_RATIO = 1e-26
+
+
+def _refuse_small_lobe(small: float, big: float) -> None:
+    """Raise ConvergenceError when small/big is below _HESSIAN_MIN_RATIO."""
+    if small < _HESSIAN_MIN_RATIO * big:
+        raise ConvergenceError(
+            f"mass ratio {small / big:.3g} is below {_HESSIAN_MIN_RATIO:g}, "
+            "where the small lobe's Hessian entries are not resolved")
+
+
 def perimeter_hessian(m) -> np.ndarray:
     """Symmetric 2x2 Hessian of p at a positive mass pair, in caller order.
 
@@ -502,9 +538,16 @@ def perimeter_hessian(m) -> np.ndarray:
     exactly, gives the mixed entry H12 = d(1/r2)/da =
     (2 sin th2 - 2 g0 cos th2 - g0' sin th2) h (d theta0/dq)/(2 b^2), g0 and
     g0' the middle-arc `_segment_terms`.  p is homogeneous of degree 1/2,
-    so Euler's relation H m = -grad(p)/2 gives the pure entries.
+    so Euler's relation H m = -grad(p)/2 gives the pure entries.  Raises
+    ConvergenceError below the mass ratio _HESSIAN_MIN_RATIO = 1e-26.
     """
     m1, m2 = mass_pair("m", m, True)
+    _refuse_small_lobe(min(m1, m2), max(m1, m2))
+    return _perimeter_hessian(m1, m2)
+
+
+def _perimeter_hessian(m1: float, m2: float) -> np.ndarray:
+    """`perimeter_hessian` of a checked pair, at any mass ratio."""
     g = solve_geometry((m1, m2))
     a, b = (m2, m1) if g.swapped else (m1, m2)
     _, C, dA, dC = _brackets(g.theta0)
@@ -555,12 +598,17 @@ def single_energy_gradient(mass: float, gamma_ii: float) -> float:
 def e0_hessian_diag(m, gamma: GammaMatrix, i: int) -> float:
     """Pure second derivative d^2 e0/d m_i^2 at a positive mass pair:
     g_ii/(2 pi) plus the diagonal entry of `perimeter_hessian`.  The
-    species index i is an integer, 1 or 2."""
+    species index i is an integer, 1 or 2.  Raises ConvergenceError where
+    species i is the small lobe below the mass ratio 1e-26; the large
+    lobe's entry holds at every ratio."""
     i = integer("i", i, 1)
     if i > 2:
         raise ValueError(f"i must be 1 or 2, got {i}")
+    m1, m2 = mass_pair("m", m, True)
+    _refuse_small_lobe(*((m1, m2) if i == 1 else (m2, m1)))
     g_ii = gamma.g11 if i == 1 else gamma.g22
-    return g_ii / (2.0 * math.pi) + float(perimeter_hessian(m)[i - 1, i - 1])
+    h_ii = _perimeter_hessian(m1, m2)[i - 1, i - 1]
+    return g_ii / (2.0 * math.pi) + float(h_ii)
 
 
 # Bracket of the concavity threshold: anchor * 10^-3 .. anchor * 10^3.

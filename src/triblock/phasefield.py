@@ -178,14 +178,20 @@ def noisy_uniform_field(N: int, epsilon: float, means, amplitude: float = 1e-2,
     return Field(grids[0], grids[1], epsilon)
 
 
-def _tanh_disk(X, Y, center, radius, epsilon):
-    dx = np.mod(X - center[0] + 0.5, 1.0) - 0.5
-    dy = np.mod(Y - center[1] + 0.5, 1.0) - 0.5
-    r = np.hypot(dx, dy)
+def _periodic_offsets(xs, center):
+    """Periodic offsets of the grid axis xs from the center: x as a column
+    and y as a row, so that the n x n distances come by broadcasting."""
+    dx = np.mod(xs - center[0] + 0.5, 1.0) - 0.5
+    dy = np.mod(xs - center[1] + 0.5, 1.0) - 0.5
+    return dx[:, None], dy[None, :]
+
+
+def _tanh_disk(xs, center, radius, epsilon):
+    r = np.hypot(*_periodic_offsets(xs, center))
     return 0.5 * (1.0 + np.tanh((radius - r) / (2.0 * epsilon)))
 
 
-def _double_lobe_distances(X, Y, center, masses, eta):
+def _double_lobe_distances(xs, center, masses, eta):
     """Approximate signed distances (droplet units) to the two lobes.
 
     The standing double bubble for the cluster masses is scaled by eta and
@@ -195,8 +201,8 @@ def _double_lobe_distances(X, Y, center, masses, eta):
     junction points.
     """
     geom = solve_geometry(masses)
-    x = (np.mod(X - center[0] + 0.5, 1.0) - 0.5) / eta
-    y = (np.mod(Y - center[1] + 0.5, 1.0) - 0.5) / eta
+    dx, dy = _periodic_offsets(xs, center)
+    x, y = dx / eta, dy / eta
     sd1 = geom.r1 - np.hypot(x - geom.r1 * math.cos(geom.theta1), y)
     sd2 = geom.r2 - np.hypot(x + geom.r2 * math.cos(geom.theta2), y)
     if math.isinf(geom.r0):
@@ -230,19 +236,18 @@ def droplet_field(N: int, epsilon: float, eta: float, masses, centers) -> Field:
     if len(masses) != len(centers) or len(masses) == 0:
         raise ValueError("need one center per cluster")
     xs = np.arange(N) / N
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
     u1 = np.zeros((N, N))
     u2 = np.zeros((N, N))
     for (m1, m2), (cx, cy) in zip(masses, centers):
         if m1 > 0.0 and m2 > 0.0:
-            sd_1, sd_2 = _double_lobe_distances(X, Y, (cx, cy), (m1, m2), eta)
+            sd_1, sd_2 = _double_lobe_distances(xs, (cx, cy), (m1, m2), eta)
             u1 += 0.5 * (1.0 + np.tanh(eta * sd_1 / (2.0 * epsilon)))
             u2 += 0.5 * (1.0 + np.tanh(eta * sd_2 / (2.0 * epsilon)))
         elif m1 > 0.0:
-            u1 += _tanh_disk(X, Y, (cx, cy), eta * math.sqrt(m1 / math.pi),
+            u1 += _tanh_disk(xs, (cx, cy), eta * math.sqrt(m1 / math.pi),
                              epsilon)
         else:
-            u2 += _tanh_disk(X, Y, (cx, cy), eta * math.sqrt(m2 / math.pi),
+            u2 += _tanh_disk(xs, (cx, cy), eta * math.sqrt(m2 / math.pi),
                              epsilon)
     total = u1 + u2
     over = total > 1.0

@@ -445,6 +445,57 @@ def test_perimeter_hessian_matches_mpmath_reference():
             assert np.all(np.abs(euler) <= 1e-15 * np.abs(H) @ np.array(m))
 
 
+# Small-lobe limit of the perimeter: a lens of two arcs of half-angle pi/3
+# adds kappa sqrt(a) to the large lobe's 2 sqrt(pi b).
+_KAPPA = ((4.0 * math.pi / 3.0 - math.sqrt(3.0))
+          / math.sqrt(2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0))
+
+
+@pytest.mark.parametrize("log_ratio", np.linspace(-26.0, -20.0, 25))
+def test_small_lobe_entries_follow_the_lens_limit(log_ratio):
+    # down to the refusal at 1e-26 the small lobe's diagonal entry is
+    # within 1% of -kappa/(4 a^(3/2)), and its slope 1/r1 of kappa/(2 sqrt a)
+    for b in (1e-3, 1.0, 1e3):
+        a = 10.0 ** log_ratio * b
+        H = G.perimeter_hessian((a, b))
+        assert H[0, 0] < 0.0
+        assert H[0, 0] == pytest.approx(-_KAPPA / 4.0 * a ** -1.5, rel=1e-2)
+        assert G.perimeter_hessian((b, a))[1, 1] == H[0, 0]
+        slope = G.perimeter_gradient((a, b))[0]
+        assert slope == pytest.approx(_KAPPA / 2.0 / math.sqrt(a), rel=1e-2)
+
+
+@pytest.mark.parametrize("q", [10.0 ** -24.7596, 10.0 ** -25.3614, 3e-28])
+def test_tiny_lobe_solve_starts_from_the_lens_limit(q):
+    # A start held at pi/3 - 1e-12 let Newton overshoot to within a few ulps
+    # of pi/3 and stop there: r1 came out 400 and 290 times too small at
+    # the first two ratios.
+    r1 = 2.0 * math.sqrt(q) / _KAPPA
+    r1_got = G.solve_geometry((q, 1.0)).r1
+    assert r1_got == pytest.approx(r1, rel=0.05, abs=0.0)
+    p, p1, *_ = G._perimeter_derivatives(np.array([q]), np.array([1.0]))
+    assert p1[0] == G.perimeter_gradient((q, 1.0))[0]
+
+
+def test_perimeter_hessian_refuses_an_unresolved_small_lobe():
+    for q in (9.9e-27, 1e-40, 6.8e-70):
+        for m in ((q, 1.0), (1.0, q)):
+            with pytest.raises(G.ConvergenceError,
+                               match=f"mass ratio {q:.3g} "):
+                G.perimeter_hessian(m)
+    # e0_hessian_diag refuses the small lobe's entry alone; the large lobe's
+    # tends to the disk's -sqrt(pi)/2 b^(-3/2)
+    gamma = G.GammaMatrix(1.0, 1.0, 0.0)
+    with pytest.raises(G.ConvergenceError, match="below 1e-26"):
+        G.e0_hessian_diag((1e-40, 1.0), gamma, 1)
+    big = G.e0_hessian_diag((1e-40, 1.0), gamma, 2) - 1.0 / (2.0 * math.pi)
+    assert big == pytest.approx(-math.sqrt(math.pi) / 2.0, rel=1e-12)
+    # a threshold against a partner 1e30 times its mass is refused by name,
+    # where the wrong-signed entry read as "no bracket"
+    with pytest.raises(G.ConvergenceError, match="below 1e-26"):
+        G.concavity_threshold(1e46)
+
+
 def test_e0_hessian_diag_is_exact_sum():
     gamma = G.GammaMatrix(2.0, 0.5, 0.3)
     for m in ((0.3, 1.7), (4.0, 1e-6), (1.0, 1.0)):

@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.integrate import quad
 
-from triblock import torus_green as TG
+from triblock import phasefield as PF, torus_green as TG
 from triblock.geometry import GammaMatrix, e0
 from triblock.partition import classify_regime, ebar
 from triblock.phasefield import (
@@ -149,6 +149,29 @@ def test_droplet_field_double_lobes():
     assert [c.kind for c in conf.clusters] == ["double"]
     assert conf.clusters[0].m1 == pytest.approx(2.0, rel=0.08)
     assert conf.clusters[0].m2 == pytest.approx(3.0, rel=0.08)
+
+
+@pytest.mark.parametrize("masses, centers", [
+    ([(4.0, 0.0), (0.0, 4.0)], [(0.25, 0.25), (0.75, 0.75)]),
+    ([(4.0, 4.0)], [(0.5 + 1.0 / 1024, 0.5)]),
+    ([(3.0, 6.0), (0.0, 6.0)], [(0.3, 0.3), (0.75, 0.75)]),
+], ids=["singles", "double", "coexistence"])
+def test_droplet_field_matches_the_full_grid_offsets(monkeypatch, masses,
+                                                     centers):
+    # perfbench's relax scenarios at n = 512: distances broadcast from the
+    # axis offsets are bit-identical to those of full meshgrid offsets
+    n, eta = 512, 0.04
+    fast = droplet_field(n, 2.0 / n, eta, masses, centers)
+
+    def grid_offsets(xs, center):
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        return (np.mod(X - center[0] + 0.5, 1.0) - 0.5,
+                np.mod(Y - center[1] + 0.5, 1.0) - 0.5)
+
+    monkeypatch.setattr(PF, "_periodic_offsets", grid_offsets)
+    full = droplet_field(n, 2.0 / n, eta, masses, centers)
+    assert np.array_equal(fast.u1, full.u1)
+    assert np.array_equal(fast.u2, full.u2)
 
 
 def test_droplet_field_validation():

@@ -26,6 +26,10 @@ from triblock.placement import (
 from triblock.torus_green import R0, green, green_gradient, wrap
 
 GAMMA = GammaMatrix(1.0, 1.0, 0.5)
+# perfbench's `place` mass template at K=8; its first four clusters are the
+# K=4 one.
+PLACE_K8 = [(1.2, 0.8), (1.0, 0.0), (0.0, 1.5), (0.9, 1.1),
+            (1.1, 0.0), (0.0, 1.2), (0.8, 0.9), (1.3, 0.0)]
 
 
 def random_layout(rng, K, masses, min_sep=1e-3):
@@ -286,27 +290,115 @@ class TestMinimizeFK:
 
     def test_pinned_eight_cluster_descent(self, pair_term_calls):
         # perfbench's K=8 mass template: its restart energies, best layout
-        # and call budget, one `_pair_terms` call per line-search trial
-        masses = [(1.2, 0.8), (1.0, 0.0), (0.0, 1.5), (0.9, 1.1),
-                  (1.1, 0.0), (0.0, 1.2), (0.8, 0.9), (1.3, 0.0)]
-        lay, info = minimize_FK(masses, GammaMatrix(1, 1, 0.5), restarts=2,
+        # and call budget, one `_pair_terms` call per line-search trial.
+        # The Armijo descent took 356 calls; its first restart, started on
+        # the diagonal, ended at a saddle of energy -0.28819051531732487, and
+        # its best layout was the second restart's, 5.3e-4 above the first
+        # restart's here.
+        lay, info = minimize_FK(PLACE_K8, GammaMatrix(1, 1, 0.5), restarts=2,
                                 seed=0, full_output=True)
         rows = info["restarts"]
         assert [row["energy"] for row in rows] == pytest.approx(
-            [-0.28819051531732487, -1.147196052970049], rel=1e-12)
+            [-1.1477228633938321, -1.147196052970049], rel=1e-12)
         assert info["grad_norm"] <= 1e-10
         points = [(0.0, 0.0),
-                  (-0.4367900613070127, -0.49365043234856104),
-                  (-0.2887803726280062, 0.2572926145992745),
-                  (0.2827779973251588, -0.28098266998979504),
-                  (-0.4436798036064159, -0.015410269266059887),
-                  (-0.2556635940374706, -0.27142467682483595),
-                  (0.2853830751607517, 0.262186982663132),
-                  (-0.0342260356371143, 0.4856570406722595)]
+                  (-0.4335648084253637, -0.49183573784362095),
+                  (-0.2948396900994262, 0.25476558647091985),
+                  (0.26143148631827823, -0.3007800511157562),
+                  (-0.04794417152265089, 0.47598700209473277),
+                  (-0.2535283840076881, -0.27659400323529354),
+                  (0.27394371602706075, 0.26828274328818147),
+                  (-0.45671849715992413, -0.023791139498974132)]
         assert np.abs(np.asarray(lay.points) - points).max() <= 1e-12
         assert [(row["gradient_evals"], row["hessian_evals"])
-                for row in rows] == [(45, 2), (306, 3)]
-        assert len(pair_term_calls) == 356
+                for row in rows] == [(50, 2), (79, 2)]
+        assert len(pair_term_calls) == 133
+
+    def test_pinned_four_cluster_descent(self, pair_term_calls):
+        # perfbench's K=4 mass template, pinned as the K=8 one; the best
+        # layout sits on the cell edge, so it is compared on the torus
+        lay, info = minimize_FK(PLACE_K8[:4], GammaMatrix(1, 1, 0.5),
+                                restarts=2, seed=0, full_output=True)
+        rows = info["restarts"]
+        assert [row["energy"] for row in rows] == pytest.approx(
+            [-0.4229327763782685, -0.42293277637826854], rel=1e-12)
+        assert info["grad_norm"] <= 1e-10
+        points = [(0.0, 0.0),
+                  (-0.29096589297879055, 0.49999999998717104),
+                  (-0.46206175906764246, -1.1357735007344735e-11),
+                  (0.23983321254130557, -0.4999999999981615)]
+        assert np.abs(wrap(np.asarray(lay.points) - points)).max() <= 1e-12
+        assert [(row["gradient_evals"], row["hessian_evals"])
+                for row in rows] == [(20, 2), (41, 2)]
+        assert len(pair_term_calls) == 65
+
+    @pytest.mark.parametrize("masses", [PLACE_K8[:4], PLACE_K8])
+    def test_restarts_end_at_local_minima(self, monkeypatch, masses):
+        # every restart that reaches gtol ends where the Hessian of FK in
+        # the free centers is positive definite, not at a saddle
+        W = _weight_matrix(np.asarray(masses), GammaMatrix(1, 1, 0.5))
+        ends = []
+        descend = placement._descend
+
+        def recorded(*args):
+            out = descend(*args)
+            ends.append(out)
+            return out
+
+        monkeypatch.setattr(placement, "_descend", recorded)
+        minimize_FK(masses, GammaMatrix(1, 1, 0.5), restarts=4, seed=0)
+        assert len(ends) == 4
+        for z, _, gnorm, _ in ends:
+            assert gnorm <= 1e-10
+            P = np.vstack([np.zeros(2), z.reshape(-1, 2)])
+            assert np.linalg.eigvalsh(_pair_terms(P, W, 2)[2][2:, 2:])[0] > 0.0
+
+    @pytest.mark.parametrize("masses, g, restarts", [
+        ([(1.3608, 0.0), (0.1971, 0.164), (0.001, 0.0), (1.7587, 0.9216),
+          (0.4595, 0.0)], (1.8922, 1.2036, 0.1706), 1),
+        ([(1.3608, 0.0), (0.1971, 0.164), (0.001, 0.0), (1.7587, 0.9216),
+          (0.4595, 0.0)], (1.8922, 1.2036, 0.1706), 2),
+        ([(1.5059, 0.4332), (0.1448, 0.0), (1.5828, 0.0492), (0.001, 0.4789),
+          (0.001, 1.3825), (0.001, 0.0), (0.4105, 0.1626), (0.7095, 0.0)],
+         (1.282, 1.237, 1.1232), 1),
+    ])
+    def test_descent_recovers_from_a_stalled_polish(self, masses, g, restarts):
+        # The Armijo descent failed on these: its Newton polish stalled with
+        # the gradient norm between gtol and 1e-3, and every later round
+        # skipped its gradient phase and repeated the same polish.
+        gamma = GammaMatrix(*g)
+        lay, info = minimize_FK(masses, gamma, restarts=restarts, seed=0,
+                                full_output=True)
+        assert info["grad_norm"] <= 1e-10
+        assert np.linalg.norm(fk_gradient(lay, gamma)[1:]) <= 1e-10
+
+
+def test_bfgs_update_skips_a_pair_without_curvature():
+    H = np.array([[2.0, 0.5], [0.5, 1.0]])
+    for s, y in (([1.0, 0.0], [-1.0, 0.0]), ([1.0, 0.0], [0.0, 1.0])):
+        assert placement._bfgs_update(H, np.array(s), np.array(y)) is H
+    # the update satisfies the secant equation H+ y = s
+    s, y = np.array([0.3, -0.1]), np.array([0.5, 0.2])
+    assert placement._bfgs_update(H, s, y) @ y == pytest.approx(s, abs=1e-15)
+
+
+def test_bfgs_matrix_stays_symmetric_positive_definite(monkeypatch):
+    # over the pinned K=8 descent, every inverse-Hessian estimate is
+    # exactly symmetric and has a Cholesky factor
+    seen = []
+    update = placement._bfgs_update
+
+    def recorded(H, s, y):
+        out = update(H, s, y)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(placement, "_bfgs_update", recorded)
+    minimize_FK(PLACE_K8, GammaMatrix(1, 1, 0.5), restarts=2, seed=0)
+    assert len(seen) > 100
+    for H in seen:
+        assert np.array_equal(H, H.T)
+        np.linalg.cholesky(H)
 
 
 @given(masses=st.lists(_CLUSTER, min_size=2, max_size=6),
