@@ -173,9 +173,10 @@ def _start(q, sqrt):
     Callers replace a start past _LENS_START with `_lens_start`."""
     s = sqrt(q)
     x = 2.0 * s - 1.0
-    b1 = b2 = 0.0
-    for c in reversed(_START[1:]):
-        b1, b2 = 2.0 * x * b1 - b2 + c, b1
+    x2 = 2.0 * x
+    b1, b2 = _START[-1], 0.0  # the first step from b1 = b2 = 0, exactly
+    for c in reversed(_START[1:-1]):
+        b1, b2 = x2 * b1 - b2 + c, b1
     return (1.0 - s) * (x * b1 - b2 + _START[0])
 
 
@@ -200,7 +201,9 @@ def _solve_middle_angle(a: float, b: float, residual_tol: float,
     """Root of a*C(t) - b*A(t) = 0 on (0, pi/3) for masses a < b.
 
     Newton iteration with a maintained bisection bracket, from the `_START`
-    series: one pass for ratios a/b >= 1e-2, at most two down to 1e-12.
+    series or, below a/b ~ 5e-25, `_lens_start`: one pass for ratios
+    a/b >= 1e-2, at most two down to 1e-12, three in [1e-30, 1e-12) and
+    two below (the most over 300 seeded ratios per band).
     Once the second area equation holds to residual_tol relative to a + b,
     or the Newton step is at most 2 ulps of t, it returns the Newton step;
     a one-ulp bracket returns t.  These only stop the loop: the
@@ -270,7 +273,7 @@ def solve_geometry(m) -> BubbleGeometry:
         )
 
     residuals = geometry_residuals(geom, (a, b))
-    worst = max(abs(v) for v in residuals.values())
+    worst = max(map(abs, residuals.values()))
     if worst > 1e-12:
         raise ConvergenceError(
             f"geometry residuals {worst:.3e} exceed 1e-12 for masses "
@@ -335,121 +338,112 @@ def perimeter(m) -> float:
 # Array solver: the scalar path above, elementwise in numpy, for batch callers.
 
 def _angle_terms(t):
-    """Arc terms at the three angles (t, 2pi/3 - t, 2pi/3 + t) of a
-    middle-angle array t, each as a (3, n) array: seg, sin, cos and the
-    `_segment_terms` pair (g, d).  Only t goes below pi/3, so `_seg`'s
-    series and the theta = 0 values apply to row 0 alone."""
-    theta = np.stack((t, TWO_PI_THIRDS - t, TWO_PI_THIRDS + t))
+    """Arc terms at the three angles theta = (t, 2pi/3 - t, 2pi/3 + t) of a
+    middle-angle array t, each as a (3, n) array: theta, seg, sin, cos and
+    the `_segment_terms` pair (g, d), row 0's nan where t = 0.  Only t goes
+    below pi/3, so `_seg`'s series applies to row 0 alone."""
+    theta = np.array((t, TWO_PI_THIRDS - t, TWO_PI_THIRDS + t))
     seg = theta - 0.5 * np.sin(2.0 * theta)
     small = t < 0.25
-    if small.any():
+    if np.count_nonzero(small):
         ts = t[small]
         t2 = ts * ts
-        acc = np.zeros_like(ts)
-        for c in reversed(_SEG_COEFFS):
+        acc = _SEG_COEFFS[-1]
+        for c in reversed(_SEG_COEFFS[:-1]):
             acc = acc * t2 + c
         seg[0, small] = acc * t2 * ts
     s, c = np.sin(theta), np.cos(theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = seg / (s * s)
-        d = 2.0 - 2.0 * seg * c / (s * s * s)
-    zero = t == 0.0
-    g[0] = np.where(zero, 0.0, g[0])
-    d[0] = np.where(zero, 2.0 / 3.0, d[0])
-    return seg, s, c, g, d
+    s2 = s * s
+    return theta, seg, s, c, seg / s2, 2.0 - 2.0 * seg * c / (s2 * s)
 
 
 def _middle_angles(a, b):
     """`_solve_middle_angle` on arrays a < b: the same start and steps.
-
     Each element keeps its own bisection bracket and leaves the active set
-    by the stopping rules of `_solve_middle_angle`, so a batch pays for the
-    passes of its slow elements on those alone.  Returns (t, ok); ok is
-    False where the scalar solve would raise.
-    """
-    scale = a + b
-    t = _start(a / b, np.sqrt)
-    t = np.where(t > _LENS_START, _lens_start(a / b, np.sqrt), t)
-    out = np.zeros_like(t)
-    ok = np.zeros(t.shape, dtype=bool)
+    by the same stopping rules, so a batch pays for the passes of its slow
+    elements on those alone.  Returns t, nan where the scalar solve would
+    raise."""
+    q = a / b
+    t = _start(q, np.sqrt)
+    t = np.where(t > _LENS_START, _lens_start(q, np.sqrt), t)
+    tol = _RESIDUAL_TOL * (a + b)
+    out = np.full(t.shape, np.nan)
     idx = np.arange(t.size)
-    lo = np.zeros_like(t)
-    hi = np.full_like(t, THETA0_MAX)
+    lo, hi = 0.0, THETA0_MAX  # every element's first bracket
     for _ in range(_MAX_ITER):
         if not idx.size:
             break
         *_, g, d = _angle_terms(t)
-        num, den = g[1] + g[0], g[2] - g[0]
-        gap = a * den - b * num
-        conv = np.abs(gap) <= _RESIDUAL_TOL * scale * num
+        num = g[1] + g[0]
+        gap = a * (g[2] - g[0]) - b * num
+        slope = a * (d[2] - d[0]) - b * (d[0] - d[1])
+        t_next = np.where(slope > 0.0, t - gap / slope, np.nan)
+        stop = ((np.abs(gap) <= tol * num)
+                | (np.abs(t_next - t) <= 2.0 * np.spacing(t)))
+        out[idx[stop]] = np.where(np.isnan(t_next), t, t_next)[stop]
+        if np.count_nonzero(stop) == idx.size:
+            break
         up = gap > 0.0
         hi = np.where(up, t, hi)
         lo = np.where(up, lo, t)
-        slope = a * (d[2] - d[0]) - b * (d[0] - d[1])
-        t_next = np.where(slope > 0.0, t - gap / slope, np.nan)
-        stop = conv | (np.abs(t_next - t) <= 2.0 * np.spacing(t))
-        t_stop = np.where(stop & ~np.isnan(t_next), t_next, t)
         inside = (lo < t_next) & (t_next < hi)
         t_next = np.where(inside, t_next, 0.5 * (lo + hi))
-        done = stop | (t_next == t)
-        out[idx[done]] = t_stop[done]
-        ok[idx[done]] = True
-        keep = ~done
-        idx, a, b, scale = idx[keep], a[keep], b[keep], scale[keep]
+        ulp = ~stop & (t_next == t)  # the bracket is one ulp wide
+        out[idx[ulp]] = t[ulp]
+        keep = ~(stop | ulp)
+        idx, a, b, tol = idx[keep], a[keep], b[keep], tol[keep]
         t, lo, hi = t_next[keep], lo[keep], hi[keep]
-    return out, ok
+    return out
 
 
 def _solve_pairs(m1, m2):
     """`solve_geometry` on 1-D arrays of positive mass pairs, gated.
 
-    Solves the theta0 equation for all pairs at once: the same `_START`
-    series, Newton steps with a bisection bracket per element, the same
-    stopping rules, h from the larger lobe, the same flat interface inside
-    `SYMMETRY_TOL`, and per element the 1e-12 `geometry_residuals` gate, all
-    from one `_angle_terms` call at the solved t.  Runs under a local
-    errstate: the flat elements divide by sin(0).  Returns (p, a, b, h, r,
-    s, c, g, d): the perimeter, a and b the caller's masses in canonical
-    order (not the flat mean), h, the radii r = (r0, r1, r2), and the sin,
-    cos and `_segment_terms` rows of `_angle_terms` at the solved t.
-    Raises ConvergenceError naming the first pair that fails to converge or
-    fails the gate.
+    The same start, Newton steps with a bisection bracket per element,
+    stopping rules, h from the larger lobe, flat interface inside
+    `SYMMETRY_TOL` and per-element 1e-12 `geometry_residuals` gate, from one
+    `_angle_terms` call at the solved t, under a local errstate (the flat
+    elements divide by sin(0)).  Returns (p, a, b, h, r, s, c, g, d): the
+    perimeter, the caller's masses in canonical order (not the flat mean),
+    h, the radii (r0, r1, r2), and the sin, cos and `_segment_terms` rows
+    at the solved t (g0 = 0 and d0 = 2/3 where flat).  Raises
+    ConvergenceError naming the first pair that fails to converge or fails
+    the gate.
     """
     a, b = np.minimum(m1, m2), np.maximum(m1, m2)
     flat = 1.0 - a / b < SYMMETRY_TOL
-    t = np.zeros_like(a)
-    solved = np.ones(a.shape, dtype=bool)
+    t = np.zeros(a.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t[~flat], solved[~flat] = _middle_angles(a[~flat], b[~flat])
-        seg, s, c, g, d = _angle_terms(t)
-        # Flat elements: the mean-mass geometry of `solve_geometry`.
-        mbar = 0.5 * (a + b)
-        a_geo = np.where(flat, mbar, a)
-        b_geo = np.where(flat, mbar, b)
-        r_flat = np.sqrt(mbar / _seg(TWO_PI_THIRDS))
-        h = np.where(flat, r_flat * math.sin(TWO_PI_THIRDS),
-                     np.sqrt(b_geo / (g[2] - g[0])))
-        r = h / s  # r0 = inf on the flat elements
-        r[1:] = np.where(flat, r_flat, r[1:])
-        seg0 = np.where(flat, 0.0, r[0] ** 2 * seg[0])
-        h0 = np.where(flat, h, r[0] * s[0])
-        scale = a_geo + b_geo
-        worst = np.max(np.abs((
-            (r[1] ** 2 * seg[1] + seg0 - a_geo) / scale,
-            (r[2] ** 2 * seg[2] - seg0 - b_geo) / scale,
-            (r[1] * s[1] - h0) / h,
-            (r[2] * s[2] - h0) / h,
-            (1.0 / r[1] - 1.0 / r[2] - 1.0 / r[0]) * h,
-            c[1] + c[2] + c[0],
-        )), axis=0)
-        middle = np.where(flat, 2.0 * h, 2.0 * h * t / s[0])
-    ok = solved & (worst <= 1e-12)
-    if not ok.all():
+        t[~flat] = _middle_angles(a[~flat], b[~flat])
+        theta, seg, s, c, g, d = _angle_terms(t)
+        h = np.sqrt(b / (g[2] - g[0]))
+        r = h / s
+        area = r * r * seg
+        h0 = r[0] * s[0]
+        middle = 2.0 * h * t / s[0]
+        mass = np.array((a, b))
+        i = np.flatnonzero(flat)
+        if i.size:
+            # the mean-mass geometry of `solve_geometry`, at theta0 = 0
+            mass[:, i] = mbar = 0.5 * (a[i] + b[i])
+            r_flat = np.sqrt(mbar / _seg(TWO_PI_THIRDS))
+            h[i] = h0[i] = r_flat * math.sin(TWO_PI_THIRDS)
+            g[0, i], d[0, i] = 0.0, 2.0 / 3.0
+            r[0, i], r[1:, i] = np.inf, r_flat
+            area[:, i] = r_flat * r_flat * seg[:, i]
+            middle[i] = 2.0 * h[i]
+        k = 1.0 / r
+        worst = np.abs(np.concatenate((
+            (np.array((area[1] + area[0], area[2] - area[0])) - mass) / (a + b),
+            (r[1:] * s[1:] - h0) / h,
+            ((k[1] - k[2] - k[0]) * h, c[1] + c[2] + c[0])))).max(axis=0)
+    ok = worst <= 1e-12  # False where t is nan
+    if np.count_nonzero(ok) < ok.size:
         i = int(np.argmin(ok))
         raise ConvergenceError(
             f"array geometry solve failed for masses ({m1[i]:g}, {m2[i]:g})")
-    p = (2.0 * ((TWO_PI_THIRDS - t) * r[1] + (TWO_PI_THIRDS + t) * r[2])
-         + middle)
+    arcs = theta[1:] * r[1:]
+    p = 2.0 * (arcs[0] + arcs[1]) + middle
     return p, a, b, h, r, s, c, g, d
 
 
@@ -461,9 +455,9 @@ def _perimeters(m1, m2):
     or nonfinite masses and ConvergenceError naming the first pair (in C
     order) that fails to converge or fails the gate.
 
-    The fixed numpy overhead makes a size-1 call ~0.25 ms, against ~11 us
+    The fixed numpy overhead makes a size-1 call ~0.12 ms, against ~8 us
     for the scalar `perimeter` (2-core x86-64 Xeon, numpy 2.4), so only
-    batch callers use it: a 64 x 64 table takes ~2.2 ms, against ~50 ms for
+    batch callers use it: a 64 x 64 table takes ~1.5 ms, against ~37 ms for
     4096 scalar calls.
     """
     m1, m2 = np.broadcast_arrays(np.asarray(m1, dtype=float),
@@ -487,20 +481,17 @@ def _perimeter_derivatives(m1, m2):
 
     One `_solve_pairs` call; the gradient is `perimeter_gradient` and the
     Hessian `perimeter_hessian`, elementwise, from the arc terms that the
-    residual gate used.  Returns (p, p1, p2, h11, h12, h22), all in the
-    caller's order.
+    residual gate used.  Returns the rows (p, p1, p2, h11, h12, h22) of one
+    (6, n) array, all in the caller's order.
     """
     p, a, b, h, r, s, c, g, d = _solve_pairs(m1, m2)
     dtheta = (g[2] - g[0]) / (d[0] - d[1] - a / b * (d[2] - d[0]))
     h12 = ((2.0 * s[2] - 2.0 * g[0] * c[2] - d[0] * s[2]) * h * dtheta
            / (2.0 * b) / b)
-    h_small = (-0.5 / r[1] - h12 * b) / a
-    h_big = (-0.5 / r[2] - h12 * a) / b
-    swapped = m1 > m2
-    return (p, np.where(swapped, 1.0 / r[2], 1.0 / r[1]),
-            np.where(swapped, 1.0 / r[1], 1.0 / r[2]),
-            np.where(swapped, h_big, h_small), h12,
-            np.where(swapped, h_small, h_big))
+    m = np.array((m1, m2))
+    rm = np.where(m1 > m2, r[:0:-1], r[1:])  # the lobe radii in caller order
+    hm = (-0.5 / rm - h12 * m[::-1]) / m
+    return np.array((p, *(1.0 / rm), hm[0], h12, hm[1]))
 
 
 def perimeter_gradient(m) -> tuple[float, float]:
@@ -543,23 +534,23 @@ def perimeter_hessian(m) -> np.ndarray:
     """
     m1, m2 = mass_pair("m", m, True)
     _refuse_small_lobe(min(m1, m2), max(m1, m2))
-    return _perimeter_hessian(m1, m2)
+    h11, h12, h22 = _perimeter_hessian(m1, m2)
+    return np.array([[h11, h12], [h12, h22]])
 
 
-def _perimeter_hessian(m1: float, m2: float) -> np.ndarray:
-    """`perimeter_hessian` of a checked pair, at any mass ratio."""
+def _perimeter_hessian(m1: float, m2: float) -> tuple[float, float, float]:
+    """(H11, H12, H22) of `perimeter_hessian` at a checked pair, any ratio."""
     g = solve_geometry((m1, m2))
     a, b = (m2, m1) if g.swapped else (m1, m2)
-    _, C, dA, dC = _brackets(g.theta0)
     g0, d0 = _segment_terms(g.theta0)
+    d1 = _segment_terms(g.theta1)[1]
+    g2, d2 = _segment_terms(g.theta2)
     s2, c2 = math.sin(g.theta2), math.cos(g.theta2)
-    dtheta = C / (dA - a / b * dC)
+    dtheta = (g2 - g0) / (d0 - d1 - a / b * (d2 - d0))
     h12 = (2.0 * s2 - 2.0 * g0 * c2 - d0 * s2) * g.h * dtheta / (2.0 * b) / b
     h11 = (-0.5 / g.r1 - h12 * b) / a
     h22 = (-0.5 / g.r2 - h12 * a) / b
-    if g.swapped:
-        h11, h22 = h22, h11
-    return np.array([[h11, h12], [h12, h22]])
+    return (h22, h12, h11) if g.swapped else (h11, h12, h22)
 
 
 def e0(m, gamma: GammaMatrix) -> float:
@@ -607,8 +598,7 @@ def e0_hessian_diag(m, gamma: GammaMatrix, i: int) -> float:
     m1, m2 = mass_pair("m", m, True)
     _refuse_small_lobe(*((m1, m2) if i == 1 else (m2, m1)))
     g_ii = gamma.g11 if i == 1 else gamma.g22
-    h_ii = _perimeter_hessian(m1, m2)[i - 1, i - 1]
-    return g_ii / (2.0 * math.pi) + float(h_ii)
+    return g_ii / (2.0 * math.pi) + _perimeter_hessian(m1, m2)[2 * i - 2]
 
 
 # Bracket of the concavity threshold: anchor * 10^-3 .. anchor * 10^3.

@@ -35,6 +35,7 @@ from triblock.geometry import (
     GammaMatrix,
     _perimeter_derivatives,
     _perimeters,
+    _solve_pairs,
     concavity_threshold,
     e0,
     e0_gradient,
@@ -265,9 +266,9 @@ _ANSATZ_GRID = 48
 _MAX_CLUSTERS = 64
 
 
-def _packing_grid(mass, gamma_ii: float):
-    """(cost, count) arrays: cheapest split of each mass into equal disks
-    of one species, and the disk count that attains it (0 at mass 0).
+def _packing_grid(mass, gamma_ii):
+    """(cost, count) arrays: cheapest split of each mass into equal disks of
+    one species (gamma_ii broadcast), and the count that attains it (0 at 0).
 
     The cost of k equal disks, gamma_ii m^2/(4 pi k) + 2 sqrt(pi m k), falls
     and then rises in k, with its real minimum at m/x*, where a disk of mass
@@ -277,11 +278,11 @@ def _packing_grid(mass, gamma_ii: float):
     mass = np.asarray(mass, dtype=float)
     xstar = (4.0 * math.pi * math.sqrt(math.pi) / gamma_ii) ** (2.0 / 3.0)
     k = np.maximum(np.floor(mass / xstar), 1.0)
-    n = np.stack((k, k + 1.0))
+    n = np.array((k, k + 1.0))
     x = mass / n
     cost = n * (gamma_ii * x * x / (4.0 * math.pi) + 2.0 * np.sqrt(math.pi * x))
     pos = mass > 0.0
-    return (np.where(pos, cost.min(axis=0), 0.0),
+    return (np.where(pos, np.minimum(cost[0], cost[1]), 0.0),
             np.where(pos, k + (cost[1] < cost[0]), 0.0).astype(int))
 
 
@@ -303,21 +304,21 @@ def _ansatz_for_doubles(kd, M, gamma, th, unit_grids):
     xs = np.linspace(x_hi / n, x_hi, n)
     ys = np.linspace(y_hi / n, y_hi, n)
     ratio = x_hi / y_hi
-    if ratio not in unit_grids:
+    if ratio not in unit_grids:  # all pairs positive: no `_perimeters` checks
         u = np.linspace(1.0 / n, 1.0, n)
-        unit_grids[ratio] = _perimeters(ratio * u[:, None], u[None, :])
-    quad = ((gamma.g11 * xs * xs)[:, None] + np.outer(2.0 * gamma.g12 * xs, ys)
+        unit_grids[ratio] = _solve_pairs(np.repeat(ratio * u, n),
+                                         np.tile(u, n))[0].reshape(n, n)
+    quad = ((gamma.g11 * xs * xs)[:, None] + (2.0 * gamma.g12 * xs)[:, None] * ys
             + gamma.g22 * ys * ys) / (4.0 * math.pi)
     # the leftover of species 1 varies along axis 0 only, of species 2
     # along axis 1 only: pack each once per grid line and broadcast
-    r1 = np.maximum(M1 - kd * xs, 0.0)
-    r2 = np.maximum(M2 - kd * ys, 0.0)
-    p1, k1 = _packing_grid(r1, gamma.g11)
-    p2, k2 = _packing_grid(r2, gamma.g22)
+    rest = np.maximum(np.array(M)[:, None] - kd * np.array((xs, ys)), 0.0)
+    (p1, p2), (k1, k2) = _packing_grid(rest,
+                                       np.array([[gamma.g11], [gamma.g22]]))
     val = kd * (math.sqrt(y_hi) * unit_grids[ratio] + quad) + p1[:, None] + p2
     i, j = np.unravel_index(np.argmin(val), val.shape)
-    ks1 = int(k1[i]) if r1[i] > 1e-9 * M1 else 0
-    ks2 = int(k2[j]) if r2[j] > 1e-9 * M2 else 0
+    ks1 = int(k1[i]) if rest[0, i] > 1e-9 * M1 else 0
+    ks2 = int(k2[j]) if rest[1, j] > 1e-9 * M2 else 0
     return (float(val[i, j]), ks1, ks2)
 
 
@@ -331,15 +332,16 @@ def _cell_feasible(counts, M) -> bool:
 
 def _candidate_cells(M, gamma, th):
     """The _TOP_CELLS cluster-count cells (kd, ks1, ks2) of lowest
-    equal-mass ansatz value, best first.  The seeds are the packing of
-    each total into singles at kd = 0 and the ansatz of each double count
+    equal-mass ansatz value, best first, the number of cells ranked and the
+    number of ansatz unit grids solved.  The seeds are the packing of each
+    total into singles at kd = 0 and the ansatz of each double count
     kd = 1 .. 3 + floor(min_s M_s / concavity_s); each seed and its +-1
     neighbours in the single counts (1e-9 dearer per step) are ranked if
     `_cell_feasible`."""
     M1, M2 = M
     unit_grids = {}
-    v1, k1 = _packing_grid(M1, gamma.g11)
-    v2, k2 = _packing_grid(M2, gamma.g22)
+    (v1, v2), (k1, k2) = _packing_grid(np.array(M),
+                                       np.array([gamma.g11, gamma.g22]))
     seeds = [(float(v1 + v2), 0, int(k1), int(k2))]
     if M1 > 0.0 and M2 > 0.0:
         kd_cap = 3 + int(min(M1 / th.concavity[0], M2 / th.concavity[1]))
@@ -355,7 +357,8 @@ def _candidate_cells(M, gamma, th):
                 if (_cell_feasible(counts, M)
                         and value < cells.get(counts, math.inf)):
                     cells[counts] = value
-    return sorted(cells, key=lambda c: (cells[c], c))[:_TOP_CELLS]
+    best = sorted(cells, key=lambda c: (cells[c], c))[:_TOP_CELLS]
+    return best, len(cells), len(unit_grids)
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +373,23 @@ def _candidate_cells(M, gamma, th):
 _GROUP_SLOTS = ((0, 1), (2, 3), (4, None), (5, None), (None, 6), (None, 7))
 _NSLOT = 8
 _SLOT_SPECIES = np.array([0, 1, 0, 1, 0, 0, 1, 1])
-_DOUBLE_SLOT = np.arange(_NSLOT) < 4
+_BY_SPECIES = _SLOT_SPECIES == np.arange(2)[:, None]  # each species' slots
 _FREE_SLOT = np.array([0, 0, 1, 1, 0, 1, 0, 1], dtype=bool)
 # Newton iterations before a row that has not converged is left as it is.
 _NEWTON_ITERS = 50
-# A row converges at ||F|| <= 1e-13 max(1, M1 + M2) + _KKT_RTOL max|lambda|.
-# A derivative row carries the slope 1/r of its lobe, good to ~1e-16/sqrt(q)
-# relative at lobe ratio q (geometry's docstring): 1e-12 of the multiplier
-# down to q = 1e-8.  Over the ten entries of F that is sqrt(10) 1e-12, and
-# the factor 3 above it keeps a row at its KKT point from running on.
+# A row converges at ||F|| <= 1e-13 max(1, M1 + M2) + rtol max|lambda|.  A
+# lobe's slope 1/r is good to ~eps/sqrt(q) relative at lobe ratio q: over
+# the ten entries of F, sqrt(10) eps/sqrt(q), and a factor 3 keeps a row at
+# its KKT point from running on.  rtol is the larger of _KKT_RTOL, that
+# bound at q = 1e-8 rounded up, and _KKT_QTOL/sqrt(q) at the row's smallest
+# double lobe ratio q, which passes _KKT_RTOL below q = 4.4e-8.
 _KKT_RTOL = 1e-11
+_KKT_QTOL = 3.0 * math.sqrt(10.0) * np.finfo(float).eps
 
 
 def _slot_weights(counts):
-    """Clusters in each slot's group for cluster counts (kd, ks1, ks2)."""
-    n = np.repeat(counts, (4, 2, 2))
+    """Clusters in each slot's group for counts (kd, ks1, ks2) on axis -1."""
+    n = np.repeat(counts, (4, 2, 2), axis=-1)
     free, shared = np.minimum(n, 1), np.maximum(n - 1, 0)
     return np.where(_FREE_SLOT, free, shared).astype(float)
 
@@ -394,93 +399,87 @@ def _cell_starts(w, M):
     species the doubles take half the total, all of it when the cell has no
     singles of that species; each group shares its part equally by slot
     weight."""
-    t = np.zeros((len(w), _NSLOT + 2))
-    for s in (0, 1):
-        mine = (w > 0.0) & (_SLOT_SPECIES == s)
-        dbl, sgl = mine & _DOUBLE_SLOT, mine & ~_DOUBLE_SLOT
-        d, g = (w * dbl).sum(axis=1), (w * sgl).sum(axis=1)
-        f = np.where(d == 0.0, 0.0, np.where(g > 0.0, 0.5, 1.0))
-        for slots, part, n in ((dbl, f, d), (sgl, 1.0 - f, g)):
-            share = M[s] * part / np.maximum(n, 1.0)
-            t[:, :_NSLOT] += np.where(slots, share[:, None], 0.0)
-    return t
+    R = len(w)
+    d = w[:, :4].reshape(R, 2, 2).sum(axis=1)  # doubles of each species
+    g = w[:, 4:].reshape(R, 2, 2).sum(axis=2)  # singles of each species
+    f = np.where(d == 0.0, 0.0, np.where(g > 0.0, 0.5, 1.0))
+    dbl, sgl = M * f / np.maximum(d, 1.0), M * (1.0 - f) / np.maximum(g, 1.0)
+    share = np.hstack((dbl, dbl, sgl.repeat(2, axis=1)))
+    return np.hstack((np.where(w > 0.0, share, 0.0), np.zeros((R, 2))))
 
 
-def _kkt(t, act, w, M, gamma):
-    """(F, J, energy, geometry calls) of the KKT system of every row.
+def _frame(act, w):
+    """The part of J that the active set and the slot weights fix: -1 in
+    an active slot's multiplier column, its group size in the mass rows, and
+    an identity row for a multiplier with no active slot."""
+    J = np.zeros((len(act), _NSLOT + 2, _NSLOT + 2))
+    slot = np.arange(_NSLOT)
+    J[:, slot, _NSLOT + _SLOT_SPECIES] = np.where(act, -1.0, 0.0)
+    J[:, _NSLOT + _SLOT_SPECIES, slot] = np.where(act, w, 0.0)
+    held = (act[:, None] & _BY_SPECIES).any(axis=2)
+    J[:, _NSLOT + slot[:2], _NSLOT + slot[:2]] = ~held
+    return J
+
+
+def _kkt(t, act, w, frame, M, gamma):
+    """(F, J, double perimeters, residual norm, geometry calls) of the KKT
+    system at rows t, J built on their `_frame`.
 
     Per active slot F is the cluster's energy derivative in that species
     minus the species multiplier; per species, the mass sum minus M_s.  J
     is exact: a double with both lobes active puts p's Hessian plus
     Gamma/(2 pi) on its two slots, from one `_perimeter_derivatives` call
-    for all such doubles; a lone lobe or a single is a disk.  J has -1 in
-    the multiplier columns and the group sizes in the mass rows.  Inactive
-    slots, and the multiplier of a species with no active slot, are
-    identity rows with F = 0.
+    for all such doubles; a lone lobe or a single is a disk.  Inactive
+    slots are identity rows with F = 0.  A row with a non-finite entry or a
+    nonpositive active slot gets an infinite residual norm.
     """
-    R = len(t)
-    m, lam = t[:, :_NSLOT], t[:, _NSLOT:]
+    R, n = len(t), _NSLOT + 2
+    valid = (np.isfinite(t).all(axis=1)
+             & np.where(act, t[:, :_NSLOT] > 0.0, True).all(axis=1))
+    t, act = np.where(valid[:, None], t, 1.0), act & valid[:, None]
+    m, lam = t[:, :_NSLOT].copy(), t[:, _NSLOT:]
     two_pi = 2.0 * math.pi
-    grad = np.zeros((R, _NSLOT))
-    hess = np.ones((R, _NSLOT))
-    energy = np.zeros((R, _NSLOT))
-    J = np.zeros((R, _NSLOT + 2, _NSLOT + 2))
-    double = act[:, 0:4:2] & act[:, 1:4:2]
-    calls = int(double.any())
-    r, g = np.nonzero(double)
-    if calls:
-        s1, s2 = 2 * g, 2 * g + 1
-        x, y = m[r, s1], m[r, s2]
-        p, p1, p2, h11, h12, h22 = _perimeter_derivatives(x, y)
-        grad[r, s1] = p1 + (gamma.g11 * x + gamma.g12 * y) / two_pi
-        grad[r, s2] = p2 + (gamma.g12 * x + gamma.g22 * y) / two_pi
-        hess[r, s1] = h11 + gamma.g11 / two_pi
-        hess[r, s2] = h22 + gamma.g22 / two_pi
-        J[r, s1, s2] = J[r, s2, s1] = h12 + gamma.g12 / two_pi
-        energy[r, s1] = w[r, s1] * (
-            p + (gamma.g11 * x * x + 2.0 * gamma.g12 * x * y
-                 + gamma.g22 * y * y) / (2.0 * two_pi))
-    disk = act.copy()
-    disk[:, :4] &= ~np.repeat(double, 2, axis=1)
-    r, k = np.nonzero(disk)
-    x = m[r, k]
-    gii = np.array([gamma.g11, gamma.g22])[_SLOT_SPECIES[k]]
-    grad[r, k] = np.sqrt(math.pi / x) + gii * x / two_pi
-    hess[r, k] = gii / two_pi - 0.5 * math.sqrt(math.pi) * x ** -1.5
-    energy[r, k] = w[r, k] * (2.0 * np.sqrt(math.pi * x)
-                              + gii * x * x / (2.0 * two_pi))
-
-    F = np.zeros((R, _NSLOT + 2))
-    F[:, :_NSLOT] = np.where(act, grad - lam[:, _SLOT_SPECIES], 0.0)
-    slot = np.arange(_NSLOT)
-    J[:, slot, slot] = np.where(act, hess, 1.0)
-    J[:, slot, _NSLOT + _SLOT_SPECIES] = np.where(act, -1.0, 0.0)
-    J[:, _NSLOT + _SLOT_SPECIES, slot] = np.where(act, w, 0.0)
-    for s in (0, 1):
-        on = act & (_SLOT_SPECIES == s)
-        held = on.any(axis=1)
-        F[:, _NSLOT + s] = np.where(held, (w * m * on).sum(axis=1) - M[s], 0.0)
-        J[:, _NSLOT + s, _NSLOT + s] = ~held
-    return F, J, energy.sum(axis=1), calls
+    gii = np.array([gamma.g11, gamma.g22])[_SLOT_SPECIES]
+    # every slot as a disk: the doubles' slots are overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = np.sqrt(math.pi / m) + gii * m / two_pi
+        hess = gii / two_pi - 0.5 * math.sqrt(math.pi) * m ** -1.5
+    J = frame.copy()  # and views of J[:, i, i], J[:, i, i + 1], J[:, i + 1, i]
+    diag, upper, lower = (J.reshape(R, n * n)[:, i::n + 1] for i in (0, 1, n))
+    held = diag[:, _NSLOT:] == 0.0
+    perim = np.zeros((R, 2))
+    r, g = np.nonzero(act[:, 0:4:2] & act[:, 1:4:2])
+    if r.size:
+        xy = m[:, :4].reshape(R, 2, 2)[r, g].T
+        D = _perimeter_derivatives(*xy)
+        gam = np.array([[gamma.g11, gamma.g12], [gamma.g12, gamma.g22]])
+        grad[:, :4].reshape(R, 2, 2)[r, g] = (
+            D[1:3] + (gam[:, :, None] * xy).sum(axis=1) / two_pi).T
+        hess[:, :4].reshape(R, 2, 2)[r, g] = (
+            D[3::2] + gam.diagonal()[:, None] / two_pi).T
+        upper[:, 0:4:2][r, g] = lower[:, 0:4:2][r, g] = (
+            D[4] + gamma.g12 / two_pi)
+        perim[r, g] = D[0]
+    diag[:, :_NSLOT] = np.where(act, hess, 1.0)
+    mass = (frame[:, _NSLOT:, :_NSLOT] * m[:, None]).sum(axis=2)
+    F = np.hstack((np.where(act, grad - lam[:, _SLOT_SPECIES], 0.0),
+                   np.where(held, mass - M, 0.0)))
+    norm = np.where(valid, np.sqrt((F * F).sum(axis=1)), np.inf)
+    return F, J, perim, norm, int(r.size > 0)
 
 
-def _trial(cand, act, w, M, gamma):
-    """`_kkt` at candidate rows; a candidate with a non-finite entry or a
-    nonpositive active slot gets an infinite residual norm."""
-    R = len(cand)
-    F = np.zeros((R, _NSLOT + 2))
-    J = np.zeros((R, _NSLOT + 2, _NSLOT + 2))
-    energy = np.full(R, np.inf)
-    norm = np.full(R, np.inf)
-    m = cand[:, :_NSLOT]
-    valid = np.isfinite(cand).all(axis=1) & np.where(act, m > 0.0,
-                                                     True).all(axis=1)
-    i = np.flatnonzero(valid)
-    calls = 0
-    if i.size:
-        F[i], J[i], energy[i], calls = _kkt(cand[i], act[i], w[i], M, gamma)
-        norm[i] = np.linalg.norm(F[i], axis=1)
-    return F, J, energy, norm, calls
+def _energy(t, act, w, perim, gamma):
+    """Each row's energy, a double's from its perimeter in `perim`."""
+    m = t[:, :_NSLOT]
+    gii = np.array([gamma.g11, gamma.g22])[_SLOT_SPECIES]
+    e = np.where(act, w * (2.0 * np.sqrt(math.pi * m)
+                           + gii * m * m / (4.0 * math.pi)), 0.0)
+    r, g = np.nonzero(act[:, 0:4:2] & act[:, 1:4:2])
+    x, y = m[:, :4].reshape(len(m), 2, 2)[r, g].T
+    e[r, 2 * g] = w[r, 2 * g] * (perim[r, g]
+                                 + gamma.quad(x, y) / (4.0 * math.pi))
+    e[r, 2 * g + 1] = 0.0
+    return e.sum(axis=1)
 
 
 def _newton_steps(J, F):
@@ -488,13 +487,21 @@ def _newton_steps(J, F):
     try:
         return -np.linalg.solve(J, F[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        out = np.full(F.shape, np.nan)
-        for i in range(len(F)):
-            try:
-                out[i] = -np.linalg.solve(J[i], F[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+        if len(F) == 1:
+            return np.full(F.shape, np.nan)
+        return np.concatenate([_newton_steps(J[i:i + 1], F[i:i + 1])
+                               for i in range(len(F))])
+
+
+def _stop_bound(t, act, tol):
+    """Each row's converged residual norm: tol plus rtol times its larger
+    multiplier, rtol from its smallest double lobe ratio (1 without one)."""
+    x, y = t[:, 0:4:2], t[:, 1:4:2]
+    dbl = act[:, 0:4:2] & act[:, 1:4:2]
+    q = np.where(dbl, np.minimum(x, y), 1.0) / np.where(dbl, np.maximum(x, y), 1.0)
+    rtol = np.maximum(_KKT_RTOL, _KKT_QTOL / np.sqrt(np.minimum(q[:, 0], q[:, 1])))
+    lam = np.abs(t[:, _NSLOT:])
+    return tol + rtol * np.maximum(lam[:, 0], lam[:, 1])
 
 
 def _newton(t, w, M, gamma):
@@ -507,55 +514,56 @@ def _newton(t, w, M, gamma):
     largest that lowers it.  A row with no such damp drops the active slots
     that its full step put at or below 4 _FLOOR_FRAC M_s (a double becomes
     a single, a single vanishes) and goes on, or else stops.  A row stops
-    once ||F|| <= 1e-13 max(1, M1 + M2) + _KKT_RTOL max|lambda|.  Returns
-    (t, energy, residual norm, which rows converged, stats).
+    within `_stop_bound`.  Returns (t, energy, residual norm, which rows
+    converged, stats).
     """
     M = np.asarray(M, dtype=float)
     floor = 4.0 * _FLOOR_FRAC * M[_SLOT_SPECIES]
     t = t.copy()
     act = (w > 0.0) & (t[:, :_NSLOT] > floor)
     t[:, :_NSLOT] = np.where(act, t[:, :_NSLOT], 0.0)
-    F, J, energy, calls = _kkt(t, act, w, M, gamma)
-    for s in (0, 1):
-        on = act & (_SLOT_SPECIES == s)
-        lam = (np.where(on, F[:, :_NSLOT], 0.0).sum(axis=1)
-               / np.maximum(on.sum(axis=1), 1))
-        t[:, _NSLOT + s] = lam
-        F[:, :_NSLOT] -= np.where(on, lam[:, None], 0.0)
-    fnorm = np.linalg.norm(F, axis=1)
+    frame = _frame(act, w)
+    F, J, perim, _, calls = _kkt(t, act, w, frame, M, gamma)
+    on = act[:, None] & _BY_SPECIES
+    t[:, _NSLOT:] = lam = (np.where(on, F[:, None, :_NSLOT], 0.0).sum(axis=2)
+                           / np.maximum(on.sum(axis=2), 1))
+    F[:, :_NSLOT] -= np.where(on, lam[:, :, None], 0.0).sum(axis=1)
+    fnorm = np.sqrt((F * F).sum(axis=1))
     tol = 1e-13 * max(1.0, M[0] + M[1])
     live = np.ones(len(t), dtype=bool)
     damps = 0.5 ** np.arange(1, 6)
     iters = 0
     for _ in range(_NEWTON_ITERS):
-        live &= fnorm > tol + _KKT_RTOL * np.abs(t[:, _NSLOT:]).max(axis=1)
+        live &= fnorm > _stop_bound(t, act, tol)
         rows = np.flatnonzero(live)
         if not rows.size:
             break
         iters += 1
         step = _newton_steps(J[rows], F[rows])
         full = t[rows] + step
-        F1, J1, e1, n1, c = _trial(full, act[rows], w[rows], M, gamma)
+        F1, J1, p1, n1, c = _kkt(full, act[rows], w[rows], frame[rows], M,
+                                 gamma)
         calls += c
         won = n1 < fnorm[rows]
         k = rows[won]
-        t[k], F[k], J[k], energy[k], fnorm[k] = (
-            full[won], F1[won], J1[won], e1[won], n1[won])
+        t[k], F[k], J[k], perim[k], fnorm[k] = (
+            full[won], F1[won], J1[won], p1[won], n1[won])
         back, full, step = rows[~won], full[~won], step[~won]
         if not back.size:
             continue
         cand = (t[back] + damps[:, None, None] * step).reshape(-1, _NSLOT + 2)
         reps = (len(damps), 1)
-        F2, J2, e2, n2, c = _trial(cand, np.tile(act[back], reps),
-                                   np.tile(w[back], reps), M, gamma)
+        F2, J2, p2, n2, c = _kkt(cand, np.tile(act[back], reps),
+                                 np.tile(w[back], reps),
+                                 np.tile(frame[back], reps + (1,)), M, gamma)
         calls += c
         better = n2.reshape(len(damps), back.size) < fnorm[back]
         took = better.any(axis=0)
         first = np.argmax(better, axis=0)[took]
         pick = first * back.size + np.flatnonzero(took)
         k = back[took]
-        t[k], F[k], J[k], energy[k], fnorm[k] = (
-            cand[pick], F2[pick], J2[pick], e2[pick], n2[pick])
+        t[k], F[k], J[k], perim[k], fnorm[k] = (
+            cand[pick], F2[pick], J2[pick], p2[pick], n2[pick])
         stuck = back[~took]
         drop = act[stuck] & (full[~took, :_NSLOT] <= floor)
         live[stuck] = drop.any(axis=1)
@@ -563,13 +571,14 @@ def _newton(t, w, M, gamma):
         t[stuck, :_NSLOT] = np.where(drop, 0.0, t[stuck, :_NSLOT])
         k = stuck[live[stuck]]
         if k.size:
-            F[k], J[k], energy[k], fnorm[k], c = _trial(t[k], act[k], w[k],
-                                                        M, gamma)
+            frame[k] = _frame(act[k], w[k])
+            F[k], J[k], perim[k], fnorm[k], c = _kkt(t[k], act[k], w[k],
+                                                     frame[k], M, gamma)
             calls += c
-    converged = fnorm <= tol + _KKT_RTOL * np.abs(t[:, _NSLOT:]).max(axis=1)
+    converged = fnorm <= _stop_bound(t, act, tol)
     stats = {"rows": len(t), "converged": int(converged.sum()),
              "iterations": iters, "geometry_calls": calls}
-    return t, energy, fnorm, converged, stats
+    return t, _energy(t, act, w, perim, gamma), fnorm, converged, stats
 
 
 def _row_clusters(t, w):
@@ -595,12 +604,12 @@ def ebar(M, gamma: GammaMatrix):
     all of it when the cell has no singles of that species.  The answer is
     the row of lowest energy among those that converged (KKT residual norm
     within 1e-13 max(1, M1 + M2) plus 1e-11 of the larger species
-    multiplier) with a finite energy and species mass sums within the
+    multiplier, or 2.1e-15/sqrt(q) of it below a double lobe ratio q of
+    4.4e-8) with a finite energy and species mass sums within the
     Configuration's 1e-12 relative tolerance; the value is the energy of
-    its clusters.
-    Logs one DEBUG line per call to the "triblock.partition" logger: rows,
-    rows converged, Newton iterations, array geometry calls, and the KKT
-    residual of the chosen cell.
+    its clusters.  Logs one DEBUG line per call to the "triblock.partition"
+    logger: cells ranked, ansatz unit grids, rows, rows converged, Newton
+    iterations, array geometry calls, and the chosen cell's KKT residual.
 
     No droplet or lobe of a minimizer is heavier than the mass cap of its
     species (`thresholds`), so species i needs at least ceil(M_i / cap_i)
@@ -623,8 +632,8 @@ def _ebar(M, gamma, th):
         raise ValueError(
             f"the mass caps need at least {needed} clusters, over the "
             f"search bound of {_MAX_CLUSTERS}")
-    cells = _candidate_cells((M1, M2), gamma, th)
-    w = np.array([_slot_weights(counts) for counts in cells])
+    cells, ranked, grids = _candidate_cells((M1, M2), gamma, th)
+    w = _slot_weights(np.array(cells))
     t, energy, fnorm, ok, stats = _newton(_cell_starts(w, (M1, M2)), w,
                                           (M1, M2), gamma)
     ok &= np.isfinite(energy)
@@ -635,9 +644,10 @@ def _ebar(M, gamma, th):
         raise RuntimeError(f"no feasible configuration found for M={M!r}")
     k = np.flatnonzero(ok)[np.argmin(energy[ok])]
     conf = _build_configuration(_row_clusters(t[k], w[k]), (M1, M2))
-    _log.debug("ebar M=(%g, %g): %d rows, %d converged, %d Newton "
-               "iterations, %d geometry calls, KKT residual %.3e of the "
-               "chosen cell", M1, M2, stats["rows"], stats["converged"],
+    _log.debug("ebar M=(%g, %g): %d cells ranked, %d ansatz unit grids, "
+               "%d rows, %d converged, %d Newton iterations, %d geometry "
+               "calls, KKT residual %.3e of the chosen cell", M1, M2,
+               ranked, grids, stats["rows"], stats["converged"],
                stats["iterations"], stats["geometry_calls"], fnorm[k])
     return conf.energy(gamma), conf
 

@@ -352,6 +352,32 @@ def test_perimeter_derivatives_evaluate_the_arcs_once_per_pass(monkeypatch):
     assert len(calls) <= passes + 1
 
 
+@pytest.mark.parametrize("band, passes", [((-300.0, -30.0), 2),
+                                          ((-30.0, -12.0), 3),
+                                          ((-12.0, 0.0), 2)])
+def test_middle_angle_passes_by_ratio_band(monkeypatch, band, passes):
+    # The `_START` series and, below about 5e-25, the lens start: counted
+    # as `_brackets` calls of each scalar solve and `_angle_terms` calls of
+    # one array solve over the band's 300 draws.
+    rng = np.random.default_rng(47)
+    q = 10.0 ** rng.uniform(*band, 300)
+    b = 10.0 ** rng.uniform(-6.0, 6.0, 300)
+    brackets, angle_terms, calls = G._brackets, G._angle_terms, []
+    monkeypatch.setattr(G, "_brackets",
+                        lambda t: calls.append(t) or brackets(t))
+    worst = 0
+    for qi, bi in zip(q, b):
+        calls.clear()
+        G._solve_middle_angle(qi * bi, bi, G._RESIDUAL_TOL, G._MAX_ITER)
+        worst = max(worst, len(calls))
+    monkeypatch.setattr(G, "_angle_terms",
+                        lambda t: calls.append(t) or angle_terms(t))
+    calls.clear()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not np.isnan(G._middle_angles(q * b, b)).any()
+    assert 1 <= len(calls) <= worst <= passes
+
+
 # Array solver `_perimeters` against the scalar `perimeter`.
 _PAIR = st.tuples(st.floats(-300.0, 0.0),  # log10 of the ratio
                   st.floats(-6.0, 6.0),    # log10 of the scale

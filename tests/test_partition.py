@@ -658,7 +658,8 @@ def test_kkt_jacobian_is_the_derivative_of_the_residual():
     act = np.array([[1, 1, 1, 1, 1, 1, 1, 1], [0, 0, 1, 0, 0, 1, 0, 1]], bool)
     t = np.array([[0.2, 0.1, 0.3, 0.05, 0.15, 0.25, 0.1, 0.3, 1.7, 2.2],
                   [0.0, 0.0, 0.6, 0.0, 0.0, 0.7, 0.0, 0.9, 1.1, 2.9]])
-    _, J, _, _ = partition._kkt(t, act, w, M, g)
+    frame = partition._frame(act, w)
+    J = partition._kkt(t, act, w, frame, M, g)[1]
     # inactive slots are identity rows, not derivatives
     live = np.hstack([act, np.ones((2, 2), bool)])
     J = np.where(live[:, :, None], J, 0.0)
@@ -667,8 +668,8 @@ def test_kkt_jacobian_is_the_derivative_of_the_residual():
         up, down = t.copy(), t.copy()
         up[:, j] += h
         down[:, j] -= h
-        Fu = partition._kkt(up, act, w, M, g)[0]
-        Fd = partition._kkt(down, act, w, M, g)[0]
+        Fu = partition._kkt(up, act, w, frame, M, g)[0]
+        Fd = partition._kkt(down, act, w, frame, M, g)[0]
         fd = (Fu - Fd) / (2.0 * h[:, None])
         assert np.allclose(J[:, :, j], fd, rtol=1e-6, atol=1e-6), j
 
@@ -714,10 +715,100 @@ def test_ebar_logs_one_debug_line_per_call(caplog):
         ebar((1.25, 0.75), GammaMatrix(8.0, 2.0, 0.5))  # solved swapped
     (record,) = caplog.records
     assert record.levelno == logging.DEBUG
-    for word in ("rows", "converged", "Newton iterations", "geometry calls",
-                 "KKT residual", "chosen cell"):
+    for word in ("cells ranked", "ansatz unit grids", "rows", "converged",
+                 "Newton iterations", "geometry calls", "KKT residual",
+                 "chosen cell"):
         assert word in record.getMessage()
+    assert "26 cells ranked, 1 ansatz unit grids, 24 rows" in (
+        record.getMessage())
     assert "worst" not in record.getMessage()
+
+
+def _newton_stats(monkeypatch, M, g):
+    """ebar's answer and the stats of its one `_newton` call."""
+    newton, seen = partition._newton, []
+
+    def spy(*args):
+        out = newton(*args)
+        seen.append(out[4])
+        return out
+
+    monkeypatch.setattr(partition, "_newton", spy)
+    value, conf = ebar(M, g)
+    (stats,) = seen
+    return value, conf, tuple(stats[k] for k in ("rows", "converged",
+                                                 "iterations",
+                                                 "geometry_calls"))
+
+
+# The perfbench sweep instances at their template Gamma: (rows, converged,
+# Newton iterations, array geometry calls).
+@pytest.mark.parametrize("M, gg, stats", [
+    ((0.75, 1.25), (1.0, 1.0, 0.0), (24, 24, 4, 5)),
+    ((1.0, 1.0), (4.0, 4.0, 6.0), (24, 24, 5, 6)),
+    ((1.25, 0.75), (8.0, 2.0, 0.5), (24, 24, 6, 8)),
+])
+def test_newton_stats_on_the_sweep_instances(monkeypatch, M, gg, stats):
+    assert _newton_stats(monkeypatch, M, GammaMatrix(*gg))[2] == stats
+
+
+# A double whose lobe ratio q is tiny sits at its KKT point once ||F|| is
+# down to the accuracy of its small-lobe slope, ~eps/sqrt(q) relative: every
+# row converges there, in a few iterations.  The values are the answers
+# that running on to 50 iterations gave.
+@pytest.mark.parametrize("share, value, iterations", [
+    (1e-12, 3.624487389994687, 4),
+    (1e-20, 3.624485173578643, 3),
+    (1e-27, 3.6244851733570496, 2),
+])
+def test_rows_with_a_tiny_lobe_converge(monkeypatch, share, value,
+                                        iterations):
+    got, conf, stats = _newton_stats(monkeypatch, (share, 1.0), G_PLAIN)
+    assert got == pytest.approx(value, rel=1e-12)
+    assert tuple(conf.counts().values()) == (1, 0, 0)
+    assert stats[1] == stats[0] and stats[2] == iterations
+
+
+def test_stop_bound_widens_below_lobe_ratio_4e_8():
+    # Rows: a double of lobe ratio 1e-6, one of 1e-10, a lone lobe of mass
+    # 1e-12 beside an inactive partner, and singles only.
+    t = np.zeros((4, 10))
+    t[:, 8:] = [[2.0, -3.0]] * 4
+    t[0, 0:2], t[1, 2:4], t[2, 0] = (1e-6, 1.0), (1.0, 1e-10), 1e-12
+    t[3, 4:8] = 0.5
+    act = t[:, :8] > 0.0
+    got = partition._stop_bound(t, act, 1e-13)
+    base = 1e-13 + partition._KKT_RTOL * 3.0
+    assert got[0] == got[2] == got[3] == base
+    assert got[1] == pytest.approx(
+        1e-13 + 3.0 * math.sqrt(10.0) * np.finfo(float).eps / 1e-5 * 3.0,
+        rel=1e-12)
+
+
+def test_cell_starts_follow_the_per_species_rule():
+    # Reference: per row and species, the doubles take half the total (all
+    # of it without singles of that species, none without doubles), and
+    # each group's part is shared equally by its slot weight.
+    counts = np.array([(kd, k1, k2) for kd in range(3) for k1 in range(3)
+                       for k2 in range(3)])
+    w = partition._slot_weights(counts)
+    M = (0.7, 1.9)
+    want = np.zeros((len(w), 10))
+    for row, wr in enumerate(w):
+        for s in (0, 1):
+            dbl = [k for k in (0, 1, 2, 3) if k % 2 == s and wr[k] > 0]
+            sgl = [k for k in ((4, 5), (6, 7))[s] if wr[k] > 0]
+            d, g = sum(wr[dbl]), sum(wr[sgl])
+            f = 0.0 if d == 0 else 0.5 if g > 0 else 1.0
+            want[row, dbl] = M[s] * f / max(d, 1.0)
+            want[row, sgl] = M[s] * (1.0 - f) / max(g, 1.0)
+    assert np.array_equal(partition._cell_starts(w, M), want)
+
+
+def test_slot_weights_of_many_cells_match_one_at_a_time():
+    counts = np.array([(0, 3, 2), (1, 0, 0), (2, 1, 4), (5, 7, 0)])
+    assert np.array_equal(partition._slot_weights(counts),
+                          [partition._slot_weights(c) for c in counts])
 
 
 @pytest.mark.parametrize("flaw", ["stalled", "mass gap"])
