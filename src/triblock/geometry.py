@@ -642,18 +642,21 @@ def concavity_threshold(gamma_ii: float, i: int = 1,
     x d^2 e0/d m_i^2 is linear for a lone disk, gamma_ii x/(2 pi) -
     sqrt(pi)/2, and nearly linear with a partner: `_illinois` solves it in
     x, from the two end values the bracket checks computed.  Raises
-    ConvergenceError when the two ends do not bracket a sign change, when
-    x at the upper end passes the float range (gamma_ii below about
-    1e-303), or when the solve or the post-check fails; `e0_hessian_diag`
-    refuses a species index i other than 1 or 2.
+    ValueError for a species index i other than 1 or 2, and ConvergenceError
+    when the ends do not bracket a sign change, when x at the upper end
+    passes the float range (gamma_ii below about 1e-303), when species i is
+    below 1e-26 of its partner, or when the solve or the post-check fails.
     """
     gamma_ii = real("gamma_ii", gamma_ii, 0.0)
     probe_other_mass = real("probe_other_mass", probe_other_mass, 0.0)
-    gamma = GammaMatrix(gamma_ii, gamma_ii, 0.0)
+    i = integer("i", i, 1)
+    if i > 2:
+        raise ValueError(f"i must be 1 or 2, got {i}")
 
     def hess(mi: float) -> float:
+        _refuse_small_lobe(mi, probe_other_mass)
         pair = (mi, probe_other_mass) if i == 1 else (probe_other_mass, mi)
-        return e0_hessian_diag(pair, gamma, i)
+        return gamma_ii / (2.0 * math.pi) + _perimeter_hessian(*pair)[2 * i - 2]
 
     anchor = math.pi * gamma_ii ** (-2.0 / 3.0)
     lo = anchor * 10.0 ** -_SCAN_DECADES

@@ -17,10 +17,10 @@ which structural guarantees apply at given parameters.
 The oracle, `ebar_oracle`, is an independent exhaustive route that shares
 no search code: masses on a delta-grid, the energy of every grid cluster
 from one array geometry solve, and the optimum over at most max_parts
-clusters as a min-plus power of that table by repeated squaring.  Each
-min-plus product loops over the rows of one factor in Python and takes the
-minimum over the other axis for all rows at once; the last product is
-evaluated at the answer's entry only.
+clusters as a min-plus power of that table by repeated squaring, until a
+square returns its input, which every higher power equals.  Each min-plus
+product loops over the rows of one factor in Python and takes the minimum
+over the other axis for all rows at once; the last only at the answer's entry.
 """
 
 import logging
@@ -597,19 +597,24 @@ def ebar(M, gamma: GammaMatrix):
     """Best found splitting of the total masses into droplet clusters.
 
     Returns (value, Configuration).  The search is deterministic: it ranks
-    cluster-count cells by the grid minimum of an equal-mass ansatz, and
-    solves the best-ranked cells by Newton's method on the first-order
-    system (equal species derivatives, exact mass sums), every cell in one
-    batch from one start: per species the doubles take half the total, or
-    all of it when the cell has no singles of that species.  The answer is
-    the row of lowest energy among those that converged (KKT residual norm
-    within 1e-13 max(1, M1 + M2) plus 1e-11 of the larger species
-    multiplier, or 2.1e-15/sqrt(q) of it below a double lobe ratio q of
-    4.4e-8) with a finite energy and species mass sums within the
-    Configuration's 1e-12 relative tolerance; the value is the energy of
-    its clusters.  Logs one DEBUG line per call to the "triblock.partition"
-    logger: cells ranked, ansatz unit grids, rows, rows converged, Newton
-    iterations, array geometry calls, and the chosen cell's KKT residual.
+    cluster-count cells by the grid minimum of an equal-mass ansatz, in
+    which the mass left over from the doubles is packed into equal disks
+    whose count is one of the two next to mass/x* (x* the disk mass of least
+    energy per unit mass), over the cells that give each species with a
+    positive total a cluster and no other species one.  It solves the best
+    24 cells by Newton's method on the first-order system (equal species
+    derivatives, exact mass sums), with exact Hessians from one array
+    geometry solve per evaluation, every cell in one batch from one start:
+    per species the doubles take half the total, or all of it when the cell
+    has no singles of that species.  The answer is the row of lowest energy
+    among those that converged (KKT residual norm within 1e-13 max(1, M1 +
+    M2) plus 1e-11 of the larger species multiplier, or 2.1e-15/sqrt(q) of
+    it below a double lobe ratio q of 4.4e-8) with a finite energy and
+    species mass sums within the Configuration's 1e-12 relative tolerance;
+    only its clusters are built, and the value is their energy.  Logs one
+    DEBUG line per call to the "triblock.partition" logger: cells ranked,
+    ansatz unit grids, rows, rows converged, Newton iterations, array
+    geometry calls, and the chosen cell's KKT residual.
 
     No droplet or lobe of a minimizer is heavier than the mass cap of its
     species (`thresholds`), so species i needs at least ceil(M_i / cap_i)
@@ -730,14 +735,19 @@ def ebar_oracle(M, gamma: GammaMatrix, delta: float = 1.0 / 64,
     min-plus dynamic programming: the cluster energy table (one array
     geometry solve for every grid pair) raised to the max_parts-th min-plus
     power by repeated squaring.  Each squaring passes one array as both
-    operands, so `_min_plus` forms it as a square, over half the row pairs.
-    A full product of two different powers comes once for each set bit of
-    max_parts past the top two (max_parts = 7, 11, 13, 14, 15, ...); at
-    max_parts = 12 all three full products are squares.  Only the answer's
-    entry of the last product is formed.  `delta` is a positive number and
-    max_parts and max_states positive integers (`triblock._args`).  Raises
-    RuntimeError when the state space exceeds max_states or M/delta is not
-    finite.
+    operands, so `_min_plus` forms it over only the row pairs b1 >= a1,
+    which gives the same floats as the full product.  A full product of two
+    different powers comes at most once for each set bit of max_parts past
+    the top two (max_parts = 7, 11, 13, 14, 15, ...); at max_parts = 12 all
+    three full products are squares.  Only the answer's entry of the last
+    product is formed.  Squaring stops once a square P equals its input:
+    each entry of a later power or pending product is then a minimum of
+    float sums that include P's entry itself (the part at [0, 0] adds 0)
+    and, as P is its own square and rounding is monotone, none smaller.
+    Logs the states, full squares and fixed point at DEBUG.  `delta` is a
+    positive number and max_parts and max_states positive integers
+    (`triblock._args`).  Raises RuntimeError when the state space exceeds
+    max_states or M/delta is not finite.
     """
     M1, M2 = nonempty_pair("M", M)
     delta = real("delta", delta, 0.0)
@@ -757,17 +767,23 @@ def ebar_oracle(M, gamma: GammaMatrix, delta: float = 1.0 / 64,
             f"oracle budget exceeded: {states} grid states > {max_states}")
     table = _quantized_energy_table(n1, n2, delta, gamma)
     # Repeated squaring; `result` collects the powers of the set bits.
-    result, power, mp = None, table, max_parts
-    while mp > 1:
+    result, power, mp, squares, fixed = None, table, max_parts, 0, False
+    while mp > 1 and not fixed:
         if mp & 1:
             result = power if result is None else _min_plus(result, power)
         mp >>= 1
         if mp == 1 and result is None:  # max_parts is a power of two
-            return _corner_min_plus(power, power)
-        power = _min_plus(power, power)
-    if result is None:
-        return float(power[n1, n2])
-    return _corner_min_plus(result, power)
+            result = power
+            break
+        square = _min_plus(power, power)
+        squares += 1
+        fixed, power = np.array_equal(square, power), square
+    value = (float(power[n1, n2]) if fixed or result is None
+             else _corner_min_plus(result, power))
+    _log.debug("ebar_oracle M=(%g, %g): %d states, %d full squares, fixed "
+               "point %s", M1, M2, states, squares,
+               f"at {1 << (squares - 1)} parts" if fixed else "not reached")
+    return value
 
 
 def round_config_to_grid(config: Configuration, delta: float):

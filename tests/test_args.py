@@ -173,6 +173,7 @@ def test_accepts_numpy_scalars(entry, name, kind, good, call):
     (lambda: PL.self_interaction((0.0, 0.0), 1, 1), "m"),
     (lambda: PF.droplet_field(16, 0.1, 0.2, [(0, 0)], [(0.5, 0.5)]), "masses"),
     (lambda: G.e0_hessian_diag((0.5, 1.0), GAMMA, 3), "i"),
+    (lambda: G.concavity_threshold(1.0, 3), "i"),
     (lambda: PL.Layout((0.0, 0.5), ((1.0, 0.0), (0.0, 1.0))), "points"),
     (lambda: PL.Layout(((0.0, 0.5, 0.5),), ((1.0, 0.0),)), "points"),
     (lambda: TG.green_spectral((0.3, 0.1), tol=0.0), "tol"),
@@ -189,8 +190,9 @@ def test_accepts_numpy_scalars(entry, name, kind, good, call):
         "pair-of-strings", "one-mass", "zero-lobe", "e0-empty", "ebar-empty",
         "oracle-empty", "regime-empty", "cluster-empty", "layout-empty",
         "self-empty", "droplet-empty",
-        "species-three", "layout-bare-point", "layout-triple", "tol-zero",
-        "tol-negative", "sharp-eta-one", "threshold-eta-one",
+        "species-three", "threshold-species-three", "layout-bare-point",
+        "layout-triple", "tol-zero", "tol-negative", "sharp-eta-one",
+        "threshold-eta-one",
         "sharp-cell-mass-inf", "sharp-cell-mass-zero-division",
         "sharp-empty-grid", "scaled-factor-inf", "scaled-zero-division",
         "scaled-eta-1e-300"])

@@ -562,7 +562,8 @@ def test_concavity_threshold_refuses_a_range_without_sign_change(monkeypatch):
     with pytest.raises(G.ConvergenceError, match="no bracket"):
         G.concavity_threshold(1.0, 1, 10.0)
     # A second derivative negative at both ends brackets nothing either.
-    monkeypatch.setattr(G, "e0_hessian_diag", lambda m, gamma, i: -1.0)
+    monkeypatch.setattr(G, "_perimeter_hessian",
+                        lambda m1, m2: (-1.0, 0.0, -1.0))
     with pytest.raises(G.ConvergenceError, match="no concavity sign change"):
         G.concavity_threshold(1.0, 1, 1.0)
 
@@ -572,14 +573,16 @@ _GRID_PROBE = (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3)
 
 
 def _count_hessians(monkeypatch):
+    # concavity_threshold forms each second derivative from one
+    # _perimeter_hessian call.
     calls = []
-    hessian = G.e0_hessian_diag
+    hessian = G._perimeter_hessian
 
     def counted(*args):
         calls.append(args)
         return hessian(*args)
 
-    monkeypatch.setattr(G, "e0_hessian_diag", counted)
+    monkeypatch.setattr(G, "_perimeter_hessian", counted)
     return calls
 
 

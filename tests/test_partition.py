@@ -381,19 +381,67 @@ def test_min_plus_square_equals_the_full_pass():
         T = square
 
 
-def test_oracle_powers_match_repeated_products():
+def _squared_without_exit(table, k):
+    """The answer's entry of table^k by repeated squaring to the last bit,
+    with no fixed-point exit."""
+    result, power = None, table
+    while k > 1:
+        if k & 1:
+            result = (power if result is None
+                      else partition._min_plus(result, power))
+        k >>= 1
+        if k == 1 and result is None:
+            return partition._corner_min_plus(power, power)
+        power = partition._min_plus(power, power)
+    if result is None:
+        return float(power[-1, -1])
+    return partition._corner_min_plus(result, power)
+
+
+@pytest.mark.parametrize("M, gg, delta, squares", [
+    # Strong self-interaction: the optimum keeps falling up to 8 clusters,
+    # so no square returns its input.
+    ((2.0, 1.5), (256.0, 128.0, 4.0), 0.25, 3),
+    # One cluster is optimal at every state: the table is its own square.
+    ((1.0, 1.0), (1.0, 1.0, 0.0), 1.0 / 16, 1),
+    # The first square changes 83 states, the second none.
+    ((1.5, 1.0), (4.0, 4.0, 6.0), 1.0 / 16, 2),
+], ids=["no-fixed-point", "fixed-at-one-part", "fixed-at-two-parts"])
+def test_oracle_powers_match_repeated_products(monkeypatch, M, gg, delta,
+                                               squares):
     # At most k clusters is the k-th min-plus power of the cluster table
     # (its [0, 0] entry is 0); repeated squaring, including the answer-only
-    # last product, must agree with k - 1 plain products for every k.
-    # Strong self-interaction: the optimum keeps falling up to 8 clusters.
-    M, g, delta = (2.0, 1.5), GammaMatrix(256.0, 128.0, 4.0), 0.25
-    table = partition._quantized_energy_table(8, 6, delta, g)
+    # last product, must agree with k - 1 plain products for every k.  Past
+    # a fixed point the exit returns the same floats as squaring on.
+    g = GammaMatrix(*gg)
+    n1, n2 = round(M[0] / delta), round(M[1] / delta)
+    table = partition._quantized_energy_table(n1, n2, delta, g)
     power = table
-    for k in range(1, 10):
+    for k in range(1, 16):
         if k > 1:
             power = _min_plus_reference(power, table)
-        assert ebar_oracle(M, g, delta=delta, max_parts=k) == pytest.approx(
-            power[8, 6], rel=1e-13), k
+        got = ebar_oracle(M, g, delta=delta, max_parts=k)
+        assert got == _squared_without_exit(table, k), k
+        assert got == pytest.approx(power[n1, n2], rel=1e-13), k
+    min_plus, calls = partition._min_plus, []
+
+    def counted(A, B):
+        calls.append(A is B)
+        return min_plus(A, B)
+
+    monkeypatch.setattr(partition, "_min_plus", counted)
+    ebar_oracle(M, g, delta=delta, max_parts=12)
+    assert calls == [True] * squares
+
+
+def test_oracle_stops_only_when_every_state_holds(monkeypatch):
+    # The answer's state can hold through a square while a smaller one
+    # falls: 2.5 -> 1 + 1, and only the next square finds 2 + 2 < 4.2.
+    table = np.array([[0.0], [1.0], [2.5], [3.5], [4.2]])
+    monkeypatch.setattr(partition, "_quantized_energy_table",
+                        lambda n1, n2, delta, gamma: table)
+    assert _squared_without_exit(table, 4) == 4.0
+    assert ebar_oracle((4.0, 0.0), G_PLAIN, delta=1.0, max_parts=4) == 4.0
 
 
 def test_min_plus_small_buffer_and_many_blocks(monkeypatch):
@@ -722,6 +770,21 @@ def test_ebar_logs_one_debug_line_per_call(caplog):
     assert "26 cells ranked, 1 ansatz unit grids, 24 rows" in (
         record.getMessage())
     assert "worst" not in record.getMessage()
+
+
+def test_ebar_oracle_logs_one_debug_line_per_call(caplog):
+    with caplog.at_level(logging.DEBUG, logger="triblock.partition"):
+        ebar_oracle((1.5, 1.0), GammaMatrix(4.0, 4.0, 6.0), delta=1.0 / 16)
+        ebar_oracle((2.0, 1.5), GammaMatrix(256.0, 128.0, 4.0), delta=0.25)
+    fixed, moving = (r.getMessage() for r in caplog.records)
+    assert all(r.levelno == logging.DEBUG for r in caplog.records)
+    assert fixed == ("ebar_oracle M=(1.5, 1): 425 states, 2 full squares, "
+                     "fixed point at 2 parts")
+    assert moving == ("ebar_oracle M=(2, 1.5): 63 states, 3 full squares, "
+                      "fixed point not reached")
+    caplog.clear()
+    ebar_oracle((1.5, 1.0), GammaMatrix(4.0, 4.0, 6.0), delta=1.0 / 16)
+    assert not caplog.records  # silent by default
 
 
 def _newton_stats(monkeypatch, M, g):
