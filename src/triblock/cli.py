@@ -20,7 +20,8 @@ import hashlib
 import json
 import math
 import sys
-from itertools import permutations, product
+from bisect import bisect_left
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -420,25 +421,43 @@ def _run_relax(params, out, cfg_hash):
     return result, paths
 
 
+def _perfect_matching(allowed) -> bool:
+    """Whether each row of the square boolean matrix gets a column of its
+    own, by augmenting paths (Kuhn's algorithm)."""
+    K = len(allowed)
+    owner = [-1] * K  # the row matched to each column
+
+    def augment(k, seen):
+        for ell in np.flatnonzero(allowed[k]):
+            if not seen[ell]:
+                seen[ell] = True
+                if owner[ell] < 0 or augment(owner[ell], seen):
+                    owner[ell] = k
+                    return True
+        return False
+
+    return all(augment(k, [False] * K) for k in range(K))
+
+
 def _center_mismatch(ext_points, opt_points, masses):
-    """Largest matched center distance, minimized over translations induced
-    by mass-compatible permutations (the optimum is only defined up to a
-    torus translation)."""
-    K = len(ext_points)
-    if K > 7:
-        return None
+    """Largest matched center distance, minimized over mass-compatible
+    matchings and the torus translations they induce (the optimum is only
+    defined up to a translation): for each j that can take center 0, the
+    least distance at which the centers match perfectly once center 0 is
+    moved onto j, bisected over the sorted distances."""
     ext = np.asarray(ext_points, dtype=float)
     opt = np.asarray(opt_points, dtype=float)
     m = [tuple(p) for p in masses]
-    best = None
-    for perm in permutations(range(K)):
-        if any(m[k] != m[perm[k]] for k in range(K)):
-            continue
-        shift = wrap(opt[perm[0]] - ext[0])
-        d = wrap(ext + shift - opt[list(perm)])
-        worst = float(np.max(np.hypot(d[:, 0], d[:, 1])))
-        if best is None or worst < best:
-            best = worst
+    compatible = np.array([[a == b for b in m] for a in m])
+    best = math.inf
+    for j in np.flatnonzero(compatible[0]):
+        d = wrap(ext[:, None] + wrap(opt[j] - ext[0]) - opt[None])
+        dist = np.where(compatible, np.hypot(d[..., 0], d[..., 1]), math.inf)
+        dist[0, np.arange(len(m)) != j] = math.inf  # center 0 goes to j
+        levels = np.unique(dist[dist < best])
+        i = bisect_left(levels, True, key=lambda t: _perfect_matching(dist <= t))
+        if i < len(levels):
+            best = float(levels[i])
     return best
 
 

@@ -7,12 +7,11 @@ its optimal shape (a double bubble or a disk) and the Green function's
 regular part at zero.  The shape integrals are deterministic Gauss-Legendre
 quadratures over the circular arcs that bound each lobe.
 
-FK, its gradient and the Hessian of the Newton phase in `minimize_FK` come
-from one Ewald call over the K(K-1)/2 pair differences (`_pair_terms`).
-`minimize_FK` descends from several layouts with the first center
-pinned: a dense BFGS (Nocedal & Wright, Numerical Optimization, ch. 6) on
-the 2(K-1) free coordinates toward a basin, then Newton steps on the
-analytic Hessian where it is positive definite.
+FK, its gradient and its Hessian come from one Ewald call over the
+K(K-1)/2 pair differences (`_pair_terms`).  `minimize_FK` descends from
+several layouts with the first center pinned, each by a trust region on
+the 2(K-1) free coordinates that solves its subproblem exactly on the
+analytic Hessian (Nocedal & Wright, Numerical Optimization, ch. 4).
 """
 
 import functools
@@ -84,9 +83,8 @@ def _weight_matrix(M: np.ndarray, gamma: GammaMatrix) -> np.ndarray:
 
 @functools.cache
 def _pairs(K: int):
-    """Pairs k < l as triu indices, and their incidence rows (+1 at k, -1 at l)."""
-    iu = np.triu_indices(K, 1)
-    return iu, np.eye(K)[iu[0]] - np.eye(K)[iu[1]]
+    """Pairs k < l as triu indices."""
+    return np.triu_indices(K, 1)
 
 
 def _pair_terms(P: np.ndarray, W: np.ndarray, order: int = 0):
@@ -95,19 +93,27 @@ def _pair_terms(P: np.ndarray, W: np.ndarray, order: int = 0):
     One Ewald call over the K(K-1)/2 pair differences y^k - y^l, k < l.
     Returns the energy, plus the gradient (K, 2) for order >= 1, plus the
     Hessian (2K, 2K) for order 2, with rows and columns ordered as
-    P.ravel().  Raises ValueError when two centers coincide.
+    P.ravel().  Both are scattered over the pairs: pair (k, l) adds
+    w grad G to center k and takes it from l, and puts -w hess G on the
+    blocks (k, l) and (l, k); each diagonal block is minus the sum of the
+    others in its row.  Raises ValueError when two centers coincide.
     """
     K = len(P)
-    iu, B = _pairs(K)
+    iu = _pairs(K)
     w = W[iu]
     terms = _ewald(wrap(P[iu[0]] - P[iu[1]]), order)
     if order == 0:
         return float(np.sum(w * terms))
     G, grad, *hess = terms
-    out = (float(np.sum(w * G)), B.T @ (w[:, None] * grad))
+    D = np.zeros((K, K, 2))
+    D[iu] = w[:, None] * grad
+    out = (float(np.sum(w * G)), D.sum(axis=1) - D.sum(axis=0))
     if order == 1:
         return out
-    H = np.einsum("pk,pl,p,pab->kalb", B, B, w, hess[0])
+    H = np.zeros((K, 2, K, 2))
+    H[iu[0], :, iu[1]] = H[iu[1], :, iu[0]] = -w[:, None, None] * hess[0]
+    diag = np.arange(K)
+    H[diag, :, diag] = -H.sum(axis=2)
     return out + (H.reshape(2 * K, 2 * K),)
 
 
@@ -130,110 +136,99 @@ def fk_gradient(layout: Layout, gamma: GammaMatrix) -> np.ndarray:
     return _pair_terms(P, _weight_matrix(M, gamma), 1)[1]
 
 
-# Evaluation counters of a descent: the calls of `_pair_terms` at orders 1
-# and 2.
-_EVAL_KEYS = ("gradient_evals", "hessian_evals")
+def _tr_step(lam: np.ndarray, V: np.ndarray, g: np.ndarray, radius: float):
+    """Exact minimizer p of g.p + p.H p / 2 over |p| <= radius, where
+    H = V diag(lam) V^T, lam ascending (Moré & Sorensen, SIAM J. Sci. Stat.
+    Comput. 4, 1983; Nocedal & Wright §4.3).
 
-
-def _bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Inverse-Hessian BFGS update (Nocedal & Wright eq. 6.17) for the step
-    s and gradient change y.  H is returned unchanged when s.y <= 0, so it
-    stays symmetric positive definite."""
-    sy = float(s @ y)
-    if not sy > 0.0:
-        return H
-    Hy = H @ y
-    v = ((sy + float(y @ Hy)) / (2.0 * sy * sy)) * s - Hy / sy
-    sv = s[:, None] * v
-    return H + (sv + sv.T)
-
-
-def _descend(z0: np.ndarray, W: np.ndarray, gtol: float, max_rounds: int = 3):
-    """BFGS toward the basin plus Newton polish on the free centers.
-
-    z holds the flattened centers 1..K-1; center 0 is pinned at the
-    origin.  Each round runs two phases.  The BFGS phase steps along
-    -H grad, backtracks from the unit step, capped at 0.25 in max-norm,
-    until the energy falls by the Armijo margin, and hands off at a
-    gradient norm of 1e-3; its first step takes H = 1e-2 I, and its pair
-    (s, y) scales the identity by s.y/y.y before the first update.  The
-    Newton phase steps on the analytic Hessian while that is positive
-    definite, accepting a step that lowers the gradient norm.  When the
-    polish stalls above gtol, the next round's BFGS phase runs on down to
-    gtol.  Every trial point costs one
-    `_pair_terms` call at order 1, and an accepted trial's energy and
-    gradient become the next step's, so no point is evaluated twice.
-    Returns (z, energy, grad_norm, evals); grad_norm may exceed gtol on
-    failure, and evals counts the calls by order under the keys of
-    _EVAL_KEYS.
+    Returns (p, mu) with (H + mu I) p = -g, mu >= 0, H + mu I positive
+    semidefinite and mu (radius - |p|) = 0.  mu solves 1/|p(mu)| =
+    1/radius by Newton steps inside a bisection bracket, except where the
+    Newton step fits (mu = 0) and in the hard case, where -g lacks the
+    lowest eigenvector: there mu = -lam_0, and that vector completes p.
     """
-    evals = dict.fromkeys(_EVAL_KEYS, 0)
+    a = V.T @ -g
+    shift = max(0.0, -lam[0])
+    # mu - shift: 0 for a positive definite H, else the rounding of lam_0
+    s = 0.0 if lam[0] > 0.0 else np.finfo(float).eps * float(np.abs(lam).max())
+    d = lam + shift
+    p = a / (d + s)
+    if np.linalg.norm(p) <= radius:
+        if lam[0] <= 0.0:  # the hard case
+            p[0] = math.copysign(math.sqrt(max(
+                0.0, radius * radius - float(p[1:] @ p[1:]))), a[0])
+        return V @ p, shift + s
+    lo, hi = s, float(np.linalg.norm(a)) / radius  # |p(hi)| <= radius
+    for _ in range(60):
+        norm = float(np.linalg.norm(p))
+        if abs(norm - radius) <= 1e-14 * radius:
+            break
+        lo, hi = (s, hi) if norm > radius else (lo, s)
+        s += (norm / radius - 1.0) * norm * norm / float(p @ (p / (d + s)))
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        p = a / (d + s)
+    return V @ p, shift + s
+
+
+# Trust-region radius of `_descend` at the start of a restart, and its
+# largest value, in the Euclidean norm of the free coordinates.
+_RADIUS_START = 0.1
+_RADIUS_MAX = 0.5
+
+
+def _descend(z0: np.ndarray, W: np.ndarray, gtol: float):
+    """Trust-region descent (Nocedal & Wright, alg. 4.1) on z, the
+    flattened centers 1..K-1, with center 0 pinned at the origin.
+
+    Each trial costs one `_pair_terms` call at order 2, and an accepted
+    trial hands on its energy, gradient and Hessian, so no point is
+    evaluated twice; each iterate costs one `eigh` for `_tr_step`, whose
+    steps follow negative curvature, so a saddle is no stopping point.  A
+    trial is accepted when rho, its actual over its predicted decrease, is
+    positive.  The radius shrinks to a quarter of the step when rho < 1/4
+    or the trial is singular, and doubles up to _RADIUS_MAX when rho > 3/4
+    on the boundary.  Below the rounding floor 1e-13 (1 + |E|) of the
+    predicted decrease rho is noise: a trial counts as rho = 1/2 if it
+    lowers the gradient norm, else as 0.  The loop stops at gtol or at a
+    radius below 1e-15.  Returns (z, energy, grad_norm, evals), evals
+    counting the calls; grad_norm exceeds gtol on failure.
+    """
     P = np.zeros((len(z0) // 2 + 1, 2))  # row 0 stays the pinned origin
 
-    def terms(z, order):
-        evals[_EVAL_KEYS[order - 1]] += 1
+    def terms(z):
         P[1:] = z.reshape(-1, 2)
-        energy, grad, *hess = _pair_terms(P, W, order)
-        return (energy, grad[1:].ravel(), *(h[2:, 2:] for h in hess))
+        energy, grad, H = _pair_terms(P, W, 2)
+        return energy, grad[1:].ravel(), H[2:, 2:]
 
     z = wrap(z0.reshape(-1, 2)).ravel()
-    energy, grad = terms(z, 1)
+    energy, grad, H = terms(z)
     gnorm = float(np.linalg.norm(grad))
-    H = None  # 1e-2 I for the first step, whose pair then scales I
-    handoff = 1e-3
-    for _ in range(max_rounds):
-        # BFGS phase: quasi-Newton progress toward the basin.
-        for _ in range(400):
-            if gnorm <= handoff:
-                break
-            p = -(1e-2 * grad if H is None else H @ grad)
-            p *= min(1.0, 0.25 / float(np.abs(p).max()))
-            slope = 1e-4 * float(grad @ p)
-            alpha = 1.0
-            for _ in range(40):
-                trial = wrap((z + alpha * p).reshape(-1, 2)).ravel()
-                try:
-                    e_t, g_t = terms(trial, 1)
-                except ValueError:
-                    e_t = math.inf
-                # strict, so that a step lost in the energy's rounding fails
-                if e_t < energy + alpha * slope:
-                    break
-                alpha *= 0.5
-            else:
-                break
-            s, y = alpha * p, g_t - grad
-            if H is None:  # Nocedal & Wright eq. 6.20
-                sy = float(s @ y)
-                H = (sy / float(y @ y) if sy > 0.0 else 1e-2) * np.eye(len(z))
-            H = _bfgs_update(H, s, y)
-            z, energy, grad = trial, e_t, g_t
+    lam, V = np.linalg.eigh(H)
+    radius, evals = _RADIUS_START, 1
+    while gnorm > gtol and radius >= 1e-15:
+        evals += 1
+        p, _ = _tr_step(lam, V, grad, radius)
+        step = float(np.linalg.norm(p))
+        predicted = -float(grad @ p + 0.5 * (p @ H @ p))
+        trial = wrap((z + p).reshape(-1, 2)).ravel()
+        try:
+            e_t, g_t, H_t = terms(trial)
+        except ValueError:
+            radius = 0.25 * step
+            continue
+        if predicted > 1e-13 * (1.0 + abs(energy)):
+            rho = (energy - e_t) / predicted
+        else:
+            rho = 0.5 if np.linalg.norm(g_t) < gnorm else 0.0
+        if rho < 0.25:
+            radius = 0.25 * step
+        elif rho > 0.75 and step >= 0.99 * radius:
+            radius = min(2.0 * radius, _RADIUS_MAX)
+        if rho > 0.0:
+            z, energy, grad, H = trial, e_t, g_t, H_t
             gnorm = float(np.linalg.norm(grad))
-        # Newton phase on the analytic Hessian, where it is positive definite.
-        for _ in range(40):
-            if gnorm <= gtol:
-                return z, energy, gnorm, evals
-            lam, V = np.linalg.eigh(terms(z, 2)[2])
-            if not lam[0] > 0.0:
-                break
-            delta = V @ ((V.T @ -grad) / lam)
-            damp = 1.0
-            for _ in range(12):
-                trial = wrap((z + damp * delta).reshape(-1, 2)).ravel()
-                try:
-                    e_t, g_t = terms(trial, 1)
-                except ValueError:
-                    damp *= 0.5
-                    continue
-                if np.linalg.norm(g_t) < gnorm:
-                    break
-                damp *= 0.5
-            else:
-                break
-            z, energy, grad = trial, e_t, g_t
-            gnorm = float(np.linalg.norm(grad))
-        # The polish stalled: the next BFGS phase goes all the way.
-        handoff = gtol
+            lam, V = np.linalg.eigh(H)
     return z, energy, gnorm, evals
 
 
@@ -258,17 +253,19 @@ def minimize_FK(masses, gamma: GammaMatrix, restarts: int = 8, seed: int = 0,
 
     - it returns the lowest-energy restart among those that end at a
       gradient norm of at most gtol;
-    - each restart descends from its start: every BFGS step lowers the
-      energy by the Armijo margin.  The Newton polish runs only where the
-      Hessian is positive definite and accepts a step that lowers the
-      gradient norm, so it may raise the energy slightly: on 180 seeded
-      instances (K = 2..8) 57 of its 1617 steps did, by at most 1.1e-6;
+    - each restart descends from its start: a step accepted on its ratio
+      of actual to predicted decrease lowers the energy.  Only where the
+      predicted decrease is below the rounding floor 1e-13 (1 + |E|) is a
+      step accepted on a falling gradient norm, and such a step may raise
+      the energy by about that floor: on 180 seeded instances (K = 2..8)
+      87 of 7630 accepted steps did, by at most 1.8e-15;
     - it does not promise a global minimum: at K = 8 different restarts
       end in different local minima, and more restarts can find a lower
       one.
 
     With full_output, each row of "restarts" holds the restart's energy,
-    gradient norm and its gradient and Hessian evaluation counts.
+    gradient norm and its count of `_pair_terms` calls, each with the
+    Hessian ("hessian_evals").
     `restarts` is a positive integer, `seed` a non-negative one and `gtol`
     a positive number (`triblock._args`).  Raises RuntimeError with
     diagnostics when no restart reaches gtol, and ValueError when the
@@ -306,7 +303,7 @@ def minimize_FK(masses, gamma: GammaMatrix, restarts: int = 8, seed: int = 0,
             zfree[bad - 1] = rng.uniform(0.0, 1.0, size=(len(bad), 2))
         z, energy, gnorm, evals = _descend(zfree.ravel(), W, gtol)
         rows.append({"restart": r, "energy": energy, "grad_norm": gnorm,
-                     **evals})
+                     "hessian_evals": evals})
         if gnorm <= gtol and (best is None or energy < best[1]):
             best = (z, energy, gnorm)
     if best is None:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from triblock import torus_green as TG
 from triblock.cli import _SCHEMAS, ExperimentConfig, main, resolve_parameters
+from triblock.cli import _center_mismatch
 from triblock.cli import _write_sweep_csv as write_sweep_csv
 from triblock.placement import disk_self_interaction
 from triblock.torus_green import wrap
@@ -128,9 +130,8 @@ def test_place_two_equal_masses_diagonal(tmp_path, capsys):
     rows = written["diagnostics"]["restarts"]
     assert [row["restart"] for row in rows] == list(range(8))
     for row in rows:
-        assert {"energy", "grad_norm", "gradient_evals",
-                "hessian_evals"} <= set(row)
-        assert row["gradient_evals"] >= 1
+        assert {"energy", "grad_norm", "hessian_evals"} <= set(row)
+        assert row["hessian_evals"] >= 1
 
 
 def test_place_with_f0_adds_closed_form_disk_terms(tmp_path, capsys):
@@ -376,6 +377,52 @@ def test_compare_pipeline_reports_gaps(tmp_path, capsys):
     # seeded on the optimal diagonal, so the placement gap closes
     assert result["placement"]["gap"] == pytest.approx(0.0, abs=1e-9)
     assert result["placement"]["max_center_distance"] < 1e-6
+
+
+def permutation_mismatch(ext, opt, masses):
+    """Brute-force oracle for `_center_mismatch`: every mass-compatible
+    permutation, with the translation that its center 0 induces."""
+    ext, opt = np.asarray(ext, dtype=float), np.asarray(opt, dtype=float)
+    m = [tuple(p) for p in masses]
+    best = math.inf
+    for perm in permutations(range(len(m))):
+        if any(m[k] != m[perm[k]] for k in range(len(m))):
+            continue
+        d = wrap(ext + wrap(opt[perm[0]] - ext[0]) - opt[list(perm)])
+        best = min(best, float(np.max(np.hypot(d[:, 0], d[:, 1]))))
+    return best
+
+
+def test_center_mismatch_equals_the_permutation_oracle():
+    # the compare pipeline's two singles on the diagonal, then seeded
+    # layouts with up to three mass classes, some of them a jittered,
+    # shuffled and translated copy of the other and some independent
+    cases = [([[0.25, 0.25], [0.75, 0.75]], [[0.0, 0.0], [0.5, 0.5]],
+              [(2.0, 0.0), (0.0, 2.0)])]
+    rng = np.random.default_rng(7)
+    for i in range(50):
+        K = 2 + i % 6
+        kinds = [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)][:1 + i % 3]
+        masses = [kinds[k] for k in rng.integers(len(kinds), size=K)]
+        opt = rng.uniform(size=(K, 2))
+        ext = (rng.uniform(size=(K, 2)) if i % 2 else
+               opt[rng.permutation(K)] + rng.uniform(size=2)
+               + rng.normal(scale=0.02, size=(K, 2)))
+        cases.append((ext, opt, masses))
+    for ext, opt, masses in cases:
+        assert _center_mismatch(ext, opt, masses) == permutation_mismatch(
+            ext, opt, masses)
+
+
+def test_center_mismatch_of_a_shuffled_translated_copy():
+    # both layouts carry the masses in one order, so the copy is shuffled
+    # within each mass class
+    rng = np.random.default_rng(12)
+    opt = rng.uniform(size=(12, 2))
+    masses = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.4)] * 4
+    order = np.arange(12).reshape(4, 3)[rng.permutation(4)].ravel()
+    ext = opt[order] + np.array([0.37, -0.81])
+    assert _center_mismatch(ext, opt, masses) <= 1e-12
 
 
 def test_regime_sweep_crosses_the_splitting_threshold(tmp_path, capsys):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
 from triblock import placement
@@ -41,6 +41,12 @@ def random_layout(rng, K, masses, min_sep=1e-3):
         if sep.min() > min_sep:
             return Layout(tuple(map(tuple, pts)), tuple(masses))
 
+
+# Thirty-two clusters of every kind: doubles, species-1 and species-2
+# singles, with seeded masses.
+_K32 = [tuple(float(m) * k for m, k in zip(row, kind)) for row, kind in zip(
+    np.random.default_rng(32).uniform(0.1, 2.0, size=(32, 2)),
+    [(1, 1), (1, 0), (0, 1)] * 10 + [(1, 1)] * 2)]
 
 _MASS = st.floats(0.1, 2.0)
 # A cluster holds both species, or only the first, or only the second.
@@ -178,6 +184,7 @@ class TestFK:
 @given(masses=st.lists(_CLUSTER, min_size=2, max_size=6),
        g=st.tuples(st.floats(0.2, 2.0), st.floats(0.2, 2.0), st.floats(0.0, 2.0)),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(masses=_K32, g=(1.0, 1.3, 0.6), seed=32)
 def test_pair_terms_match_direct_loops(masses, g, seed):
     gamma = GammaMatrix(*g)
     K = len(masses)
@@ -282,37 +289,33 @@ class TestMinimizeFK:
                               restarts=3, full_output=True)
         rows = info["restarts"]
         assert [row["restart"] for row in rows] == [0, 1, 2]
-        # every line-search trial is evaluated with its gradient
-        assert pair_term_calls.count(0) == 0
-        for key, order in (("gradient_evals", 1), ("hessian_evals", 2)):
-            assert sum(row[key] for row in rows) == pair_term_calls.count(order)
-            assert all(row[key] > 0 for row in rows)
+        # every trial is evaluated with its gradient and Hessian
+        assert set(pair_term_calls) == {2}
+        assert sum(row["hessian_evals"] for row in rows) == len(pair_term_calls)
+        assert all(row["hessian_evals"] > 0 for row in rows)
 
     def test_pinned_eight_cluster_descent(self, pair_term_calls):
         # perfbench's K=8 mass template: its restart energies, best layout
-        # and call budget, one `_pair_terms` call per line-search trial.
-        # The Armijo descent took 356 calls; its first restart, started on
-        # the diagonal, ended at a saddle of energy -0.28819051531732487, and
-        # its best layout was the second restart's, 5.3e-4 above the first
-        # restart's here.
+        # and call budget, one order-2 `_pair_terms` call per trial.  The
+        # BFGS descent with a Newton polish took 133 calls, and its best
+        # layout was restart 0's, at -1.1477228633938321.
         lay, info = minimize_FK(PLACE_K8, GammaMatrix(1, 1, 0.5), restarts=2,
                                 seed=0, full_output=True)
         rows = info["restarts"]
         assert [row["energy"] for row in rows] == pytest.approx(
-            [-1.1477228633938321, -1.147196052970049], rel=1e-12)
+            [-1.1477228633938321, -1.1478239524722502], rel=1e-12)
         assert info["grad_norm"] <= 1e-10
         points = [(0.0, 0.0),
-                  (-0.4335648084253637, -0.49183573784362095),
-                  (-0.2948396900994262, 0.25476558647091985),
-                  (0.26143148631827823, -0.3007800511157562),
-                  (-0.04794417152265089, 0.47598700209473277),
-                  (-0.2535283840076881, -0.27659400323529354),
-                  (0.27394371602706075, 0.26828274328818147),
-                  (-0.45671849715992413, -0.023791139498974132)]
+                  (-0.4383647344715491, -0.47363730601609516),
+                  (-0.2470337404489038, 0.3024601309264748),
+                  (0.27475114194959266, 0.30165097144450714),
+                  (-0.44084875974008103, 0.04166957947971677),
+                  (-0.2963870058891972, -0.22687476798801345),
+                  (0.30036413283496743, -0.23755705655688636),
+                  (-0.03200801697809212, -0.4492524966285805)]
         assert np.abs(np.asarray(lay.points) - points).max() <= 1e-12
-        assert [(row["gradient_evals"], row["hessian_evals"])
-                for row in rows] == [(50, 2), (79, 2)]
-        assert len(pair_term_calls) == 133
+        assert [row["hessian_evals"] for row in rows] == [13, 14]
+        assert len(pair_term_calls) == 27
 
     def test_pinned_four_cluster_descent(self, pair_term_calls):
         # perfbench's K=4 mass template, pinned as the K=8 one; the best
@@ -321,18 +324,17 @@ class TestMinimizeFK:
                                 restarts=2, seed=0, full_output=True)
         rows = info["restarts"]
         assert [row["energy"] for row in rows] == pytest.approx(
-            [-0.4229327763782685, -0.42293277637826854], rel=1e-12)
+            [-0.4229327763782685, -0.41669244768816915], rel=1e-12)
         assert info["grad_norm"] <= 1e-10
         points = [(0.0, 0.0),
-                  (-0.29096589297879055, 0.49999999998717104),
-                  (-0.46206175906764246, -1.1357735007344735e-11),
-                  (0.23983321254130557, -0.4999999999981615)]
+                  (-0.29096589300708, -0.5),
+                  (-0.4620617590591569, 5.056906801733116e-17),
+                  (0.2398332125156169, -0.4999999999999999)]
         assert np.abs(wrap(np.asarray(lay.points) - points)).max() <= 1e-12
-        assert [(row["gradient_evals"], row["hessian_evals"])
-                for row in rows] == [(20, 2), (41, 2)]
-        assert len(pair_term_calls) == 65
+        assert [row["hessian_evals"] for row in rows] == [10, 11]
+        assert len(pair_term_calls) == 21
 
-    @pytest.mark.parametrize("masses", [PLACE_K8[:4], PLACE_K8])
+    @pytest.mark.parametrize("masses", [PLACE_K8[:4], PLACE_K8, _K32])
     def test_restarts_end_at_local_minima(self, monkeypatch, masses):
         # every restart that reaches gtol ends where the Hessian of FK in
         # the free centers is positive definite, not at a saddle
@@ -373,32 +375,36 @@ class TestMinimizeFK:
         assert np.linalg.norm(fk_gradient(lay, gamma)[1:]) <= 1e-10
 
 
-def test_bfgs_update_skips_a_pair_without_curvature():
-    H = np.array([[2.0, 0.5], [0.5, 1.0]])
-    for s, y in (([1.0, 0.0], [-1.0, 0.0]), ([1.0, 0.0], [0.0, 1.0])):
-        assert placement._bfgs_update(H, np.array(s), np.array(y)) is H
-    # the update satisfies the secant equation H+ y = s
-    s, y = np.array([0.3, -0.1]), np.array([0.5, 0.2])
-    assert placement._bfgs_update(H, s, y) @ y == pytest.approx(s, abs=1e-15)
-
-
-def test_bfgs_matrix_stays_symmetric_positive_definite(monkeypatch):
-    # over the pinned K=8 descent, every inverse-Hessian estimate is
-    # exactly symmetric and has a Cholesky factor
-    seen = []
-    update = placement._bfgs_update
-
-    def recorded(H, s, y):
-        out = update(H, s, y)
-        seen.append(out)
-        return out
-
-    monkeypatch.setattr(placement, "_bfgs_update", recorded)
-    minimize_FK(PLACE_K8, GammaMatrix(1, 1, 0.5), restarts=2, seed=0)
-    assert len(seen) > 100
-    for H in seen:
-        assert np.array_equal(H, H.T)
-        np.linalg.cholesky(H)
+@pytest.mark.parametrize("lam, coeffs, radius, interior", [
+    pytest.param([0.5, 1.0, 3.0, 7.0], [0.1, -0.2, 0.3, 0.05], 1.0, True,
+                 id="newton-step"),
+    pytest.param([0.5, 1.0, 3.0, 7.0], [0.1, -0.2, 0.3, 0.05], 0.05, False,
+                 id="positive-definite"),
+    pytest.param([-2.0, -0.5, 1.0, 4.0], [0.3, 0.1, -0.2, 0.4], 0.3, False,
+                 id="indefinite"),
+    # g has no part along the lowest eigenvector
+    pytest.param([-2.0, -0.5, 1.0, 4.0], [0.0, 0.1, -0.2, 0.4], 1.0, False,
+                 id="hard-case"),
+])
+def test_trust_region_step_meets_more_sorensen_conditions(lam, coeffs, radius,
+                                                          interior):
+    # H in a seeded basis; coeffs are g's coordinates in the eigenbasis
+    # that `eigh` returns for it
+    Q = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
+    H = (Q * lam) @ Q.T
+    lam_h, V = np.linalg.eigh(H)
+    g = V @ np.array(coeffs)
+    p, mu = placement._tr_step(lam_h, V, g, radius)
+    scale = np.linalg.norm(H, 2) * radius + np.linalg.norm(g)
+    assert np.abs((H + mu * np.eye(4)) @ p + g).max() <= 1e-12 * scale
+    assert mu >= 0.0
+    assert np.linalg.eigvalsh(H)[0] + mu >= -1e-12 * np.linalg.norm(H, 2)
+    assert np.linalg.norm(p) <= radius * (1.0 + 1e-12)
+    assert abs(mu * (radius - np.linalg.norm(p))) <= 1e-12 * mu * radius
+    if interior:
+        assert mu == 0.0
+    else:
+        assert mu > 0.0 and np.linalg.norm(p) == pytest.approx(radius, rel=1e-12)
 
 
 @given(masses=st.lists(_CLUSTER, min_size=2, max_size=6),
