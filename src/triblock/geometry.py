@@ -483,6 +483,12 @@ def _perimeter_derivatives(m1, m2):
     Hessian `perimeter_hessian`, elementwise, from the arc terms that the
     residual gate used.  Returns the rows (p, p1, p2, h11, h12, h22) of one
     (6, n) array, all in the caller's order.
+
+    It has no small-lobe refusal, unlike `perimeter_hessian`: it is only
+    the Jacobian of `ebar`'s Newton iteration, where an inexact small-lobe
+    entry slows convergence but does not move the KKT point, and
+    `partition._scale` widens that species' tolerance to the accuracy of
+    its slope (tested down to a share of 1e-27).
     """
     p, a, b, h, r, s, c, g, d = _solve_pairs(m1, m2)
     dtheta = (g[2] - g[0]) / (d[0] - d[1] - a / b * (d[2] - d[0]))

@@ -5,10 +5,11 @@ clusters: double bubbles holding both species and single disks holding one.
 Each cluster pays its blow-up energy and the best configuration minimizes
 the sum.  The search, `ebar`, is deterministic: it ranks cluster-count
 cells by the grid minimum of an equal-mass ansatz, and solves the best
-cells for their masses with one batched Newton iteration on the
+cells for their masses with one batched plain Newton iteration on the
 first-order (KKT) system, over every cell at once from one structured
 start each, with exact second derivatives from one array geometry solve
-per evaluation; the answer is the converged row of lowest energy.
+per evaluation and each species' equations judged at that species' own
+accuracy; the answer is the converged row of lowest energy.
 Closed-form thresholds bound the structure of minimizers: their mass caps
 give the least cluster count a search must reach, and `ebar` refuses
 totals whose count exceeds a fixed bound.  A regime classifier reports
@@ -52,7 +53,6 @@ _KINDS = (KIND_DOUBLE, KIND_SINGLE_1, KIND_SINGLE_2)
 _log = logging.getLogger(__name__)
 
 _MASS_RTOL = 1e-12
-_FLOOR_FRAC = 1e-9
 # check_necessary_conditions: relative spread allowed between the species
 # derivatives, and relative slack on the mass thresholds.
 _BALANCE_RTOL = 1e-6
@@ -377,12 +377,10 @@ _BY_SPECIES = _SLOT_SPECIES == np.arange(2)[:, None]  # each species' slots
 _FREE_SLOT = np.array([0, 0, 1, 1, 0, 1, 0, 1], dtype=bool)
 # Newton iterations before a row that has not converged is left as it is.
 _NEWTON_ITERS = 50
-# A row converges at ||F|| <= 1e-13 max(1, M1 + M2) + rtol max|lambda|.  A
-# lobe's slope 1/r is good to ~eps/sqrt(q) relative at lobe ratio q: over
-# the ten entries of F, sqrt(10) eps/sqrt(q), and a factor 3 keeps a row at
-# its KKT point from running on.  rtol is the larger of _KKT_RTOL, that
-# bound at q = 1e-8 rounded up, and _KKT_QTOL/sqrt(q) at the row's smallest
-# double lobe ratio q, which passes _KKT_RTOL below q = 4.4e-8.
+# Relative tolerances of `_scale`.  A lobe's slope 1/r is good to
+# ~eps/sqrt(q) relative at lobe ratio q: over the ten entries of F,
+# sqrt(10) eps/sqrt(q), and a factor 3 keeps a row at its KKT point from
+# running on.  _KKT_QTOL/sqrt(q) passes _KKT_RTOL below q = 4.4e-8.
 _KKT_RTOL = 1e-11
 _KKT_QTOL = 3.0 * math.sqrt(10.0) * np.finfo(float).eps
 
@@ -421,9 +419,10 @@ def _frame(act, w):
     return J
 
 
-def _kkt(t, act, w, frame, M, gamma):
-    """(F, J, double perimeters, residual norm, geometry calls) of the KKT
-    system at rows t, J built on their `_frame`.
+def _kkt(t, act, w, frame, M, gamma, tol):
+    """(F, J, double perimeters, scaled residual norm, geometry calls) of
+    the KKT system at rows t, J built on their `_frame` and F scaled by
+    `_scale` with tol for the norm.
 
     Per active slot F is the cluster's energy derivative in that species
     minus the species multiplier; per species, the mass sum minus M_s.  J
@@ -464,7 +463,8 @@ def _kkt(t, act, w, frame, M, gamma):
     mass = (frame[:, _NSLOT:, :_NSLOT] * m[:, None]).sum(axis=2)
     F = np.hstack((np.where(act, grad - lam[:, _SLOT_SPECIES], 0.0),
                    np.where(held, mass - M, 0.0)))
-    norm = np.where(valid, np.sqrt((F * F).sum(axis=1)), np.inf)
+    norm = np.where(valid, np.linalg.norm(F / _scale(t, act, tol), axis=1),
+                    np.inf)
     return F, J, perim, norm, int(r.size > 0)
 
 
@@ -493,97 +493,67 @@ def _newton_steps(J, F):
                                for i in range(len(F))])
 
 
-def _stop_bound(t, act, tol):
-    """Each row's converged residual norm: tol plus rtol times its larger
-    multiplier, rtol from its smallest double lobe ratio (1 without one)."""
-    x, y = t[:, 0:4:2], t[:, 1:4:2]
+def _scale(t, act, tol):
+    """Each entry's scale in the KKT residual of rows t: tol for a mass
+    equation, tol + rtol_s |lambda_s| for a slot equation of species s, with
+    rtol_s = max(_KKT_RTOL, _KKT_QTOL/sqrt(q_s)) and q_s the smallest ratio
+    of a double's species-s lobe to its partner lobe, at most 1."""
     dbl = act[:, 0:4:2] & act[:, 1:4:2]
-    q = np.where(dbl, np.minimum(x, y), 1.0) / np.where(dbl, np.maximum(x, y), 1.0)
-    rtol = np.maximum(_KKT_RTOL, _KKT_QTOL / np.sqrt(np.minimum(q[:, 0], q[:, 1])))
-    lam = np.abs(t[:, _NSLOT:])
-    return tol + rtol * np.maximum(lam[:, 0], lam[:, 1])
+    xy = np.where(dbl, t[:, :4].reshape(len(t), 2, 2).transpose(2, 0, 1), 1.0)
+    q = (xy / xy.max(axis=0)).min(axis=2)  # 1 where the lobe is the larger
+    rtol = np.maximum(_KKT_RTOL, _KKT_QTOL / np.sqrt(q)).T
+    slot = tol + (rtol * np.abs(t[:, _NSLOT:]))[:, _SLOT_SPECIES]
+    return np.hstack((slot, np.full((len(t), 2), tol)))
 
 
 def _newton(t, w, M, gamma):
-    """Newton on the KKT system of every row at once.
+    """Plain Newton on the KKT system of every row at once.
 
-    A slot starts active above 4 _FLOOR_FRAC M_s and each multiplier at
-    the mean derivative of its species' active slots.  Every step takes
-    F and J at the full Newton step of each live row; rows whose residual
-    norm did not fall try the damps 1/2 .. 1/32 together and take the
-    largest that lowers it.  A row with no such damp drops the active slots
-    that its full step put at or below 4 _FLOOR_FRAC M_s (a double becomes
-    a single, a single vanishes) and goes on, or else stops.  A row stops
-    within `_stop_bound`.  Returns (t, energy, residual norm, which rows
-    converged, stats).
+    The active slots are those of positive weight, and each multiplier
+    starts at the mean derivative of its species' slots.  A live row takes
+    its full Newton step while that lowers its scaled residual norm
+    (`_kkt`), and converges at a norm of at most 1.  Each row ends under
+    one stop, counted in the stats: converged, left_cell (its step put a
+    slot at or below zero or out of the floats), no_descent (its step did
+    not lower the norm) or iteration_cap.  Returns (t, energy, scaled
+    residual norm, which rows converged, stats).
     """
     M = np.asarray(M, dtype=float)
-    floor = 4.0 * _FLOOR_FRAC * M[_SLOT_SPECIES]
-    t = t.copy()
-    act = (w > 0.0) & (t[:, :_NSLOT] > floor)
-    t[:, :_NSLOT] = np.where(act, t[:, :_NSLOT], 0.0)
+    tol = 1e-13 * max(1.0, M[0] + M[1])
+    t, act = t.copy(), w > 0.0
     frame = _frame(act, w)
-    F, J, perim, _, calls = _kkt(t, act, w, frame, M, gamma)
+    F, J, perim, _, calls = _kkt(t, act, w, frame, M, gamma, tol)
     on = act[:, None] & _BY_SPECIES
     t[:, _NSLOT:] = lam = (np.where(on, F[:, None, :_NSLOT], 0.0).sum(axis=2)
                            / np.maximum(on.sum(axis=2), 1))
     F[:, :_NSLOT] -= np.where(on, lam[:, :, None], 0.0).sum(axis=1)
-    fnorm = np.sqrt((F * F).sum(axis=1))
-    tol = 1e-13 * max(1.0, M[0] + M[1])
-    live = np.ones(len(t), dtype=bool)
-    damps = 0.5 ** np.arange(1, 6)
-    iters = 0
-    for _ in range(_NEWTON_ITERS):
-        live &= fnorm > _stop_bound(t, act, tol)
-        rows = np.flatnonzero(live)
-        if not rows.size:
-            break
+    fnorm = np.linalg.norm(F / _scale(t, act, tol), axis=1)
+    live = ~(fnorm <= 1.0)
+    iters = left = flat = 0
+    while live.any() and iters < _NEWTON_ITERS:
         iters += 1
-        step = _newton_steps(J[rows], F[rows])
-        full = t[rows] + step
+        rows = np.flatnonzero(live)
+        full = t[rows] + _newton_steps(J[rows], F[rows])
         F1, J1, p1, n1, c = _kkt(full, act[rows], w[rows], frame[rows], M,
-                                 gamma)
+                                 gamma, tol)
         calls += c
         won = n1 < fnorm[rows]
         k = rows[won]
         t[k], F[k], J[k], perim[k], fnorm[k] = (
             full[won], F1[won], J1[won], p1[won], n1[won])
-        back, full, step = rows[~won], full[~won], step[~won]
-        if not back.size:
-            continue
-        cand = (t[back] + damps[:, None, None] * step).reshape(-1, _NSLOT + 2)
-        reps = (len(damps), 1)
-        F2, J2, p2, n2, c = _kkt(cand, np.tile(act[back], reps),
-                                 np.tile(w[back], reps),
-                                 np.tile(frame[back], reps + (1,)), M, gamma)
-        calls += c
-        better = n2.reshape(len(damps), back.size) < fnorm[back]
-        took = better.any(axis=0)
-        first = np.argmax(better, axis=0)[took]
-        pick = first * back.size + np.flatnonzero(took)
-        k = back[took]
-        t[k], F[k], J[k], perim[k], fnorm[k] = (
-            cand[pick], F2[pick], J2[pick], p2[pick], n2[pick])
-        stuck = back[~took]
-        drop = act[stuck] & (full[~took, :_NSLOT] <= floor)
-        live[stuck] = drop.any(axis=1)
-        act[stuck] &= ~drop
-        t[stuck, :_NSLOT] = np.where(drop, 0.0, t[stuck, :_NSLOT])
-        k = stuck[live[stuck]]
-        if k.size:
-            frame[k] = _frame(act[k], w[k])
-            F[k], J[k], perim[k], fnorm[k], c = _kkt(t[k], act[k], w[k],
-                                                     frame[k], M, gamma)
-            calls += c
-    converged = fnorm <= _stop_bound(t, act, tol)
+        live[rows] = won & (n1 > 1.0)
+        left += int((~won & ~np.isfinite(n1)).sum())
+        flat += int((~won & np.isfinite(n1)).sum())
+    converged = fnorm <= 1.0
     stats = {"rows": len(t), "converged": int(converged.sum()),
-             "iterations": iters, "geometry_calls": calls}
+             "left_cell": left, "no_descent": flat,
+             "iteration_cap": int(live.sum()), "iterations": iters,
+             "geometry_calls": calls}
     return t, _energy(t, act, w, perim, gamma), fnorm, converged, stats
 
 
 def _row_clusters(t, w):
-    """The clusters of one solved row: n of them for a group of weight n,
-    none for a group whose slots all left the active set."""
+    """The clusters of one solved row: n of them for a group of weight n."""
     clusters = []
     for pair in _GROUP_SLOTS:
         x, y = (float(t[s]) if s is not None else 0.0 for s in pair)
@@ -606,15 +576,19 @@ def ebar(M, gamma: GammaMatrix):
     derivatives, exact mass sums), with exact Hessians from one array
     geometry solve per evaluation, every cell in one batch from one start:
     per species the doubles take half the total, or all of it when the cell
-    has no singles of that species.  The answer is the row of lowest energy
-    among those that converged (KKT residual norm within 1e-13 max(1, M1 +
-    M2) plus 1e-11 of the larger species multiplier, or 2.1e-15/sqrt(q) of
-    it below a double lobe ratio q of 4.4e-8) with a finite energy and
-    species mass sums within the Configuration's 1e-12 relative tolerance;
-    only its clusters are built, and the value is their energy.  Logs one
-    DEBUG line per call to the "triblock.partition" logger: cells ranked,
-    ansatz unit grids, rows, rows converged, Newton iterations, array
-    geometry calls, and the chosen cell's KKT residual.
+    has no singles of that species.  A row takes full Newton steps while
+    they lower its residual norm, each equation scaled by its own
+    tolerance: 1e-13 max(1, M1 + M2) for a mass sum, and for a derivative
+    of species s that plus 1e-11 of the species multiplier, or
+    2.1e-15/sqrt(q) of it when a double's species-s lobe is q < 4.4e-8 of
+    its partner.  The answer is the row of lowest energy among those that
+    converged (scaled norm at most 1) with a finite energy and species mass
+    sums within the Configuration's 1e-12 relative tolerance; only its
+    clusters are built, and the value is their energy.  Logs one DEBUG line
+    per call to the "triblock.partition" logger: cells ranked, ansatz unit
+    grids, rows by stop (converged, left the cell, no descent, iteration
+    cap), Newton iterations, array geometry calls, and the chosen cell's
+    scaled KKT residual.
 
     No droplet or lobe of a minimizer is heavier than the mass cap of its
     species (`thresholds`), so species i needs at least ceil(M_i / cap_i)
@@ -650,10 +624,13 @@ def _ebar(M, gamma, th):
     k = np.flatnonzero(ok)[np.argmin(energy[ok])]
     conf = _build_configuration(_row_clusters(t[k], w[k]), (M1, M2))
     _log.debug("ebar M=(%g, %g): %d cells ranked, %d ansatz unit grids, "
-               "%d rows, %d converged, %d Newton iterations, %d geometry "
-               "calls, KKT residual %.3e of the chosen cell", M1, M2,
+               "%d rows: %d converged, %d left the cell, %d no descent, %d "
+               "at the iteration cap; %d Newton iterations, %d geometry "
+               "calls, scaled KKT residual %.3e of the chosen cell", M1, M2,
                ranked, grids, stats["rows"], stats["converged"],
-               stats["iterations"], stats["geometry_calls"], fnorm[k])
+               stats["left_cell"], stats["no_descent"],
+               stats["iteration_cap"], stats["iterations"],
+               stats["geometry_calls"], fnorm[k])
     return conf.energy(gamma), conf
 
 

@@ -116,9 +116,9 @@ def _well_forces(u1, u2, s, d, printed_well):
 class Field:
     """Two periodic density grids with an interface width.
 
-    The grids are copied.  Raises ValueError unless they are matching,
-    non-empty square grids of finite values inside GUARD_BAND; epsilon is
-    a positive number (`triblock._args`).
+    The grids are copied, never clipped.  Raises ValueError unless they
+    are matching, non-empty square grids of finite values inside
+    GUARD_BAND; epsilon is a positive number (`triblock._args`).
     """
 
     u1: np.ndarray
@@ -606,10 +606,11 @@ def threshold(f: Field, level: float = 0.5, *, eta: float) -> SharpConfig:
     """Three-phase indicator sets: each cell goes to exactly one phase.
 
     A cell is occupied where max(u1, 0) + max(u2, 0) > level, so a double
-    bubble's wall, where u1 and u2 share the mass, stays occupied, and a
-    species' negative tail does not erode the other's disk.  An occupied
-    cell goes to the larger of u1 and u2, to u1 on a tie.  overlap_fraction
-    is the share of occupied cells where both exceed level.
+    bubble's wall, where u1 and u2 share the mass, stays occupied inside
+    its cluster even where it lies on a grid line, and a species' negative
+    tail does not erode the other's disk.  An occupied cell goes to the
+    larger of u1 and u2, to u1 on a tie.  overlap_fraction is the share of
+    occupied cells where both exceed level.
     """
     level = real("level", level, 0.0, 1.0)
     total = np.maximum(f.u1, 0.0)
@@ -671,7 +672,7 @@ def _periodic_labels(mask: np.ndarray):
 
 
 def extract_components(c: SharpConfig):
-    """Split the supports into periodic connected clusters.
+    """Split the occupied cells into periodic connected clusters.
 
     Returns (Configuration, centers): per component, species masses are
     cell counts scaled by h^2/eta^2 and the center is the circular mean of

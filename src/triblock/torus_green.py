@@ -9,10 +9,11 @@ exact evaluations are provided:
   Fourier sum over |k|_inf <= 7 built from one complex per-axis table
   e^{2 pi i k p_a}.  At canonical p the first image left out lies at
   distance >= 3/2; the tails stay below 5e-19 in G, 3e-17 in grad G and
-  1.3e-15 in the Hessian.  E1 comes from two fixed quadratures in numpy
-  (Gauss-Laguerre for the eight outer images, Gauss-Legendre for Ein at the
-  n = 0 image), with errors below 1e-15 max(1, E1).  Both wrap the private
-  `_ewald`, which also gives the Hessian for `placement`.
+  1.3e-15 in the Hessian.  E1 comes from two fixed quadratures in numpy:
+  a 24-node Gauss-Laguerre rule for the eight outer images (error 5.4e-17)
+  and a 16-node Gauss-Legendre rule for Ein at the n = 0 image below x = 4
+  (error 7.3e-16 max(1, E1)).  Both wrap the private `_ewald`, which also
+  gives the Hessian for `placement`.
 
 * `green_spectral`: the plain spectral sum sum_{k != 0} e^{2 pi i k.p}
   /(4 pi^2 |k|^2) with the inner index of each column summed in closed form

@@ -541,6 +541,20 @@ _DIAGONAL = st.floats(0.5, 20.0)
 @example(log_total=2.429525637419715, log_share=-8.8676807700212,
          swap=True, g11=8.739546332593592, g22=6.260690144684795,
          g12=13.022067704569382)
+# Four draws whose double keeps a lobe of ratio below 1e-11: a stop rule on
+# the whole residual let the partner species stop 1e-6 to 2e-5 unbalanced.
+@example(log_total=0.7864207522248048, log_share=-11.666577486901005,
+         swap=False, g11=2.1134860479544884, g22=13.316344126800663,
+         g12=3.8592128013221405)
+@example(log_total=0.46285651605917444, log_share=-11.158331361632863,
+         swap=False, g11=18.381212043308754, g22=17.81345884292085,
+         g12=13.243004993157971)
+@example(log_total=1.839486345219484, log_share=-11.309793119646441,
+         swap=True, g11=2.915662382566613, g22=2.880568609816684,
+         g12=10.623002966475124)
+@example(log_total=2.0071686463898164, log_share=-11.660211143384625,
+         swap=False, g11=16.442213609608437, g22=3.325049894831028,
+         g12=3.3111873697082794)
 def test_ebar_meets_necessary_conditions_or_refuses(log_total, log_share,
                                                      swap, g11, g22, g12):
     # The smaller species holds a share of 1e-12..1/2 of the total, in
@@ -707,7 +721,7 @@ def test_kkt_jacobian_is_the_derivative_of_the_residual():
     t = np.array([[0.2, 0.1, 0.3, 0.05, 0.15, 0.25, 0.1, 0.3, 1.7, 2.2],
                   [0.0, 0.0, 0.6, 0.0, 0.0, 0.7, 0.0, 0.9, 1.1, 2.9]])
     frame = partition._frame(act, w)
-    J = partition._kkt(t, act, w, frame, M, g)[1]
+    J = partition._kkt(t, act, w, frame, M, g, 1e-13)[1]
     # inactive slots are identity rows, not derivatives
     live = np.hstack([act, np.ones((2, 2), bool)])
     J = np.where(live[:, :, None], J, 0.0)
@@ -716,35 +730,34 @@ def test_kkt_jacobian_is_the_derivative_of_the_residual():
         up, down = t.copy(), t.copy()
         up[:, j] += h
         down[:, j] -= h
-        Fu = partition._kkt(up, act, w, frame, M, g)[0]
-        Fd = partition._kkt(down, act, w, frame, M, g)[0]
+        Fu = partition._kkt(up, act, w, frame, M, g, 1e-13)[0]
+        Fd = partition._kkt(down, act, w, frame, M, g, 1e-13)[0]
         fd = (Fu - Fd) / (2.0 * h[:, None])
         assert np.allclose(J[:, :, j], fd, rtol=1e-6, atol=1e-6), j
 
 
-def test_rows_driven_to_the_floor_leave_their_active_set():
+_STOPS = ("converged", "left_cell", "no_descent", "iteration_cap")
+
+
+def test_rows_whose_double_would_vanish_end_under_a_named_stop():
     # One double plus one type-1 single at (1, 1), Gamma = (16, 16, 0): from
-    # the even split the double's species-1 lobe runs to the floor and the
-    # double becomes a type-2 disk; from a 95% split the single vanishes.
-    # Either row then converges, and its slots give the clusters left.  The
-    # slots held are the free double's (2, 3) and the free type-1 single's
-    # (5); the even split is the cell's own start.
+    # the even split (the cell's own start) the double's species-1 lobe
+    # would run to zero, from a 95% split the single would.  Neither row
+    # reaches a KKT point in its cell, and each ends under one named stop;
+    # the neighbour cell that holds only the double answers.
     g, M = GammaMatrix(16.0, 16.0, 0.0), (1.0, 1.0)
     w = partition._slot_weights((1, 1, 0))
     starts = np.zeros((2, 10))
     starts[:, 3] = 1.0
     starts[:, [2, 5]] = [[0.5, 0.5], [0.95, 0.05]]
     assert np.array_equal(partition._cell_starts(w[None], M)[0], starts[0])
-    t, energy, fnorm, converged, _ = partition._newton(
+    _, _, fnorm, converged, stats = partition._newton(
         starts, np.tile(w, (2, 1)), M, g)
-    for row, gone, counts in ((0, 2, (0, 1, 1)), (1, 5, (1, 0, 0))):
-        assert starts[row, gone] >= 0.05 and t[row, gone] == 0.0
-        assert fnorm[row] <= 1e-13 and converged[row]
-        conf = Configuration(tuple(partition._row_clusters(t[row], w)), M)
-        value = conf.energy(g)
-        assert tuple(conf.counts().values()) == counts
-        assert value == pytest.approx(energy[row], rel=1e-12)
-        assert check_necessary_conditions(conf, g)["all_pass"]
+    assert not converged.any() and (fnorm > 1.0).all()
+    assert [stats[k] for k in _STOPS] == [0, 0, 2, 0]
+    value, conf = ebar(M, g)
+    assert value == 8.905608343430071
+    assert tuple(conf.counts().values()) == (1, 0, 0)
 
 
 @pytest.mark.parametrize("M, g", [((1.0, 1.0), G_WEAK_CROSS),
@@ -764,10 +777,12 @@ def test_ebar_logs_one_debug_line_per_call(caplog):
     (record,) = caplog.records
     assert record.levelno == logging.DEBUG
     for word in ("cells ranked", "ansatz unit grids", "rows", "converged",
+                 "left the cell", "no descent", "iteration cap",
                  "Newton iterations", "geometry calls", "KKT residual",
                  "chosen cell"):
         assert word in record.getMessage()
-    assert "26 cells ranked, 1 ansatz unit grids, 24 rows" in (
+    assert ("26 cells ranked, 1 ansatz unit grids, 24 rows: 23 converged, "
+            "0 left the cell, 1 no descent, 0 at the iteration cap") in (
         record.getMessage())
     assert "worst" not in record.getMessage()
 
@@ -799,6 +814,7 @@ def _newton_stats(monkeypatch, M, g):
     monkeypatch.setattr(partition, "_newton", spy)
     value, conf = ebar(M, g)
     (stats,) = seen
+    assert sum(stats[k] for k in _STOPS) == stats["rows"]
     return value, conf, tuple(stats[k] for k in ("rows", "converged",
                                                  "iterations",
                                                  "geometry_calls"))
@@ -809,7 +825,7 @@ def _newton_stats(monkeypatch, M, g):
 @pytest.mark.parametrize("M, gg, stats", [
     ((0.75, 1.25), (1.0, 1.0, 0.0), (24, 24, 4, 5)),
     ((1.0, 1.0), (4.0, 4.0, 6.0), (24, 24, 5, 6)),
-    ((1.25, 0.75), (8.0, 2.0, 0.5), (24, 24, 6, 8)),
+    ((1.25, 0.75), (8.0, 2.0, 0.5), (24, 23, 5, 6)),
 ])
 def test_newton_stats_on_the_sweep_instances(monkeypatch, M, gg, stats):
     assert _newton_stats(monkeypatch, M, GammaMatrix(*gg))[2] == stats
@@ -821,8 +837,8 @@ def test_newton_stats_on_the_sweep_instances(monkeypatch, M, gg, stats):
 # that running on to 50 iterations gave.
 @pytest.mark.parametrize("share, value, iterations", [
     (1e-12, 3.624487389994687, 4),
-    (1e-20, 3.624485173578643, 3),
-    (1e-27, 3.6244851733570496, 2),
+    (1e-20, 3.624485173578643, 4),
+    (1e-27, 3.6244851733570496, 4),
 ])
 def test_rows_with_a_tiny_lobe_converge(monkeypatch, share, value,
                                         iterations):
@@ -832,18 +848,23 @@ def test_rows_with_a_tiny_lobe_converge(monkeypatch, share, value,
     assert stats[1] == stats[0] and stats[2] == iterations
 
 
-def test_stop_bound_widens_below_lobe_ratio_4e_8():
-    # Rows: a double of lobe ratio 1e-6, one of 1e-10, a lone lobe of mass
-    # 1e-12 beside an inactive partner, and singles only.
+def test_scale_widens_only_the_small_lobe_species_below_ratio_4e_8():
+    # Rows: a double of lobe ratio 1e-6 (species 1 small), one of 1e-10
+    # (species 2 small), a lone lobe of mass 1e-12 beside an inactive
+    # partner, and singles only.  Multipliers (2, -3).
     t = np.zeros((4, 10))
     t[:, 8:] = [[2.0, -3.0]] * 4
     t[0, 0:2], t[1, 2:4], t[2, 0] = (1e-6, 1.0), (1.0, 1e-10), 1e-12
     t[3, 4:8] = 0.5
     act = t[:, :8] > 0.0
-    got = partition._stop_bound(t, act, 1e-13)
-    base = 1e-13 + partition._KKT_RTOL * 3.0
-    assert got[0] == got[2] == got[3] == base
-    assert got[1] == pytest.approx(
+    got = partition._scale(t, act, 1e-13)
+    base = 1e-13 + partition._KKT_RTOL * np.array([2.0, 3.0])
+    species = partition._SLOT_SPECIES
+    assert (got[:, 8:] == 1e-13).all()  # the mass equations
+    for row in (0, 2, 3):
+        assert np.array_equal(got[row, :8], base[species])
+    assert np.array_equal(got[1, :8][species == 0], np.full(4, base[0]))
+    assert got[1, :8][species == 1] == pytest.approx(
         1e-13 + 3.0 * math.sqrt(10.0) * np.finfo(float).eps / 1e-5 * 3.0,
         rel=1e-12)
 
