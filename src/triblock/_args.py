@@ -50,8 +50,8 @@ def mass_pair(name, m, positive=False) -> tuple[float, float]:
         raise ValueError(f"{name} must be a pair of numbers, got {m!r}") from None
     if isinstance(m1, float) and isinstance(m2, float):  # np.float64 too
         m1, m2 = float(m1), float(m2)
-        # two finite floats in range; real() decides the rest, such as a
-        # pair whose sum passes the float range
+        # two floats in range with a finite sum; real() decides the rest,
+        # and passes a pair whose sum overflows on to each caller's own gate
         if m1 + m2 < _INF and (0.0 < m1 and 0.0 < m2 if positive
                                else 0.0 <= m1 and 0.0 <= m2):
             return m1, m2

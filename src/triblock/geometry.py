@@ -273,12 +273,11 @@ def solve_geometry(m) -> BubbleGeometry:
         )
 
     residuals = geometry_residuals(geom, (a, b))
-    worst = max(map(abs, residuals.values()))
-    if worst > 1e-12:
+    bad = [f"{k} {r:.3e}" for k, r in residuals.items() if not abs(r) <= 1e-12]
+    if bad:  # `not <=` refuses a nan residual too
         raise ConvergenceError(
-            f"geometry residuals {worst:.3e} exceed 1e-12 for masses "
-            f"({m1:g}, {m2:g})"
-        )
+            f"geometry residuals exceed 1e-12 for masses ({m1:g}, {m2:g}): "
+            + ", ".join(bad))
     return geom
 
 

@@ -41,7 +41,6 @@ from triblock.geometry import (
     e0,
     e0_gradient,
     perimeter,
-    single_energy,
     single_energy_gradient,
 )
 
@@ -61,47 +60,35 @@ _SLACK = 1e-9
 
 @dataclass(frozen=True)
 class Cluster:
-    """One droplet: a double bubble, or a single disk of one species."""
+    """One droplet of masses (m1, m2), not both zero.  Its kind follows from
+    the masses: a double bubble when both are positive, else a single disk
+    of the species whose mass is."""
 
-    kind: str
     m1: float
     m2: float
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown cluster kind {self.kind!r}")
         for name in ("m1", "m2"):
             object.__setattr__(self, name, real(name, getattr(self, name), 0.0,
                                                 closed=True))
-        if self.kind == KIND_DOUBLE and not (self.m1 > 0.0 and self.m2 > 0.0):
-            raise ValueError("a double bubble needs two positive lobe masses")
-        if self.kind == KIND_SINGLE_1 and not (self.m1 > 0.0 and self.m2 == 0.0):
-            raise ValueError("a type-1 single holds species 1 only")
-        if self.kind == KIND_SINGLE_2 and not (self.m2 > 0.0 and self.m1 == 0.0):
-            raise ValueError("a type-2 single holds species 2 only")
+        if self.m1 == 0.0 and self.m2 == 0.0:
+            raise ValueError("m1 and m2 must not both be zero")
+
+    @property
+    def kind(self) -> str:
+        if self.m1 > 0.0 and self.m2 > 0.0:
+            return KIND_DOUBLE
+        return KIND_SINGLE_1 if self.m1 > 0.0 else KIND_SINGLE_2
 
     @property
     def mass(self) -> float:
         return self.m1 + self.m2
 
     def energy(self, gamma: GammaMatrix) -> float:
-        return _cell_energy(self.m1, self.m2, gamma)
+        return e0((self.m1, self.m2), gamma)
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "m1": self.m1, "m2": self.m2}
-
-
-def cluster_from_masses(m1: float, m2: float) -> Cluster:
-    """Build a cluster of the kind implied by which masses are positive."""
-    m1 = real("m1", m1, 0.0, closed=True)
-    m2 = real("m2", m2, 0.0, closed=True)
-    if m1 > 0.0 and m2 > 0.0:
-        return Cluster(KIND_DOUBLE, m1, m2)
-    if m1 > 0.0:
-        return Cluster(KIND_SINGLE_1, m1, 0.0)
-    if m2 > 0.0:
-        return Cluster(KIND_SINGLE_2, 0.0, m2)
-    raise ValueError("m1 and m2 must not both be zero")
 
 
 @dataclass(frozen=True)
@@ -134,37 +121,18 @@ class Configuration:
                 "total": list(self.total)}
 
 
-def _sorted_clusters(clusters):
-    rank = {KIND_DOUBLE: 0, KIND_SINGLE_1: 1, KIND_SINGLE_2: 2}
-    return tuple(sorted(clusters,
-                        key=lambda c: (rank[c.kind], -c.mass, -c.m1, -c.m2)))
+def _sorted_clusters(clusters):  # doubles, then type-1 and type-2 singles
+    return tuple(sorted(clusters, key=lambda c: (
+        _KINDS.index(c.kind), -c.mass, -c.m1, -c.m2)))
 
 
 def _build_configuration(clusters, total) -> Configuration:
     return Configuration(_sorted_clusters(clusters), (float(total[0]), float(total[1])))
 
 
-def _swap_cluster(c: Cluster) -> Cluster:
-    kind = {KIND_SINGLE_1: KIND_SINGLE_2, KIND_SINGLE_2: KIND_SINGLE_1,
-            KIND_DOUBLE: KIND_DOUBLE}[c.kind]
-    return Cluster(kind, c.m2, c.m1)
-
-
 def _swap_configuration(conf: Configuration) -> Configuration:
-    return _build_configuration([_swap_cluster(c) for c in conf.clusters],
+    return _build_configuration([Cluster(c.m2, c.m1) for c in conf.clusters],
                                 (conf.total[1], conf.total[0]))
-
-
-def _cell_energy(m1: float, m2: float, gamma: GammaMatrix) -> float:
-    m1 = max(float(m1), 0.0)
-    m2 = max(float(m2), 0.0)
-    if m1 == 0.0 and m2 == 0.0:
-        return 0.0
-    if m2 == 0.0:
-        return single_energy(m1, gamma.g11)
-    if m1 == 0.0:
-        return single_energy(m2, gamma.g22)
-    return e0((m1, m2), gamma)
 
 
 def _cell_gradient(m1: float, m2: float, gamma: GammaMatrix) -> tuple:
@@ -308,8 +276,7 @@ def _ansatz_for_doubles(kd, M, gamma, th, unit_grids):
         u = np.linspace(1.0 / n, 1.0, n)
         unit_grids[ratio] = _solve_pairs(np.repeat(ratio * u, n),
                                          np.tile(u, n))[0].reshape(n, n)
-    quad = ((gamma.g11 * xs * xs)[:, None] + (2.0 * gamma.g12 * xs)[:, None] * ys
-            + gamma.g22 * ys * ys) / (4.0 * math.pi)
+    quad = gamma.quad(xs[:, None], ys) / (4.0 * math.pi)
     # the leftover of species 1 varies along axis 0 only, of species 2
     # along axis 1 only: pack each once per grid line and broadcast
     rest = np.maximum(np.array(M)[:, None] - kd * np.array((xs, ys)), 0.0)
@@ -348,17 +315,12 @@ def _candidate_cells(M, gamma, th):
         for kd in range(1, kd_cap + 1):
             val, s1, s2 = _ansatz_for_doubles(kd, M, gamma, th, unit_grids)
             seeds.append((val, kd, s1, s2))
-    cells = {}
-    for val, kd, s1, s2 in seeds:
-        for da in (-1, 0, 1):
-            for db in (-1, 0, 1):
-                counts = (kd, s1 + da, s2 + db)
-                value = val + 1e-9 * (abs(da) + abs(db))
-                if (_cell_feasible(counts, M)
-                        and value < cells.get(counts, math.inf)):
-                    cells[counts] = value
-    best = sorted(cells, key=lambda c: (cells[c], c))[:_TOP_CELLS]
-    return best, len(cells), len(unit_grids)
+    # each seed has its own double count, so no two cells share counts
+    cells = sorted((val + 1e-9 * (abs(da) + abs(db)), (kd, s1 + da, s2 + db))
+                   for val, kd, s1, s2 in seeds
+                   for da in (-1, 0, 1) for db in (-1, 0, 1)
+                   if _cell_feasible((kd, s1 + da, s2 + db), M))
+    return [c for _, c in cells[:_TOP_CELLS]], len(cells), len(unit_grids)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +468,9 @@ def _scale(t, act, tol):
     return np.hstack((slot, np.full((len(t), 2), tol)))
 
 
+# A tiny lobe overflows its Hessian terms to inf (m ** -1.5 below 3e-206),
+# and its row is judged by its residual norm like any other.
+@np.errstate(over="ignore")
 def _newton(t, w, M, gamma):
     """Plain Newton on the KKT system of every row at once.
 
@@ -559,7 +524,7 @@ def _row_clusters(t, w):
         x, y = (float(t[s]) if s is not None else 0.0 for s in pair)
         if x > 0.0 or y > 0.0:
             n = int(w[pair[0] if pair[0] is not None else pair[1]])
-            clusters += [cluster_from_masses(x, y)] * n
+            clusters += [Cluster(x, y)] * n
     return clusters
 
 
@@ -796,7 +761,7 @@ def round_config_to_grid(config: Configuration, delta: float):
     out = []
     for m1, m2 in ms:
         if m1 > 0.0 or m2 > 0.0:
-            out.append(cluster_from_masses(m1, m2))
+            out.append(Cluster(m1, m2))
     return out
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from triblock._args import integer, mass_pair, nonempty_pair, real
 from triblock.geometry import GammaMatrix, solve_geometry
-from triblock.partition import Configuration, cluster_from_masses
+from triblock.partition import Cluster, Configuration
 
 GUARD_BAND = (-0.1, 1.1)
 
@@ -698,8 +698,7 @@ def extract_components(c: SharpConfig):
         return (x / (2.0 * math.pi) % 1.0)[1:].tolist()
 
     centers = list(zip(circular_mean(ii), circular_mean(jj)))
-    clusters = [cluster_from_masses(float(n1[k]) * cell_mass,
-                                    float(n2[k]) * cell_mass)
+    clusters = [Cluster(float(n1[k]) * cell_mass, float(n2[k]) * cell_mass)
                 for k in range(1, count + 1)]
     total = (sum(cl.m1 for cl in clusters), sum(cl.m2 for cl in clusters))
     return Configuration(tuple(clusters), total), centers

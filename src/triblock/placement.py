@@ -249,7 +249,12 @@ def minimize_FK(masses, gamma: GammaMatrix, restarts: int = 8, seed: int = 0,
     Restart 0 starts the other K - 1 centers at the R2 points k * _R2_STEP
     mod 1, restart r > 0 draws them uniformly by `default_rng(seed + 13 r)`;
     a center within 1e-3 of another is redrawn.  Each restart runs
-    `_descend`.  What the descent promises:
+    `_descend` on the weights divided by the power of two that puts the
+    largest pair weight in [1, 2), an exact rescaling of FK, which is
+    homogeneous of degree 2 in the masses.  So gtol, like the rounding
+    floor below, is measured at unit weight scale: the result's and each
+    restart's grad_norm is that of FK over the same factor, while their
+    energies are FK's own.  What the descent promises:
 
     - it returns the lowest-energy restart among those that end at a
       gradient norm of at most gtol;
@@ -283,6 +288,9 @@ def minimize_FK(masses, gamma: GammaMatrix, restarts: int = 8, seed: int = 0,
         return (layout, {"energy": 0.0, "grad_norm": 0.0,
                          "restarts": []}) if full_output else layout
     W = _weight_matrix(np.asarray(masses), gamma)
+    top = float(W[_pairs(K)].max())  # the weights are nonnegative
+    scale = math.ldexp(0.5, math.frexp(top)[1]) if top > 0.0 else 1.0
+    W /= scale
     best = None
     rows = []
     for r in range(restarts):
@@ -302,6 +310,7 @@ def minimize_FK(masses, gamma: GammaMatrix, restarts: int = 8, seed: int = 0,
                 break
             zfree[bad - 1] = rng.uniform(0.0, 1.0, size=(len(bad), 2))
         z, energy, gnorm, evals = _descend(zfree.ravel(), W, gtol)
+        energy *= scale
         rows.append({"restart": r, "energy": energy, "grad_norm": gnorm,
                      "hessian_evals": evals})
         if gnorm <= gtol and (best is None or energy < best[1]):

@@ -18,7 +18,7 @@ from triblock import placement as PL, torus_green as TG
 from triblock._args import integer, mass_pair, real
 
 GAMMA = G.GammaMatrix(1.0, 1.0, 0.5)
-CONF = P.Configuration((P.Cluster(P.KIND_DOUBLE, 0.5, 0.25),), (0.5, 0.25))
+CONF = P.Configuration((P.Cluster(0.5, 0.25),), (0.5, 0.25))
 U = np.full((4, 4), 0.2)
 FIELD = PF.Field(U, U, 0.1)
 IND = np.zeros((4, 4), dtype=bool)
@@ -56,12 +56,8 @@ CASES = [
      lambda v: G.concavity_threshold(1.0, v)),
     ("e0_hessian_diag", "i", "int", 2,
      lambda v: G.e0_hessian_diag((0.5, 1.0), GAMMA, v)),
-    ("Cluster", "m1", "real", 0.5, lambda v: P.Cluster(P.KIND_DOUBLE, v, 1.0)),
-    ("Cluster", "m2", "real", 0.5, lambda v: P.Cluster(P.KIND_DOUBLE, 1.0, v)),
-    ("cluster_from_masses", "m1", "real", 0.5,
-     lambda v: P.cluster_from_masses(v, 1.0)),
-    ("cluster_from_masses", "m2", "real", 0.5,
-     lambda v: P.cluster_from_masses(1.0, v)),
+    ("Cluster", "m1", "real", 0.5, lambda v: P.Cluster(v, 1.0)),
+    ("Cluster", "m2", "real", 0.5, lambda v: P.Cluster(1.0, v)),
     ("coexistence_bounds", "k_doubles", "int", 2,
      lambda v: P.coexistence_bounds(GAMMA, v, 1)),
     ("coexistence_bounds", "k_singles", "int", 2,
@@ -160,7 +156,7 @@ def test_accepts_numpy_scalars(entry, name, kind, good, call):
     (lambda: PF.noisy_uniform_field(4, 0.1, (0.1, 0.2), seed=-1), "seed"),
     (lambda: PF.droplet_field(16, 0.1, 0.0, [(1.0, 0.5)], [(0.5, 0.5)]), "eta"),
     (lambda: PF.uniform_field(0, 0.1, (0.1, 0.2)), "N"),
-    (lambda: P.cluster_from_masses(-1.0, 1.0), "m1"),
+    (lambda: P.Cluster(-1.0, 1.0), "m1"),
     (lambda: G.perimeter(("1", "2")), "m"),
     (lambda: G.perimeter((1.0,)), "m"),
     (lambda: G.solve_geometry((0.0, 1.0)), "m"),
@@ -168,7 +164,7 @@ def test_accepts_numpy_scalars(entry, name, kind, good, call):
     (lambda: P.ebar((0, 0), GAMMA), "M"),
     (lambda: P.ebar_oracle((0.0, 0.0), GAMMA), "M"),
     (lambda: P.classify_regime((0.0, 0.0), GAMMA), "M"),
-    (lambda: P.cluster_from_masses(0.0, 0.0), "m1 and m2"),
+    (lambda: P.Cluster(0.0, 0.0), "m1 and m2"),
     (lambda: PL.Layout(((0.0, 0.0),), ((0.0, 0.0),)), "masses"),
     (lambda: PL.self_interaction((0.0, 0.0), 1, 1), "m"),
     (lambda: PF.droplet_field(16, 0.1, 0.2, [(0, 0)], [(0.5, 0.5)]), "masses"),

@@ -247,6 +247,15 @@ def test_residual_gate_at_vanishing_lobes(ratio):
         assert G.perimeter((big, ratio * big)) == pytest.approx(disk, rel=1e-14)
 
 
+def test_residual_gate_refuses_nan_residuals():
+    # At (1e308, 1e308) the radii are inf and five of the six residuals
+    # nan; the gate let them through, and perimeter and e0 returned inf.
+    g = G.GammaMatrix(1.0, 1.0, 0.0)
+    for call in (G.solve_geometry, G.perimeter, lambda m: G.e0(m, g)):
+        with pytest.raises(G.ConvergenceError, match="curvature nan"):
+            call((1e308, 1e308))
+
+
 def _mpmath_perimeter(m1, m2):
     """Double-bubble perimeter at 60 digits, written from the arc equations
     alone: a lobe of half-angle theta and junction half-height h has area

@@ -10,8 +10,8 @@ from scipy.integrate import quad
 
 from triblock import placement
 from triblock.geometry import GammaMatrix, solve_geometry
-from triblock.partition import (Configuration, check_necessary_conditions,
-                                cluster_from_masses)
+from triblock.partition import (Cluster, Configuration,
+                                check_necessary_conditions)
 from triblock.placement import (
     F0,
     FK,
@@ -334,6 +334,21 @@ class TestMinimizeFK:
         assert [row["hessian_evals"] for row in rows] == [10, 11]
         assert len(pair_term_calls) == 21
 
+    @pytest.mark.parametrize("s", [1e-8, 1e-5, 1.0, 1e3, 1e40])
+    def test_descent_is_invariant_under_a_mass_scale(self, s):
+        # FK is homogeneous of degree 2 in the masses, and the descent runs
+        # at unit weight scale.  With an absolute gtol and rounding floor,
+        # s = 1e-5 returned the R2 start at FK/s^2 = -0.371969 and s >= 1e3
+        # raised "descent failed".
+        g = GammaMatrix(1, 1, 0.5)
+        lay, info = minimize_FK([(a * s, b * s) for a, b in PLACE_K8[:4]], g,
+                                restarts=2, seed=0, full_output=True)
+        assert info["energy"] / s ** 2 == pytest.approx(-0.4229327763782685,
+                                                        rel=1e-13)
+        assert FK(lay, g) == info["energy"]
+        assert info["grad_norm"] <= 1e-10
+        assert [row["hessian_evals"] for row in info["restarts"]] == [10, 11]
+
     @pytest.mark.parametrize("masses", [PLACE_K8[:4], PLACE_K8, _K32])
     def test_restarts_end_at_local_minima(self, monkeypatch, masses):
         # every restart that reaches gtol ends where the Hessian of FK in
@@ -632,8 +647,7 @@ class TestF0:
 
 def masses_report(layout, gamma):
     """The partition necessary conditions on a layout's cluster masses."""
-    clusters = tuple(cluster_from_masses(float(m[0]), float(m[1]))
-                     for m in layout.masses)
+    clusters = tuple(Cluster(*m) for m in layout.masses)
     total = (sum(c.m1 for c in clusters), sum(c.m2 for c in clusters))
     return check_necessary_conditions(Configuration(clusters, total), gamma)
 
