@@ -7,12 +7,18 @@ The Green force stays in Fourier space and the gradient and Green energies
 are Parseval sums, so only the well term is evaluated in real space, there
 as the sum and difference forces the spectral update needs: cubics in
 u1 + u2 and u1 - u2 built in place.  The species transforms are carried
-across steps: a step costs two rfft2 and two inverse transforms, each run
-as numpy's irfftn runs it (an ifft along axis 0, then an irfft), a trace row
-no FFT, and a clip back into GUARD_BAND, which keeps each species' mass,
-one rfft2 per species clipped.  Every transform of a step writes into
-buffers allocated once per relax call, so a step allocates no array
-unless it clips.
+across steps in one stacked half-plane array.  A step runs its real-space
+passes (the well forces with their row rffts, the per-mode update, the row
+irffts) in row blocks of _BLOCK_BYTES per grid, 64 rows at n = 512, so
+that a block's grids stay in cache; between them come one column fft of
+both force transforms and one column ifft of both species.  Every 1-D
+transform line is the one numpy's rfft2 and irfftn would run, so the
+floats are those of whole-grid transforms.  A trace row costs no FFT, and
+a clip back into GUARD_BAND, which keeps each species' mass, one rfft2 per
+species clipped.  Every transform writes into buffers allocated once per
+relax call (the carried and the force stacks, one block of scratch rows
+and one n x n grid for the trace), so a step allocates no array unless it
+clips.
 SharpConfig holds thresholded indicator sets, whose rescaled energy combines
 a Cauchy-Crofton grid perimeter with the periodic Green interaction, and
 extract_components turns them into partition-module configurations.  Its
@@ -40,6 +46,14 @@ _log = logging.getLogger(__name__)
 # (1/2)[eps |u'|^2 + W(u)/eps] with W(s) = s^2 (1-s)^2 costs
 # int_0^1 s(1-s) ds = 1/6 per species.
 INTERFACE_COST = 1.0 / 3.0
+
+# Row-block budget of relax's real-space passes, in bytes per grid.  A
+# step makes about 25 elementwise passes over its grids; at n = 512 each
+# grid is 2 MB, as large as a common per-core L2 cache, so whole-grid
+# passes stream from memory.  256 KB blocks (64 rows at n = 512, one block
+# at n <= 128) keep the six to eleven block arrays a stage touches, about
+# 1.5 to 2 MB, in cache together.
+_BLOCK_BYTES = 1 << 18
 
 
 def _well(u, out, tmp):
@@ -295,44 +309,69 @@ def _spectral_grid(n: int):
     return k2, inv_lap, weights
 
 
-def _spectral_energies(u1hat, u2hat, gamma: GammaMatrix, grid, halves):
-    """Parseval sums: mean |grad u_i|^2 summed over the three species, and
-    sum_ij Gamma_ij <u_i, (-Delta)^-1 u_j>.  Off k = 0, u0hat = -u1hat - u2hat.
-    The products are formed in the four real half-planes `halves`, which are
-    overwritten; each is C-contiguous, so the column sums add in the order
-    they would over fresh arrays.
+def _spectral_products(hats, halves):
+    """The products of the species pair `hats` = (u1hat, u2hat), for the
+    Parseval sums below: Re(x conj(y)) for (u1, u1), (u2, u2) and (u1, u2),
+    written into the first three of the four real half-planes `halves`.
+    Off k = 0, u0hat = -u1hat - u2hat, so these products give every
+    species' sum.  Each half-plane is C-contiguous, so the column sums
+    below add in the order they would over fresh arrays.
     """
-    k2, inv_lap, weights = grid
+    u1hat, u2hat = hats
     p11, p22, p12, t = halves
     for p, x, y in ((p11, u1hat, u1hat), (p22, u2hat, u2hat),
                     (p12, u1hat, u2hat)):
         np.multiply(x.real, y.real, out=p)
         p += np.multiply(x.imag, y.imag, out=t)
+
+
+def _gradient_sum(halves, grid):
+    """Mean |grad u_i|^2 summed over the three species, from the products
+    in `halves` (`_spectral_products`); the fourth half-plane is
+    overwritten."""
+    k2, _, weights = grid
+    p11, p22, p12, t = halves
     np.add(p11, p12, out=t)
     t += p22
     t *= k2
-    grad = 2.0 * float(np.sum(t, axis=0) @ weights)
+    return 2.0 * float(np.sum(t, axis=0) @ weights)
+
+
+def _interaction_sum(halves, gamma: GammaMatrix, grid):
+    """sum_ij Gamma_ij <u_i, (-Delta)^-1 u_j> from the products in `halves`
+    (`_spectral_products`), which are overwritten."""
+    _, inv_lap, weights = grid
+    p11, p22, p12, t = halves
     np.multiply(p11, gamma.g11, out=t)
     p12 *= 2.0 * gamma.g12
     t += p12
     p22 *= gamma.g22
     t += p22
     t *= inv_lap
-    return grad, float(np.sum(t, axis=0) @ weights)
+    return float(np.sum(t, axis=0) @ weights)
 
 
-def _energy_parts(u1, u2, u1hat, u2hat, eps, gamma: GammaMatrix, grid, well,
-                  work):
+def _energy_parts(u1, u2, hats, eps, gamma: GammaMatrix, grid, well, work):
     """(total, gradient, well, nonlocal) of a field and its rfft2 pair.
 
     `work` is (three n x n grids, four real half-planes), all overwritten.
     """
     grids, halves = work
-    grad, nonlocal_term = _spectral_energies(u1hat, u2hat, gamma, grid, halves)
+    _spectral_products(hats, halves)
+    grad = _gradient_sum(halves, grid)
+    nonlocal_term = _interaction_sum(halves, gamma, grid)
     grad *= 0.5 * eps
     nonlocal_term *= 0.5
     well_term = 0.5 / eps * _well_mean(u1, u2, well, grids)
     return (grad + well_term + nonlocal_term, grad, well_term, nonlocal_term)
+
+
+def _rfft2_pair(a, b):
+    """rfft2 of two n x n grids into one (2, n, n//2 + 1) array."""
+    hats = np.empty((2, a.shape[0], a.shape[1] // 2 + 1), dtype=complex)
+    np.fft.rfft2(a, out=hats[0])
+    np.fft.rfft2(b, out=hats[1])
+    return hats
 
 
 def diffuse_energy(f: Field, gamma_scaled: GammaMatrix,
@@ -342,12 +381,12 @@ def diffuse_energy(f: Field, gamma_scaled: GammaMatrix,
     The well is the standard double well by default; printed_well switches
     to the non-coercive variant u^2 (1 - u^2).  Costs two rfft2.
     """
-    u1hat = np.fft.rfft2(f.u1)
+    hats = _rfft2_pair(f.u1, f.u2)
     work = (tuple(np.empty_like(f.u1) for _ in range(3)),
-            np.empty((4, *u1hat.shape)))
+            np.empty((4, *hats.shape[1:])))
     total, grad, well, nonlocal_term = _energy_parts(
-        f.u1, f.u2, u1hat, np.fft.rfft2(f.u2), f.epsilon, gamma_scaled,
-        _spectral_grid(f.N), _well_printed if printed_well else _well, work)
+        f.u1, f.u2, hats, f.epsilon, gamma_scaled, _spectral_grid(f.N),
+        _well_printed if printed_well else _well, work)
     if parts:
         return {"total": total, "gradient": grad, "well": well,
                 "nonlocal": nonlocal_term}
@@ -393,19 +432,29 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
     stabilization c_s = 2/epsilon; the well derivative and the nonlocal
     force, formed in Fourier space as (Gamma uhat)/|k|^2, are explicit.
     The well forces are evaluated in the same basis, as cubics in
-    s = u1 + u2 and d = u1 - u2 (`_well_forces`), and the per-mode update
-    runs in place in their two transforms.  Two real grids and two complex
-    half-planes are allocated once per call and hold every intermediate of
-    a step, so a step allocates no array unless it clips; between steps
-    they are dead, and a trace row forms its products over them.  `init`
-    is not written.
-    The transforms u1hat, u2hat are carried from step to step, their k = 0
-    modes pinned to the species means, so a step costs two rfft2 (the well
-    forces) and two inverse transforms (the new fields), each an ifft along
-    axis 0 and an irfft along axis 1, and a trace row costs no FFT.
+    s = u1 + u2 and d = u1 - u2 (`_well_forces`).
+    The transforms u1hat, u2hat are carried from step to step in one
+    stacked half-plane array, their k = 0 modes pinned to the species
+    means.  A step runs in five stages, the real-space ones in row blocks
+    of _BLOCK_BYTES per grid (see there):
+      1. per row block, the well forces and their rfft along the rows;
+      2. one fft down the columns of both stacked force transforms;
+      3. per row block of the half-plane, the per-mode update;
+      4. one ifft down the columns of both carried transforms;
+      5. per row block, the irfft along the rows into u1 and u2.
+    So a step costs two forward and two inverse 2-D transforms, each line
+    as numpy's rfft2 and irfftn run it, and a trace row costs no FFT.
+    Allocated once per call: the copies of u1 and u2, the carried and the
+    force half-plane stacks, one block of two real grids and one of complex
+    half-plane rows, the six multipliers and one n x n grid for the trace,
+    which forms its products over the dead force stack.  A step allocates
+    no array unless it clips.  `init` is not written.
     A species that leaves GUARD_BAND is clipped at fixed mass, to
     clip(u + lam) with lam solved so that its mean is kept; each such clip
     is logged at DEBUG and costs one rfft2 to transform the species afresh.
+    A returning call logs one DEBUG line with the steps run, the clips of
+    each species and the smallest blow-up margin blow_limit - max|u| over
+    its steps.
     Returns (Field, trace) where trace rows are (step, total, gradient,
     well, nonlocal) of the state itself.  The trace is non-increasing only
     while no clip fires: a clip is a projection onto the band, not a
@@ -439,55 +488,68 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
     s3 = -dt / (2.0 * eps) / den_s
     d3 = -dt / (2.0 * eps) / den_d
     del den_s, den_d
-    u1, u2 = init.u1, init.u2
+    # A step writes its forces over u1 and u2 and its inverse transforms
+    # into them, so the caller's grids are copied once.
+    u1, u2 = init.u1.copy(), init.u2.copy()
     mean1, mean2 = float(u1.mean()), float(u2.mean())
     zero1, zero2 = mean1 * N * N, mean2 * N * N
-    u1hat = np.fft.rfft2(u1)
-    u2hat = np.fft.rfft2(u2)
+    hats = _rfft2_pair(u1, u2)
+    u1hat, u2hat = hats
     lo, hi = GUARD_BAND
 
+    # `forces` takes the two force transforms and then the column stage of
+    # the inverse; a block's forces are formed in `scratch`, and the sum
+    # update's products in `prod`.  Between steps `forces` is dead, so a
+    # trace row forms its products over it: read as reals it holds four
+    # real half-planes, or two n x n grids beside the trace's own third.
+    height = max(1, _BLOCK_BYTES // (8 * N))
+    blocks = [slice(r0, min(r0 + height, N)) for r0 in range(0, N, height)]
+    forces = np.empty_like(hats)
+    s_hat, d_hat = forces
+    scratch = np.empty((2, height, N))
+    prod = np.empty((height, N // 2 + 1), dtype=complex)
+    reals = forces.view(np.float64).reshape(-1)
+    work = ((reals[:N * N].reshape(N, N), reals[N * N:2 * N * N].reshape(N, N),
+             np.empty_like(u1)), reals.reshape(4, *u1hat.shape))
     trace = []
-    # The step's own buffers, allocated once: `scratch` holds the forces'
-    # other two grids, and `hats` takes the two force transforms and the
-    # half-plane stage of the inverse.  Between steps both are dead, so a
-    # trace row forms its products over them: three n x n grids and, with
-    # `hats` read as reals, four real half-planes.
-    scratch = (np.empty_like(u1), np.empty_like(u1))
-    hats = np.empty((2, *u1hat.shape), dtype=u1hat.dtype)
-    s_hat, d_hat = hats
-    reals = hats.view(np.float64).reshape(-1)
-    work = ((*scratch, reals[:N * N].reshape(N, N)),
-            reals.reshape(4, *u1hat.shape))
 
     def record(step):
-        trace.append((step, *_energy_parts(u1, u2, u1hat, u2hat, eps,
-                                           gamma_scaled, grid, well, work)))
+        trace.append((step, *_energy_parts(u1, u2, hats, eps, gamma_scaled,
+                                           grid, well, work)))
 
-    record(0)
-    # A step writes its forces over u1 and u2 and its inverse transforms
-    # into them, so the caller's grids are copied once.  The sum force's
-    # update is formed in s_hat with its products in d_hat; the difference
-    # force's in d_hat with its products in u1hat and u2hat, which the new
-    # transforms then overwrite.  The inverse runs in numpy's two irfftn
-    # stages, so its half-plane stage has an output too.
-    u1, u2 = u1.copy(), u2.copy()
-    for step in range(1, steps + 1):
-        s, d = _well_forces(u1, u2, *scratch, printed_well)
-        np.fft.rfft2(s, out=s_hat)
-        s_hat *= s3
-        s_hat += np.multiply(u1hat, s1, out=d_hat)
-        s_hat += np.multiply(u2hat, s2, out=d_hat)
-        np.fft.rfft2(d, out=d_hat)
-        d_hat *= d3
-        d_hat += np.multiply(u1hat, d1, out=u1hat)
-        d_hat += np.multiply(u2hat, d2, out=u2hat)
-        np.add(s_hat, d_hat, out=u1hat)
-        np.subtract(s_hat, d_hat, out=u2hat)
+    def advance():
+        """One step's five stages, written into u1, u2 and hats; the block
+        views die with the call."""
+        for rows in blocks:
+            s, d = _well_forces(u1[rows], u2[rows],
+                                *scratch[:, :rows.stop - rows.start],
+                                printed_well)
+            np.fft.rfft(s, axis=1, out=s_hat[rows])
+            np.fft.rfft(d, axis=1, out=d_hat[rows])
+        np.fft.fft(forces, axis=1, out=forces)
+        for rows in blocks:
+            a, b, sb, db = u1hat[rows], u2hat[rows], s_hat[rows], d_hat[rows]
+            t = prod[:rows.stop - rows.start]
+            sb *= s3[rows]
+            sb += np.multiply(a, s1[rows], out=t)
+            sb += np.multiply(b, s2[rows], out=t)
+            db *= d3[rows]
+            db += np.multiply(a, d1[rows], out=a)
+            db += np.multiply(b, d2[rows], out=b)
+            np.add(sb, db, out=a)
+            np.subtract(sb, db, out=b)
         u1hat[0, 0] = zero1
         u2hat[0, 0] = zero2
-        for uhat, u in ((u1hat, u1), (u2hat, u2)):
-            np.fft.irfft(np.fft.ifft(uhat, axis=0, out=s_hat), n=N, axis=1,
-                         out=u)
+        np.fft.ifft(hats, axis=1, out=forces)
+        for rows in blocks:
+            np.fft.irfft(s_hat[rows], n=N, axis=1, out=u1[rows])
+            np.fft.irfft(d_hat[rows], n=N, axis=1, out=u2[rows])
+
+    clips = [0, 0]
+    margin = math.inf
+    record(0)
+    for step in range(1, steps + 1):
+        advance()
         bounds = (float(u1.min()), float(u1.max()),
                   float(u2.min()), float(u2.max()))
         worst = float(np.max(np.abs(bounds)))
@@ -495,19 +557,24 @@ def relax(init: Field, gamma_scaled: GammaMatrix, dt: float | None = None,
             raise RuntimeError(
                 f"field blow-up at step {step}: max |u| = {worst:.3e} "
                 f"(dt = {dt:g}, epsilon = {eps:g})")
+        margin = min(margin, blow_limit - worst)
         if bounds[0] < lo or bounds[1] > hi:
             _log_clip(step, 1, bounds[:2])
+            clips[0] += 1
             u1 = _mass_exact_clip(u1, mean1)
             np.fft.rfft2(u1, out=u1hat)
         if bounds[2] < lo or bounds[3] > hi:
             _log_clip(step, 2, bounds[2:])
+            clips[1] += 1
             u2 = _mass_exact_clip(u2, mean2)
             np.fft.rfft2(u2, out=u2hat)
         if step % trace_every == 0 or step == steps:
             record(step)
+    _log.debug("relax: %d steps, clips u1 %d, u2 %d, smallest blow-up margin "
+               "%.3e", steps, *clips, margin)
     # Dropped before the result copies u1 and u2, so the copies fit under
     # a step's peak.
-    del scratch, hats, s_hat, d_hat, reals, work
+    del hats, u1hat, u2hat, forces, s_hat, d_hat, reals, work
     return Field(u1, u2, eps), trace
 
 
@@ -590,10 +657,10 @@ def sharp_energy(c: SharpConfig, gamma: GammaMatrix) -> float:
         raise ValueError("empty configuration has no droplet energy")
     eta = c.eta
     per = 2.0 * grid_perimeter(c.ind1 + np.uint8(2) * c.ind2)
-    hat1 = np.fft.rfft2(c.ind1)
-    _, interaction = _spectral_energies(
-        hat1, np.fft.rfft2(c.ind2), gamma, _spectral_grid(c.N),
-        np.empty((4, *hat1.shape)))
+    hats = _rfft2_pair(c.ind1, c.ind2)
+    halves = np.empty((4, *hats.shape[1:]))
+    _spectral_products(hats, halves)
+    interaction = _interaction_sum(halves, gamma, _spectral_grid(c.N))
     # eta^2 > 0, as SharpConfig keeps the cell mass finite
     energy = (per / (2.0 * eta)
               + interaction / (2.0 * abs(math.log(eta))) / eta ** 2 / eta ** 2)

@@ -14,11 +14,13 @@ settings.load_profile("triblock")
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Counts numpy.fft.rfft2, irfft2, ifft and irfft calls while the test
-    runs; the counts dict is keyed by function name.  A 2-D inverse run in
-    its two stages, as numpy's irfftn runs it inside, counts one ifft and
-    one irfft; numpy's own inner calls go uncounted."""
-    counts = {"rfft2": 0, "irfft2": 0, "ifft": 0, "irfft": 0}
+    """Counts numpy.fft.rfft2, irfft2, rfft, fft, ifft and irfft calls while
+    the test runs; the counts dict is keyed by function name.  A 2-D
+    transform run in its stages, as numpy's rfftn and irfftn run them
+    inside, counts each stage call, so no stage can hide a transform;
+    numpy's own inner calls go uncounted."""
+    counts = dict.fromkeys(("rfft2", "irfft2", "rfft", "fft", "ifft", "irfft"),
+                           0)
 
     def counting(name):
         inner = getattr(phasefield.np.fft, name)

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -421,12 +422,13 @@ def relax_peak(n, steps):
 
 
 def test_relax_peak_memory_at_n512():
-    # A step holds the copies of the caller's grids, the two real scratch
-    # grids, the two complex half-planes of the step's transforms, the
-    # carried transforms, the six multipliers and |k|^2 with (-Delta)^-1:
-    # about 12.04 arrays, with trace rows formed over the dead buffers.
-    # The bound keeps a step or a trace row from growing a full-grid
-    # temporary.
+    # A step holds the copies of the caller's grids, the stacked complex
+    # half-planes of the force transforms and of the carried transforms,
+    # the six multipliers, |k|^2 with (-Delta)^-1, the trace's one n x n
+    # grid and one 64-row block of two real grids and of complex half-plane
+    # rows: about 11.41 arrays, with trace rows formed over the dead force
+    # stack.  The bound keeps a step or a trace row from growing a
+    # full-grid temporary.
     assert relax_peak(512, 2) <= 12.5
 
 
@@ -593,6 +595,108 @@ def test_last_trace_row_is_the_returned_field(steps):
         assert trace[-1][3] == parts["well"]
 
 
+def reference_relax(f, g, dt, steps, printed_well=False):
+    """relax's semi-implicit step on whole arrays, written from its update
+    formulas in the same float operations, and a trace row after every step
+    from the Parseval sums of the carried transforms: an oracle for the
+    row-blocked step.  Only the fixed-mass clip is relax's own
+    (`_mass_exact_clip`)."""
+    n, eps = f.N, f.epsilon
+    freq = np.fft.rfftfreq(n, d=1.0 / n)
+    k2 = (2.0 * math.pi * np.fft.fftfreq(n, d=1.0 / n))[:, None] ** 2 \
+        + (2.0 * math.pi * freq)[None, :] ** 2
+    inv_lap = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0.0)
+    weights = np.where((freq == 0) | (2 * freq == n), 1.0, 2.0) / n ** 4
+    keep = 1.0 + dt * (2.0 / eps)
+    den_s = 2.0 * (keep + dt * 3.0 * eps * k2)
+    den_d = 2.0 * (keep + dt * eps * k2)
+    s1 = (keep - dt * (g.g11 + g.g12) * inv_lap) / den_s
+    s2 = (keep - dt * (g.g12 + g.g22) * inv_lap) / den_s
+    d1 = (keep - dt * (g.g11 - g.g12) * inv_lap) / den_d
+    d2 = (-keep - dt * (g.g12 - g.g22) * inv_lap) / den_d
+    s3 = -dt / (2.0 * eps) / den_s
+    d3 = -dt / (2.0 * eps) / den_d
+
+    def W(u):
+        if printed_well:
+            return u * u * (1.0 - u * u)
+        return u * u * ((1.0 - u) * (1.0 - u))
+
+    def row(step, u1, u2, a, b):
+        p11 = a.real * a.real + a.imag * a.imag
+        p22 = b.real * b.real + b.imag * b.imag
+        p12 = a.real * b.real + a.imag * b.imag
+        grad = 2.0 * float(np.sum((p11 + p12 + p22) * k2, axis=0) @ weights)
+        grad *= 0.5 * eps
+        t = (p11 * g.g11 + p12 * (2.0 * g.g12) + p22 * g.g22) * inv_lap
+        nonlocal_term = float(np.sum(t, axis=0) @ weights) * 0.5
+        well = 0.5 / eps * float(np.mean(W(1.0 - u1 - u2) + W(u1) + W(u2)))
+        return (step, grad + well + nonlocal_term, grad, well, nonlocal_term)
+
+    lo, hi = GUARD_BAND
+    u1, u2 = f.u1, f.u2
+    m1, m2 = float(u1.mean()), float(u2.mean())
+    a, b = np.fft.rfft2(u1), np.fft.rfft2(u2)
+    trace = [row(0, u1, u2, a, b)]
+    for step in range(1, steps + 1):
+        s, d = u1 + u2, u1 - u2
+        if printed_well:
+            p = s * s * -3.0 + 2.0 - d * d
+            force_s, force_d = ((s * 8.0 - 8.0 + p) * s * 3.0 + 4.0), d * p
+        else:
+            r = (s - 2.0) * s * 3.0 + d * d + 2.0
+            force_s, force_d = ((r + s) * s - d * d) * 3.0, d * r
+        s_new = np.fft.rfft2(force_s) * s3 + a * s1 + b * s2
+        d_new = np.fft.rfft2(force_d) * d3 + a * d1 + b * d2
+        a, b = s_new + d_new, s_new - d_new
+        a[0, 0], b[0, 0] = m1 * n * n, m2 * n * n
+        u1, u2 = np.fft.irfft2(a, s=(n, n)), np.fft.irfft2(b, s=(n, n))
+        if u1.min() < lo or u1.max() > hi:
+            u1 = _mass_exact_clip(u1, m1)
+            a = np.fft.rfft2(u1)
+        if u2.min() < lo or u2.max() > hi:
+            u2 = _mass_exact_clip(u2, m2)
+            b = np.fft.rfft2(u2)
+        trace.append(row(step, u1, u2, a, b))
+    return u1, u2, trace
+
+
+@pytest.mark.parametrize("n, block_rows", [(64, None), (40, 3), (64, 5)],
+                         ids=["one-block", "40-rows-of-3", "64-rows-of-5"])
+@pytest.mark.parametrize("printed_well", [False, True],
+                         ids=["standard", "printed"])
+def test_blocked_step_matches_the_whole_array_reference(monkeypatch, n,
+                                                        block_rows,
+                                                        printed_well):
+    # 40 rows in blocks of 3 end on a block of 1, 64 rows of 5 on one of 4
+    if block_rows is not None:
+        monkeypatch.setattr(PF, "_BLOCK_BYTES", block_rows * n * 8)
+    eps = 2.0 / n
+    g = scaled_gamma(GammaMatrix(2.0, 1.0, 0.5), 0.2)
+    if printed_well:
+        f = noisy_uniform_field(n, eps, (0.3, 0.35), amplitude=0.1, seed=4)
+    else:
+        f = droplet_field(n, eps, 0.2, [(2.0, 1.5), (0.0, 2.0)],
+                          [(0.3, 0.35), (0.7, 0.8)])
+    out, trace = relax(f, g, dt=eps / n, steps=40, printed_well=printed_well,
+                       trace_every=1)
+    u1, u2, ref = reference_relax(f, g, eps / n, 40, printed_well)
+    assert np.array_equal(out.u1, u1) and np.array_equal(out.u2, u2)
+    assert trace == ref
+
+
+@pytest.mark.parametrize("block_rows", [None, 5])
+def test_blocked_clip_run_matches_the_whole_array_reference(monkeypatch,
+                                                            block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(PF, "_BLOCK_BYTES", block_rows * 64 * 8)
+    out, trace = clip_probe(trace_every=1)
+    f = noisy_uniform_field(64, 2.0 / 64, (0.7, 0.1), amplitude=0.05, seed=1)
+    u1, u2, ref = reference_relax(f, NO_COUPLING, 0.05, 50, printed_well=True)
+    assert np.array_equal(out.u1, u1) and np.array_equal(out.u2, u2)
+    assert trace == ref
+
+
 def clip_probe(**kwargs):
     """The printed well drives this state out of the guard band."""
     f = noisy_uniform_field(64, 2.0 / 64, (0.7, 0.1), amplitude=0.05, seed=1)
@@ -614,6 +718,25 @@ def test_clip_keeps_mass_and_trace_describes_the_state(caplog):
     assert trace[-1][1] == pytest.approx(parts["total"], rel=1e-12)
 
 
+def test_summary_line_counts_the_clips(caplog):
+    with caplog.at_level(logging.DEBUG, logger="triblock.phasefield"):
+        out, _ = clip_probe(trace_every=1)
+    lines = [r.getMessage() for r in caplog.records]
+    per_clip = [sum(f"u{i} left the guard band" in m for m in lines)
+                for i in (1, 2)]
+    summaries = [m for m in lines if m.startswith("relax: ")]
+    assert len(summaries) == 1
+    found = re.fullmatch(r"relax: (\d+) steps, clips u1 (\d+), u2 (\d+), "
+                         r"smallest blow-up margin (\S+)", summaries[0])
+    assert found is not None, summaries[0]
+    steps, clips1, clips2 = (int(x) for x in found.groups()[:3])
+    assert (steps, [clips1, clips2]) == (50, per_clip)
+    assert per_clip[0] > 0 and per_clip[1] > 0
+    # the last step's max |u| bounds the margin, before its clip shrank it
+    worst = max(np.abs(out.u1).max(), np.abs(out.u2).max())
+    assert 0.0 < float(found.group(4)) <= 5.0 - worst + 1e-3
+
+
 @pytest.mark.parametrize("low, high, mean", [
     (-0.5, 1.5, 0.3), (3.0, 5.0, 1.0), (-5.0, -3.0, -0.1), (-0.2, 4.9, 1.1),
     (-0.5, 1.5, GUARD_BAND[0]), (-0.5, 1.5, GUARD_BAND[1])])
@@ -627,32 +750,44 @@ def test_mass_exact_clip_hits_the_mean(low, high, mean):
     assert abs(float(u.mean()) - mean) <= 1e-15
 
 
-def test_relax_fft_counts(fft_calls, caplog):
+def fft_counts(rfft2=0, rfft=0, fft=0, ifft=0, irfft=0):
+    return {"rfft2": rfft2, "irfft2": 0, "rfft": rfft, "fft": fft,
+            "ifft": ifft, "irfft": irfft}
+
+
+def test_relax_fft_counts(fft_calls, caplog, monkeypatch):
     f = noisy_uniform_field(32, 2.0 / 32, (0.05, 0.05), seed=0)
-    # a step: two forward transforms, and two inverse ones in two stages
+    # set-up: one rfft2 per species; a step: per row block one rfft and one
+    # irfft per species, and one fft and one ifft down the stacked columns
     for trace_every in (1, 7):
         fft_calls.update(dict.fromkeys(fft_calls, 0))
         relax(f, NO_COUPLING, steps=7, trace_every=trace_every)
-        assert fft_calls == {"rfft2": 2 + 2 * 7, "irfft2": 0,
-                             "ifft": 2 * 7, "irfft": 2 * 7}
+        assert fft_calls == fft_counts(rfft2=2, rfft=2 * 7, fft=7, ifft=7,
+                                       irfft=2 * 7)
     # each species clipped costs one rfft2 to transform it afresh
     fft_calls.update(dict.fromkeys(fft_calls, 0))
     with caplog.at_level(logging.DEBUG, logger="triblock.phasefield"):
         clip_probe(trace_every=1)
     clips = sum("guard band" in r.getMessage() for r in caplog.records)
     assert clips > 0
-    assert fft_calls == {"rfft2": 2 + 2 * 50 + clips, "irfft2": 0,
-                         "ifft": 2 * 50, "irfft": 2 * 50}
+    assert fft_calls == fft_counts(rfft2=2 + clips, rfft=2 * 50, fft=50,
+                                   ifft=50, irfft=2 * 50)
+    # four row blocks of 8
+    monkeypatch.setattr(PF, "_BLOCK_BYTES", 8 * 32 * 8)
+    fft_calls.update(dict.fromkeys(fft_calls, 0))
+    relax(f, NO_COUPLING, steps=7)
+    assert fft_calls == fft_counts(rfft2=2, rfft=2 * 4 * 7, fft=7, ifft=7,
+                                   irfft=2 * 4 * 7)
 
 
 def test_energy_fft_counts(fft_calls):
     f = noisy_uniform_field(32, 2.0 / 32, (0.05, 0.05), seed=0)
     diffuse_energy(f, NO_COUPLING)
-    assert fft_calls == {"rfft2": 2, "irfft2": 0, "ifft": 0, "irfft": 0}
+    assert fft_calls == fft_counts(rfft2=2)
     ind = disk_indicator(32, (0.5, 0.5), 0.2)
     sharp_energy(SharpConfig(ind, np.zeros_like(ind), 0.1),
                  GammaMatrix(1.0, 1.0, 0.0))
-    assert fft_calls == {"rfft2": 4, "irfft2": 0, "ifft": 0, "irfft": 0}
+    assert fft_calls == fft_counts(rfft2=4)
 
 
 # ---------------------------------------------------------------------------
