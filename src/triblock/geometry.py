@@ -8,6 +8,12 @@ equation for the middle-arc half-angle theta0 in (0, pi/3); once theta0 is
 known every radius follows in closed form, so the solver is a bracketed
 one-dimensional root find plus algebra, for every positive mass pair.
 
+One arc model, two solves: each formula runs on Python floats with `math`
+or elementwise on arrays with numpy.  The scalar `_solve_pair` serves
+`solve_geometry`, `perimeter` and its derivatives (bubble tables, cluster
+energies, `partition.thresholds`); the array `_solve_pairs` serves
+`partition`'s ansatz grids, KKT Jacobians and oracle table.
+
 Small lobes: at mass ratio q, theta2 lies within ~1.385 sqrt(q) of pi, so
 one ulp of theta0 moves sin(theta2) by a relative ulp/sqrt(q).  The junction
 half-height h therefore comes from the larger lobe's area equation, which
@@ -30,9 +36,6 @@ may pass masses in either order; `BubbleGeometry.swapped` records whether the
 input order was reversed internally, and the mass-indexed operations
 (perimeter_gradient, perimeter_hessian, e0_hessian_diag) translate back to
 the caller's order.
-
-`concavity_threshold` finds its sign change by regula falsi in m^(3/2),
-where the second derivative times m^(3/2) is nearly linear.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ THETA0_MAX = math.pi / 3.0
 # Chebyshev coefficients of phi(x), the start theta0 = (1 - sqrt q) phi(x) of
 # the middle-angle solve at mass ratio q, x = 2 sqrt(q) - 1.  Fitted by
 # `numpy.polynomial.chebyshev.chebfit(x, t / (1 - sqrt q), 18)` on 400
-# Chebyshev nodes of t in [1e-3, pi/3), q = A(t)/C(t) from `_brackets`: within
+# Chebyshev nodes of t in [1e-3, pi/3), q = A(t)/C(t) from `_gap`: within
 # 1.8e-14 of t there (3.2e-13 relative).
 _START = (
     0.8421923326195673, -0.20546423656412785, 0.004930706918093017,
@@ -62,11 +65,15 @@ _START = (
     -2.2363391445256697e-13,
 )
 
-# Relative mass gap below which the middle arc is treated as flat.
+# Relative mass gap below which the middle arc is treated as flat, and the
+# limits of `_segment_terms` (g, d) at its middle angle theta0 = 0.
 SYMMETRY_TOL = 1e-10
+_FLAT_TERMS = (0.0, 2.0 / 3.0)
 
 _RESIDUAL_TOL = 5e-13
 _MAX_ITER = 90
+_RESIDUAL_KEYS = ("area1", "area2", "junction1", "junction2", "curvature",
+                  "angle_sum")
 
 # Odd-series coefficients of theta - sin(theta)cos(theta):
 # sum over odd n >= 3 of (-1)^((n+1)/2) 2^(n-1)/n! * theta^n.
@@ -126,52 +133,100 @@ class BubbleGeometry:
     swapped: bool
 
 
-def _seg(theta: float) -> float:
-    """Segment area factor theta - sin(theta)cos(theta).
+# ---------------------------------------------------------------------------
+# The arc model, xp = math or numpy.  Row i of each arc quantity is theta_i's.
 
-    Direct evaluation cancels catastrophically for small theta (the value is
-    ~(2/3) theta^3), so below 0.25 a truncated odd series is used instead;
-    the crossover keeps the relative error a few ulps on both branches.
-    """
-    if theta >= 0.25:
-        return theta - 0.5 * math.sin(2.0 * theta)
-    t2 = theta * theta
-    acc = 0.0
-    for c in reversed(_SEG_COEFFS):
+def _series(t):
+    """`_seg` below 0.25, where it cancels (the value is ~(2/3) t^3), by the
+    odd series of `_SEG_COEFFS`: both are a few ulps accurate."""
+    t2 = t * t
+    acc = _SEG_COEFFS[-1]
+    for c in reversed(_SEG_COEFFS[:-1]):
         acc = acc * t2 + c
-    return acc * t2 * theta
+    return acc * t2 * t
 
 
-def _segment_terms(theta: float) -> tuple[float, float]:
-    """seg(theta)/sin^2(theta), the segment area per h^2 (0 at theta = 0),
-    and its derivative 2 - 2 seg(theta) cos(theta)/sin^3(theta)."""
-    if theta == 0.0:
-        return 0.0, 2.0 / 3.0
-    s = math.sin(theta)
-    seg = _seg(theta)
-    return seg / (s * s), 2.0 - 2.0 * seg * math.cos(theta) / (s * s * s)
+def _seg(theta, xp):
+    """Segment area factor theta - sin(theta)cos(theta), theta >= 0.25."""
+    return theta - 0.5 * xp.sin(2.0 * theta)
 
 
-def _brackets(t: float) -> tuple[float, float, float, float]:
-    """Mass brackets (A, C) with A/C = m1/m2 at the solved middle angle t,
-    and their derivatives (A'(t), C'(t)).
-
-    A collects the small-lobe and middle segment areas per h^2, C the large
-    lobe minus the middle segment; both come from eliminating the radii from
-    the area equations via r_i sin(theta_i) = h.
-    """
-    g0, d0 = _segment_terms(t)
-    g1, d1 = _segment_terms(TWO_PI_THIRDS - t)
-    g2, d2 = _segment_terms(TWO_PI_THIRDS + t)
-    return g1 + g0, g2 - g0, d0 - d1, d2 - d0
+def _segment_terms(seg, s, c):
+    """g = seg/sin^2 (segment area per h^2) and its derivative d =
+    2 - 2 seg cos/sin^3, from an angle's segment factor, sine and cosine."""
+    s2 = s * s
+    return seg / s2, 2.0 - 2.0 * seg * c / (s2 * s)
 
 
-def _start(q, sqrt):
-    """The `_START` series at mass ratios q, summed by Clenshaw's recurrence
-    with `sqrt` math.sqrt or np.sqrt: the same operations on a float or
-    elementwise on an array, so the two solves start bit for bit alike.
-    Callers replace a start past _LENS_START with `_lens_start`."""
-    s = sqrt(q)
+def _angles(t):
+    return t, TWO_PI_THIRDS - t, TWO_PI_THIRDS + t
+
+
+def _gap(a, b, g, d):
+    """A = g1 + g0, a C - b A (C = g2 - g0: the area equations without the
+    radii) and its slope in theta0, zero at the middle angle of a < b."""
+    num = g[1] + g[0]
+    return (num, a * (g[2] - g[0]) - b * num,
+            a * (d[2] - d[0]) - b * (d[0] - d[1]))
+
+
+def _radii(b, t, s, g, xp):
+    """h = sqrt(b/C) from the larger lobe's area equation, the radii
+    h/sin(theta_i) and the middle arc's length 2 h t/sin(t), for t > 0."""
+    h = xp.sqrt(b / (g[2] - g[0]))
+    return h, (h / s[0], h / s[1], h / s[2]), 2.0 * h * t / s[0]
+
+
+def _flat(a, b, xp):
+    """The mean mass of a pair inside SYMMETRY_TOL and its flat `_radii`."""
+    mbar = 0.5 * (a + b)
+    r = xp.sqrt(mbar / _seg(TWO_PI_THIRDS, math))
+    h = r * math.sin(TWO_PI_THIRDS)
+    return (mbar, mbar), h, (math.inf, r, r), 2.0 * h
+
+
+def _lobes(r, s, seg):
+    """r0 sin(theta0), areas r ** 2 seg (libm's pow on a float, not always
+    r * r) and curvatures 1/r; a flat middle arc takes h and area 0."""
+    area = [r[0] ** 2 * seg[0], r[1] ** 2 * seg[1], r[2] ** 2 * seg[2]]
+    return r[0] * s[0], area, (1.0 / r[0], 1.0 / r[1], 1.0 / r[2])
+
+
+def _residuals(mass, h, h0, r, s, c, area, k):
+    """The residuals of _RESIDUAL_KEYS: areas relative to the mass sum,
+    junction heights to h, curvature balance times h, tangency angle sum."""
+    scale = mass[0] + mass[1]
+    return ((area[1] + area[0] - mass[0]) / scale,
+            (area[2] - area[0] - mass[1]) / scale,
+            (r[1] * s[1] - h0) / h,
+            (r[2] * s[2] - h0) / h,
+            (k[1] - k[2] - k[0]) * h,
+            c[1] + c[2] + c[0])
+
+
+def _within_gate(res):
+    """The 1e-12 residual gate: false at nan."""
+    return abs(res) <= 1e-12
+
+
+def _perimeter_sum(theta, r, middle):
+    return 2.0 * (theta[1] * r[1] + theta[2] * r[2]) + middle
+
+
+def _hessian(a, b, h, r, s, c, g, d):
+    """(H11, H12, H22) of p at masses a <= b; see `perimeter_hessian`."""
+    dtheta = (g[2] - g[0]) / (d[0] - d[1] - a / b * (d[2] - d[0]))
+    h12 = ((2.0 * s[2] - 2.0 * g[0] * c[2] - d[0] * s[2]) * h * dtheta
+           / (2.0 * b) / b)
+    return (-0.5 / r[1] - h12 * b) / a, h12, (-0.5 / r[2] - h12 * a) / b
+
+
+def _start(q, xp):
+    """The `_START` series at mass ratios q, summed by Clenshaw's recurrence:
+    the same operations on a float or elementwise on an array, so the two
+    solves start bit for bit alike.  Callers replace a start past
+    _LENS_START with `_lens_start`."""
+    s = xp.sqrt(q)
     x = 2.0 * s - 1.0
     x2 = 2.0 * x
     b1, b2 = _START[-1], 0.0  # the first step from b1 = b2 = 0, exactly
@@ -180,46 +235,64 @@ def _start(q, sqrt):
     return (1.0 - s) * (x * b1 - b2 + _START[0])
 
 
-def _lens_start(q, sqrt):
+def _lens_start(q, xp):
     """Start at mass ratios q below about 5e-25, where the series passes
     _LENS_START: the small-lobe limit pi/3 - sqrt(pi q / A(pi/3)), from
     a C(t) = b A(t) with C ~ pi/(pi/3 - t)^2.  A start farther from pi/3
     than sqrt(3) times the root's distance lets Newton overshoot to within
     a few ulps of pi/3, where its 2-ulp step rule stops it on a small lobe
     hundreds of times too small."""
-    return THETA0_MAX - sqrt(_LENS_AREA * q)
+    return THETA0_MAX - xp.sqrt(_LENS_AREA * q)
+
+
+def _arcs(theta):
+    """The rows seg, sin and cos at three float angles theta; `_series`
+    gives seg below 0.25, which only theta0 reaches on a double bubble."""
+    t0, t1, t2 = theta
+    return ((_series(t0) if t0 < 0.25 else _seg(t0, math), _seg(t1, math),
+             _seg(t2, math)),
+            (math.sin(t0), math.sin(t1), math.sin(t2)),
+            (math.cos(t0), math.cos(t1), math.cos(t2)))
+
+
+def _arc_terms(seg, s, c):
+    """The rows g and d of `_segment_terms` at the rows of `_arcs`; row 0
+    takes `_FLAT_TERMS` where sin(theta0) = 0."""
+    g0, d0 = _segment_terms(seg[0], s[0], c[0]) if s[0] else _FLAT_TERMS
+    g1, d1 = _segment_terms(seg[1], s[1], c[1])
+    g2, d2 = _segment_terms(seg[2], s[2], c[2])
+    return (g0, g1, g2), (d0, d1, d2)
 
 
 # Where the `_START` series hands over to `_lens_start`, and pi / A(pi/3)
-# for the latter: the lens of two arcs of half-angle pi/3.
+# for the latter, A = g1 + g0 as in `_gap`: the lens of two arcs of
+# half-angle pi/3.
 _LENS_START = THETA0_MAX - 1e-12
-_LENS_AREA = math.pi / _brackets(THETA0_MAX)[0]
+_LENS_G = _arc_terms(*_arcs(_angles(THETA0_MAX)))[0]
+_LENS_AREA = math.pi / (_LENS_G[1] + _LENS_G[0])
 
 
-def _solve_middle_angle(a: float, b: float, residual_tol: float,
-                        max_iter: int) -> float:
+def _solve_middle_angle(a: float, b: float) -> float:
     """Root of a*C(t) - b*A(t) = 0 on (0, pi/3) for masses a < b.
 
     Newton iteration with a maintained bisection bracket, from the `_START`
     series or, below a/b ~ 5e-25, `_lens_start`: one pass for ratios
     a/b >= 1e-2, at most two down to 1e-12, three in [1e-30, 1e-12) and
     two below (the most over 300 seeded ratios per band).
-    Once the second area equation holds to residual_tol relative to a + b,
+    Once the second area equation holds to _RESIDUAL_TOL relative to a + b,
     or the Newton step is at most 2 ulps of t, it returns the Newton step;
-    a one-ulp bracket returns t.  These only stop the loop: the
-    `geometry_residuals` gate of `solve_geometry` decides.
+    a one-ulp bracket returns t.  These only stop the loop: the residual
+    gate of `_solve_pair` decides.
     """
     scale = a + b
-    t = _start(a / b, math.sqrt)
+    t = _start(a / b, math)
     if t > _LENS_START:
-        t = _lens_start(a / b, math.sqrt)
+        t = _lens_start(a / b, math)
     lo, hi = 0.0, THETA0_MAX  # gap(lo) < 0 < gap(hi) by monotonicity
-    for _ in range(max_iter):
-        num, den, nump, denp = _brackets(t)
-        gap = a * den - b * num
-        slope = a * denp - b * nump
+    for _ in range(_MAX_ITER):
+        num, gap, slope = _gap(a, b, *_arc_terms(*_arcs(_angles(t))))
         t_next = t - gap / slope if slope > 0.0 else math.nan
-        if (abs(gap) <= residual_tol * scale * num
+        if (abs(gap) <= _RESIDUAL_TOL * scale * num
                 or abs(t_next - t) <= 2.0 * math.ulp(t)):
             return t if math.isnan(t_next) else t_next
         if gap > 0.0:
@@ -233,8 +306,39 @@ def _solve_middle_angle(a: float, b: float, residual_tol: float,
         t = t_next
     raise ConvergenceError(
         f"middle-angle solve stalled for masses ({a:g}, {b:g}): "
-        f"residual {abs(gap) / (scale * num):.3e} after {max_iter} iterations"
+        f"residual {abs(gap) / (scale * num):.3e} after {_MAX_ITER} iterations"
     )
+
+
+def _arc_residuals(mass, h, r, seg, s, c):
+    """`_residuals` at the arc rows seg, s, c, the middle arc flat if
+    r0 = inf."""
+    h0, area, k = _lobes(r, s, seg)
+    if math.isinf(r[0]):
+        h0, area[0] = h, 0.0
+    return _residuals(mass, h, h0, r, s, c, area, k)
+
+
+def _solve_pair(m1: float, m2: float):
+    """The gated arc system at one positive pair: p, the masses in canonical
+    order (not the flat mean), h and the rows (theta, r, s, c, g, d).
+    Raises ConvergenceError naming each residual past the 1e-12 gate."""
+    a, b = (m2, m1) if m1 > m2 else (m1, m2)
+    flat = 1.0 - a / b < SYMMETRY_TOL
+    theta = _angles(0.0 if flat else _solve_middle_angle(a, b))
+    seg, s, c = _arcs(theta)
+    g, d = _arc_terms(seg, s, c)
+    if flat:
+        mass, h, r, middle = _flat(a, b, math)
+    else:
+        mass, (h, r, middle) = (a, b), _radii(b, theta[0], s, g, math)
+    res = _arc_residuals(mass, h, r, seg, s, c)
+    if not all(map(_within_gate, res)):
+        raise ConvergenceError(
+            f"geometry residuals exceed 1e-12 for masses ({m1:g}, {m2:g}): "
+            + ", ".join(f"{k} {x:.3e}" for k, x in zip(_RESIDUAL_KEYS, res)
+                        if not _within_gate(x)))
+    return _perimeter_sum(theta, r, middle), a, b, h, theta, r, s, c, g, d
 
 
 def solve_geometry(m) -> BubbleGeometry:
@@ -246,39 +350,8 @@ def solve_geometry(m) -> BubbleGeometry:
     met.
     """
     m1, m2 = mass_pair("m", m, True)
-    swapped = m1 > m2
-    a, b = (m2, m1) if swapped else (m1, m2)
-
-    if 1.0 - a / b < SYMMETRY_TOL:
-        # Flat-interface geometry for the mean mass; inputs inside the
-        # symmetry band are indistinguishable at the residual tolerance.
-        mbar = 0.5 * (a + b)
-        a = b = mbar
-        r = math.sqrt(mbar / _seg(TWO_PI_THIRDS))
-        geom = BubbleGeometry(
-            theta0=0.0, theta1=TWO_PI_THIRDS, theta2=TWO_PI_THIRDS,
-            r0=math.inf, r1=r, r2=r, h=r * math.sin(TWO_PI_THIRDS),
-            swapped=swapped,
-        )
-    else:
-        t = _solve_middle_angle(a, b, _RESIDUAL_TOL, _MAX_ITER)
-        th1 = TWO_PI_THIRDS - t
-        th2 = TWO_PI_THIRDS + t
-        _, den, _, _ = _brackets(t)
-        h = math.sqrt(b / den)
-        geom = BubbleGeometry(
-            theta0=t, theta1=th1, theta2=th2,
-            r0=h / math.sin(t), r1=h / math.sin(th1), r2=h / math.sin(th2),
-            h=h, swapped=swapped,
-        )
-
-    residuals = geometry_residuals(geom, (a, b))
-    bad = [f"{k} {r:.3e}" for k, r in residuals.items() if not abs(r) <= 1e-12]
-    if bad:  # `not <=` refuses a nan residual too
-        raise ConvergenceError(
-            f"geometry residuals exceed 1e-12 for masses ({m1:g}, {m2:g}): "
-            + ", ".join(bad))
-    return geom
+    _, _, _, h, theta, r, *_ = _solve_pair(m1, m2)
+    return BubbleGeometry(*theta, *r, h, m1 > m2)
 
 
 def geometry_residuals(geom: BubbleGeometry, m) -> dict[str, float]:
@@ -289,27 +362,12 @@ def geometry_residuals(geom: BubbleGeometry, m) -> dict[str, float]:
     the tangency angle sum.  All are nondimensionalized so 1e-12 is a
     meaningful common tolerance.
     """
-    a, b = float(m[0]), float(m[1])
-    scale = a + b
-    flat = math.isinf(geom.r0)
-    seg0 = 0.0 if flat else geom.r0 ** 2 * _seg(geom.theta0)
-    area1 = geom.r1 ** 2 * _seg(geom.theta1) + seg0 - a
-    area2 = geom.r2 ** 2 * _seg(geom.theta2) - seg0 - b
-    h0 = geom.h if flat else geom.r0 * math.sin(geom.theta0)
-    junction1 = geom.r1 * math.sin(geom.theta1) - h0
-    junction2 = geom.r2 * math.sin(geom.theta2) - h0
-    k0 = 0.0 if flat else 1.0 / geom.r0
-    curvature = (1.0 / geom.r1 - 1.0 / geom.r2 - k0) * geom.h
-    angle_sum = (math.cos(geom.theta1) + math.cos(geom.theta2)
-                 + math.cos(geom.theta0))
-    return {
-        "area1": area1 / scale,
-        "area2": area2 / scale,
-        "junction1": junction1 / geom.h,
-        "junction2": junction2 / geom.h,
-        "curvature": curvature,
-        "angle_sum": angle_sum,
-    }
+    t0, t1, t2, r0, r1, r2, h = map(float, (
+        geom.theta0, geom.theta1, geom.theta2, geom.r0, geom.r1, geom.r2,
+        geom.h))  # on floats, a flat r0 * sin(theta0) is a silent nan
+    res = _arc_residuals((float(m[0]), float(m[1])), h, (r0, r1, r2),
+                         *_arcs((t0, t1, t2)))
+    return dict(zip(_RESIDUAL_KEYS, res))
 
 
 def perimeter(m) -> float:
@@ -325,46 +383,31 @@ def perimeter(m) -> float:
         return 0.0
     if m1 == 0.0 or m2 == 0.0:
         return 2.0 * math.sqrt(math.pi * (m1 + m2))
-    g = solve_geometry((m1, m2))
-    if g.theta0 == 0.0:
-        middle = 2.0 * g.h
-    else:
-        middle = 2.0 * g.h * g.theta0 / math.sin(g.theta0)
-    return 2.0 * (g.theta1 * g.r1 + g.theta2 * g.r2) + middle
+    return _solve_pair(m1, m2)[0]
 
 
 # ---------------------------------------------------------------------------
-# Array solver: the scalar path above, elementwise in numpy, for batch callers.
+# Array solve: many mass pairs at once, each row a 1-D array.
 
 def _angle_terms(t):
-    """Arc terms at the three angles theta = (t, 2pi/3 - t, 2pi/3 + t) of a
-    middle-angle array t, each as a (3, n) array: theta, seg, sin, cos and
-    the `_segment_terms` pair (g, d), row 0's nan where t = 0.  Only t goes
-    below pi/3, so `_seg`'s series applies to row 0 alone."""
-    theta = np.array((t, TWO_PI_THIRDS - t, TWO_PI_THIRDS + t))
-    seg = theta - 0.5 * np.sin(2.0 * theta)
+    """The rows theta, seg, sin, cos, g and d at an array of middle angles
+    t, each a (3, n) array; g0 and d0 are nan where t = 0."""
+    theta = np.array(_angles(t))
+    seg = _seg(theta, np)
     small = t < 0.25
     if np.count_nonzero(small):
-        ts = t[small]
-        t2 = ts * ts
-        acc = _SEG_COEFFS[-1]
-        for c in reversed(_SEG_COEFFS[:-1]):
-            acc = acc * t2 + c
-        seg[0, small] = acc * t2 * ts
+        seg[0, small] = _series(t[small])
     s, c = np.sin(theta), np.cos(theta)
-    s2 = s * s
-    return theta, seg, s, c, seg / s2, 2.0 - 2.0 * seg * c / (s2 * s)
+    return theta, seg, s, c, *_segment_terms(seg, s, c)
 
 
 def _middle_angles(a, b):
-    """`_solve_middle_angle` on arrays a < b: the same start and steps.
-    Each element keeps its own bisection bracket and leaves the active set
-    by the same stopping rules, so a batch pays for the passes of its slow
-    elements on those alone.  Returns t, nan where the scalar solve would
-    raise."""
+    """`_solve_middle_angle` on arrays a < b: the same start, steps and stop
+    rules, with a bisection bracket per element, which leaves the active
+    set when it stops.  Returns t, nan where the scalar solve would raise."""
     q = a / b
-    t = _start(q, np.sqrt)
-    t = np.where(t > _LENS_START, _lens_start(q, np.sqrt), t)
+    t = _start(q, np)
+    t = np.where(t > _LENS_START, _lens_start(q, np), t)
     tol = _RESIDUAL_TOL * (a + b)
     out = np.full(t.shape, np.nan)
     idx = np.arange(t.size)
@@ -372,10 +415,7 @@ def _middle_angles(a, b):
     for _ in range(_MAX_ITER):
         if not idx.size:
             break
-        *_, g, d = _angle_terms(t)
-        num = g[1] + g[0]
-        gap = a * (g[2] - g[0]) - b * num
-        slope = a * (d[2] - d[0]) - b * (d[0] - d[1])
+        num, gap, slope = _gap(a, b, *_angle_terms(t)[4:])
         t_next = np.where(slope > 0.0, t - gap / slope, np.nan)
         stop = ((np.abs(gap) <= tol * num)
                 | (np.abs(t_next - t) <= 2.0 * np.spacing(t)))
@@ -396,54 +436,32 @@ def _middle_angles(a, b):
 
 
 def _solve_pairs(m1, m2):
-    """`solve_geometry` on 1-D arrays of positive mass pairs, gated.
-
-    The same start, Newton steps with a bisection bracket per element,
-    stopping rules, h from the larger lobe, flat interface inside
-    `SYMMETRY_TOL` and per-element 1e-12 `geometry_residuals` gate, from one
-    `_angle_terms` call at the solved t, under a local errstate (the flat
-    elements divide by sin(0)).  Returns (p, a, b, h, r, s, c, g, d): the
-    perimeter, the caller's masses in canonical order (not the flat mean),
-    h, the radii (r0, r1, r2), and the sin, cos and `_segment_terms` rows
-    at the solved t (g0 = 0 and d0 = 2/3 where flat).  Raises
-    ConvergenceError naming the first pair that fails to converge or fails
-    the gate.
-    """
+    """`_solve_pair` on 1-D arrays of positive mass pairs, each row an
+    array.  Flat elements are evaluated at t = 0 and then given `_flat`'s
+    terms, under a local errstate: they divide by sin(0), and masses near
+    the float range overflow into the gate.  Raises ConvergenceError naming
+    the first pair that fails to converge or fails the gate."""
     a, b = np.minimum(m1, m2), np.maximum(m1, m2)
     flat = 1.0 - a / b < SYMMETRY_TOL
     t = np.zeros(a.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t[~flat] = _middle_angles(a[~flat], b[~flat])
         theta, seg, s, c, g, d = _angle_terms(t)
-        h = np.sqrt(b / (g[2] - g[0]))
-        r = h / s
-        area = r * r * seg
-        h0 = r[0] * s[0]
-        middle = 2.0 * h * t / s[0]
-        mass = np.array((a, b))
-        i = np.flatnonzero(flat)
+        h, r, middle = _radii(b, t, s, g, np)
+        mass, i = np.array((a, b)), np.flatnonzero(flat)
         if i.size:
-            # the mean-mass geometry of `solve_geometry`, at theta0 = 0
-            mass[:, i] = mbar = 0.5 * (a[i] + b[i])
-            r_flat = np.sqrt(mbar / _seg(TWO_PI_THIRDS))
-            h[i] = h0[i] = r_flat * math.sin(TWO_PI_THIRDS)
-            g[0, i], d[0, i] = 0.0, 2.0 / 3.0
-            r[0, i], r[1:, i] = np.inf, r_flat
-            area[:, i] = r_flat * r_flat * seg[:, i]
-            middle[i] = 2.0 * h[i]
-        k = 1.0 / r
-        worst = np.abs(np.concatenate((
-            (np.array((area[1] + area[0], area[2] - area[0])) - mass) / (a + b),
-            (r[1:] * s[1:] - h0) / h,
-            ((k[1] - k[2] - k[0]) * h, c[1] + c[2] + c[0])))).max(axis=0)
-    ok = worst <= 1e-12  # False where t is nan
+            mass[:, i], h[i], r_flat, middle[i] = _flat(a[i], b[i], np)
+            r[0][i], r[1][i], r[2][i] = r_flat
+            g[0, i], d[0, i] = _FLAT_TERMS
+        h0, area, k = _lobes(r, s, seg)
+        h0[i], area[0][i] = h[i], 0.0
+        res = _residuals(mass, h, h0, r, s, c, area, k)
+    ok = _within_gate(np.array(res)).all(axis=0)
     if np.count_nonzero(ok) < ok.size:
         i = int(np.argmin(ok))
         raise ConvergenceError(
             f"array geometry solve failed for masses ({m1[i]:g}, {m2[i]:g})")
-    arcs = theta[1:] * r[1:]
-    p = 2.0 * (arcs[0] + arcs[1]) + middle
-    return p, a, b, h, r, s, c, g, d
+    return _perimeter_sum(theta, r, middle), a, b, h, theta, r, s, c, g, d
 
 
 def _perimeters(m1, m2):
@@ -468,8 +486,9 @@ def _perimeters(m1, m2):
     if (m1 < 0.0).any() or (m2 < 0.0).any():
         raise ValueError("masses must be nonnegative")
     out = np.zeros(m1.shape)
-    disk = (np.minimum(m1, m2) == 0.0) & (m1 + m2 > 0.0)
-    out[disk] = 2.0 * np.sqrt(math.pi * (m1[disk] + m2[disk]))
+    with np.errstate(over="ignore"):  # inf past 1e308/pi, as in `perimeter`
+        disk = (np.minimum(m1, m2) == 0.0) & (m1 + m2 > 0.0)
+        out[disk] = 2.0 * np.sqrt(math.pi * (m1[disk] + m2[disk]))
     pair = np.flatnonzero((m1 > 0.0) & (m2 > 0.0))
     out[pair] = _solve_pairs(m1[pair], m2[pair])[0]
     return out.reshape(shape)
@@ -478,10 +497,9 @@ def _perimeters(m1, m2):
 def _perimeter_derivatives(m1, m2):
     """p, its gradient and its Hessian on 1-D arrays of positive mass pairs.
 
-    One `_solve_pairs` call; the gradient is `perimeter_gradient` and the
-    Hessian `perimeter_hessian`, elementwise, from the arc terms that the
-    residual gate used.  Returns the rows (p, p1, p2, h11, h12, h22) of one
-    (6, n) array, all in the caller's order.
+    `perimeter_gradient` and `perimeter_hessian` elementwise, from the arc
+    rows of one `_solve_pairs` call.  Returns the rows (p, p1, p2, h11, h12,
+    h22) of one (6, n) array, all in the caller's order.
 
     It has no small-lobe refusal, unlike `perimeter_hessian`: it is only
     the Jacobian of `ebar`'s Newton iteration, where an inexact small-lobe
@@ -489,14 +507,11 @@ def _perimeter_derivatives(m1, m2):
     `partition._scale` widens that species' tolerance to the accuracy of
     its slope (tested down to a share of 1e-27).
     """
-    p, a, b, h, r, s, c, g, d = _solve_pairs(m1, m2)
-    dtheta = (g[2] - g[0]) / (d[0] - d[1] - a / b * (d[2] - d[0]))
-    h12 = ((2.0 * s[2] - 2.0 * g[0] * c[2] - d[0] * s[2]) * h * dtheta
-           / (2.0 * b) / b)
-    m = np.array((m1, m2))
-    rm = np.where(m1 > m2, r[:0:-1], r[1:])  # the lobe radii in caller order
-    hm = (-0.5 / rm - h12 * m[::-1]) / m
-    return np.array((p, *(1.0 / rm), hm[0], h12, hm[1]))
+    p, a, b, h, theta, r, s, c, g, d = _solve_pairs(m1, m2)
+    h11, h12, h22 = _hessian(a, b, h, r, s, c, g, d)
+    lobes = np.array(((1.0 / r[1], h11), (1.0 / r[2], h22)))
+    (p1, h_11), (p2, h_22) = np.where(m1 > m2, lobes[::-1], lobes)
+    return np.array((p, p1, p2, h_11, h12, h_22))
 
 
 def perimeter_gradient(m) -> tuple[float, float]:
@@ -507,9 +522,9 @@ def perimeter_gradient(m) -> tuple[float, float]:
     the module docstring for the accuracy of the small-lobe slope.
     """
     m1, m2 = mass_pair("m", m, True)
-    g = solve_geometry((m1, m2))
-    g_small, g_big = 1.0 / g.r1, 1.0 / g.r2
-    return (g_big, g_small) if g.swapped else (g_small, g_big)
+    r = _solve_pair(m1, m2)[5]
+    g_small, g_big = 1.0 / r[1], 1.0 / r[2]
+    return (g_big, g_small) if m1 > m2 else (g_small, g_big)
 
 
 # Mass ratio below which the small lobe's Hessian entries are refused: their
@@ -545,17 +560,15 @@ def perimeter_hessian(m) -> np.ndarray:
 
 def _perimeter_hessian(m1: float, m2: float) -> tuple[float, float, float]:
     """(H11, H12, H22) of `perimeter_hessian` at a checked pair, any ratio."""
-    g = solve_geometry((m1, m2))
-    a, b = (m2, m1) if g.swapped else (m1, m2)
-    g0, d0 = _segment_terms(g.theta0)
-    d1 = _segment_terms(g.theta1)[1]
-    g2, d2 = _segment_terms(g.theta2)
-    s2, c2 = math.sin(g.theta2), math.cos(g.theta2)
-    dtheta = (g2 - g0) / (d0 - d1 - a / b * (d2 - d0))
-    h12 = (2.0 * s2 - 2.0 * g0 * c2 - d0 * s2) * g.h * dtheta / (2.0 * b) / b
-    h11 = (-0.5 / g.r1 - h12 * b) / a
-    h22 = (-0.5 / g.r2 - h12 * a) / b
-    return (h22, h12, h11) if g.swapped else (h11, h12, h22)
+    _, a, b, h, _, r, s, c, g, d = _solve_pair(m1, m2)
+    h11, h12, h22 = _hessian(a, b, h, r, s, c, g, d)
+    return (h22, h12, h11) if m1 > m2 else (h11, h12, h22)
+
+
+def _e0_hessian_diag(m1: float, m2: float, gamma_ii: float, i: int) -> float:
+    """gamma_ii/(2 pi) + H_ii at a checked pair, refusing a small lobe i."""
+    _refuse_small_lobe(*((m1, m2) if i == 1 else (m2, m1)))
+    return gamma_ii / (2.0 * math.pi) + _perimeter_hessian(m1, m2)[2 * i - 2]
 
 
 def e0(m, gamma: GammaMatrix) -> float:
@@ -601,9 +614,7 @@ def e0_hessian_diag(m, gamma: GammaMatrix, i: int) -> float:
     if i > 2:
         raise ValueError(f"i must be 1 or 2, got {i}")
     m1, m2 = mass_pair("m", m, True)
-    _refuse_small_lobe(*((m1, m2) if i == 1 else (m2, m1)))
-    g_ii = gamma.g11 if i == 1 else gamma.g22
-    return g_ii / (2.0 * math.pi) + _perimeter_hessian(m1, m2)[2 * i - 2]
+    return _e0_hessian_diag(m1, m2, gamma.g11 if i == 1 else gamma.g22, i)
 
 
 # Bracket of the concavity threshold: anchor * 10^-3 .. anchor * 10^3.
@@ -641,9 +652,13 @@ def concavity_threshold(gamma_ii: float, i: int = 1,
 
     Checks that the exact second derivative is negative at 1e-3 and
     nonnegative at 1e3 times the single-bubble inflection scale
-    pi * gamma_ii^(-2/3), finds the sign change between them to a few ulps,
-    and verifies that the sign flips across +/- 1e-4 of the result.  The
-    perimeter is homogeneous of degree 1/2, so in x = m_i^(3/2) the product
+    pi * gamma_ii^(-2/3), narrows the sign change between them to a bracket
+    a few ulps wide, and verifies that the sign flips across +/- 1e-4 of the
+    result.  The root is only as good as the second derivative's small
+    lobe, about 3e-16/sqrt(q) at lobe ratio q = m_i/probe_other_mass: at
+    gamma_ii = 0.1, 1 and 10 it moves from the root at q = 1e-12 by at most
+    5e-9 down to q = 1e-15, 6e-7 at 1e-19 and 5e-5 at 1e-23.  The perimeter
+    is homogeneous of degree 1/2, so in x = m_i^(3/2) the product
     x d^2 e0/d m_i^2 is linear for a lone disk, gamma_ii x/(2 pi) -
     sqrt(pi)/2, and nearly linear with a partner: `_illinois` solves it in
     x, from the two end values the bracket checks computed.  Raises
@@ -659,9 +674,8 @@ def concavity_threshold(gamma_ii: float, i: int = 1,
         raise ValueError(f"i must be 1 or 2, got {i}")
 
     def hess(mi: float) -> float:
-        _refuse_small_lobe(mi, probe_other_mass)
         pair = (mi, probe_other_mass) if i == 1 else (probe_other_mass, mi)
-        return gamma_ii / (2.0 * math.pi) + _perimeter_hessian(*pair)[2 * i - 2]
+        return _e0_hessian_diag(*pair, gamma_ii, i)
 
     anchor = math.pi * gamma_ii ** (-2.0 / 3.0)
     lo = anchor * 10.0 ** -_SCAN_DECADES

@@ -136,14 +136,13 @@ def _swap_configuration(conf: Configuration) -> Configuration:
 
 
 def _cell_gradient(m1: float, m2: float, gamma: GammaMatrix) -> tuple:
-    """Energy derivative per species; nan marks an empty species slot."""
+    """Energy derivative per species of a `Cluster`'s masses, never both
+    zero; nan marks an empty species slot."""
     if m1 > 0.0 and m2 > 0.0:
         return e0_gradient((m1, m2), gamma)
     if m1 > 0.0:
         return (single_energy_gradient(m1, gamma.g11), math.nan)
-    if m2 > 0.0:
-        return (math.nan, single_energy_gradient(m2, gamma.g22))
-    return (math.nan, math.nan)
+    return (math.nan, single_energy_gradient(m2, gamma.g22))
 
 
 # ---------------------------------------------------------------------------

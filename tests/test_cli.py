@@ -246,7 +246,8 @@ def test_compare_refuses_an_eta_without_a_finite_gamma_factor(tmp_path, capsys):
 @pytest.mark.parametrize("text", ['{"n": [1]}', '{"steps": Infinity}',
                                   '{"seed": {}}', '{"n": null}',
                                   pytest.param('{"n": 1' + "0" * 400 + "}",
-                                               id="n=1e400")])
+                                               id="n=1e400"),
+                                  '[1, 2]', '{"parameters": [1]}'])
 def test_wrong_typed_config_value_exits_2(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -334,6 +335,25 @@ def test_numbers_given_as_booleans_or_strings_are_refused(command, key, value):
         resolve_parameters(command, params, {})
 
 
+@pytest.mark.parametrize("command,key", INTEGER_KEYS)
+def test_integral_float_for_an_integer_key_is_read_as_an_int(command, key):
+    params = dict(VALID_CONFIGS[command], **{key: 2.0})
+    value = resolve_parameters(command, params, {})[key]
+    assert value == 2 and type(value) is int
+
+
+@pytest.mark.parametrize("command,params,match", [
+    ("relax", {"masses": []}, "masses must not be empty"),
+    ("place", {"masses": [[1, 0], [0, 0]]}, r"bad mass pair \(0.0, 0.0\)"),
+    ("compare", {"masses": [[1, 0], [0, 1]]}, "one center per mass pair"),
+    ("relax", {"init": "noise", "means": [0.5, 1.0]},
+     r"means must lie in \[0, 1\), got 1.0")])
+def test_inconsistent_values_are_refused(command, params, match):
+    params = dict(VALID_CONFIGS[command], **params)
+    with pytest.raises(ValueError, match=match):
+        resolve_parameters(command, params, {})
+
+
 @pytest.mark.parametrize("key", ["M1_values", "g12_values"])
 def test_list_json_text_is_decoded_or_refused_by_key(key):
     params = dict(VALID_CONFIGS["regime-sweep"], **{key: "[1, 2.5]"})
@@ -377,6 +397,18 @@ def test_compare_pipeline_reports_gaps(tmp_path, capsys):
     # seeded on the optimal diagonal, so the placement gap closes
     assert result["placement"]["gap"] == pytest.approx(0.0, abs=1e-9)
     assert result["placement"]["max_center_distance"] < 1e-6
+
+
+def test_compare_from_noise_takes_its_totals_from_the_means(tmp_path,
+                                                           capsys):
+    rc, stdout, _ = run_cli(
+        capsys, "compare", "--n", "32", "--eta", "0.2", "--steps", "3",
+        "--init", "noise", "--means", "0.3", "0.2",
+        "--out", str(tmp_path / "c"))
+    assert rc == 0
+    result = json.loads(stdout)
+    assert result["M"] == [0.3 / 0.2 ** 2, 0.2 / 0.2 ** 2]
+    assert result["energy"]["ebar"] > 0.0
 
 
 def permutation_mismatch(ext, opt, masses):

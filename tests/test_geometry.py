@@ -1,5 +1,6 @@
 """Double-bubble geometry: closed forms, residuals, derivatives, thresholds."""
 
+import dataclasses
 import math
 import warnings
 
@@ -40,6 +41,23 @@ def test_residuals_random_pairs():
         res = G.geometry_residuals(geom, (m1, m2))
         worst = max(worst, max(abs(v) for v in res.values()))
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("m", [(0.3, 1.0), (1.0, 1.0)])
+def test_residuals_are_taken_at_the_geometry_s_own_angles(m):
+    # A geometry whose angles do not match its radii fails the gate, the
+    # flat one (r0 = inf) included: each residual reads theta0, theta1 and
+    # theta2 from the geometry, not from the middle angle alone.
+    geom = G.solve_geometry(m)
+    bad = [dataclasses.replace(geom, theta1=geom.theta1 * (1.0 + 1e-9)),
+           dataclasses.replace(geom, theta2=geom.theta2 * (1.0 + 1e-9)),
+           dataclasses.replace(geom, theta0=geom.theta0 + 1e-4)]
+    if geom.theta0 > 0.0:
+        bad.append(dataclasses.replace(geom, theta1=geom.theta2,
+                                       theta2=geom.theta1))
+    for g in bad:
+        res = G.geometry_residuals(g, m)
+        assert max(abs(v) for v in res.values()) > 1e-12, g
 
 
 def test_canonical_angle_relations():
@@ -250,10 +268,23 @@ def test_residual_gate_at_vanishing_lobes(ratio):
 def test_residual_gate_refuses_nan_residuals():
     # At (1e308, 1e308) the radii are inf and five of the six residuals
     # nan; the gate let them through, and perimeter and e0 returned inf.
+    # The array path refuses the pair as well, with no overflow warning on
+    # the way (the masses' sum overflows).
+    from triblock.partition import ebar_oracle
+
     g = G.GammaMatrix(1.0, 1.0, 0.0)
-    for call in (G.solve_geometry, G.perimeter, lambda m: G.e0(m, g)):
-        with pytest.raises(G.ConvergenceError, match="curvature nan"):
-            call((1e308, 1e308))
+    array = r"array geometry solve failed for masses \(1e\+308, 1e\+308\)"
+    for call, match in (
+            (G.solve_geometry, "curvature nan"),
+            (G.perimeter, "curvature nan"),
+            (lambda m: G.e0(m, g), "curvature nan"),
+            (lambda m: G._perimeters(*m), array),
+            (lambda m: G._perimeter_derivatives(*np.array(m)[:, None]), array),
+            (lambda m: ebar_oracle(m, g, delta=1e308), array)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(G.ConvergenceError, match=match):
+                call((1e308, 1e308))
 
 
 def _mpmath_perimeter(m1, m2):
@@ -316,14 +347,15 @@ def test_newton_stops_within_six_iterations(monkeypatch):
 
 def test_start_is_within_5e_14_of_the_middle_angle():
     t = np.linspace(1e-3, G.THETA0_MAX - 1e-6, 20001)
-    q = np.array([A / C for A, C, _, _ in map(G._brackets, t)])
-    assert np.max(np.abs(G._start(q, np.sqrt) - t)) <= 5e-14
+    q = np.array([(g[1] + g[0]) / (g[2] - g[0]) for g, _ in
+                  (G._arc_terms(*G._arcs(G._angles(x))) for x in t)])
+    assert np.max(np.abs(G._start(q, np) - t)) <= 5e-14
 
 
 def test_scalar_and_array_starts_are_identical():
     q = 10.0 ** np.random.default_rng(31).uniform(-300.0, 0.0, 10_000)
-    scalar = np.array([G._start(float(x), math.sqrt) for x in q])
-    assert np.array_equal(G._start(q, np.sqrt), scalar)
+    scalar = np.array([G._start(float(x), math) for x in q])
+    assert np.array_equal(G._start(q, np), scalar)
 
 
 def test_two_newton_passes_solve_ratios_down_to_1e_12(monkeypatch):
@@ -338,24 +370,24 @@ def test_two_newton_passes_solve_ratios_down_to_1e_12(monkeypatch):
 
 
 def test_perimeter_derivatives_evaluate_the_arcs_once_per_pass(monkeypatch):
-    # One `_angle_terms` call per Newton pass of the slowest element, and
+    # One `_segment_terms` call per Newton pass of the slowest element, and
     # one at the solved angles for h, the radii, the gate and the Hessian.
     rng = np.random.default_rng(41)
     q = np.concatenate([10.0 ** rng.uniform(-12.0, 0.0, 24), [1.0]])
     b = 10.0 ** rng.uniform(-3.0, 3.0, q.size)
     passes = 0
-    brackets = G._brackets
+    gap = G._gap
     for qi in q[:-1]:
         calls = []
-        monkeypatch.setattr(G, "_brackets",
-                            lambda t: calls.append(t) or brackets(t))
-        G._solve_middle_angle(qi, 1.0, G._RESIDUAL_TOL, G._MAX_ITER)
+        monkeypatch.setattr(G, "_gap",
+                            lambda *args: calls.append(args) or gap(*args))
+        G._solve_middle_angle(qi, 1.0)
         passes = max(passes, len(calls))
-    monkeypatch.setattr(G, "_brackets", brackets)
-    angle_terms = G._angle_terms
+    monkeypatch.setattr(G, "_gap", gap)
+    segment_terms = G._segment_terms
     calls = []
-    monkeypatch.setattr(G, "_angle_terms",
-                        lambda t: calls.append(t) or angle_terms(t))
+    monkeypatch.setattr(G, "_segment_terms", lambda *args: calls.append(args)
+                        or segment_terms(*args))
     G._perimeter_derivatives(q * b, b)
     assert 1 <= passes <= 2
     assert len(calls) <= passes + 1
@@ -366,21 +398,19 @@ def test_perimeter_derivatives_evaluate_the_arcs_once_per_pass(monkeypatch):
                                           ((-12.0, 0.0), 2)])
 def test_middle_angle_passes_by_ratio_band(monkeypatch, band, passes):
     # The `_START` series and, below about 5e-25, the lens start: counted
-    # as `_brackets` calls of each scalar solve and `_angle_terms` calls of
-    # one array solve over the band's 300 draws.
+    # as `_gap` calls of each scalar solve and of one array solve over the
+    # band's 300 draws.
     rng = np.random.default_rng(47)
     q = 10.0 ** rng.uniform(*band, 300)
     b = 10.0 ** rng.uniform(-6.0, 6.0, 300)
-    brackets, angle_terms, calls = G._brackets, G._angle_terms, []
-    monkeypatch.setattr(G, "_brackets",
-                        lambda t: calls.append(t) or brackets(t))
+    gap, calls = G._gap, []
+    monkeypatch.setattr(G, "_gap",
+                        lambda *args: calls.append(args) or gap(*args))
     worst = 0
     for qi, bi in zip(q, b):
         calls.clear()
-        G._solve_middle_angle(qi * bi, bi, G._RESIDUAL_TOL, G._MAX_ITER)
+        G._solve_middle_angle(qi * bi, bi)
         worst = max(worst, len(calls))
-    monkeypatch.setattr(G, "_angle_terms",
-                        lambda t: calls.append(t) or angle_terms(t))
     calls.clear()
     with np.errstate(divide="ignore", invalid="ignore"):
         assert not np.isnan(G._middle_angles(q * b, b)).any()
@@ -571,8 +601,7 @@ def test_concavity_threshold_refuses_a_range_without_sign_change(monkeypatch):
     with pytest.raises(G.ConvergenceError, match="no bracket"):
         G.concavity_threshold(1.0, 1, 10.0)
     # A second derivative negative at both ends brackets nothing either.
-    monkeypatch.setattr(G, "_perimeter_hessian",
-                        lambda m1, m2: (-1.0, 0.0, -1.0))
+    monkeypatch.setattr(G, "_hessian", lambda *args: (-1.0, 0.0, -1.0))
     with pytest.raises(G.ConvergenceError, match="no concavity sign change"):
         G.concavity_threshold(1.0, 1, 1.0)
 
@@ -583,15 +612,15 @@ _GRID_PROBE = (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3)
 
 def _count_hessians(monkeypatch):
     # concavity_threshold forms each second derivative from one
-    # _perimeter_hessian call.
+    # _hessian call.
     calls = []
-    hessian = G._perimeter_hessian
+    hessian = G._hessian
 
     def counted(*args):
         calls.append(args)
         return hessian(*args)
 
-    monkeypatch.setattr(G, "_perimeter_hessian", counted)
+    monkeypatch.setattr(G, "_hessian", counted)
     return calls
 
 

@@ -259,6 +259,10 @@ class TestMinimizeFK:
             minimize_FK([(1.0, 1.0), (1.0, 1.0)], GAMMA, restarts=1, seed=0,
                         gtol=1e-30)
 
+    def test_no_clusters_refused(self):
+        with pytest.raises(ValueError, match="need at least one cluster"):
+            minimize_FK([], GAMMA)
+
     @pytest.mark.parametrize("restarts", [0, -1, True, 1.0, "2", None])
     def test_restarts_must_be_positive_integer(self, restarts):
         with pytest.raises(ValueError, match="restarts must be a positive integer"):

@@ -84,6 +84,13 @@ def test_non_finite_points_refused(route, bad):
         route((bad, 0.1))
 
 
+@pytest.mark.parametrize("route", [TG.green, TG.green_gradient,
+                                   TG.green_spectral, TG.regular_part])
+def test_points_without_two_coordinates_refused(route):
+    with pytest.raises(ValueError, match="trailing dimension 2"):
+        route([[0.1, 0.2, 0.3]])
+
+
 def test_gradient_matches_fd():
     pts = far_points(100, seed=9, min_r=5e-2)
     h = 1e-6
@@ -295,6 +302,11 @@ def test_poisson_energy_nonnegative_and_zero_mean():
         psi = TG.periodic_poisson_solve(rhs)
         assert abs(psi.mean()) < 1e-13
         assert (psi * (rhs - rhs.mean())).mean() >= 0.0
+
+
+def test_poisson_refuses_a_grid_that_is_not_2d():
+    with pytest.raises(ValueError, match="2-D grid, got shape"):
+        TG.periodic_poisson_solve(np.ones(8))
 
 
 def test_poisson_rectangular_grid():
