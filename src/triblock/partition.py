@@ -11,9 +11,10 @@ start each, with exact second derivatives from one array geometry solve
 per evaluation and each species' equations judged at that species' own
 accuracy; the answer is the converged row of lowest energy.
 Closed-form thresholds bound the structure of minimizers: their mass caps
-give the least cluster count a search must reach, and `ebar` refuses
-totals whose count exceeds a fixed bound.  A regime classifier reports
-which structural guarantees apply at given parameters.
+give the least cluster count an answer must hold, and `ebar` refuses
+totals whose count passes the most cluster masses whose float sum its
+mass tolerance certifies.  A regime classifier reports which structural
+guarantees apply at given parameters.
 
 The oracle, `ebar_oracle`, is an independent exhaustive route that shares
 no search code: masses on a delta-grid, the energy of every grid cluster
@@ -24,6 +25,9 @@ product loops over the rows of one factor in Python and takes the minimum
 over the other axis for all rows at once; the last only at the answer's entry.
 """
 
+import functools
+import heapq
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -108,10 +112,7 @@ class Configuration:
                 f"cluster masses sum to ({s1}, {s2}), not the stated ({t1}, {t2})")
 
     def counts(self) -> dict:
-        out = {k: 0 for k in _KINDS}
-        for c in self.clusters:
-            out[c.kind] += 1
-        return out
+        return {k: sum(c.kind == k for c in self.clusters) for k in _KINDS}
 
     def energy(self, gamma: GammaMatrix) -> float:
         return sum(c.energy(gamma) for c in self.clusters)
@@ -229,8 +230,6 @@ def _coexistence_bounds(th, k_doubles, k_singles, m1):
 _TOP_CELLS = 24
 # Points per axis of the ansatz grid of double lobe pairs.
 _ANSATZ_GRID = 48
-# ebar refuses totals whose mass caps force more clusters than this.
-_MAX_CLUSTERS = 64
 
 
 def _packing_grid(mass, gamma_ii):
@@ -253,7 +252,14 @@ def _packing_grid(mass, gamma_ii):
             np.where(pos, k + (cost[1] < cost[0]), 0.0).astype(int))
 
 
-def _ansatz_for_doubles(kd, M, gamma, th, unit_grids):
+def _unit_grid(ratio):
+    """Perimeters of the pairs (ratio u_i, u_j) of the unit ansatz axis."""
+    n = _ANSATZ_GRID
+    u = np.linspace(1.0 / n, 1.0, n)
+    return _solve_pairs((ratio * u).repeat(n), np.tile(u, n))[0].reshape(n, n)
+
+
+def _ansatz_for_doubles(kd, M, gamma, th, unit_grid):
     """Best equal-doubles ansatz for a given double count.
 
     All kd doubles share one lobe pair (x, y); whatever mass is left goes
@@ -261,8 +267,7 @@ def _ansatz_for_doubles(kd, M, gamma, th, unit_grids):
     _ANSATZ_GRID x _ANSATZ_GRID grid of (x, y) ranks the cell, and the
     disk counts of the leftover packing there name its singles.  The
     perimeter is homogeneous of degree 1/2, so its grid is sqrt(y_hi) times
-    a unit grid that depends only on x_hi/y_hi; `unit_grids` keeps those by
-    ratio.  Returns (value, ks1, ks2).
+    `unit_grid(x_hi / y_hi)`.  Returns (value, kd, ks1, ks2).
     """
     M1, M2 = M
     n = _ANSATZ_GRID
@@ -270,22 +275,18 @@ def _ansatz_for_doubles(kd, M, gamma, th, unit_grids):
     y_hi = min(M2 / kd, 1.5 * th.max_mass[1])
     xs = np.linspace(x_hi / n, x_hi, n)
     ys = np.linspace(y_hi / n, y_hi, n)
-    ratio = x_hi / y_hi
-    if ratio not in unit_grids:  # all pairs positive: no `_perimeters` checks
-        u = np.linspace(1.0 / n, 1.0, n)
-        unit_grids[ratio] = _solve_pairs(np.repeat(ratio * u, n),
-                                         np.tile(u, n))[0].reshape(n, n)
     quad = gamma.quad(xs[:, None], ys) / (4.0 * math.pi)
     # the leftover of species 1 varies along axis 0 only, of species 2
     # along axis 1 only: pack each once per grid line and broadcast
     rest = np.maximum(np.array(M)[:, None] - kd * np.array((xs, ys)), 0.0)
     (p1, p2), (k1, k2) = _packing_grid(rest,
                                        np.array([[gamma.g11], [gamma.g22]]))
-    val = kd * (math.sqrt(y_hi) * unit_grids[ratio] + quad) + p1[:, None] + p2
+    val = (kd * (math.sqrt(y_hi) * unit_grid(x_hi / y_hi) + quad)
+           + p1[:, None] + p2)
     i, j = np.unravel_index(np.argmin(val), val.shape)
     ks1 = int(k1[i]) if rest[0, i] > 1e-9 * M1 else 0
     ks2 = int(k2[j]) if rest[1, j] > 1e-9 * M2 else 0
-    return (float(val[i, j]), ks1, ks2)
+    return (float(val[i, j]), kd, ks1, ks2)
 
 
 def _cell_feasible(counts, M) -> bool:
@@ -298,28 +299,35 @@ def _cell_feasible(counts, M) -> bool:
 
 def _candidate_cells(M, gamma, th):
     """The _TOP_CELLS cluster-count cells (kd, ks1, ks2) of lowest
-    equal-mass ansatz value, best first, the number of cells ranked and the
-    number of ansatz unit grids solved.  The seeds are the packing of each
-    total into singles at kd = 0 and the ansatz of each double count
-    kd = 1 .. 3 + floor(min_s M_s / concavity_s); each seed and its +-1
-    neighbours in the single counts (1e-9 dearer per step) are ranked if
-    `_cell_feasible`."""
+    equal-mass ansatz value, best first, kd_cap, and the counts of cells
+    ranked and of unit grids solved.  The seeds are the packing of each
+    total into singles at kd = 0 and the ansatz of each kd = 1 .. kd_cap =
+    3 + floor(min_s M_s / concavity_s); each seed and its +-1 neighbours in
+    the single counts (1e-9 dearer per step) are ranked if `_cell_feasible`.
+    Memory does not grow with kd_cap: the cells stream through
+    `heapq.nsmallest` (sorted(cells)[:_TOP_CELLS]), and 7 unit grids are
+    kept.  x_hi/y_hi is the caps' ratio, then new at each kd, then
+    (M1/kd)/(M2/kd), three roundings from M1/M2: at most 7 floats, which
+    recur in any order.  So each ratio is solved once."""
     M1, M2 = M
-    unit_grids = {}
+    unit_grid = functools.lru_cache(maxsize=7)(_unit_grid)
+    kd_cap = (3 + int(min(M1 / th.concavity[0], M2 / th.concavity[1]))
+              if M1 > 0.0 and M2 > 0.0 else 0)
     (v1, v2), (k1, k2) = _packing_grid(np.array(M),
                                        np.array([gamma.g11, gamma.g22]))
-    seeds = [(float(v1 + v2), 0, int(k1), int(k2))]
-    if M1 > 0.0 and M2 > 0.0:
-        kd_cap = 3 + int(min(M1 / th.concavity[0], M2 / th.concavity[1]))
-        for kd in range(1, kd_cap + 1):
-            val, s1, s2 = _ansatz_for_doubles(kd, M, gamma, th, unit_grids)
-            seeds.append((val, kd, s1, s2))
+    seeds = itertools.chain(
+        [(float(v1 + v2), 0, int(k1), int(k2))],
+        (_ansatz_for_doubles(kd, M, gamma, th, unit_grid)
+         for kd in range(1, kd_cap + 1)))
     # each seed has its own double count, so no two cells share counts
-    cells = sorted((val + 1e-9 * (abs(da) + abs(db)), (kd, s1 + da, s2 + db))
-                   for val, kd, s1, s2 in seeds
-                   for da in (-1, 0, 1) for db in (-1, 0, 1)
-                   if _cell_feasible((kd, s1 + da, s2 + db), M))
-    return [c for _, c in cells[:_TOP_CELLS]], len(cells), len(unit_grids)
+    cells = ((val + 1e-9 * (abs(da) + abs(db)), (kd, s1 + da, s2 + db))
+             for val, kd, s1, s2 in seeds
+             for da in (-1, 0, 1) for db in (-1, 0, 1)
+             if _cell_feasible((kd, s1 + da, s2 + db), M))
+    ranked = itertools.count()  # zip draws one number per cell
+    top = heapq.nsmallest(_TOP_CELLS, zip(cells, ranked))
+    return ([c for (_, c), _ in top], kd_cap, next(ranked),
+            unit_grid.cache_info().misses)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +476,8 @@ def _scale(t, act, tol):
 
 
 # A tiny lobe overflows its Hessian terms to inf (m ** -1.5 below 3e-206),
-# and its row is judged by its residual norm like any other.
-@np.errstate(over="ignore")
+# a slot under pi/1.8e308 its slope (F is nan): rows are judged by norm.
+@np.errstate(over="ignore", invalid="ignore")
 def _newton(t, w, M, gamma):
     """Plain Newton on the KKT system of every row at once.
 
@@ -549,15 +557,21 @@ def ebar(M, gamma: GammaMatrix):
     converged (scaled norm at most 1) with a finite energy and species mass
     sums within the Configuration's 1e-12 relative tolerance; only its
     clusters are built, and the value is their energy.  Logs one DEBUG line
-    per call to the "triblock.partition" logger: cells ranked, ansatz unit
-    grids, rows by stop (converged, left the cell, no descent, iteration
-    cap), Newton iterations, array geometry calls, and the chosen cell's
-    scaled KKT residual.
+    per call to the "triblock.partition" logger: double counts ranked
+    (kd_cap), cells ranked, ansatz unit grids, rows by stop (converged,
+    left the cell, no descent, iteration cap), Newton iterations, array
+    geometry calls, and the chosen cell's scaled KKT residual.  The ranking
+    takes time linear in kd_cap, about min_s M_s / concavity_s, and memory
+    that does not grow with it.
 
     No droplet or lobe of a minimizer is heavier than the mass cap of its
     species (`thresholds`), so species i needs at least ceil(M_i / cap_i)
-    clusters.  Raises ValueError when that lower bound exceeds 64 clusters,
-    and RuntimeError when no row qualifies.
+    clusters.  A float sum of n masses is within (n - 1) 2^-53 of exact,
+    relative (Higham, Accuracy and Stability of Numerical Algorithms, 4.2),
+    so Configuration's 1e-12 sum check holds for n <= 9008.  Raises
+    ValueError past 9008 needed clusters (8754 at (1.1e5, 1.1e5), Gamma =
+    (1, 1, 0): kd_cap 46660, 14940 doubles, 4.2 s, 34 MB RSS, 2-core Xeon)
+    or for a total in (0, 2.2e-308); RuntimeError when no row qualifies.
     """
     return _ebar(nonempty_pair("M", M), gamma, thresholds(gamma))
 
@@ -566,16 +580,18 @@ def _ebar(M, gamma, th):
     """`ebar` of a checked mass pair M with th = thresholds(gamma) given, so
     a caller that holds the thresholds does not solve them again."""
     M1, M2 = M
+    if any(0.0 < m < np.finfo(float).tiny for m in M):
+        raise ValueError(f"M={M!r} has a total below the normal floats")
     if (M2, gamma.g22) < (M1, gamma.g11):
         v, conf = _ebar((M2, M1), gamma.swapped(), th.swapped())
         return v, _swap_configuration(conf)
     needed = (math.ceil(M1 / th.max_mass[0] - 1e-9)
               + math.ceil(M2 / th.max_mass[1] - 1e-9))
-    if needed > _MAX_CLUSTERS:
-        raise ValueError(
-            f"the mass caps need at least {needed} clusters, over the "
-            f"search bound of {_MAX_CLUSTERS}")
-    cells, ranked, grids = _candidate_cells((M1, M2), gamma, th)
+    if (needed - 1) * 2.0 ** -53 > _MASS_RTOL:  # see the docstring
+        raise ValueError(f"the mass caps need at least {needed} clusters, "
+                         f"past the {1 + math.floor(_MASS_RTOL * 2.0 ** 53)} "
+                         f"whose float sum is certified to {_MASS_RTOL:g}")
+    cells, kd_cap, ranked, grids = _candidate_cells((M1, M2), gamma, th)
     w = _slot_weights(np.array(cells))
     t, energy, fnorm, ok, stats = _newton(_cell_starts(w, (M1, M2)), w,
                                           (M1, M2), gamma)
@@ -587,11 +603,12 @@ def _ebar(M, gamma, th):
         raise RuntimeError(f"no feasible configuration found for M={M!r}")
     k = np.flatnonzero(ok)[np.argmin(energy[ok])]
     conf = _build_configuration(_row_clusters(t[k], w[k]), (M1, M2))
-    _log.debug("ebar M=(%g, %g): %d cells ranked, %d ansatz unit grids, "
-               "%d rows: %d converged, %d left the cell, %d no descent, %d "
-               "at the iteration cap; %d Newton iterations, %d geometry "
-               "calls, scaled KKT residual %.3e of the chosen cell", M1, M2,
-               ranked, grids, stats["rows"], stats["converged"],
+    _log.debug("ebar M=(%g, %g): %d double counts, %d cells ranked, %d "
+               "ansatz unit grids, %d rows: %d converged, %d left the cell, "
+               "%d no descent, %d at the iteration cap; %d Newton "
+               "iterations, %d geometry calls, scaled KKT residual %.3e of "
+               "the chosen cell", M1, M2, kd_cap, ranked, grids,
+               stats["rows"], stats["converged"],
                stats["left_cell"], stats["no_descent"],
                stats["iteration_cap"], stats["iterations"],
                stats["geometry_calls"], fnorm[k])
@@ -737,31 +754,22 @@ def round_config_to_grid(config: Configuration, delta: float):
     """
     delta = real("delta", delta, 0.0)
     ms = [[c.m1, c.m2] for c in config.clusters]
-    for species, total in ((0, config.total[0]), (1, config.total[1])):
-        target = round(total / delta)
-        base = [int(math.floor(m[species] / delta + 1e-12)) for m in ms]
-        rem = [m[species] / delta - b for m, b in zip(ms, base)]
-        deficit = target - sum(base)
-        order = sorted(range(len(ms)), key=lambda k: (-rem[k], -ms[k][species], k))
-        k = 0
-        while deficit > 0 and k < len(order):
-            base[order[k]] += 1
-            deficit -= 1
-            k += 1
-        order = sorted(range(len(ms)), key=lambda k: (rem[k], ms[k][species], k))
-        k = 0
-        while deficit < 0 and k < len(order):
-            if base[order[k]] > 0:
-                base[order[k]] -= 1
-                deficit += 1
-            k += 1
+    for s, total in enumerate(config.total):
+        base = [int(math.floor(m[s] / delta + 1e-12)) for m in ms]
+        rem = [m[s] / delta - b for m, b in zip(ms, base)]
+        deficit = round(total / delta) - sum(base)
+        # a missing quantum goes to the largest remainder, a surplus one
+        # leaves the smallest that holds one
+        up = sorted(range(len(ms)), key=lambda k: (-rem[k], -ms[k][s], k))
+        down = sorted((k for k in range(len(ms)) if base[k] > 0),
+                      key=lambda k: (rem[k], ms[k][s], k))
+        for k in up[:max(deficit, 0)]:
+            base[k] += 1
+        for k in down[:max(-deficit, 0)]:
+            base[k] -= 1
         for m, b in zip(ms, base):
-            m[species] = b * delta
-    out = []
-    for m1, m2 in ms:
-        if m1 > 0.0 or m2 > 0.0:
-            out.append(Cluster(m1, m2))
-    return out
+            m[s] = b * delta
+    return [Cluster(m1, m2) for m1, m2 in ms if m1 > 0.0 or m2 > 0.0]
 
 
 def quantization_bound(config: Configuration, gamma: GammaMatrix,
@@ -799,20 +807,13 @@ def check_necessary_conditions(config: Configuration, gamma: GammaMatrix) -> dic
     small2 = sum(1 for c in doubles if c.m2 < th.concavity[1] * (1.0 - _SLACK))
     flex_ok = small1 <= 1 and small2 <= 1
     spreads = []
-    balance_ok = True
-    for species in (1, 2):
-        cut = 1e-8 * max(config.total[species - 1], 1e-300)
-        grads = []
-        for c in config.clusters:
-            m = c.m1 if species == 1 else c.m2
-            if m > cut:
-                grads.append(_cell_gradient(c.m1, c.m2, gamma)[species - 1])
-        if len(grads) >= 2:
-            spread = (max(grads) - min(grads)) / max(abs(np.mean(grads)), 1e-300)
-        else:
-            spread = 0.0
-        spreads.append(spread)
-        balance_ok = balance_ok and spread <= _BALANCE_RTOL
+    for s, total in enumerate(config.total):
+        cut = 1e-8 * max(total, 1e-300)
+        grads = [_cell_gradient(c.m1, c.m2, gamma)[s] for c in config.clusters
+                 if (c.m1, c.m2)[s] > cut]
+        spreads.append(0.0 if len(grads) < 2 else (max(grads) - min(grads))
+                       / max(abs(np.mean(grads)), 1e-300))
+    balance_ok = all(x <= _BALANCE_RTOL for x in spreads)
     report = {
         "mass_caps": caps_ok,
         "single_floor": floor_ok,
@@ -832,17 +833,16 @@ def classify_regime(M, gamma: GammaMatrix, run_search: bool = True) -> dict:
     zero cross-interaction), and, with run_search, the structure `ebar`
     finds and whether it is consistent with the guarantee.  The coexistence
     count is the largest k at which the totals reach `coexistence_bounds`
-    with k doubles and k singles, in either species order, from one
-    `thresholds` solve, which the search reuses.  With run_search, raises
-    what `ebar` raises, such as its ValueError for totals past the cluster
-    bound.
+    with k doubles and k singles, in either species order, in closed form
+    from one `thresholds` solve, which the search reuses.  With run_search,
+    raises what `ebar` raises, such as its ValueError for totals whose mass
+    caps need more than 9008 clusters.
     """
     M1, M2 = nonempty_pair("M", M)
     th = thresholds(gamma)
     report = {"M": (M1, M2), "thresholds": th}
 
-    one_double = False
-    margin = math.nan
+    one_double, margin = False, math.nan
     if M1 > 0.0 and M2 > 0.0 and gamma.g12 > 0.0:
         small = (M1 < min(th.concavity[0], math.pi * gamma.g11 ** (-2.0 / 3.0))
                  and M2 < min(th.concavity[1], math.pi * gamma.g22 ** (-2.0 / 3.0)))
@@ -857,20 +857,21 @@ def classify_regime(M, gamma: GammaMatrix, run_search: bool = True) -> dict:
     report["all_singles"] = {"holds": all_singles,
                              "gamma12_split": th.gamma12_split}
 
-    k_guaranteed = 0
-    singles_species = None
+    k_guaranteed, singles_species = 0, None
     if gamma.g12 == 0.0 and M1 > 0.0 and M2 > 0.0:
-        # species 2 singles from (M1, M2), species 1 singles from the swap
-        sides = ((2, th, M1, M2), (1, th.swapped(), M2, M1))
-        while True:
-            k = k_guaranteed + 1
-            for species, t, a, b in sides:
+        # species 2 singles from (M1, M2), species 1 singles from the swap,
+        # which must beat species 2.  With a >= k cap1, k is the lesser
+        # floor of a / cap1 and b / cap2 - 1 - a / concavity1, give or take
+        # a rounding that the bounds' own comparisons settle.
+        for species, t, a, b in ((2, th, M1, M2), (1, th.swapped(), M2, M1)):
+            bound = min(a / t.max_mass[0],
+                        b / t.max_mass[1] - 1.0 - a / t.concavity[0])
+            k = math.floor(bound) if 1.0 <= bound < math.inf else 0
+            for k in (k + 1, k, k - 1):
                 b1, b2 = _coexistence_bounds(t, k, k, a)
-                if a >= b1 and b >= b2:
-                    singles_species, k_guaranteed = species, k
+                if k > k_guaranteed and a >= b1 and b >= b2:
+                    k_guaranteed, singles_species = k, species
                     break
-            else:
-                break
     report["coexistence"] = {
         "holds": k_guaranteed >= 1,
         "guaranteed_doubles": k_guaranteed,
@@ -888,8 +889,7 @@ def classify_regime(M, gamma: GammaMatrix, run_search: bool = True) -> dict:
         counts = conf.counts()
         consistent = None
         if report["guarantee"] == "one_double":
-            consistent = (counts[KIND_DOUBLE] == 1
-                          and len(conf.clusters) == 1)
+            consistent = len(conf.clusters) == 1 == counts[KIND_DOUBLE]
         elif report["guarantee"] == "no_doubles":
             singles = [[c.mass for c in conf.clusters if c.kind == kind]
                        for kind in (KIND_SINGLE_1, KIND_SINGLE_2)]

@@ -489,7 +489,7 @@ def test_regime_sweep_empty_grid(tmp_path, capsys):
 
 def test_regime_sweep_records_cell_failure_and_continues(tmp_path, capsys):
     out = tmp_path / "s"
-    rc, stdout, _ = run_cli(capsys, "regime-sweep", "--M1-values", "1", "1e4",
+    rc, stdout, _ = run_cli(capsys, "regime-sweep", "--M1-values", "1", "1e6",
                             "--M2-values", "1", "--g12-values", "0.1",
                             "--restarts", "4", "--out", str(out))
     assert rc == 0
@@ -497,7 +497,7 @@ def test_regime_sweep_records_cell_failure_and_continues(tmp_path, capsys):
     assert result["rows"] == 2 and result["failures"] == 1
     lines = (out / "sweep.csv").read_text().splitlines()
     assert "ValueError" in lines[2] and "ValueError" not in lines[1]
-    assert "search bound of 64" in lines[2]
+    assert "need at least 39790 clusters, past the 9008" in lines[2]
     assert lines[1].split(",")[5] != ""  # the good cell still has its energy
     # the failed search keeps the cell's threshold columns
     cols = lines[0].split(",")

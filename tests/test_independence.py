@@ -48,8 +48,9 @@ def test_quantized_oracle_calls_no_search_function():
     order = list(funcs)
     search = set(order[order.index("_packing_grid"):
                        order.index("_row_clusters") + 1]) | {"ebar", "thresholds"}
-    assert {"_packing_grid", "_ansatz_for_doubles", "_cell_feasible",
-            "_candidate_cells", "_newton", "_kkt", "_cell_starts"} <= search
+    assert {"_packing_grid", "_unit_grid", "_ansatz_for_doubles",
+            "_cell_feasible", "_candidate_cells", "_newton", "_kkt",
+            "_cell_starts"} <= search
     for name in ("ebar_oracle", "_min_plus", "_corner_min_plus",
                  "_quantized_energy_table", "round_config_to_grid",
                  "quantization_bound"):

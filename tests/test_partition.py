@@ -1,7 +1,11 @@
 """Tests for the cluster-splitting search and its quantized oracle."""
 
+import functools
 import logging
 import math
+import re
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -137,6 +141,18 @@ def test_cell_energy_is_e0_at_a_vanishing_lobe():
         assert partition._cell_gradient(*m, g) == e0_gradient(m, g)
 
 
+def _counted_solves(monkeypatch):
+    """The sizes of the `_solve_pairs` calls made from `partition`."""
+    solve, calls = partition._solve_pairs, []
+
+    def counted(m1, m2):
+        calls.append(m1.size)
+        return solve(m1, m2)
+
+    monkeypatch.setattr(partition, "_solve_pairs", counted)
+    return calls
+
+
 def test_ansatz_grids_share_one_perimeter_solve_per_ratio(monkeypatch):
     # p is homogeneous of degree 1/2: when no mass cap binds, every double
     # count kd has x_hi/y_hi = M1/M2, and sqrt(y_hi) times the one unit grid
@@ -146,13 +162,16 @@ def test_ansatz_grids_share_one_perimeter_solve_per_ratio(monkeypatch):
     # that packing at the minimizing pair.
     n = 12
     monkeypatch.setattr(partition, "_ANSATZ_GRID", n)
-    M, grids = (1.0, 0.75), {}
+    calls = _counted_solves(monkeypatch)
+    M = (1.0, 0.75)
     g = GammaMatrix(2.0, 1.0, 0.3)
     th = thresholds(g)
-    found = [partition._ansatz_for_doubles(kd, M, g, th, grids)
+    unit_grid = functools.lru_cache(maxsize=7)(partition._unit_grid)
+    found = [partition._ansatz_for_doubles(kd, M, g, th, unit_grid)
              for kd in (1, 2, 4)]
-    assert len(grids) == 1
-    (unit,) = grids.values()
+    assert calls == [n * n]
+    unit = unit_grid(M[0] / M[1])
+    assert len(calls) == 1
     u = np.linspace(1.0 / n, 1.0, n)
 
     def packing(rest, gii):
@@ -161,7 +180,8 @@ def test_ansatz_grids_share_one_perimeter_solve_per_ratio(monkeypatch):
             return (0.0, 0)
         return min((k * single_energy(rest / k, gii), k) for k in range(1, 13))
 
-    for kd, (value, ks1, ks2) in zip((1, 2, 4), found):
+    for kd, (value, kd_out, ks1, ks2) in zip((1, 2, 4), found):
+        assert kd_out == kd
         x_hi, y_hi = M[0] / kd, M[1] / kd
         want = [[perimeter((x, y)) for y in y_hi * u] for x in x_hi * u]
         assert np.allclose(math.sqrt(y_hi) * unit, want, rtol=1e-13, atol=0.0)
@@ -172,7 +192,43 @@ def test_ansatz_grids_share_one_perimeter_solve_per_ratio(monkeypatch):
         assert value == pytest.approx(grid[i, j], rel=1e-12)
         assert ks1 == packing(M[0] - kd * x_hi * u[i], g.g11)[1]
         assert ks2 == packing(M[1] - kd * y_hi * u[j], g.g22)[1]
-    assert any(ks1 or ks2 for _, ks1, ks2 in found)  # a leftover is packed
+    assert any(ks1 or ks2 for _, _, ks1, ks2 in found)  # a leftover is packed
+
+
+def test_ranking_solves_each_ratio_once_in_any_order(monkeypatch):
+    # Past the caps, (M1/kd)/(M2/kd) takes a few floats next to M1/M2 that
+    # recur out of order in kd: at (170, 200) x_hi/y_hi changes 39 times
+    # over kd = 1 .. 75 and takes 5 values.  Each is solved once.
+    g = GammaMatrix(1.0, 1.0, 2.0)
+    th = thresholds(g)
+    M = (170.0, 200.0)
+    calls = _counted_solves(monkeypatch)
+    _, kd_cap, ranked, grids = partition._candidate_cells(M, g, th)
+    ratios = [min(M[0] / kd, 1.5 * th.max_mass[0])
+              / min(M[1] / kd, 1.5 * th.max_mass[1])
+              for kd in range(1, kd_cap + 1)]
+    changes = sum(a != b for a, b in zip(ratios, ratios[1:]))
+    assert (kd_cap, ranked) == (75, 603)
+    assert len(calls) == grids == len(set(ratios)) == 5 < changes
+
+
+def test_ranking_memory_does_not_grow_with_the_total():
+    # The cells stream through heapq.nsmallest and at most 7 unit grids
+    # are kept, so a total 5 times as large, with 5 times the double counts
+    # and the unit grids, peaks at the same traced memory.  A ranking that
+    # listed its cells and kept every grid grew from 2.0 to 5.6 MB here.
+    g = GammaMatrix(1.0, 1.0, 0.0)
+    th = thresholds(g)
+    peaks = []
+    for M in ((200.0, 2000.0), (1000.0, 10000.0)):
+        tracemalloc.start()
+        try:
+            _, kd_cap, _, grids = partition._candidate_cells(M, g, th)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (kd_cap, grids) == (427, 244)
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("gii", [0.5, 1.0, 16.0])
@@ -565,21 +621,14 @@ _DIAGONAL = st.floats(0.5, 20.0)
 @example(log_total=2.0071686463898164, log_share=-11.660211143384625,
          swap=False, g11=16.442213609608437, g22=3.325049894831028,
          g12=3.3111873697082794)
-def test_ebar_meets_necessary_conditions_or_refuses(log_total, log_share,
-                                                     swap, g11, g22, g12):
+def test_ebar_meets_necessary_conditions(log_total, log_share, swap, g11,
+                                         g22, g12):
     # The smaller species holds a share of 1e-12..1/2 of the total, in
-    # either order.  No cluster of a minimizer outweighs its species' mass
-    # cap, so ebar refuses totals whose caps force more than 64 clusters.
+    # either order.  The mass caps force up to about 180 clusters here.
     total, share = 10.0 ** log_total, 10.0 ** log_share
     M = (total * share, total * (1.0 - share))
     M = M[::-1] if swap else M
     g = GammaMatrix(g11, g22, g12)
-    cap = thresholds(g).max_mass
-    needed = sum(math.ceil(m / c - 1e-9) for m, c in zip(M, cap))
-    if needed > 64:
-        with pytest.raises(ValueError, match="search bound of 64"):
-            ebar(M, g)
-        return
     _, conf = ebar(M, g)
     report = check_necessary_conditions(conf, g)
     assert report["all_pass"], (M, g, report)
@@ -663,6 +712,57 @@ def test_classify_regime_coexistence():
     assert report["search"]["consistent"]
 
 
+def _coexistence_by_steps(M, th):
+    """Largest k at which M reaches the coexistence bounds with k doubles
+    and k singles, and its singles species: k stepped by one from 1,
+    species 2 checked first."""
+    k, species = 0, None
+    sides = ((2, th, M[0], M[1]), (1, th.swapped(), M[1], M[0]))
+    while True:
+        for s, t, a, b in sides:
+            b1, b2 = partition._coexistence_bounds(t, k + 1, k + 1, a)
+            if a >= b1 and b >= b2:
+                k, species = k + 1, s
+                break
+        else:
+            return k, species
+
+
+def test_coexistence_count_equals_the_count_by_steps():
+    # Drawn totals and Gamma, half of them within a float of the bounds of
+    # some k, where rounding decides.
+    rng = np.random.default_rng(3)
+    for i in range(600):
+        g = GammaMatrix(*rng.uniform(0.5, 20.0, 2), 0.0)
+        th = thresholds(g)
+        M = tuple(10.0 ** rng.uniform(-1.0, 4.0, 2))
+        if i % 2 == 0:
+            k = int(rng.integers(1, 40))
+            a = k * th.max_mass[0] * (1.0 if i % 4 else 1.5)
+            b = partition._coexistence_bounds(th, k, k, a)[1]
+            # a float below, at or above each
+            M = tuple(float(np.nextafter(x, x * (1 + d)))
+                      for x, d in zip((a, b), rng.integers(-1, 2, 2)))
+        report = classify_regime(M, g, run_search=False)["coexistence"]
+        assert (report["guaranteed_doubles"], report["singles_species"]) == (
+            _coexistence_by_steps(M, th)), (M, g)
+
+
+def test_coexistence_count_at_a_huge_total_is_prompt():
+    # Stepping k by one took 0.34 s to reach 397887 at (1e7, 1e16).
+    start = time.perf_counter()
+    report = classify_regime((1e12, 1e30), G_PLAIN, run_search=False)
+    assert time.perf_counter() - start < 1.0
+    k = report["coexistence"]["guaranteed_doubles"]
+    assert k == math.floor(1e12 / thresholds(G_PLAIN).max_mass[0])
+    assert report["coexistence"]["singles_species"] == 2
+    # a / cap1 and a / concavity1 overflow to inf: no count, as by steps
+    g = GammaMatrix(1e150, 1e150, 0.0)
+    report = classify_regime((1e308, 1e308), g, run_search=False)
+    assert report["coexistence"]["guaranteed_doubles"] == 0
+    assert _coexistence_by_steps((1e308, 1e308), thresholds(g)) == (0, None)
+
+
 @pytest.mark.parametrize("M", [(1.0, 1.0), (3.0, 1.0)],
                          ids=["in-order", "species-swap"])
 def test_one_thresholds_solve_per_question(monkeypatch, M):
@@ -689,6 +789,8 @@ def test_one_thresholds_solve_per_question(monkeypatch, M):
 # coexistence total.  The last three, x = 66.58, 94.30 and 150 from
 # geomspace(0.05, 150, 70) at Gamma = (1, 9, 0.2), were computed with
 # several starts per cell; there a +-1 neighbour of the ansatz cell wins.
+# (1000, 1500) needs 100 clusters by the mass caps; its value is the one
+# the search gave when it refused past 64 clusters, with that refusal off.
 _PINNED = [
     ((101.0, 101.0), (1.0, 1.0, 41.0), 381.78954447822287, (0, 13, 13)),
     ((1.0, 1.0), (1.0, 1.0, 0.1), 6.53419969136083, (1, 0, 0)),
@@ -706,6 +808,7 @@ _PINNED = [
     ((94.30158936051934, 94.30158936051934), (1.0, 9.0, 0.2),
      537.5564669932445, (14, 0, 37)),
     ((150.0, 150.0), (1.0, 9.0, 0.2), 855.0420271385364, (23, 0, 59)),
+    ((1000.0, 1500.0), (1.0, 1.0, 0.0), 4438.590030740496, (163, 0, 17)),
 ]
 
 
@@ -780,19 +883,39 @@ def test_ebar_is_silent_under_warnings_as_errors(M, g):
         ebar(M, g)
 
 
+@pytest.mark.parametrize("M", [(5e-324, 5e-324), (5e-324, 1.0),
+                               (1e-315, 2e-315), (1e-315, 0.0)])
+def test_ebar_refuses_subnormal_totals_by_name(M):
+    # These raised ZeroDivisionError, RuntimeWarnings (errors under this
+    # suite) and a ConvergenceError; each is refused up front now.
+    with pytest.raises(ValueError, match=re.escape(
+            f"M={M!r} has a total below the normal floats")):
+        ebar(M, G_WEAK_CROSS)
+
+
+def test_ebar_answers_just_above_the_subnormal_totals():
+    # The half of 3e-308 that a cell start gives a slot is under
+    # pi/1.8e308, so its slope is inf and its row's residual nan, which
+    # once warned; the row stops unconverged and the two singles answer.
+    value, conf = ebar((3e-308, 1.0), G_WEAK_CROSS)
+    assert value == single_energy(1.0, G_WEAK_CROSS.g22)
+    assert tuple(conf.counts().values()) == (0, 1, 1)
+
+
 def test_ebar_logs_one_debug_line_per_call(caplog):
     with caplog.at_level(logging.DEBUG, logger="triblock.partition"):
         ebar((1.25, 0.75), GammaMatrix(8.0, 2.0, 0.5))  # solved swapped
     (record,) = caplog.records
     assert record.levelno == logging.DEBUG
-    for word in ("cells ranked", "ansatz unit grids", "rows", "converged",
+    for word in ("double counts", "cells ranked", "ansatz unit grids",
+                 "rows", "converged",
                  "left the cell", "no descent", "iteration cap",
                  "Newton iterations", "geometry calls", "KKT residual",
                  "chosen cell"):
         assert word in record.getMessage()
-    assert ("26 cells ranked, 1 ansatz unit grids, 24 rows: 23 converged, "
-            "0 left the cell, 1 no descent, 0 at the iteration cap") in (
-        record.getMessage())
+    assert ("3 double counts, 26 cells ranked, 1 ansatz unit grids, 24 "
+            "rows: 23 converged, 0 left the cell, 1 no descent, 0 at the "
+            "iteration cap") in record.getMessage()
     assert "worst" not in record.getMessage()
 
 
